@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,6 @@ class RunOptions:
     sobolev_s: float = 1.5
     tol: float = 1e-10
     seed: int = 7
-    jobs: int = 1
 
 
 def check_residual(name: str, residual: float, tol: float) -> CheckRecord:
@@ -663,29 +661,21 @@ def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
         slots = [(i, j) for i in range(c) for j in range(i, c)]
         for k in range(0, max_nodes + 1):
             for edges in combinations_with_replacement(slots, k):
-                adj = {i: set() for i in range(c)}
+                counters = [0] * c
+                nodes = []
                 for i, j in edges:
-                    adj[i].add(j)
-                    adj[j].add(i)
-                stack, visited = [0], {0}
-                while stack:
-                    for nb in adj[stack.pop()]:
-                        if nb not in visited:
-                            visited.add(nb)
-                            stack.append(nb)
-                if len(visited) != c:
+                    pid_i = counters[i]
+                    counters[i] += 1
+                    pid_j = counters[j]
+                    counters[j] += 1
+                    nodes.append(((i, pid_i), (j, pid_j)))
+                nodes = tuple(nodes)
+                try:
+                    moduli.NodalConfig((moduli.Component(0),) * c, nodes)
+                except ValueError:  # disconnected dual graph
                     continue
                 for genus_vec in product(genera, repeat=c):
-                    comps = tuple(moduli.Component(g) for g in genus_vec)
-                    counters = [0] * c
-                    nodes = []
-                    for i, j in edges:
-                        pid_i = counters[i]
-                        counters[i] += 1
-                        pid_j = counters[j]
-                        counters[j] += 1
-                        nodes.append(((i, pid_i), (j, pid_j)))
-                    yield comps, tuple(nodes)
+                    yield tuple(moduli.Component(g) for g in genus_vec), nodes
 
 
 def verify_suite(suite: str, opts: RunOptions | None = None) -> list:
@@ -702,17 +692,10 @@ def verify_suite(suite: str, opts: RunOptions | None = None) -> list:
     }
     if suite != "all":
         return runners[suite](opts)
-    names = list(runners)
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            futures = [pool.submit(runners[name], opts) for name in names]
-            blocks = [f.result() for f in futures]
-    else:
-        blocks = [runners[name](opts) for name in names]
     out = []
-    for name, block in zip(names, blocks):
+    for name, runner in runners.items():
         out.extend(CheckRecord(f"{name}.{c.name}", c.status, c.tol, c.residual, c.value, c.expected)
-                   for c in block)
+                   for c in runner(opts))
     out.extend(_suite_genus_invariance(opts))
     return out
 
@@ -811,7 +794,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Sobolev exponent for residual norms")
     common.add_argument("--tol", type=float, default=1e-10, help="relative residual tolerance")
     common.add_argument("--seed", type=int, default=7, help="seed for randomized batteries")
-    common.add_argument("--jobs", type=int, default=1, help="parallel suites for 'verify all'")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common], help=f"run a {name} scenario file")
@@ -825,7 +807,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     opts = RunOptions(truncation=args.truncation, sobolev_s=args.sobolev_s,
-                      tol=args.tol, seed=args.seed, jobs=args.jobs)
+                      tol=args.tol, seed=args.seed)
     try:
         if args.subcommand == "verify":
             start = time.perf_counter()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .loops import Loop
 from .moduli import Component, NodalConfig
-from .node_model import NodePolynomial
+from .node_model import NodePolynomial, boundary_traces
 
 __all__ = [
     "NeckFamily",
@@ -43,16 +43,12 @@ def annulus_energy(loop: Loop, r: float, R: float) -> float:
     """
     if not (0.0 < r < R <= 1.0):
         raise ValueError(f"annulus radii must satisfy 0 < r < R <= 1, got ({r}, {R})")
-    total = 0.0
-    N = loop.n_max
-    for n in range(-N, N + 1):
-        if n == 0:
-            continue
-        weight = float(np.sum(np.abs(loop.coeffs[N + n]) ** 2))
-        if weight == 0.0:
-            continue
-        total += n * weight * (np.float64(R) ** (2 * n) - np.float64(r) ** (2 * n))
-    return float(np.pi * total)
+    n = loop.modes
+    weight = np.sum(np.abs(loop.coeffs) ** 2, axis=1)
+    live = (n != 0) & (weight != 0.0)  # r^(2n) may overflow on dead modes
+    n, weight = n[live], weight[live]
+    terms = n * weight * (np.float64(R) ** (2 * n) - np.float64(r) ** (2 * n))
+    return float(np.pi * np.sum(terms))
 
 
 def annulus_energy_quadrature(loop: Loop, r: float, R: float,
@@ -90,19 +86,7 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
 
 def neck_laurent(poly: NodePolynomial, z: complex, n_max: int) -> Loop:
     """Laurent series of ``v(x, z/x)`` in the x-coordinate of the neck."""
-    z = complex(z)
-    if max(poly.deg_x, poly.deg_y) > n_max:
-        raise ValueError(
-            f"polynomial degree {max(poly.deg_x, poly.deg_y)} overflows truncation order {n_max}"
-        )
-    m = poly.m
-    coeffs = np.zeros((2 * n_max + 1, m), dtype=complex)
-    coeffs[n_max] = poly.c
-    for i, row in enumerate(poly.a):
-        coeffs[n_max + i + 1] += row
-    for j, row in enumerate(poly.b):
-        coeffs[n_max - j - 1] += row * z ** (j + 1)
-    return Loop(m, n_max, coeffs)
+    return boundary_traces(poly, z, n_max).xi
 
 
 @dataclass(frozen=True)

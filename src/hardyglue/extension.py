@@ -1,12 +1,16 @@
 """Holomorphic-extension tests for boundary loops.
 
 In the truncated model a loop extends to the unit disk iff its negative
-modes vanish, a pair extends through a node iff additionally the constants
-agree, and a pair bounds a holomorphic map on the annulus ``A(delta, 1)``
-iff the coefficients match under the substitution ``y = delta/x``
-(``eta_n = xi_{-n} delta^{-n}``).  Every finite Laurent series is
-holomorphic on the open annulus, so the matching relation is the whole
-content of the test; no growth condition is applied.
+modes vanish, and a pair extends through a node iff additionally the
+constants agree: node membership at ``z = 0``.  A pair bounds a holomorphic
+map on the annulus ``A(delta, 1)`` iff it satisfies the node relation at
+``z = delta`` (``eta_{-n} = delta^n xi_n``, ``xi_{-n} = delta^n eta_n``,
+equal constants): the annulus is the node fiber ``{xy = delta}``.  The
+annulus test reads that relation on the core circle ``|x| = sqrt(delta)``,
+which weights mode ``n`` of the defect by ``delta^(-|n|/2)``; the disk-pair
+and node tests keep the unweighted defect of ``node_membership``.  Every
+finite Laurent series is holomorphic on the open annulus, so the matching
+relation is the whole content of the test; no growth condition is applied.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, sample_values, sobolev_norm
-from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, node_membership
+from .loops import Loop, hardy_project, sample_values, sobolev_norm
+from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, membership_defect, node_membership
 
 __all__ = [
     "ExtensionResult",
@@ -38,9 +42,7 @@ class ExtensionResult:
 
 def disk_extension_test(xi: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:
     """Extension to the unit disk: the relative Sobolev norm of the n<0 part."""
-    weights = (1.0 + np.abs(xi.modes[: xi.n_max])) ** (2.0 * s)
-    power = np.sum(np.abs(xi.coeffs[: xi.n_max]) ** 2, axis=1)
-    defect = float(np.sqrt(np.dot(weights, power))) / (1.0 + sobolev_norm(xi, s))
+    defect = sobolev_norm(hardy_project(xi, "minus"), s) / (1.0 + sobolev_norm(xi, s))
     return ExtensionResult(defect <= tol, defect)
 
 
@@ -61,25 +63,27 @@ def annulus_extension_test(
 ) -> ExtensionResult:
     """Extension to the annulus ``A(delta, 1)``: ``eta(y) = xi(delta/y)``.
 
-    Checked per mode in the balanced form
-    ``delta^(n/2) eta_n - delta^(-n/2) xi_{-n}``, which is equivalent to
-    ``eta_n = xi_{-n} delta^{-n}``, exactly symmetric under swapping
-    ``(xi, eta)``, and free of ``delta^(-n_max)`` overflow on clean data.
+    This is the node relation at ``z = delta`` (see `membership_defect`),
+    read on the core circle ``|x| = |y| = sqrt(delta)``: mode ``n`` of each
+    defect is divided by ``delta^(|n|/2)``.  The core circle is the fixed
+    circle of the swap ``x <-> y = delta/x``, so this weighting treats the
+    two boundary circles alike and the defect is symmetric under swapping
+    ``(xi, eta)``.  Entry by entry it is, up to sign, the balanced form
+    ``delta^(n/2) eta_n - delta^(-n/2) xi_{-n}``.  `node_membership`
+    and `disk_pair_node_test` stay unweighted.  Zero defect entries stay
+    zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
-    if xi.m != eta.m or xi.n_max != eta.n_max:
-        raise ValueError("xi and eta must share m and n_max")
-    N = xi.n_max
     delta = float(delta)
-    mismatch = np.zeros((2 * N + 1, xi.m), dtype=complex)
-    for n in range(-N, N + 1):
-        lhs = delta ** (n / 2.0) * eta.coeffs[N + n]
-        rhs = delta ** (-n / 2.0) * xi.coeffs[N - n]
-        mismatch[N + n] = lhs - rhs
-    defect_loop = Loop(xi.m, N, mismatch)
+    core = delta ** (np.abs(xi.modes) / 2.0)[:, None]
+    on_core = [
+        sobolev_norm(d.with_coeffs(np.divide(d.coeffs, core, out=np.zeros_like(d.coeffs),
+                                             where=d.coeffs != 0)), s)
+        for d in membership_defect(NodeBoundary(delta, xi, eta))
+    ]
     scale = 1.0 + max(sobolev_norm(xi, s), sobolev_norm(eta, s))
-    defect = sobolev_norm(defect_loop, s) / scale
+    defect = float(np.hypot(*on_core)) / scale
     return ExtensionResult(defect <= tol, defect)
 
 

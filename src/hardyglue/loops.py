@@ -179,8 +179,7 @@ def sample_values(loop: Loop, n_points: int | None = None) -> np.ndarray:
     if P < 2 * loop.n_max + 1:
         raise ValueError(f"need at least {2 * loop.n_max + 1} samples, got {P}")
     spread = np.zeros((P, loop.m), dtype=complex)
-    for n, row in zip(loop.modes, loop.coeffs):
-        spread[n % P] += row
+    spread[loop.modes % P] = loop.coeffs
     return np.fft.ifft(spread, axis=0) * P
 
 
@@ -193,10 +192,7 @@ def loop_from_samples(values: np.ndarray, n_max: int) -> Loop:
     if P < 2 * n_max + 1:
         raise ValueError(f"need at least {2 * n_max + 1} samples to fit order {n_max}, got {P}")
     spectrum = np.fft.fft(values, axis=0) / P
-    coeffs = np.empty((2 * n_max + 1, m), dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        coeffs[n + n_max] = spectrum[n % P]
-    return Loop(m, n_max, coeffs)
+    return Loop(m, n_max, spectrum[np.arange(-n_max, n_max + 1) % P])
 
 
 def multiply_loops(a: Loop, b: Loop) -> Loop:

@@ -5,17 +5,18 @@ The local model lives on ``N_z = {(x, y) in D x D : x*y = z}`` with
 ``z = 0``.  Finite Laurent data ``v(x, y) = sum a_n x^n + sum b_n y^n + c``
 restricts to a pair of boundary loops ``(xi, eta)`` on the two boundary
 circles.  Such a pair arises from a holomorphic map on the fiber iff its
-coefficients satisfy
-
-* ``z != 0``:  ``eta_{-n} = z^n xi_n`` for all n (symmetrically
-  ``xi_{-n} = z^n eta_n`` and ``xi_0 = eta_0``),
-* ``z == 0``:  ``xi_0 = eta_0`` and all negative modes vanish.
+coefficients satisfy ``eta_{-n} = z^n xi_n`` and ``xi_{-n} = z^n eta_n``
+for n > 0, and ``xi_0 = eta_0``.  At ``z = 0`` (``0^n = 0``) this says
+that all negative modes vanish and the constants agree.
 
 The set of such pairs is parametrized by the chart
 ``xi = xi_+ + lam + T_z(eta_+)``, ``eta = eta_+ + lam + T_z(xi_+)`` where
 ``T_z`` maps the positive-mode coefficient ``c_n`` to ``z^n c_n`` at mode
 ``-n``.  Gluing the two disk coordinates gives the evaluation map
-``H(x, y) = xi_+(x) + eta_+(y) + lam`` at ``z = x*y``.
+``H(x, y) = xi_+(x) + eta_+(y) + lam`` at ``z = x*y``.  One array kernel,
+`_transfer`, computes ``z^n c_n``; the transfer operator, the membership
+defect, the chart, the boundary traces, ``eval_plus`` and the annulus test
+in `extension` all go through it.
 """
 
 from __future__ import annotations
@@ -150,29 +151,28 @@ def boundary_traces(poly: NodePolynomial, z: complex, n_max: int) -> NodeBoundar
     On the first boundary circle ``x`` runs over S^1 and ``y = z/x``; on
     the second ``y`` runs over S^1 and ``x = z/y``.  The substitution is
     carried out exactly at the coefficient level:
-    ``xi = sum a_n x^n + sum b_n z^n x^-n + c`` and symmetrically for eta.
+    ``xi = sum a_n x^n + sum b_n z^n x^-n + c`` and symmetrically for eta,
+    which is the chart point ``(z, a, b, c)``.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"gluing parameter must satisfy |z| < 1, got |z|={abs(z):.6g}")
     if max(poly.deg_x, poly.deg_y) > n_max:
         raise ValueError(
             f"polynomial degree {max(poly.deg_x, poly.deg_y)} overflows truncation order {n_max}"
         )
-    m = poly.m
-    xi = np.zeros((2 * n_max + 1, m), dtype=complex)
-    eta = np.zeros((2 * n_max + 1, m), dtype=complex)
-    xi[n_max] = poly.c
-    eta[n_max] = poly.c
-    for i, row in enumerate(poly.a):
-        n = i + 1
-        xi[n_max + n] += row
-        eta[n_max - n] += row * z**n
-    for j, row in enumerate(poly.b):
-        n = j + 1
-        eta[n_max + n] += row
-        xi[n_max - n] += row * z**n
-    return NodeBoundary(z, Loop(m, n_max, xi), Loop(m, n_max, eta))
+
+    def plus_loop(rows: np.ndarray) -> Loop:
+        coeffs = np.zeros((2 * n_max + 1, poly.m), dtype=complex)
+        coeffs[n_max + 1 : n_max + 1 + len(rows)] = rows
+        return Loop(poly.m, n_max, coeffs)
+
+    return node_chart(NodeChart(z, plus_loop(poly.a), plus_loop(poly.b), poly.c))
+
+
+def _transfer(z: complex, coeffs: np.ndarray) -> np.ndarray:
+    """The gluing relation's one kernel: ``z^n c_n`` for n = N..1, the rows
+    that land on modes -N..-1 (shape (N, m)); ``coeffs`` has 2N+1 rows.
+    Every ``z^n`` of the gluing relation is taken here."""
+    N = coeffs.shape[0] // 2
+    return (z ** np.arange(N, 0, -1))[:, None] * coeffs[:N:-1]
 
 
 def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:
@@ -189,8 +189,7 @@ def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:
     if np.any(plus_loop.coeffs[: N + 1] != 0):
         raise ValueError("transfer operator input must be supported on modes n > 0")
     out = np.zeros_like(plus_loop.coeffs)
-    for n in range(1, N + 1):
-        out[N - n] = z**n * plus_loop.coeffs[N + n]
+    out[:N] = _transfer(z, plus_loop.coeffs)
     return plus_loop.with_coeffs(out)
 
 
@@ -199,24 +198,18 @@ def membership_defect(b: NodeBoundary) -> tuple[Loop, Loop]:
 
     The xi-defect carries ``xi_{-n} - z^n eta_n`` at mode ``-n`` and
     ``xi_0 - eta_0`` at mode 0; the eta-defect carries
-    ``eta_{-n} - z^n xi_n`` at mode ``-n``.  At ``z = 0`` this reduces
-    exactly to the separate conditions: negative modes vanish and the
-    constants agree.
+    ``eta_{-n} - z^n xi_n`` at mode ``-n``.  At ``z = 0`` (where
+    ``0^n = 0``) this is exactly the separate conditions: negative modes
+    vanish and the constants agree.
     """
     N = b.xi.n_max
-    m = b.xi.m
-    z = b.z
-    dxi = np.zeros((2 * N + 1, m), dtype=complex)
-    deta = np.zeros((2 * N + 1, m), dtype=complex)
-    dxi[N] = b.xi.coeffs[N] - b.eta.coeffs[N]
-    if z == 0:
-        dxi[:N] = b.xi.coeffs[:N]
-        deta[:N] = b.eta.coeffs[:N]
-    else:
-        for n in range(1, N + 1):
-            dxi[N - n] = b.xi.coeffs[N - n] - z**n * b.eta.coeffs[N + n]
-            deta[N - n] = b.eta.coeffs[N - n] - z**n * b.xi.coeffs[N + n]
-    return Loop(m, N, dxi), Loop(m, N, deta)
+    xi, eta = b.xi.coeffs, b.eta.coeffs
+    dxi = np.zeros_like(xi)
+    deta = np.zeros_like(eta)
+    dxi[:N] = xi[:N] - _transfer(b.z, eta)
+    deta[:N] = eta[:N] - _transfer(b.z, xi)
+    dxi[N] = xi[N] - eta[N]
+    return b.xi.with_coeffs(dxi), b.eta.with_coeffs(deta)
 
 
 def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:
@@ -266,12 +259,7 @@ def node_chart_inverse(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_S
 
 def eval_plus(loop: Loop, point: complex) -> np.ndarray:
     """Evaluate the positive-mode power series ``sum_{n>0} c_n x^n`` at a point."""
-    x = complex(point)
-    N = loop.n_max
-    val = np.zeros(loop.m, dtype=complex)
-    for n in range(1, N + 1):
-        val += loop.coeffs[N + n] * x**n
-    return val
+    return np.sum(_transfer(complex(point), loop.coeffs), axis=0)
 
 
 def evaluate_H(family, x: complex, y: complex, t=None) -> np.ndarray:

@@ -51,6 +51,30 @@ class TestScenarioFiles:
         assert code == 0
         assert any(c["check"] == "vprime_member" and c["value"] == 1 for c in checks)
 
+    def test_thin_annulus_at_high_order_passes(self, tmp_path, capsys):
+        # delta^(-n/2) overflows at delta = 1e-6, n = 110; a clean member
+        # pair must still pass with strict-JSON output.
+        from hardyglue.jsonio import loop_to_json
+        from hardyglue.loops import Loop
+        xi = Loop.from_modes(1, 110, {0: [0.5], 1: [0.4]})
+        eta = Loop.from_modes(1, 110, {0: [0.5], -1: [0.4e-6]})
+        f = tmp_path / "annulus.json"
+        f.write_text(json.dumps({"command": "extend-check", "params": {"nodes": [
+            {"kind": "annulus", "delta": 1e-6, "xi": loop_to_json(xi), "eta": loop_to_json(eta)},
+        ]}}), encoding="utf-8")
+        code = main(["extend-check", str(f)])
+
+        def reject(token):
+            raise ValueError(f"non-finite constant {token}")
+
+        lines = [json.loads(line, parse_constant=reject)
+                 for line in capsys.readouterr().out.strip().splitlines()]
+        assert code == 0
+        by_name = {c["check"]: c for c in lines[:-1]}
+        assert by_name["node0_annulus_defect"]["status"] == "pass"
+        assert by_name["node0_annulus_defect"]["residual"] == 0.0
+        assert by_name["vprime_member"]["value"] == 1
+
     def test_contraction_scenario(self, capsys):
         code, checks, _ = run_cli(capsys, "moduli-dim", str(SCENARIOS / "vanishing_cycles.json"))
         assert code == 0
@@ -187,3 +211,10 @@ class TestVerify:
         for c in checks:
             assert "tol" in c
             assert ("residual" in c) or ("value" in c)
+
+    def test_dual_graph_enumeration_counts(self):
+        # connected dual graphs with genera 0..2, counted before the
+        # enumeration reused NodalConfig's connectivity check
+        from hardyglue.cli import _small_dual_graphs
+        assert sum(1 for _ in _small_dual_graphs(3, 3)) == 615
+        assert sum(1 for _ in _small_dual_graphs(4, 4)) == 13668

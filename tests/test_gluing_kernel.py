@@ -1,0 +1,130 @@
+"""Properties of the node gluing relation ``eta_{-n} = z^n xi_n``,
+``xi_{-n} = z^n eta_n``, ``xi_0 = eta_0``: one kernel serves the transfer
+operator, the membership defect, the chart, the boundary traces and the
+annulus test, so these check it from outside."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hardyglue.extension import annulus_extension_test
+from hardyglue.loops import Loop
+from hardyglue.node_model import (
+    NodeBoundary,
+    NodeChart,
+    NodePolynomial,
+    boundary_traces,
+    membership_defect,
+    node_chart,
+    node_chart_inverse,
+    node_membership,
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def disc(rng, shape, radius=1.0):
+    return radius * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+
+def random_loop(rng, m, n_max):
+    return Loop(m, n_max, disc(rng, (2 * n_max + 1, m)))
+
+
+def plus_loop(rng, m, n_max):
+    coeffs = np.zeros((2 * n_max + 1, m), dtype=complex)
+    coeffs[n_max + 1:] = disc(rng, (n_max, m))
+    return Loop(m, n_max, coeffs)
+
+
+def fft_coeffs(values, n_max):
+    """Modes -n_max..n_max of uniform samples on the unit circle."""
+    P = values.shape[0]
+    spectrum = np.fft.fft(values, axis=0) / P
+    return spectrum[np.arange(-n_max, n_max + 1) % P]
+
+
+class TestTracesAgainstPointwiseOracle:
+    @given(seeds, st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=2),
+           st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=0.0, max_value=1.0))
+    @settings(deadline=None)
+    def test_fft_of_substituted_polynomial(self, seed, n_max, m, z_abs, deg_frac):
+        rng = np.random.default_rng(seed)
+        deg = int(round(deg_frac * n_max))
+        poly = NodePolynomial(disc(rng, (deg, m)), disc(rng, (deg, m)), disc(rng, (m,)))
+        z = z_abs * np.exp(2j * np.pi * rng.uniform())
+        b = boundary_traces(poly, z, n_max)
+        circle = np.exp(2j * np.pi * np.arange(2 * n_max + 2) / (2 * n_max + 2))
+        xi = fft_coeffs(np.array([poly(x, z / x) for x in circle]), n_max)
+        eta = fft_coeffs(np.array([poly(z / y, y) for y in circle]), n_max)
+        np.testing.assert_allclose(b.xi.coeffs, xi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.eta.coeffs, eta, rtol=0, atol=1e-12)
+
+
+class TestSwapSymmetry:
+    @given(seeds, st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=2),
+           st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=-12.0, max_value=0.0))
+    @settings(deadline=None)
+    def test_node_membership(self, seed, n_max, m, z_abs, log_noise):
+        rng = np.random.default_rng(seed)
+        z = z_abs * np.exp(2j * np.pi * rng.uniform())
+        member = node_chart(NodeChart(z, plus_loop(rng, m, n_max), plus_loop(rng, m, n_max),
+                                      disc(rng, (m,))))
+        noise = 10.0**log_noise
+        xi = Loop(m, n_max, member.xi.coeffs + noise * disc(rng, (2 * n_max + 1, m)))
+        fwd = node_membership(NodeBoundary(z, xi, member.eta)).residual
+        rev = node_membership(NodeBoundary(z, member.eta, xi)).residual
+        assert rev == pytest.approx(fwd, rel=1e-13, abs=1e-300)
+
+    @given(seeds, st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=2),
+           st.floats(min_value=0.05, max_value=0.95))
+    @settings(deadline=None)
+    def test_annulus_extension(self, seed, n_max, m, delta):
+        rng = np.random.default_rng(seed)
+        xi, eta = random_loop(rng, m, n_max), random_loop(rng, m, n_max)
+        fwd = annulus_extension_test(xi, eta, delta).defect
+        rev = annulus_extension_test(eta, xi, delta).defect
+        assert rev == pytest.approx(fwd, rel=1e-13, abs=1e-300)
+
+
+class TestContinuityAtZero:
+    @given(seeds, st.integers(min_value=0, max_value=32), st.integers(min_value=1, max_value=2),
+           st.booleans())
+    @settings(deadline=None)
+    def test_defect_at_tiny_z_equals_defect_at_zero(self, seed, n_max, m, disk_pair):
+        rng = np.random.default_rng(seed)
+        if disk_pair:  # a member at z = 0: both loops extend and constants agree
+            b = node_chart(NodeChart(0j, plus_loop(rng, m, n_max), plus_loop(rng, m, n_max),
+                                     disc(rng, (m,))))
+            xi, eta = b.xi, b.eta
+        else:
+            xi, eta = random_loop(rng, m, n_max), random_loop(rng, m, n_max)
+        tiny = 1e-300 * np.exp(2j * np.pi * rng.uniform())
+        for d_tiny, d_zero in zip(membership_defect(NodeBoundary(tiny, xi, eta)),
+                                  membership_defect(NodeBoundary(0j, xi, eta))):
+            np.testing.assert_allclose(d_tiny.coeffs, d_zero.coeffs, rtol=0, atol=1e-299)
+        at_tiny = node_membership(NodeBoundary(tiny, xi, eta))
+        at_zero = node_membership(NodeBoundary(0j, xi, eta))
+        assert at_tiny.member == at_zero.member == disk_pair
+        assert at_tiny.residual == pytest.approx(at_zero.residual, rel=1e-15, abs=1e-299)
+
+
+class TestChartRoundtrip:
+    @given(seeds, st.integers(min_value=0, max_value=64), st.integers(min_value=1, max_value=3),
+           st.floats(min_value=0.0, max_value=0.95))
+    @settings(deadline=None)
+    def test_inverse_of_chart_is_exact(self, seed, n_max, m, z_abs):
+        rng = np.random.default_rng(seed)
+        z = z_abs * np.exp(2j * np.pi * rng.uniform())
+        chart = NodeChart(z, plus_loop(rng, m, n_max), plus_loop(rng, m, n_max), disc(rng, (m,)))
+        boundary = node_chart(chart)
+        assert node_membership(boundary).residual == 0.0
+        back = node_chart_inverse(boundary)
+        assert back.z == chart.z
+        np.testing.assert_array_equal(back.xi_plus.coeffs, chart.xi_plus.coeffs)
+        np.testing.assert_array_equal(back.eta_plus.coeffs, chart.eta_plus.coeffs)
+        np.testing.assert_array_equal(back.lam, chart.lam)
+        again = node_chart(back)
+        np.testing.assert_array_equal(again.xi.coeffs, boundary.xi.coeffs)
+        np.testing.assert_array_equal(again.eta.coeffs, boundary.eta.coeffs)
