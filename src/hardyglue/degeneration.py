@@ -14,6 +14,7 @@ genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,36 +52,62 @@ def annulus_energy(loop: Loop, r: float, R: float) -> float:
     return float(np.pi * np.sum(terms))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_rad: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_rad)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+_RADII_PER_BLOCK = 16  # keeps the (P, block * m) derivative grid near 256 KB at N = 64
+
+
 def annulus_energy_quadrature(loop: Loop, r: float, R: float,
                               n_theta: int | None = None, n_rad: int = 240) -> float:
     """Dirichlet energy by 2D quadrature of ``|f'|^2`` (independent check).
 
-    The angular integral uses the trapezoid rule on a grid fine enough to
-    be exact for the trigonometric polynomial ``|f'|^2``; the radial
-    integral uses Gauss-Legendre in log-radius.
+    The grid is ``n_rad`` Gauss-Legendre radii in log-radius times
+    ``n_theta`` equispaced angles.  On each circle ``|x| = rho`` the
+    derivative ``f'(x) = sum_n n a_n x^(n-1)`` is sampled pointwise as
+    ``exp(i(n-1)theta_j) @ (rho^(n-1) n a_n)``, one matrix product for a
+    block of radii at a time; modes with ``n = 0`` or a zero coefficient
+    row are dropped first, so ``rho^(n-1)`` is formed only for live modes.
+    The Gauss-Legendre nodes are cached per ``n_rad`` as read-only arrays.
+
+    The ring integral stays the trapezoid mean of ``|f'|^2`` over the
+    angular samples, which is exact when ``n_theta`` resolves the
+    trigonometric polynomial ``|f'|^2`` and aliases when it does not.  A
+    sum over coefficients (Parseval) would be the closed form
+    `annulus_energy` itself and would no longer check it.
     """
     if not (0.0 < r < R <= 1.0):
         raise ValueError(f"annulus radii must satisfy 0 < r < R <= 1, got ({r}, {R})")
     N = loop.n_max
     P = n_theta if n_theta is not None else max(8 * (N + 1), 8)
     thetas = 2.0 * np.pi * np.arange(P) / P
-    modes = loop.modes
-    # f'(x) = sum n a_n x^(n-1); |f'|^2 on the circle of radius rho
-    tnodes, tweights = np.polynomial.legendre.leggauss(n_rad)
+    n = loop.modes
+    live = (n != 0) & np.any(loop.coeffs != 0, axis=1)
+    n = n[live]
+    slope = n[:, None] * loop.coeffs[live]  # n a_n, (modes, m)
+    # exp(i(n-1)theta_j), shape (P, modes); built in place, so no second
+    # P x modes temporary is held while it is filled
+    wave = np.zeros((P, n.size), dtype=complex)
+    np.multiply.outer(thetas, n - 1, out=wave.imag)
+    np.exp(wave, out=wave)
+    tnodes, tweights = _gauss_legendre(n_rad)
     lo, hi = np.log(r), np.log(R)
-    log_rho = 0.5 * (hi - lo) * tnodes + 0.5 * (hi + lo)
-    rho = np.exp(log_rho)
+    rho = np.exp(0.5 * (hi - lo) * tnodes + 0.5 * (hi + lo))
     total = 0.0
-    for rho_i, w_i in zip(rho, tweights):
-        x = rho_i * np.exp(1j * thetas)
-        deriv = np.zeros((P, loop.m), dtype=complex)
-        for n, row in zip(modes, loop.coeffs):
-            if n == 0 or not np.any(row):
-                continue
-            deriv += np.outer(n * x ** (n - 1), row)
-        ring = float(np.mean(np.sum(np.abs(deriv) ** 2, axis=1))) * 2.0 * np.pi
+    for start in range(0, n_rad, _RADII_PER_BLOCK):
+        rho_b = rho[start:start + _RADII_PER_BLOCK]
+        # (modes, radii, m) -> f' on every circle of the block: (P, radii, m)
+        scaled = (rho_b ** (n - 1)[:, None])[:, :, None] * slope[:, None, :]
+        deriv = (wave @ scaled.reshape(n.size, rho_b.size * loop.m)).reshape(P, rho_b.size, loop.m)
+        ring = np.mean(np.sum(np.abs(deriv) ** 2, axis=2), axis=0) * 2.0 * np.pi
         # dA = rho drho dtheta; drho = rho dlog_rho
-        total += w_i * ring * rho_i**2
+        total += float(np.dot(tweights[start:start + _RADII_PER_BLOCK], ring * rho_b**2))
     return float(total * 0.5 * (hi - lo))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, hardy_project, sample_values, sobolev_norm
+from .loops import Loop, _ratio_past_overflow, hardy_project, sample_values, sobolev_norm
 from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, membership_defect, node_membership
 
 __all__ = [
@@ -42,7 +42,11 @@ class ExtensionResult:
 
 def disk_extension_test(xi: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:
     """Extension to the unit disk: the relative Sobolev norm of the n<0 part."""
-    defect = sobolev_norm(hardy_project(xi, "minus"), s) / (1.0 + sobolev_norm(xi, s))
+    minus = hardy_project(xi, "minus")
+    scale = 1.0 + sobolev_norm(xi, s)
+    defect = sobolev_norm(minus, s) / scale
+    if scale == np.inf:
+        defect = _ratio_past_overflow((minus,), (xi,), s)
     return ExtensionResult(defect <= tol, defect)
 
 
@@ -78,12 +82,14 @@ def annulus_extension_test(
     delta = float(delta)
     core = delta ** (np.abs(xi.modes) / 2.0)[:, None]
     on_core = [
-        sobolev_norm(d.with_coeffs(np.divide(d.coeffs, core, out=np.zeros_like(d.coeffs),
-                                             where=d.coeffs != 0)), s)
+        d.with_coeffs(np.divide(d.coeffs, core, out=np.zeros_like(d.coeffs), where=d.coeffs != 0))
         for d in membership_defect(NodeBoundary(delta, xi, eta))
     ]
+    norms = [sobolev_norm(d, s) for d in on_core]
     scale = 1.0 + max(sobolev_norm(xi, s), sobolev_norm(eta, s))
-    defect = float(np.hypot(*on_core)) / scale
+    defect = float(np.hypot(*norms)) / scale
+    if scale == np.inf:
+        defect = _ratio_past_overflow(on_core, (xi, eta), s)
     return ExtensionResult(defect <= tol, defect)
 
 

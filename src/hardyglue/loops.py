@@ -124,7 +124,33 @@ def sobolev_norm(loop: Loop, s: float) -> float:
         raise ValueError(f"Sobolev exponent must be nonnegative, got {s}")
     weights = (1.0 + np.abs(loop.modes)) ** (2.0 * s)
     power = np.sum(np.abs(loop.coeffs) ** 2, axis=1)
-    return float(np.sqrt(np.dot(weights, power)))
+    norm = float(np.sqrt(np.dot(weights, power)))
+    if norm == np.inf:
+        # |c|^2 overflowed (|c| >~ 1e154): rescale by the largest modulus,
+        # as LAPACK nrm2 does, and take the norm of the scaled coefficients
+        big = float(np.max(np.abs(loop.coeffs)))
+        power = np.sum(np.abs(loop.coeffs / big) ** 2, axis=1)
+        norm = big * float(np.sqrt(np.dot(weights, power)))
+    return norm
+
+
+def _ratio_past_overflow(parts, refs, s: float) -> float:
+    """``|parts|_s / (1 + max |refs|_s)`` when ``max |refs|_s`` is past the
+    float range.
+
+    There ``1 + max |refs|_s`` rounds to ``max |refs|_s``, and both norms
+    scale alike, so the ratio is taken after dividing every loop by the
+    largest coefficient modulus among them, where no reference norm
+    overflows.  ``|parts|_s`` is the root sum of squares of the parts'
+    norms.  Without this a finite defect over an infinite scale would read
+    as residual 0.
+    """
+    big = max(float(np.max(np.abs(loop.coeffs))) for loop in (*parts, *refs))
+
+    def norm(loop):
+        return sobolev_norm(loop.with_coeffs(loop.coeffs / big), s)
+
+    return float(np.hypot.reduce([norm(p) for p in parts]) / max(norm(r) for r in refs))
 
 
 def hardy_project(loop: Loop, side: str):

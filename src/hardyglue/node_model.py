@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, hardy_project, sobolev_norm
+from .loops import Loop, _ratio_past_overflow, hardy_project, sobolev_norm
 
 __all__ = [
     "DEFAULT_SOBOLEV_S",
@@ -223,6 +223,8 @@ def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBO
     defect = float(np.hypot(sobolev_norm(dxi, s), sobolev_norm(deta, s)))
     scale = 1.0 + max(sobolev_norm(b.xi, s), sobolev_norm(b.eta, s))
     residual = defect / scale
+    if scale == np.inf:
+        residual = _ratio_past_overflow((dxi, deta), (b.xi, b.eta), s)
     return MembershipResult(residual <= tol, residual)
 
 

@@ -8,6 +8,14 @@ from hardyglue.cli import RunOptions, ScenarioError, main, run_scenario, verify_
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
+def strict_json_lines(text):
+    """Parse JSON lines, rejecting NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-finite constant {token}")
+
+    return [json.loads(line, parse_constant=reject) for line in text.strip().splitlines()]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -63,12 +71,7 @@ class TestScenarioFiles:
             {"kind": "annulus", "delta": 1e-6, "xi": loop_to_json(xi), "eta": loop_to_json(eta)},
         ]}}), encoding="utf-8")
         code = main(["extend-check", str(f)])
-
-        def reject(token):
-            raise ValueError(f"non-finite constant {token}")
-
-        lines = [json.loads(line, parse_constant=reject)
-                 for line in capsys.readouterr().out.strip().splitlines()]
+        lines = strict_json_lines(capsys.readouterr().out)
         assert code == 0
         by_name = {c["check"]: c for c in lines[:-1]}
         assert by_name["node0_annulus_defect"]["status"] == "pass"
@@ -92,6 +95,21 @@ class TestScenarioFiles:
         code, checks, _ = run_cli(capsys, "node-check", str(f))
         assert code == 0
         assert checks[0]["check"] == "membership" and checks[0]["status"] == "pass"
+
+    def test_huge_boundary_residual_is_finite(self, tmp_path, capsys):
+        # |xi_0|^2 overflows; the membership residual must stay a number
+        from hardyglue.jsonio import boundary_to_json
+        from hardyglue.loops import Loop
+        from hardyglue.node_model import NodeBoundary
+        b = NodeBoundary(0.5, Loop.from_modes(1, 1, {0: [1e200]}), Loop.zeros(1, 1))
+        f = tmp_path / "boundary.json"
+        f.write_text(json.dumps({"command": "node-check",
+                                 "params": {"boundary": boundary_to_json(b)}}), encoding="utf-8")
+        code = main(["node-check", str(f)])
+        lines = strict_json_lines(capsys.readouterr().out)
+        assert code == 1
+        assert lines[0]["check"] == "membership" and lines[0]["status"] == "fail"
+        assert lines[0]["residual"] == pytest.approx(1.0, rel=1e-12)
 
     def test_intersect_scenario(self, tmp_path, capsys):
         f = tmp_path / "intersect.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,43 @@ class TestAnnulusEnergy:
             closed = annulus_energy(loop, r, R)
             quad = annulus_energy_quadrature(loop, r, R)
             assert quad == pytest.approx(closed, rel=1e-8)
+
+    def test_quadrature_skips_dead_modes(self):
+        # r^(-65) overflows; powers formed for the zero rows would turn
+        # inf * 0 into NaN
+        loop = Loop.from_modes(1, 64, {1: [1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            quad = annulus_energy_quadrature(loop, 1e-6, 0.5)
+        assert quad == pytest.approx(annulus_energy(loop, 1e-6, 0.5), rel=1e-8)
+
+    def test_quadrature_samples_pointwise(self):
+        # two angular samples alias |f'|^2 for f = x + x^3; a sum over
+        # coefficients would return the closed form instead
+        loop = scalar({1: 1.0, 3: 1.0}, n_max=3)
+        closed = annulus_energy(loop, 0.3, 0.8)
+        assert closed == pytest.approx(4.191654290088907, rel=1e-12)
+        assert annulus_energy_quadrature(loop, 0.3, 0.8, n_theta=2) == pytest.approx(
+            7.975702641337808, rel=1e-12)
+        assert annulus_energy_quadrature(loop, 0.3, 0.8) == pytest.approx(closed, rel=1e-10)
+
+    def test_quadrature_agreement_on_necks(self):
+        # the radii energy_axiom_check picks at n_max = 32, m = 2, down to
+        # r ~ 1e-5, checked to the CLI's tolerance
+        rng = np.random.default_rng(21)
+        z_seq = tuple(0.5 ** k for k in range(1, 49))
+        for _ in range(3):
+            deg_x, deg_y = (int(d) for d in rng.integers(0, 4, size=2))
+            poly = NodePolynomial(
+                rng.standard_normal((deg_x, 2)) + 1j * rng.standard_normal((deg_x, 2)),
+                rng.standard_normal((deg_y, 2)) + 1j * rng.standard_normal((deg_y, 2)),
+                rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            fam = NeckFamily.from_constant(poly, z_seq)
+            report = energy_axiom_check(fam, [1e-1, 1e-2, 1e-3, 1e-4], tol=1e-3, n_max=32)
+            for row in report.rows:
+                neck = neck_laurent(poly, z_seq[row.k_index], 32)
+                quad = annulus_energy_quadrature(neck, row.z_abs / row.eps, row.eps)
+                assert quad == pytest.approx(row.energy, rel=1e-8)
 
     def test_radial_additivity(self):
         rng = np.random.default_rng(4)

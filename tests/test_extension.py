@@ -34,6 +34,15 @@ class TestDiskExtension:
         res = disk_extension_test(scalar({-1: 1.0}))
         assert not res.extends and res.defect > 0
 
+    def test_defect_past_float_range(self):
+        # |xi|_s overflows, |minus part|_s does not; compare with the same
+        # loop scaled down
+        xi = scalar({-1: 1e307, 2: 1e308})
+        res = disk_extension_test(xi)
+        small = disk_extension_test(xi.with_coeffs(1e-296 * xi.coeffs))
+        assert not res.extends
+        assert res.defect == pytest.approx(small.defect, rel=1e-9)
+
     def test_below_tolerance_extends(self):
         res = disk_extension_test(scalar({-3: 1e-14}), tol=1e-10)
         assert res.extends
@@ -89,6 +98,13 @@ class TestAnnulusExtension:
     def test_mismatched_pair_fails(self):
         res = annulus_extension_test(scalar({1: 1.0}), scalar({1: 1.0}), 0.25)
         assert not res.extends and res.defect > 1e-3
+
+    def test_defect_past_float_range(self):
+        xi, eta = scalar({2: 1e308}), Loop.zeros(1, 8)
+        res = annulus_extension_test(xi, eta, 0.25)
+        small = annulus_extension_test(xi.with_coeffs(1e-296 * xi.coeffs), eta, 0.25)
+        assert not res.extends
+        assert res.defect == pytest.approx(small.defect, rel=1e-9)
 
     def test_bad_delta_rejected(self):
         for delta in (0.0, 1.0, -0.5, 2.0):

@@ -53,6 +53,12 @@ class TestSobolevNorm:
         expected = 3.0 * np.sqrt(3.0)
         assert sobolev_norm(scalar({2: 3.0}), 0.5) == pytest.approx(expected, rel=1e-14)
 
+    def test_squares_past_float_range(self):
+        # |c|^2 overflows for |c| = 1e200; the norm itself does not
+        unit = scalar({0: 1.0, 2: 1.0 - 1.0j})
+        huge = unit.with_coeffs(1e200 * unit.coeffs)
+        assert sobolev_norm(huge, 1.5) == pytest.approx(1e200 * sobolev_norm(unit, 1.5), rel=1e-14)
+
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             sobolev_norm(scalar({0: 1.0}), -0.5)

@@ -141,6 +141,16 @@ class TestMembership:
         res = node_membership(NodeBoundary(0j, scalar({-1: 1.0}), Loop.zeros(1, 8)))
         assert not res.member and res.residual > 0
 
+    def test_residual_past_float_range(self):
+        # |xi|_s overflows while the defect norm does not; the residual is
+        # scale-free there, so it must match the same data scaled down
+        # (a finite defect over an infinite scale would read as 0)
+        xi = scalar({0: 1e308, 1: 1e308})
+        res = node_membership(NodeBoundary(0.5, xi, Loop.zeros(1, 8)))
+        small = node_membership(NodeBoundary(0.5, xi.with_coeffs(1e-296 * xi.coeffs), Loop.zeros(1, 8)))
+        assert not res.member
+        assert res.residual == pytest.approx(small.residual, rel=1e-9)
+
     def test_perturbation_bracket_at_s0(self):
         # single-relation perturbations of size eps land within [0.1 eps, 10 eps]
         rng = np.random.default_rng(17)
