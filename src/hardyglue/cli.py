@@ -2,12 +2,17 @@
 modules, and emits JSON-lines reports (one check per line plus a summary).
 
 Exit codes: 0 when every check passes, 1 when any check fails or is
-inconclusive, 2 on parse/config errors.
+inconclusive, 2 on parse/config errors, malformed ``[re, im]`` data
+included (the error line names the path of the first bad element).
+
+`main` may be called repeatedly in one process: the argument parser is
+built once, on the first call, and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -103,25 +108,31 @@ def _get(params: dict, name: str, default=_REQUIRED, where: str = "params"):
     return params[name]
 
 
+def _decoded(decode, data, where: str):
+    """Apply a `jsonio` decoder; malformed data is a ScenarioError."""
+    try:
+        return decode(data, where)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _bare_pair(data) -> bool:
+    return isinstance(data, list) and bool(data) and isinstance(data[0], (int, float))
+
+
 def _parse_vector_or_scalar(data, where: str) -> np.ndarray:
-    if isinstance(data, list) and data and isinstance(data[0], (int, float)):
-        return np.array([complex_from_pair(data, where)], dtype=complex)
-    return vector_from_json(data, where)
+    if _bare_pair(data):
+        return np.array([_decoded(complex_from_pair, data, where)])
+    return _decoded(vector_from_json, data, where)
 
 
 def _parse_coeff_rows(data, where: str) -> np.ndarray:
     """Rows of coefficient vectors; bare [re,im] rows mean m=1."""
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: expected a list")
-    rows = []
-    for i, row in enumerate(data):
-        rows.append(_parse_vector_or_scalar(row, f"{where}[{i}]"))
-    if not rows:
+    if not data:
         return np.zeros((0, 1), dtype=complex)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ScenarioError(f"{where}: inconsistent component counts")
-    return np.array(rows, dtype=complex)
+    return _decoded(matrix_from_json, [[row] if _bare_pair(row) else row for row in data], where)
 
 
 def _parse_poly(data, where: str) -> NodePolynomial:
@@ -138,13 +149,6 @@ def _parse_poly(data, where: str) -> NodePolynomial:
     if a.shape[1] != m or b.shape[1] != m:
         raise ScenarioError(f"{where}: a, b, c disagree on the target dimension")
     return NodePolynomial(a, b, c)
-
-
-def _parse_boundary(data, where: str) -> NodeBoundary:
-    try:
-        return boundary_from_json(data, where)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def _parse_cycles(data, where: str) -> list:
@@ -179,7 +183,7 @@ def _parse_polynomial_map(params: dict, where: str = "params") -> fredholm.Polyn
         terms = []
         for j, term in enumerate(comp):
             w = f"{where}.components[{i}][{j}]"
-            coeff = complex_from_pair(_get(term, "c", where=w), f"{w}.c")
+            coeff = _decoded(complex_from_pair, _get(term, "c", where=w), f"{w}.c")
             terms.append((coeff, tuple(_get(term, "u", where=w)), tuple(_get(term, "xp", where=w))))
         comps.append(terms)
     try:
@@ -286,7 +290,7 @@ def _h_reproduction_max(rng, m: int, n_max: int, grid: int = 10) -> float:
 
 def handle_node_check(params: dict, opts: RunOptions) -> list:
     if "boundary" in params:
-        boundary = _parse_boundary(params["boundary"], "params.boundary")
+        boundary = _decoded(boundary_from_json, params["boundary"], "params.boundary")
         res = node_model.node_membership(boundary, tol=opts.tol, s=opts.sobolev_s)
         return [check_residual("membership", res.residual, opts.tol)]
     trials = int(_get(params, "trials", 200))
@@ -306,11 +310,11 @@ def handle_extend_check(params: dict, opts: RunOptions) -> list:
     for i, rec in enumerate(records_raw):
         where = f"params.nodes[{i}]"
         kind = _get(rec, "kind", where=where)
-        xi = loop_from_json(_get(rec, "xi", where=where), f"{where}.xi")
-        eta = loop_from_json(_get(rec, "eta", where=where), f"{where}.eta")
+        xi = _decoded(loop_from_json, _get(rec, "xi", where=where), f"{where}.xi")
+        eta = _decoded(loop_from_json, _get(rec, "eta", where=where), f"{where}.eta")
         try:
             if kind == "disk_pair":
-                z = complex_from_pair(_get(rec, "z", [0.0, 0.0], where), f"{where}.z")
+                z = _decoded(complex_from_pair, _get(rec, "z", [0.0, 0.0], where), f"{where}.z")
                 records.append(extension.NodeData("disk_pair", xi, eta, z=z))
             elif kind == "annulus":
                 records.append(extension.NodeData("annulus", xi, eta,
@@ -334,12 +338,13 @@ def handle_index(params: dict, opts: RunOptions) -> list:
     if "triples" in params:
         for i, entry in enumerate(params["triples"]):
             where = f"params.triples[{i}]"
+            basis_prime = _decoded(matrix_from_json, _get(entry, "basis_prime", where=where),
+                                   f"{where}.basis_prime")
+            basis_dprime = _decoded(matrix_from_json, _get(entry, "basis_dprime", where=where),
+                                    f"{where}.basis_dprime")
             try:
-                triple = fredholm.SubspaceTriple(
-                    int(_get(entry, "ambient_dim", where=where)),
-                    matrix_from_json(_get(entry, "basis_prime", where=where), f"{where}.basis_prime"),
-                    matrix_from_json(_get(entry, "basis_dprime", where=where), f"{where}.basis_dprime"),
-                )
+                triple = fredholm.SubspaceTriple(int(_get(entry, "ambient_dim", where=where)),
+                                                 basis_prime, basis_dprime)
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
             idx = fredholm.triple_index(triple)
@@ -382,10 +387,7 @@ def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
         out.append(check_int(f"moduli_dim_{label}", value, int(_get(row, "expect", where=where))))
     for i, job in enumerate(contractions):
         where = f"params.contractions[{i}]"
-        try:
-            cfg = nodal_config_from_json(_get(job, "config", where=where), f"{where}.config")
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        cfg = _decoded(nodal_config_from_json, _get(job, "config", where=where), f"{where}.config")
         cycles = _parse_cycles(_get(job, "cycles", where=where), f"{where}.cycles")
         label = job.get("label", f"contraction{i}")
         before = moduli.arithmetic_genus(cfg)
@@ -415,7 +417,7 @@ def handle_reduce(params: dict, opts: RunOptions) -> list:
     out = []
     seeds = _get(params, "seeds")
     for i, seed_raw in enumerate(seeds):
-        seed = vector_from_json(seed_raw, f"params.seeds[{i}]")
+        seed = _decoded(vector_from_json, seed_raw, f"params.seeds[{i}]")
         result = reduction.solve(seed, max_iter=max_iter, tol=tol)
         out.append(check_residual(f"seed{i}_newton_residual", result.residual, tol))
         if result.converged:
@@ -432,7 +434,7 @@ def handle_intersect(params: dict, opts: RunOptions) -> list:
         graph = pm.as_graph(allow_nonflat=bool(_get(params, "allow_nonflat", False)))
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
-    seed = vector_from_json(_get(params, "seed"), "params.seed")
+    seed = _decoded(vector_from_json, _get(params, "seed"), "params.seed")
     max_iter = int(_get(params, "max_iter", 200))
     tol = float(_get(params, "tol", 1e-12))
     result = fredholm.intersect_newton(graph, seed, max_iter=max_iter, tol=tol)
@@ -452,7 +454,7 @@ def _parse_z_seq(data, where: str) -> tuple:
             raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
         return tuple(start * ratio**k for k in range(count))
     if isinstance(data, list):
-        return tuple(complex_from_pair(p, f"{where}[{i}]") for i, p in enumerate(data))
+        return tuple(_decoded(vector_from_json, data, where).tolist())
     raise ScenarioError(f"{where}: expected a list of [re,im] pairs or a geometric sequence")
 
 
@@ -784,6 +786,7 @@ def _emit_report(report: ScenarioReport, stream) -> int:
     return 0 if failures == 0 and inconclusive == 0 else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hardyglue",
                                      description="Hardy-space node model and Fredholm "

@@ -36,7 +36,47 @@ def complex_to_pair(z) -> list:
 def complex_from_pair(pair, where: str = "value") -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"{where}: expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected [re, im] pair of numbers, got {pair!r}") from None
+
+
+def _complex_array(data, ndim: int, where: str) -> np.ndarray:
+    """Complex array of ``ndim`` axes from lists nested ``ndim`` deep above
+    the ``[re, im]`` pairs.
+
+    Well-formed numeric data takes one ``np.array`` call and a view of the
+    float pairs as complex, which is bit-identical to
+    ``complex(float(re), float(im))`` (``-0.0`` included).  Anything else
+    (strings, ``null``, ragged rows, ints numpy holds only as objects) is
+    walked element by element; a malformed element raises ValueError
+    naming its path.
+    """
+    try:
+        arr = np.array(data)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf" and arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return _walk_pairs(data, ndim, where)
+
+
+def _walk_pairs(data, ndim: int, where: str) -> np.ndarray:
+    if ndim == 0:
+        return np.array(complex_from_pair(data, where))
+    if not isinstance(data, list):
+        raise ValueError(f"{where}: expected a list")
+    parts = []
+    for i, item in enumerate(data):
+        part = _walk_pairs(item, ndim - 1, f"{where}[{i}]")
+        if parts and part.shape != parts[0].shape:
+            raise ValueError(f"{where}[{i}]: ragged rows, shape {part.shape} "
+                             f"against {parts[0].shape} at {where}[0]")
+        parts.append(part)
+    if not parts:
+        return np.zeros((0,) * ndim, dtype=complex)
+    return np.array(parts, dtype=complex)
 
 
 def vector_to_json(v) -> list:
@@ -44,9 +84,7 @@ def vector_to_json(v) -> list:
 
 
 def vector_from_json(data, where: str = "vector") -> np.ndarray:
-    if not isinstance(data, list):
-        raise ValueError(f"{where}: expected a list of [re, im] pairs")
-    return np.array([complex_from_pair(p, f"{where}[{i}]") for i, p in enumerate(data)], dtype=complex)
+    return _complex_array(data, 1, where)
 
 
 def matrix_to_json(mat) -> list:
@@ -55,15 +93,7 @@ def matrix_to_json(mat) -> list:
 
 
 def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
-    if not isinstance(data, list):
-        raise ValueError(f"{where}: expected a list of rows")
-    rows = [vector_from_json(row, f"{where}[{i}]") for i, row in enumerate(data)]
-    if not rows:
-        return np.zeros((0, 0), dtype=complex)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{where}: ragged rows")
-    return np.array(rows, dtype=complex)
+    return _complex_array(data, 2, where)
 
 
 def loop_to_json(loop: Loop) -> dict:
@@ -84,8 +114,7 @@ def loop_from_json(data: dict, where: str = "loop") -> Loop:
     rows = data["coeffs"]
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
         raise ValueError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
-    coeffs = np.array([vector_from_json(row, f"{where}.coeffs[{i}]") for i, row in enumerate(rows)])
-    return Loop(m, n_max, coeffs)
+    return Loop(m, n_max, _complex_array(rows, 2, f"{where}.coeffs"))
 
 
 def boundary_to_json(boundary) -> dict:

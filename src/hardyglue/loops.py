@@ -123,15 +123,22 @@ def sobolev_norm(loop: Loop, s: float) -> float:
     if s < 0:
         raise ValueError(f"Sobolev exponent must be nonnegative, got {s}")
     weights = (1.0 + np.abs(loop.modes)) ** (2.0 * s)
-    power = np.sum(np.abs(loop.coeffs) ** 2, axis=1)
-    norm = float(np.sqrt(np.dot(weights, power)))
+    norm = float(np.sqrt(np.dot(weights, _mode_power(loop.coeffs))))
     if norm == np.inf:
         # |c|^2 overflowed (|c| >~ 1e154): rescale by the largest modulus,
         # as LAPACK nrm2 does, and take the norm of the scaled coefficients
         big = float(np.max(np.abs(loop.coeffs)))
-        power = np.sum(np.abs(loop.coeffs / big) ** 2, axis=1)
-        norm = big * float(np.sqrt(np.dot(weights, power)))
+        norm = big * float(np.sqrt(np.dot(weights, _mode_power(loop.coeffs / big))))
     return norm
+
+
+# The decorator form costs less per call than a `with np.errstate(...)`
+# block, and `sobolev_norm` runs hundreds of times per node-check job.
+@np.errstate(over="ignore")
+def _mode_power(coeffs: np.ndarray) -> np.ndarray:
+    """Row sums of |c|^2.  A row past the float range reads inf, with no
+    overflow warning; `sobolev_norm` then rescales."""
+    return np.sum(np.abs(coeffs) ** 2, axis=1)
 
 
 def _ratio_past_overflow(parts, refs, s: float) -> float:

@@ -1,9 +1,11 @@
 import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
 
-from hardyglue.cli import RunOptions, ScenarioError, main, run_scenario, verify_suite
+from hardyglue.cli import RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -97,7 +99,8 @@ class TestScenarioFiles:
         assert checks[0]["check"] == "membership" and checks[0]["status"] == "pass"
 
     def test_huge_boundary_residual_is_finite(self, tmp_path, capsys):
-        # |xi_0|^2 overflows; the membership residual must stay a number
+        # |xi_0|^2 overflows; the membership residual must stay a number,
+        # and the overflow that the rescale handles is not reported
         from hardyglue.jsonio import boundary_to_json
         from hardyglue.loops import Loop
         from hardyglue.node_model import NodeBoundary
@@ -105,8 +108,12 @@ class TestScenarioFiles:
         f = tmp_path / "boundary.json"
         f.write_text(json.dumps({"command": "node-check",
                                  "params": {"boundary": boundary_to_json(b)}}), encoding="utf-8")
-        code = main(["node-check", str(f)])
-        lines = strict_json_lines(capsys.readouterr().out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["node-check", str(f)])
+        captured = capsys.readouterr()
+        assert caught == [] and captured.err == ""
+        lines = strict_json_lines(captured.out)
         assert code == 1
         assert lines[0]["check"] == "membership" and lines[0]["status"] == "fail"
         assert lines[0]["residual"] == pytest.approx(1.0, rel=1e-12)
@@ -171,6 +178,24 @@ class TestErrorPaths:
         with pytest.raises(ScenarioError):
             verify_suite("everything")
 
+    @pytest.mark.parametrize("command, params, path", [
+        ("extend-check",
+         {"nodes": [{"kind": "disk_pair", "z": [0, 0],
+                     "xi": {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]]]},
+                     "eta": {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}}]},
+         "params.nodes[0].xi.coeffs"),
+        ("index",
+         {"triples": [{"ambient_dim": 2, "basis_prime": [[[1, 0]], [[0, None]]],
+                       "basis_dprime": [[[0, 0]], [[1, 0]]]}]},
+         "params.triples[0].basis_prime[1][0]"),
+    ])
+    def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps({"command": command, "params": params}), encoding="utf-8")
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_wall_time(self, capsys):
@@ -186,6 +211,23 @@ class TestDeterminism:
         second_checks, second_summary = run_once()
         assert first_checks == second_checks
         assert first_summary == second_summary
+
+    def test_cached_parser_carries_no_state(self, capsys):
+        def run_all():
+            out = []
+            for path in sorted(SCENARIOS.glob("*.json")):
+                command = json.loads(path.read_text(encoding="utf-8"))["command"]
+                code = main([command, str(path)])
+                text = re.sub(r'"wall_time_s": [^,}]*', '"wall_time_s": 0', capsys.readouterr().out)
+                out.append((code, text))
+            return out
+
+        first = run_all()
+        assert main(["verify", "energy", "--seed", "3", "--tol", "1e-9"]) == 0
+        capsys.readouterr()
+        assert run_all() == first
+        assert len(first) == 7
+        assert _build_parser() is _build_parser()
 
     def test_digest_tracks_inputs(self, tmp_path):
         a = tmp_path / "a.json"
