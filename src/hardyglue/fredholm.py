@@ -62,14 +62,19 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
     return m
 
 
+def _rank_of(s: np.ndarray, rank_tol: float) -> int:
+    """Number of singular values ``s`` (descending) above ``rank_tol`` times
+    the largest; 0 for an empty or zero matrix."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rank_tol * s[0]))
+
+
 def matrix_rank(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank by singular-value thresholding relative to the largest value."""
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return _rank_of(np.linalg.svd(M, compute_uv=False), rank_tol)
 
 
 def nullspace(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -80,11 +85,7 @@ def nullspace(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if M.size == 0:
         return np.eye(n_cols, dtype=complex)
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    return vh[rank:].conj().T
+    return vh[_rank_of(s, rank_tol):].conj().T
 
 
 def orthonormal_range(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -92,10 +93,7 @@ def orthonormal_range(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.n
     if M.shape[1] == 0 or M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return u[:, :rank]
+    return u[:, :_rank_of(s, rank_tol)]
 
 
 def subspace_intersection(B1: np.ndarray, B2: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -293,8 +291,7 @@ def normal_coordinates(t: SubspaceTriple) -> NormalSplitting:
         outer = np.eye(t.ambient_dim, dtype=complex)
     else:
         u, s, _ = np.linalg.svd(stacked, full_matrices=True)
-        rank = 0 if s[0] == 0.0 else int(np.sum(s > t.rank_tol * s[0]))
-        outer = u[:, rank:]
+        outer = u[:, _rank_of(s, t.rank_tol):]
     split = NormalSplitting(cap, prime_comp, dprime_comp, outer)
     if sum(split.dims) != t.ambient_dim:
         raise ValueError(f"normal splitting dims {split.dims} do not sum to N={t.ambient_dim}; "

@@ -114,7 +114,10 @@ def loop_from_json(data: dict, where: str = "loop") -> Loop:
     rows = data["coeffs"]
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
         raise ValueError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
-    return Loop(m, n_max, _complex_array(rows, 2, f"{where}.coeffs"))
+    coeffs = _complex_array(rows, 2, f"{where}.coeffs")
+    if coeffs.shape[1] != m:
+        raise ValueError(f"{where}.coeffs: expected {m} pairs per mode row, got {coeffs.shape[1]}")
+    return Loop(m, n_max, coeffs)
 
 
 def boundary_to_json(boundary) -> dict:

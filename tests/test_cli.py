@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import re
 import warnings
@@ -8,6 +10,7 @@ import pytest
 from hardyglue.cli import RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+QUADRATIC_MAP = {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [2], "xp": [0]}]]}
 
 
 def strict_json_lines(text):
@@ -188,6 +191,21 @@ class TestErrorPaths:
          {"triples": [{"ambient_dim": 2, "basis_prime": [[[1, 0]], [[0, None]]],
                        "basis_dprime": [[[0, 0]], [[1, 0]]]}]},
          "params.triples[0].basis_prime[1][0]"),
+        ("extend-check",
+         {"nodes": [{"kind": "annulus", "delta": 0.5,
+                     "xi": {"m": 2, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]},
+                     "eta": {"m": 2, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}}]},
+         "params.nodes[0].xi.coeffs"),
+        ("extend-check", {"nodes": [5]}, "params.nodes[0]"),
+        ("node-check", {"trials": "x"}, "params.trials"),
+        ("index", {"line_bundle": {"d_max": "x"}}, "params.line_bundle.d_max"),
+        ("reduce", {**QUADRATIC_MAP, "seeds": 5}, "params.seeds"),
+        ("reduce", {**QUADRATIC_MAP, "dims": [None, 1, 1, 1], "seeds": []}, "params"),
+        ("reduce", {**QUADRATIC_MAP, "newton": {"max_iter": "x"}, "seeds": []}, "params.newton.max_iter"),
+        ("energy", {"z_seq": {"geometric": {"count": "x"}}, "laurent": {"a": [[1, 0]]}},
+         "params.z_seq.geometric.count"),
+        ("moduli-dim", {"entries": [{"g": "x", "n": 0, "m": 2, "c1d": 3, "expect": 2}]},
+         "params.entries[0].g"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         f = tmp_path / "scenario.json"
@@ -271,6 +289,18 @@ class TestVerify:
         for c in checks:
             assert "tol" in c
             assert ("residual" in c) or ("value" in c)
+
+    def test_verify_all_check_names_pinned(self, capsys):
+        # perfbench/gate.py holds the digest the benchmark gates on; pinning
+        # it here makes a renamed or reordered check fail the tests too
+        spec = importlib.util.spec_from_file_location("gate", SCENARIOS.parent / "perfbench" / "gate.py")
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        code, checks, summary = run_cli(capsys, "verify", "all")
+        assert code == 0
+        assert len(checks) == summary["checks"] == 86
+        names = "\n".join(c["check"] for c in checks).encode()
+        assert hashlib.sha256(names).hexdigest() == gate.VERIFY_ALL_NAMES_SHA256
 
     def test_dual_graph_enumeration_counts(self):
         # connected dual graphs with genera 0..2, counted before the
