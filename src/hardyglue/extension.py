@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _ratio_past_overflow, hardy_project, sample_values, sobolev_norm
+from .loops import Loop, _relative, _sobolev_norms, hardy_project, sample_values
 from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, membership_defect, node_membership
 
 __all__ = [
@@ -43,10 +43,7 @@ class ExtensionResult:
 def disk_extension_test(xi: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:
     """Extension to the unit disk: the relative Sobolev norm of the n<0 part."""
     minus = hardy_project(xi, "minus")
-    scale = 1.0 + sobolev_norm(xi, s)
-    defect = sobolev_norm(minus, s) / scale
-    if scale == np.inf:
-        defect = _ratio_past_overflow((minus,), (xi,), s)
+    defect = float(_relative((minus.coeffs[None],), (xi.coeffs[None],), s)[0])
     return ExtensionResult(defect <= tol, defect)
 
 
@@ -75,22 +72,62 @@ def annulus_extension_test(
     ``(xi, eta)``.  Entry by entry it is, up to sign, the balanced form
     ``delta^(n/2) eta_n - delta^(-n/2) xi_{-n}``.  `node_membership`
     and `disk_pair_node_test` stay unweighted.  Zero defect entries stay
-    zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows.
+    zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows;
+    a nonzero entry whose weight is past the float range sends the whole
+    defect through `_annulus_defect_past_overflow`.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
     delta = float(delta)
+    defects = [d.coeffs for d in membership_defect(NodeBoundary(delta, xi, eta))]
     core = delta ** (np.abs(xi.modes) / 2.0)[:, None]
-    on_core = [
-        d.with_coeffs(np.divide(d.coeffs, core, out=np.zeros_like(d.coeffs), where=d.coeffs != 0))
-        for d in membership_defect(NodeBoundary(delta, xi, eta))
-    ]
-    norms = [sobolev_norm(d, s) for d in on_core]
-    scale = 1.0 + max(sobolev_norm(xi, s), sobolev_norm(eta, s))
-    defect = float(np.hypot(*norms)) / scale
-    if scale == np.inf:
-        defect = _ratio_past_overflow(on_core, (xi, eta), s)
+    weak = (core < _TINY)[:, 0]
+    past = weak.any() and any(np.any(d[weak] != 0) for d in defects)
+    if not past:
+        on_core = [_on_core(d, core) for d in defects]
+        past = not all(np.isfinite(c).all() for c in on_core)
+    if not past:
+        defect = float(_relative([c[None] for c in on_core], (xi.coeffs[None], eta.coeffs[None]), s)[0])
+        past = defect == np.inf
+    if past:
+        defect = _annulus_defect_past_overflow(defects, xi, eta, delta, s)
     return ExtensionResult(defect <= tol, defect)
+
+
+@np.errstate(over="ignore")
+def _on_core(defect: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """The defect read on the core circle; zero entries stay zero, and an
+    entry past the float range reads inf, with no overflow warning."""
+    return np.divide(defect, core, out=np.zeros_like(defect), where=defect != 0)
+
+
+_TINY = np.finfo(float).tiny
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+
+def _annulus_defect_past_overflow(defects, xi: Loop, eta: Loop, delta: float, s: float) -> float:
+    """The annulus defect where a core weight ``delta^(-|n|/2)`` on a nonzero
+    defect entry is past the normal float range.
+
+    Each norm is taken in log space: ``log|c_n| - (|n|/2) log delta`` per
+    entry, shifted by its maximum so every entry is at most 1 in modulus,
+    then ``log|.|_s = shift + log`` of the norm of the shifted moduli.  A
+    ratio past the float range is reported as the largest finite float, a
+    lower bound that fails every tolerance.
+    """
+    log_weight = -(np.abs(xi.modes) / 2.0 * np.log(delta))[:, None]
+
+    def log_norm(parts, log_w):
+        with np.errstate(divide="ignore"):
+            logs = [np.log(np.abs(c)) + log_w for c in parts]
+        shift = max(np.max(x) for x in logs)
+        if shift == -np.inf:
+            return -np.inf
+        return shift + np.log(np.hypot.reduce(_sobolev_norms(np.exp(np.array(logs) - shift), s)))
+
+    log_ratio = log_norm(defects, log_weight) - np.logaddexp(
+        0.0, max(log_norm([xi.coeffs], 0.0), log_norm([eta.coeffs], 0.0)))
+    return float(np.exp(log_ratio)) if log_ratio < _LOG_MAX else float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)

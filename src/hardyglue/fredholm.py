@@ -605,10 +605,6 @@ class FiniteDimReduction:
         scale = 1.0 + float(np.linalg.norm(u))
         return bool(self.contains_U(point, tol) and np.linalg.norm(xi) <= tol * scale)
 
-    def intersection_residual(self, u) -> float:
-        """Norm of the intersection equation f(u, 0)."""
-        return float(np.linalg.norm(self.graph.evaluate(u, np.zeros(self.dims[1], dtype=complex))))
-
     def solve(self, seed, max_iter: int = 100, tol: float = 1e-12) -> NewtonResult:
         return intersect_newton(self.graph, seed, max_iter=max_iter, tol=tol)
 

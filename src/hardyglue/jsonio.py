@@ -163,14 +163,53 @@ def nodal_config_to_json(cfg) -> dict:
     }
 
 
+def _int_tuple(data, length: int, where: str) -> tuple:
+    """``data`` as a tuple of ``length`` integers; anything else is a
+    ValueError naming ``where``."""
+    if isinstance(data, list) and len(data) == length:
+        try:
+            return tuple(int(v) for v in data)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{where}: expected a list of {length} integers, got {data!r}")
+
+
+def _list_field(data: dict, key: str, where: str) -> list:
+    """List field ``key`` of ``data`` (empty when absent)."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{where}.{key}: expected a list, got {value!r}")
+    return value
+
+
 def nodal_config_from_json(data: dict, where: str = "config"):
+    """Nodal configuration from its schema; every malformed field is a
+    ValueError naming its path."""
     from .moduli import Component, NodalConfig
 
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {data!r}")
     if "components" not in data:
         raise ValueError(f"{where}: missing field 'components'")
-    comps = tuple(Component(int(c.get("genus", 0)), bool(c.get("ghost", False)))
-                  for c in data["components"])
-    nodes = tuple(tuple((int(ci), int(pid)) for ci, pid in pair)
-                  for pair in data.get("nodes", []))
-    marks = tuple((int(ci), int(pid)) for ci, pid in data.get("marks", []))
-    return NodalConfig(comps, nodes, marks)
+    comps = []
+    for i, c in enumerate(_list_field(data, "components", where)):
+        w = f"{where}.components[{i}]"
+        if not isinstance(c, dict):
+            raise ValueError(f"{w}: expected an object with fields genus, ghost, got {c!r}")
+        try:
+            genus = int(c.get("genus", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{w}.genus: expected an integer, got {c.get('genus')!r}") from None
+        comps.append(Component(genus, bool(c.get("ghost", False))))
+    nodes = []
+    for i, pair in enumerate(_list_field(data, "nodes", where)):
+        w = f"{where}.nodes[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{w}: expected two [component, point] pairs, got {pair!r}")
+        nodes.append(tuple(_int_tuple(p, 2, f"{w}[{j}]") for j, p in enumerate(pair)))
+    marks = tuple(_int_tuple(p, 2, f"{where}.marks[{i}]")
+                  for i, p in enumerate(_list_field(data, "marks", where)))
+    try:
+        return NodalConfig(tuple(comps), tuple(nodes), marks)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc

@@ -14,6 +14,8 @@ alias-free up to order 2*n_max.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,42 +124,71 @@ def sobolev_norm(loop: Loop, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"Sobolev exponent must be nonnegative, got {s}")
-    weights = (1.0 + np.abs(loop.modes)) ** (2.0 * s)
-    norm = float(np.sqrt(np.dot(weights, _mode_power(loop.coeffs))))
-    if norm == np.inf:
-        # |c|^2 overflowed (|c| >~ 1e154): rescale by the largest modulus,
-        # as LAPACK nrm2 does, and take the norm of the scaled coefficients
-        big = float(np.max(np.abs(loop.coeffs)))
-        norm = big * float(np.sqrt(np.dot(weights, _mode_power(loop.coeffs / big))))
-    return norm
+    return float(_sobolev_norms(loop.coeffs[None], s)[0])
+
+
+def _sobolev_norms(stack: np.ndarray, s: float) -> np.ndarray:
+    """`sobolev_norm` of each row of a stack of coefficient arrays, shape
+    (T, 2N+1, m) -> (T,).
+
+    One `_mode_power` call covers the stack; each row then takes its own
+    ``np.dot`` with the weights, so a row's norm has the same bits as the
+    norm of that row alone (a stacked matmul rounds differently in the last
+    bit).  A row whose |c|^2 overflowed (|c| >~ 1e154) is rescaled by its
+    largest modulus, as LAPACK nrm2 does, and its norm is taken from the
+    scaled coefficients.
+    """
+    weights = _sobolev_weights(stack.shape[1] // 2, s)
+    norms = [math.sqrt(np.dot(weights, row)) for row in _mode_power(stack)]
+    for t, norm in enumerate(norms):
+        if norm == math.inf:
+            big = float(np.max(np.abs(stack[t])))
+            norms[t] = big * math.sqrt(np.dot(weights, _mode_power(stack[t] / big)))
+    return np.array(norms)
+
+
+@functools.lru_cache(maxsize=64)
+def _sobolev_weights(n_max: int, s: float) -> np.ndarray:
+    """``(1 + |n|)^(2s)`` for n = -n_max..n_max (read-only, shared)."""
+    weights = (1.0 + np.abs(np.arange(-n_max, n_max + 1))) ** (2.0 * s)
+    weights.flags.writeable = False
+    return weights
 
 
 # The decorator form costs less per call than a `with np.errstate(...)`
-# block, and `sobolev_norm` runs hundreds of times per node-check job.
+# block; stacked callers make one call per stack.
 @np.errstate(over="ignore")
 def _mode_power(coeffs: np.ndarray) -> np.ndarray:
-    """Row sums of |c|^2.  A row past the float range reads inf, with no
-    overflow warning; `sobolev_norm` then rescales."""
-    return np.sum(np.abs(coeffs) ** 2, axis=1)
+    """Sums of |c|^2 over the last axis.  A row past the float range reads
+    inf, with no overflow warning; `_sobolev_norms` then rescales."""
+    return np.sum(np.abs(coeffs) ** 2, axis=-1)
 
 
-def _ratio_past_overflow(parts, refs, s: float) -> float:
-    """``|parts|_s / (1 + max |refs|_s)`` when ``max |refs|_s`` is past the
-    float range.
+def _relative(parts, refs, s: float, norms=None) -> np.ndarray:
+    """``|parts|_s / (1 + max |refs|_s)`` for each row of coefficient stacks.
 
-    There ``1 + max |refs|_s`` rounds to ``max |refs|_s``, and both norms
-    scale alike, so the ratio is taken after dividing every loop by the
-    largest coefficient modulus among them, where no reference norm
-    overflows.  ``|parts|_s`` is the root sum of squares of the parts'
-    norms.  Without this a finite defect over an infinite scale would read
-    as residual 0.
+    ``|parts|_s`` is the root sum of squares of the parts' norms.  ``norms``
+    may hand in the Sobolev norms already taken, one row array per part and
+    then per reference, in that order.  Where ``max |refs|_s`` is past the
+    float range, ``1 + max |refs|_s`` rounds to ``max |refs|_s`` and both
+    norms scale alike, so that row's ratio is taken after dividing every
+    loop by the largest coefficient modulus among them, where no reference
+    norm overflows.  Without this a finite defect over an infinite scale
+    would read as residual 0.
     """
-    big = max(float(np.max(np.abs(loop.coeffs))) for loop in (*parts, *refs))
-
-    def norm(loop):
-        return sobolev_norm(loop.with_coeffs(loop.coeffs / big), s)
-
-    return float(np.hypot.reduce([norm(p) for p in parts]) / max(norm(r) for r in refs))
+    if norms is None:
+        norms = [_sobolev_norms(c, s) for c in (*parts, *refs)]
+    k = len(parts)
+    top = functools.reduce(np.maximum, norms[k:])
+    num = functools.reduce(np.hypot, norms[:k])
+    if top.max() < np.inf:
+        return num / (1.0 + top)
+    ratio = np.divide(num, 1.0 + top, out=np.zeros_like(num), where=top < np.inf)
+    for t in np.flatnonzero(top == np.inf):
+        rows = np.array([c[t] for c in (*parts, *refs)])
+        scaled = _sobolev_norms(rows / np.max(np.abs(rows)), s)
+        ratio[t] = np.hypot.reduce(scaled[:k]) / np.max(scaled[k:])
+    return ratio
 
 
 def hardy_project(loop: Loop, side: str):

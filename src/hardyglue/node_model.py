@@ -13,10 +13,24 @@ The set of such pairs is parametrized by the chart
 ``xi = xi_+ + lam + T_z(eta_+)``, ``eta = eta_+ + lam + T_z(xi_+)`` where
 ``T_z`` maps the positive-mode coefficient ``c_n`` to ``z^n c_n`` at mode
 ``-n``.  Gluing the two disk coordinates gives the evaluation map
-``H(x, y) = xi_+(x) + eta_+(y) + lam`` at ``z = x*y``.  One array kernel,
-`_transfer`, computes ``z^n c_n``; the transfer operator, the membership
-defect, the chart, the boundary traces, ``eval_plus`` and the annulus test
-in `extension` all go through it.
+``H(x, y) = xi_+(x) + eta_+(y) + lam`` at ``z = x*y``.
+
+The relation is computed on stacks: the private kernels take a leading
+trial axis, coefficient stacks of shape (T, 2N+1, m), gluing parameters of
+shape (T,) and constants of shape (T, m).  `_power_table` forms the powers
+``z^n`` once per gluing parameter, for n = K..1 with K the highest
+positive mode that is nonzero in any of the stacks it is given; `_transfer`
+multiplies them into ``z^n c_n`` for modes -N..-1 and leaves the rows
+-N..-(K+1) zero.  Those rows hold ``z^n * 0``, an exact zero, in the full
+product, so trimming the table changes no value of any sum or norm taken
+afterwards (at most the sign of a zero); and numpy's complex power depends
+on the exponent alone, not on the length of the exponent array, so each
+kept power has the bits of the full table's.  One table serves both transfers of a chart and both
+defects of a membership test.  The public functions are stacks of one over
+the same kernels (`_transfer`, `_chart_side`, `_defect`, `_eval_plus`),
+and `loops._sobolev_norms` takes one ``np.dot`` per row, so a stacked row
+gives the same bits as the public function on that row; the annulus test
+in `extension` goes through `membership_defect`.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _ratio_past_overflow, hardy_project, sobolev_norm
+from .loops import Loop, _relative, hardy_project, sobolev_norm
 
 __all__ = [
     "DEFAULT_SOBOLEV_S",
@@ -48,6 +62,12 @@ __all__ = [
 DEFAULT_SOBOLEV_S = 1.5
 
 
+def _check_gluing(z: complex) -> None:
+    """The fiber ``N_z`` is defined for ``|z| < 1``."""
+    if abs(z) >= 1.0:
+        raise ValueError(f"gluing parameter must satisfy |z| < 1, got |z|={abs(z):.6g}")
+
+
 @dataclass(frozen=True)
 class NodeBoundary:
     """Gluing parameter ``z`` and the pair of boundary loops ``(xi, eta)``."""
@@ -58,8 +78,7 @@ class NodeBoundary:
 
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
-        if abs(self.z) >= 1.0:
-            raise ValueError(f"gluing parameter must satisfy |z| < 1, got |z|={abs(self.z):.6g}")
+        _check_gluing(self.z)
         if self.xi.m != self.eta.m or self.xi.n_max != self.eta.n_max:
             raise ValueError("xi and eta must share m and n_max")
 
@@ -79,8 +98,7 @@ class NodeChart:
 
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
-        if abs(self.z) >= 1.0:
-            raise ValueError(f"gluing parameter must satisfy |z| < 1, got |z|={abs(self.z):.6g}")
+        _check_gluing(self.z)
         if self.xi_plus.m != self.eta_plus.m or self.xi_plus.n_max != self.eta_plus.n_max:
             raise ValueError("xi_plus and eta_plus must share m and n_max")
         for name, loop in (("xi_plus", self.xi_plus), ("eta_plus", self.eta_plus)):
@@ -167,12 +185,103 @@ def boundary_traces(poly: NodePolynomial, z: complex, n_max: int) -> NodeBoundar
     return node_chart(NodeChart(z, plus_loop(poly.a), plus_loop(poly.b), poly.c))
 
 
-def _transfer(z: complex, coeffs: np.ndarray) -> np.ndarray:
+def _power_table(z, *stacks) -> np.ndarray:
+    """Powers ``z^n`` for n = K..1, shape (T, K), one row per gluing
+    parameter in ``z`` (shape (T,)).
+
+    K is the highest positive mode that is nonzero in any of the coefficient
+    stacks (each (T, 2N+1, m)); the table serves `_transfer` on any of them.
+    A row is ``z ** arange(K, 0, -1)``: the last K entries of the full
+    table ``z ** arange(N, 0, -1)``, bit for bit.
+    """
+    n_max, m = stacks[0].shape[1] // 2, stacks[0].shape[2]
+    width = 0
+    for c in stacks:
+        live = c[:, n_max + 1:].reshape(len(c), -1).any(axis=0).nonzero()[0]
+        if live.size:
+            width = max(width, int(live[-1]) // m + 1)
+    return np.asarray(z, dtype=complex)[:, None] ** np.arange(width, 0, -1)
+
+
+def _transfer(table: np.ndarray, coeffs: np.ndarray, n_max: int | None = None) -> np.ndarray:
     """The gluing relation's one kernel: ``z^n c_n`` for n = N..1, the rows
-    that land on modes -N..-1 (shape (N, m)); ``coeffs`` has 2N+1 rows.
-    Every ``z^n`` of the gluing relation is taken here."""
-    N = coeffs.shape[0] // 2
-    return (z ** np.arange(N, 0, -1))[:, None] * coeffs[:N:-1]
+    that land on modes -N..-1, shape (T, N, m) from ``coeffs`` of shape
+    (T, 2M+1, m) and ``table`` from `_power_table`.  N is ``n_max`` when
+    given (at least the table's width) and M otherwise.
+
+    Rows with n above the table's width K stay zero: ``c_n`` is zero there,
+    so the product would be an exact zero as well.  Every ``z^n`` of the
+    gluing relation is taken from such a table.
+    """
+    order = coeffs.shape[1] // 2
+    n_max = order if n_max is None else n_max
+    width = table.shape[1]
+    out = np.zeros((coeffs.shape[0], n_max, coeffs.shape[2]), dtype=complex)
+    out[:, n_max - width:] = table[:, :, None] * coeffs[:, order + width:order:-1]
+    return out
+
+
+def _chart_side(plus: np.ndarray, lam: np.ndarray, transferred: np.ndarray) -> np.ndarray:
+    """One side of the chart on stacks: ``plus + lam + T_z(other plus)``, with
+    ``lam`` (T, m) on mode 0 and ``transferred`` (T, N, m) on modes -N..-1."""
+    n_max = transferred.shape[1]
+    out = np.array(plus)
+    out[:, n_max] += lam
+    out[:, :n_max] += transferred
+    return out
+
+
+def _chart(table, xi_plus, eta_plus, lam) -> tuple:
+    """Stacked `node_chart`: the boundary stacks ``(xi, eta)``."""
+    return (_chart_side(xi_plus, lam, _transfer(table, eta_plus)),
+            _chart_side(eta_plus, lam, _transfer(table, xi_plus)))
+
+
+def _defect(table, xi, eta) -> tuple:
+    """Stacked `membership_defect`: the defect stacks ``(dxi, deta)``."""
+    n_max = xi.shape[1] // 2
+    dxi = np.zeros_like(xi)
+    deta = np.zeros_like(eta)
+    dxi[:, :n_max] = xi[:, :n_max] - _transfer(table, eta)
+    deta[:, :n_max] = eta[:, :n_max] - _transfer(table, xi)
+    dxi[:, n_max] = xi[:, n_max] - eta[:, n_max]
+    return dxi, deta
+
+
+def _membership_residuals(table, xi, eta, s: float) -> np.ndarray:
+    """Stacked `node_membership` residuals, shape (T,)."""
+    dxi, deta = _defect(table, xi, eta)
+    return _relative((dxi, deta), (xi, eta), s)
+
+
+def _check_members(residuals, tol: float) -> None:
+    """The chart inverse's gate: a ValueError naming the first residual in
+    ``residuals`` that is not <= tol."""
+    for residual in residuals:
+        if not residual <= tol:
+            raise ValueError(f"boundary pair is not a node member: residual "
+                             f"{residual:.3e} > tol {tol:.3e}")
+
+
+def _chart_inverse(xi, eta, residuals, tol: float) -> tuple:
+    """Stacked `node_chart_inverse` of boundary stacks whose membership
+    residuals are known: ``(xi_+, eta_+, lam)``, after the same gate."""
+    _check_members(residuals, tol)
+    n_max = xi.shape[1] // 2
+    xi_plus = np.array(xi)
+    eta_plus = np.array(eta)
+    xi_plus[:, :n_max + 1] = 0.0
+    eta_plus[:, :n_max + 1] = 0.0
+    return xi_plus, eta_plus, xi[:, n_max].copy()
+
+
+def _eval_plus(points, coeffs, n_max: int | None = None) -> np.ndarray:
+    """Stacked `eval_plus`: ``sum_{n>0} c_n x^n`` at one point per row,
+    shape (T, m).  The sum runs over all N rows of the transfer (N as in
+    `_transfer`), zero rows included, so its rounding is that of a loop of
+    order N: numpy sums a single column pairwise, and where the zero rows
+    sit changes that sum's rounding."""
+    return np.sum(_transfer(_power_table(points, coeffs), coeffs, n_max), axis=1)
 
 
 def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:
@@ -188,8 +297,9 @@ def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:
     N = plus_loop.n_max
     if np.any(plus_loop.coeffs[: N + 1] != 0):
         raise ValueError("transfer operator input must be supported on modes n > 0")
+    c = plus_loop.coeffs[None]
     out = np.zeros_like(plus_loop.coeffs)
-    out[:N] = _transfer(z, plus_loop.coeffs)
+    out[:N] = _transfer(_power_table([z], c), c)[0]
     return plus_loop.with_coeffs(out)
 
 
@@ -202,14 +312,9 @@ def membership_defect(b: NodeBoundary) -> tuple[Loop, Loop]:
     ``0^n = 0``) this is exactly the separate conditions: negative modes
     vanish and the constants agree.
     """
-    N = b.xi.n_max
-    xi, eta = b.xi.coeffs, b.eta.coeffs
-    dxi = np.zeros_like(xi)
-    deta = np.zeros_like(eta)
-    dxi[:N] = xi[:N] - _transfer(b.z, eta)
-    deta[:N] = eta[:N] - _transfer(b.z, xi)
-    dxi[N] = xi[N] - eta[N]
-    return b.xi.with_coeffs(dxi), b.eta.with_coeffs(deta)
+    xi, eta = b.xi.coeffs[None], b.eta.coeffs[None]
+    dxi, deta = _defect(_power_table([b.z], xi, eta), xi, eta)
+    return b.xi.with_coeffs(dxi[0]), b.eta.with_coeffs(deta[0])
 
 
 def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:
@@ -219,12 +324,10 @@ def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBO
     The residual is the Sobolev-s norm of the relation defect divided by
     ``1 + max(|xi|_s, |eta|_s)``; membership means residual <= tol.
     """
-    dxi, deta = membership_defect(b)
-    defect = float(np.hypot(sobolev_norm(dxi, s), sobolev_norm(deta, s)))
-    scale = 1.0 + max(sobolev_norm(b.xi, s), sobolev_norm(b.eta, s))
-    residual = defect / scale
-    if scale == np.inf:
-        residual = _ratio_past_overflow((dxi, deta), (b.xi, b.eta), s)
+    pair = membership_defect(b) + (b.xi, b.eta)
+    norms = [np.array([sobolev_norm(loop, s)]) for loop in pair]
+    stacks = [loop.coeffs[None] for loop in pair]
+    residual = float(_relative(stacks[:2], stacks[2:], s, norms)[0])
     return MembershipResult(residual <= tol, residual)
 
 
@@ -232,25 +335,18 @@ def node_chart(c: NodeChart) -> NodeBoundary:
     """Boundary pair of a chart point:
     ``xi = xi_+ + lam + T_z(eta_+)`` and ``eta = eta_+ + lam + T_z(xi_+)``."""
     N = c.xi_plus.n_max
-    xi = np.array(c.xi_plus.coeffs)
-    eta = np.array(c.eta_plus.coeffs)
-    xi[N] += c.lam
-    eta[N] += c.lam
-    xi += transfer_Tz(c.z, c.eta_plus).coeffs
-    eta += transfer_Tz(c.z, c.xi_plus).coeffs
+    lam = c.lam[None]
+    xi = _chart_side(c.xi_plus.coeffs[None], lam, transfer_Tz(c.z, c.eta_plus).coeffs[None, :N])
+    eta = _chart_side(c.eta_plus.coeffs[None], lam, transfer_Tz(c.z, c.xi_plus).coeffs[None, :N])
     m = c.xi_plus.m
-    return NodeBoundary(c.z, Loop(m, N, xi), Loop(m, N, eta))
+    return NodeBoundary(c.z, Loop(m, N, xi[0]), Loop(m, N, eta[0]))
 
 
 def node_chart_inverse(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> NodeChart:
     """Chart coordinates of a boundary pair: ``lam = xi_0``, ``xi_+ = P_+ xi``,
     ``eta_+ = P_+ eta``.  Rejects non-members (the negative modes and the
     constant matching are exactly the membership relations)."""
-    check = node_membership(b, tol=tol, s=s)
-    if not check.member:
-        raise ValueError(
-            f"boundary pair is not a node member: residual {check.residual:.3e} > tol {tol:.3e}"
-        )
+    _check_members([node_membership(b, tol=tol, s=s).residual], tol)
     return NodeChart(
         b.z,
         hardy_project(b.xi, "plus"),
@@ -261,7 +357,7 @@ def node_chart_inverse(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_S
 
 def eval_plus(loop: Loop, point: complex) -> np.ndarray:
     """Evaluate the positive-mode power series ``sum_{n>0} c_n x^n`` at a point."""
-    return np.sum(_transfer(complex(point), loop.coeffs), axis=0)
+    return _eval_plus([complex(point)], loop.coeffs[None])[0]
 
 
 def evaluate_H(family, x: complex, y: complex, t=None) -> np.ndarray:

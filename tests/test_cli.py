@@ -5,6 +5,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardyglue.cli import RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
@@ -82,6 +83,29 @@ class TestScenarioFiles:
         assert by_name["node0_annulus_defect"]["status"] == "pass"
         assert by_name["node0_annulus_defect"]["residual"] == 0.0
         assert by_name["vprime_member"]["value"] == 1
+
+    # A nonzero defect entry whose core weight delta^(-|n|/2) is past the
+    # float range: 1e-6^(-100) = 1e600, and 1e-4^(-100) = 1e400 on 1e-300.
+    @pytest.mark.parametrize("delta, low, expected", [
+        (1e-6, 1.0, 1.7976931348623157e308),  # 201^1.5 * 1e600: only a lower bound fits
+        (1e-4, 1e-300, 201.0**1.5 * 1e100),
+    ])
+    def test_annulus_weight_past_float_range_fails_finite(self, tmp_path, capsys, delta, low, expected):
+        from hardyglue.jsonio import loop_to_json
+        from hardyglue.loops import Loop
+        xi = Loop.from_modes(1, 200, {-200: [low]})
+        f = tmp_path / "annulus.json"
+        f.write_text(json.dumps({"command": "extend-check", "params": {"ball_check": False, "nodes": [
+            {"kind": "annulus", "delta": delta, "xi": loop_to_json(xi),
+             "eta": loop_to_json(Loop.zeros(1, 200))},
+        ]}}), encoding="utf-8")
+        code = main(["extend-check", str(f)])
+        lines = strict_json_lines(capsys.readouterr().out)
+        assert code == 1
+        by_name = {c["check"]: c for c in lines[:-1]}
+        assert by_name["node0_annulus_defect"]["status"] == "fail"
+        assert by_name["node0_annulus_defect"]["residual"] == pytest.approx(expected, rel=1e-12)
+        assert by_name["vprime_member"]["value"] == 0
 
     def test_contraction_scenario(self, capsys):
         code, checks, _ = run_cli(capsys, "moduli-dim", str(SCENARIOS / "vanishing_cycles.json"))
@@ -206,6 +230,12 @@ class TestErrorPaths:
          "params.z_seq.geometric.count"),
         ("moduli-dim", {"entries": [{"g": "x", "n": 0, "m": 2, "c1d": 3, "expect": 2}]},
          "params.entries[0].g"),
+        ("moduli-dim", {"contractions": [{"config": {"components": [5]}, "cycles": []}]},
+         "params.contractions[0].config.components[0]"),
+        ("moduli-dim", {"contractions": [{"config": {"components": [{"genus": 1}], "nodes": [[1]]},
+                                          "cycles": []}]},
+         "params.contractions[0].config.nodes[0]"),
+        ("reduce", {**QUADRATIC_MAP, "components": [5], "seeds": []}, "params.components[0]"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         f = tmp_path / "scenario.json"
@@ -213,6 +243,77 @@ class TestErrorPaths:
         assert main([command, str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
+
+
+class TestStackedNodeBattery:
+    """The node battery checks its trials in stacks and its H-grid in one
+    pass; each residual must have the bits of the trial-by-trial and
+    point-by-point loops over the public scalar API below."""
+
+    @staticmethod
+    def reference_battery(trials, m, n_max, z_max, seed, s=1.5):
+        from hardyglue import node_model as nm
+        from hardyglue.cli import _random_chart, _random_disc, _random_poly
+        from hardyglue.loops import Loop, sobolev_norm
+
+        rng = np.random.default_rng(seed)
+        worst = [0.0, 0.0, 0.0, 0.0]
+        for _ in range(trials):
+            chart = _random_chart(rng, m, n_max, z_max)
+            boundary = nm.node_chart(chart)
+            worst[0] = max(worst[0], nm.node_membership(boundary, s=s).residual)
+            back = nm.node_chart_inverse(boundary, tol=1e-8, s=s)
+            num = np.linalg.norm(chart.xi_plus.coeffs - back.xi_plus.coeffs)
+            num = np.hypot(num, np.linalg.norm(chart.eta_plus.coeffs - back.eta_plus.coeffs))
+            num = np.hypot(num, np.linalg.norm(chart.lam - back.lam))
+            num = np.hypot(num, abs(chart.z - back.z))
+            scale = 1.0 + np.linalg.norm(chart.xi_plus.coeffs) + np.linalg.norm(chart.eta_plus.coeffs)
+            worst[1] = max(worst[1], float(num / scale))
+            again = nm.node_chart(back)
+            diffs = [Loop(m, n_max, p.coeffs - q.coeffs)
+                     for p, q in ((boundary.xi, again.xi), (boundary.eta, again.eta))]
+            num = np.hypot(*(sobolev_norm(d, s) for d in diffs))
+            scale = 1.0 + max(sobolev_norm(boundary.xi, s), sobolev_norm(boundary.eta, s))
+            worst[3] = max(worst[3], float(num / scale))
+            poly = _random_poly(rng, m, deg=min(8, n_max))
+            z = _random_disc(rng, ()) * z_max
+            worst[2] = max(worst[2], nm.node_membership(nm.boundary_traces(poly, z, n_max), s=s).residual)
+        return worst, rng
+
+    @staticmethod
+    def reference_h_grid(rng, m, n_max, grid=10):
+        from hardyglue import node_model as nm
+        from hardyglue.cli import _random_poly
+
+        poly = _random_poly(rng, m, deg=min(8, n_max))
+
+        def family(z, t):
+            return nm.node_chart_inverse(nm.boundary_traces(poly, z, n_max), tol=1e-8)
+
+        worst = 0.0
+        radii = 0.85 * (np.arange(grid) + 0.5) / grid
+        for j in range(grid):
+            x = radii[j] * np.exp(2j * np.pi * j / grid)
+            for k in range(grid):
+                y = radii[k] * np.exp(2j * np.pi * (k + 0.3) / grid)
+                hval = nm.evaluate_H(family, x, y)
+                ref = poly(x, y)
+                worst = max(worst, float(np.max(np.abs(hval - ref))) / (1.0 + float(np.max(np.abs(ref)))))
+        return worst
+
+    # 33 trials fill one block at N = 8 and several at N >= 64; N = 13 is no
+    # multiple of 8, where numpy's pairwise sum of one column would round
+    # differently at the polynomial's width.
+    @pytest.mark.parametrize("n_max", [8, 13, 64, 256])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed):
+        from hardyglue.cli import _node_random_battery
+
+        records = _node_random_battery(RunOptions(), 33, m, n_max, 0.9, seed)
+        worst, rng = self.reference_battery(33, m, n_max, 0.9, seed)
+        h_max = self.reference_h_grid(rng, m, n_max)
+        assert [r.residual for r in records] == worst[:4] + [h_max]
 
 
 class TestDeterminism:

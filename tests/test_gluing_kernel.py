@@ -1,7 +1,8 @@
 """Properties of the node gluing relation ``eta_{-n} = z^n xi_n``,
 ``xi_{-n} = z^n eta_n``, ``xi_0 = eta_0``: one kernel serves the transfer
 operator, the membership defect, the chart, the boundary traces and the
-annulus test, so these check it from outside."""
+annulus test, so these check it from outside, and check that its stacked
+form gives each row the bits of the public functions."""
 
 import numpy as np
 import pytest
@@ -9,16 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyglue.extension import annulus_extension_test
-from hardyglue.loops import Loop
+from hardyglue.loops import Loop, _sobolev_norms, sobolev_norm
 from hardyglue.node_model import (
     NodeBoundary,
     NodeChart,
     NodePolynomial,
+    _chart,
+    _chart_inverse,
+    _defect,
+    _membership_residuals,
+    _power_table,
+    _transfer,
     boundary_traces,
     membership_defect,
     node_chart,
     node_chart_inverse,
     node_membership,
+    transfer_Tz,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -128,3 +136,77 @@ class TestChartRoundtrip:
         again = node_chart(back)
         np.testing.assert_array_equal(again.xi.coeffs, boundary.xi.coeffs)
         np.testing.assert_array_equal(again.eta.coeffs, boundary.eta.coeffs)
+
+
+def stack_of(rng, rows, m, n_max, live):
+    """``rows`` coefficient arrays of order ``n_max``; row t carries modes
+    -top..top for a random top <= ``live``, so the top modes of a row, or of
+    the whole stack, may vanish."""
+    out = np.zeros((rows, 2 * n_max + 1, m), dtype=complex)
+    for t in range(rows):
+        top = int(rng.integers(0, live + 1))
+        out[t, n_max - top:n_max + top + 1] = disc(rng, (2 * top + 1, m))
+    return out
+
+
+class TestStackedKernelsMatchPublicFunctions:
+    """Each row of a stacked kernel equals the public function on that row
+    alone, bit for bit (signed zeros compare equal)."""
+
+    @given(seeds, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40),
+           st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_rows_bitwise(self, seed, n_max, m, rows, live, huge_row):
+        rng = np.random.default_rng(seed)
+        live = min(live, n_max)
+        xi, eta = stack_of(rng, rows, m, n_max, live), stack_of(rng, rows, m, n_max, live)
+        if huge_row:  # past 1e154, where |c|^2 overflows and the norm rescales
+            xi[-1] *= 1e200
+        xi_plus, eta_plus = np.array(xi), np.array(eta)
+        xi_plus[:, :n_max + 1] = 0.0
+        eta_plus[:, :n_max + 1] = 0.0
+        lam = disc(rng, (rows, m))
+        z = disc(rng, rows, radius=0.95)
+        z[0] = 0.0
+        z_closed = np.array(z)  # the transfer is defined on the closed disk
+        z_closed[-1] = np.exp(2j * np.pi * rng.uniform())
+
+        table = _power_table(z_closed, xi_plus)
+        moved = _transfer(table, xi_plus)
+        table = _power_table(z, xi_plus, eta_plus)
+        chart_xi, chart_eta = _chart(table, xi_plus, eta_plus, lam)
+        table = _power_table(z, xi, eta)
+        dxi, deta = _defect(table, xi, eta)
+        residuals = _membership_residuals(table, xi, eta, 1.5)
+        norms = _sobolev_norms(xi, 1.5)
+        for t in range(rows):
+            plus = Loop(m, n_max, xi_plus[t])
+            np.testing.assert_array_equal(moved[t], transfer_Tz(z_closed[t], plus).coeffs[:n_max])
+            b = node_chart(NodeChart(z[t], plus, Loop(m, n_max, eta_plus[t]), lam[t]))
+            np.testing.assert_array_equal(chart_xi[t], b.xi.coeffs)
+            np.testing.assert_array_equal(chart_eta[t], b.eta.coeffs)
+            pair = NodeBoundary(z[t], Loop(m, n_max, xi[t]), Loop(m, n_max, eta[t]))
+            d_xi, d_eta = membership_defect(pair)
+            np.testing.assert_array_equal(dxi[t], d_xi.coeffs)
+            np.testing.assert_array_equal(deta[t], d_eta.coeffs)
+            assert residuals[t] == node_membership(pair).residual
+            assert norms[t] == sobolev_norm(pair.xi, 1.5)
+
+    def test_one_non_member_row_trips_the_inverse_gate(self):
+        rng = np.random.default_rng(11)
+        n_max, m, rows = 16, 2, 5
+        xi_plus, eta_plus = stack_of(rng, rows, m, n_max, n_max), stack_of(rng, rows, m, n_max, n_max)
+        xi_plus[:, :n_max + 1] = 0.0
+        eta_plus[:, :n_max + 1] = 0.0
+        z = disc(rng, rows, radius=0.9)
+        table = _power_table(z, xi_plus, eta_plus)
+        xi, eta = _chart(table, xi_plus, eta_plus, disc(rng, (rows, m)))
+        xi[3, n_max - 2] += 1e-6  # row 3 leaves the node: residual ~1e-7 > 1e-8
+        residuals = _membership_residuals(table, xi, eta, 1.5)
+        assert np.all(np.delete(residuals, 3) <= 1e-12) and residuals[3] > 1e-8
+        with pytest.raises(ValueError, match="not a node member") as stacked:
+            _chart_inverse(xi, eta, residuals, 1e-8)
+        with pytest.raises(ValueError) as scalar:
+            node_chart_inverse(NodeBoundary(z[3], Loop(m, n_max, xi[3]), Loop(m, n_max, eta[3])), tol=1e-8)
+        assert str(stacked.value) == str(scalar.value)
