@@ -13,12 +13,13 @@ genus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .loops import Loop
+from .loops import Loop, _mode_power
 from .moduli import Component, NodalConfig
 from .node_model import NodePolynomial, boundary_traces
 
@@ -36,16 +37,19 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def annulus_energy(loop: Loop, r: float, R: float) -> float:
     """Dirichlet energy of a Laurent series on ``r < |x| < R``.
 
     Closed form ``pi * sum_{n != 0} n |a_n|^2 (R^{2n} - r^{2n})``, summed
-    over the target components; every term is nonnegative.
+    over the target components; every term is nonnegative.  An energy past
+    the float range reads inf (NaN where two infinities meet), with no
+    warning.
     """
     if not (0.0 < r < R <= 1.0):
         raise ValueError(f"annulus radii must satisfy 0 < r < R <= 1, got ({r}, {R})")
     n = loop.modes
-    weight = np.sum(np.abs(loop.coeffs) ** 2, axis=1)
+    weight = _mode_power(loop.coeffs)
     live = (n != 0) & (weight != 0.0)  # r^(2n) may overflow on dead modes
     n, weight = n[live], weight[live]
     terms = n * weight * (np.float64(R) ** (2 * n) - np.float64(r) ** (2 * n))
@@ -64,6 +68,7 @@ def _gauss_legendre(n_rad: int) -> tuple:
 _RADII_PER_BLOCK = 16  # keeps the (P, block * m) derivative grid near 256 KB at N = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def annulus_energy_quadrature(loop: Loop, r: float, R: float,
                               n_theta: int | None = None, n_rad: int = 240) -> float:
     """Dirichlet energy by 2D quadrature of ``|f'|^2`` (independent check).
@@ -80,7 +85,8 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
     angular samples, which is exact when ``n_theta`` resolves the
     trigonometric polynomial ``|f'|^2`` and aliases when it does not.  A
     sum over coefficients (Parseval) would be the closed form
-    `annulus_energy` itself and would no longer check it.
+    `annulus_energy` itself and would no longer check it.  A sample past
+    the float range makes the energy inf or NaN, with no warning.
     """
     if not (0.0 < r < R <= 1.0):
         raise ValueError(f"annulus radii must satisfy 0 < r < R <= 1, got ({r}, {R})")
@@ -155,8 +161,22 @@ class EnergyRow:
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """Rows per eps, the verdict, and the neck of the family's last
+    parameter, on which every row's k-limit is read."""
+
     rows: tuple
     passed: bool
+    neck: Loop
+
+
+def _per_unit(loops) -> list:
+    """``loops`` divided by the power of two at or below their largest real or
+    imaginary part: energies are homogeneous of degree 2, so their energies
+    compare as the originals' do, with no ``|c|^2`` past the float range.
+    ``ldexp`` divides exactly; a largest part in [1, 2) keeps every bit."""
+    big = max(float(np.max(np.abs(loop.coeffs.view(float)))) for loop in loops)
+    shift = math.frexp(big)[1] - 1 if big else 0
+    return [loop.with_coeffs(np.ldexp(loop.coeffs.view(float), -shift).view(complex)) for loop in loops]
 
 
 def energy_axiom_check(fam: NeckFamily, eps_schedule, tol: float = 1e-6,
@@ -168,36 +188,37 @@ def energy_axiom_check(fam: NeckFamily, eps_schedule, tol: float = 1e-6,
     the row is flagged stable when it agrees with the previous usable k to
     10% relative.  The family passes iff all rows are stable, the
     eps-indexed values are nonincreasing, and the last one is <= tol.
+
+    ``|z_k|`` strictly decreases, so the usable k form a suffix of the
+    family: the k-limit is always the last parameter, and the stability test
+    reads the last two necks, built once and compared through `_per_unit`.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule):
         raise ValueError("eps schedule entries must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
+    last_two = range(max(len(fam.z_seq) - 2, 0), len(fam.z_seq))
+    necks = [neck_laurent(fam.polys[k], fam.z_seq[k], n_max) for k in last_two]
+    unit = _per_unit(necks)
+    k = last_two[-1]
     rows = []
     for eps in eps_schedule:
-        usable = [k for k, z in enumerate(fam.z_seq) if abs(z) < eps * eps / 10.0]
+        usable = [j for j in last_two if abs(fam.z_seq[j]) < eps * eps / 10.0]
         if not usable:
             raise ValueError(
                 f"no gluing parameter satisfies |z_k| < eps^2/10 for eps={eps:g}; "
                 "extend the family"
             )
-        k = usable[-1]
-        z = fam.z_seq[k]
-        neck = neck_laurent(fam.polys[k], z, n_max)
-        energy = annulus_energy(neck, abs(z) / eps, eps)
-        if len(usable) >= 2:
-            k_prev = usable[-2]
-            z_prev = fam.z_seq[k_prev]
-            prev = annulus_energy(neck_laurent(fam.polys[k_prev], z_prev, n_max),
-                                  abs(z_prev) / eps, eps)
-            stable = abs(energy - prev) <= 0.1 * (abs(prev) + 1e-300)
-        else:
-            stable = True
-        rows.append(EnergyRow(eps, k, abs(z), energy, stable))
+        energy = annulus_energy(necks[-1], abs(fam.z_seq[k]) / eps, eps)
+        stable = True
+        if len(usable) == 2:
+            prev, now = (annulus_energy(loop, abs(fam.z_seq[j]) / eps, eps) for loop, j in zip(unit, last_two))
+            stable = abs(now - prev) <= 0.1 * (abs(prev) + 1e-300)
+        rows.append(EnergyRow(eps, k, abs(fam.z_seq[k]), energy, stable))
     monotone = all(b.energy <= a.energy * (1.0 + 1e-9) + 1e-15 for a, b in zip(rows, rows[1:]))
     passed = monotone and all(r.stable for r in rows) and rows[-1].energy <= tol
-    return EnergyReport(tuple(rows), passed)
+    return EnergyReport(tuple(rows), passed, necks[-1])
 
 
 @dataclass(frozen=True)
@@ -268,8 +289,7 @@ def _contract_separating(cfg: NodalConfig, cyc: SeparatingCycle) -> NodalConfig:
 
     nodes = [tuple(relocate(ci, pid) for ci, pid in pair) for pair in cfg.nodes]
     marks = [relocate(ci, pid) for ci, pid in cfg.marks]
-    joint_first = _fresh_ids(cfg, i, 1)[0]
-    joint_second = _fresh_ids(cfg, i, 2)[1]
+    joint_first, joint_second = _fresh_ids(cfg, i, 2)
     nodes.append(((i, joint_first), (new_index, joint_second)))
     return NodalConfig(tuple(components), tuple(nodes), tuple(marks))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _relative, _sobolev_norms, hardy_project, sample_values
+from .loops import Loop, _mode_power, _relative, _sobolev_norms, hardy_project, sample_values
 from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, membership_defect, node_membership
 
 __all__ = [
@@ -172,7 +172,7 @@ class VPrimeReport:
 
 def _sampled_sup(loop: Loop) -> float:
     vals = sample_values(loop)
-    return float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=1))))
+    return float(np.max(np.sqrt(_mode_power(vals))))
 
 
 def vprime_membership(

@@ -11,9 +11,11 @@ graph-form local quadruples ``X'' = {x'=0, xi=0}``,
 morphisms, the ``+ dim Lambda`` parametrized index relation, and a damped
 Gauss-Newton solver for the intersection equation.
 
-All rank and nullspace decisions go through singular-value thresholding
-with a single relative tolerance, so results do not depend on the choice
-of basis.
+Every rank and nullspace decision counts singular values above one
+relative tolerance times the largest (`_rank_of`), so results do not
+depend on the choice of basis.  `_complement_within` alone thresholds
+absolutely, on purpose: it ranks a residue of orthonormal columns, whose
+genuine directions have singular values near 1.
 """
 
 from __future__ import annotations
@@ -72,8 +74,6 @@ def _rank_of(s: np.ndarray, rank_tol: float) -> int:
 
 def matrix_rank(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank by singular-value thresholding relative to the largest value."""
-    if M.size == 0:
-        return 0
     return _rank_of(np.linalg.svd(M, compute_uv=False), rank_tol)
 
 
@@ -128,10 +128,10 @@ class SubspaceTriple:
         for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
             if b.shape[1] == 0:
                 continue
-            s = np.linalg.svd(b, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= self.rank_tol * s[0]:
-                raise ValueError(f"{name} is rank deficient (smallest/largest singular value "
-                                 f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} <= rank_tol)")
+            rank = matrix_rank(b, self.rank_tol)
+            if rank < b.shape[1]:
+                raise ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
+                                 f"at rank_tol {self.rank_tol:g}")
         for b in (bp, bq):
             b.flags.writeable = False
         object.__setattr__(self, "basis_prime", bp)
@@ -152,6 +152,11 @@ class TripleIndex(NamedTuple):
     index: int
 
 
+def _stacked_spectrum(t: SubspaceTriple) -> np.ndarray:
+    """Singular values of ``[B' | B'']``, descending (none when p + q = 0)."""
+    return np.linalg.svd(np.hstack([t.basis_prime, t.basis_dprime]), compute_uv=False)
+
+
 def triple_index(t: SubspaceTriple) -> TripleIndex:
     """Intersection dimension, codimension of the sum, and their difference.
 
@@ -159,8 +164,11 @@ def triple_index(t: SubspaceTriple) -> TripleIndex:
     ``N - rank[B' | B'']``; the index ``dim_cap - codim_sum`` satisfies the
     Euler identity ``p + q - N`` exactly.
     """
-    stacked = np.hstack([t.basis_prime, t.basis_dprime])
-    rank = matrix_rank(stacked, t.rank_tol)
+    return _index_of(t, _rank_of(_stacked_spectrum(t), t.rank_tol))
+
+
+def _index_of(t: SubspaceTriple, rank: int) -> TripleIndex:
+    """`triple_index` from the rank of ``[B' | B'']``."""
     dim_cap = t.p + t.q - rank
     codim_sum = t.ambient_dim - rank
     return TripleIndex(dim_cap, codim_sum, dim_cap - codim_sum)
@@ -176,23 +184,6 @@ class StabilityResult:
         return self.verdict == "stable"
 
 
-def _stacked_gap(t: SubspaceTriple) -> float:
-    """Relative spectral gap protecting the rank decision of [B'|B'']."""
-    stacked = np.hstack([t.basis_prime, t.basis_dprime])
-    if stacked.size == 0:
-        return 1.0
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    s = s / s[0]
-    rank = int(np.sum(s > t.rank_tol))
-    if rank == 0:
-        return 0.0
-    if rank < s.size:
-        return float(s[rank - 1] - s[rank])
-    return float(s[rank - 1])
-
-
 def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed: int = 0) -> StabilityResult:
     """Check that (dim_cap, codim_sum, index) survive random basis
     perturbations of relative size ``eps``.
@@ -200,10 +191,18 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     The verdict is only conclusive when ``eps < 0.1 * gap`` for the
     spectral gap of the stacked basis matrix; below that threshold a
     perturbation could flip the rank decision itself and the check reports
-    "inconclusive" together with the observed gap.
+    "inconclusive" together with the observed gap, without drawing any
+    perturbation.
     """
-    gap = _stacked_gap(t)
-    base = triple_index(t)
+    s = _stacked_spectrum(t)
+    rank = _rank_of(s, t.rank_tol)
+    # the relative gap at that rank; full-column-rank bases make rank >= 1
+    # whenever there is a column at all
+    below = s[rank] / s[0] if rank < s.size else 0.0
+    gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
+    if eps >= 0.1 * gap:
+        return StabilityResult("inconclusive", gap, trials)
+    base = _index_of(t, rank)
     rng = np.random.default_rng(seed)
 
     def perturb(b: np.ndarray) -> np.ndarray:
@@ -212,19 +211,14 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
         g = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
         return b + eps * (np.linalg.norm(b) / np.linalg.norm(g)) * g
 
-    changed = False
     for _ in range(trials):
         try:
             t2 = SubspaceTriple(t.ambient_dim, perturb(t.basis_prime), perturb(t.basis_dprime), t.rank_tol)
         except ValueError:
-            changed = True
-            break
+            return StabilityResult("changed", gap, trials)
         if triple_index(t2) != base:
-            changed = True
-            break
-    if eps >= 0.1 * gap:
-        return StabilityResult("inconclusive", gap, trials)
-    return StabilityResult("changed" if changed else "stable", gap, trials)
+            return StabilityResult("changed", gap, trials)
+    return StabilityResult("stable", gap, trials)
 
 
 @dataclass(frozen=True)
@@ -272,8 +266,6 @@ def _complement_within(span_basis: np.ndarray, cap: np.ndarray, rank_tol: float)
     # span_basis is orthonormal, so genuine complement directions have
     # singular values near 1; threshold absolutely, not against the largest
     # singular value of the (possibly pure-roundoff) residue.
-    if residue.size == 0:
-        return np.zeros((span_basis.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(residue, full_matrices=False)
     rank = int(np.sum(s > rank_tol))
     return u[:, :rank]
@@ -414,18 +406,16 @@ class GraphPairLocal:
             ju, jxp = self.jac(u, xprime)
             return (np.asarray(ju, dtype=complex).reshape(self.dims[3], self.dims[0]),
                     np.asarray(jxp, dtype=complex).reshape(self.dims[3], self.dims[1]))
-        h = self.fd_step * (1.0 + np.linalg.norm(np.concatenate([u, xprime])))
-        ju = np.zeros((self.dims[3], self.dims[0]), dtype=complex)
-        for j in range(self.dims[0]):
-            e = np.zeros(self.dims[0], dtype=complex)
+        point = np.concatenate([u, xprime])
+        h = self.fd_step * (1.0 + np.linalg.norm(point))
+        du = self.dims[0]
+        full = np.zeros((self.dims[3], point.size), dtype=complex)
+        for j in range(point.size):
+            e = np.zeros(point.size, dtype=complex)
             e[j] = h
-            ju[:, j] = (self.evaluate(u + e, xprime) - self.evaluate(u - e, xprime)) / (2.0 * h)
-        jxp = np.zeros((self.dims[3], self.dims[1]), dtype=complex)
-        for j in range(self.dims[1]):
-            e = np.zeros(self.dims[1], dtype=complex)
-            e[j] = h
-            jxp[:, j] = (self.evaluate(u, xprime + e) - self.evaluate(u, xprime - e)) / (2.0 * h)
-        return ju, jxp
+            up, down = point + e, point - e
+            full[:, j] = (self.evaluate(up[:du], up[du:]) - self.evaluate(down[:du], down[du:])) / (2.0 * h)
+        return full[:, :du], full[:, du:]
 
 
 @dataclass(frozen=True)

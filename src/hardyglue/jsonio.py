@@ -28,6 +28,27 @@ __all__ = [
 ]
 
 
+_REQUIRED = object()
+
+
+def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
+    """Field ``name`` of the object ``data`` at path ``where``, passed through
+    ``conv`` when one is given.  A non-object ``data``, a missing field without
+    a default, and a value ``conv`` rejects are ValueErrors naming the path."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {data!r}")
+    if name not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field '{name}'")
+        return default
+    if conv is None:
+        return data[name]
+    try:
+        return conv(data[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
+
+
 def complex_to_pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -106,12 +127,9 @@ def loop_to_json(loop: Loop) -> dict:
 
 
 def loop_from_json(data: dict, where: str = "loop") -> Loop:
-    for key in ("m", "n_max", "coeffs"):
-        if key not in data:
-            raise ValueError(f"{where}: missing field '{key}'")
-    m = int(data["m"])
-    n_max = int(data["n_max"])
-    rows = data["coeffs"]
+    m = _field(data, "m", where=where, conv=int)
+    n_max = _field(data, "n_max", where=where, conv=int)
+    rows = _field(data, "coeffs", where=where)
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
         raise ValueError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
     coeffs = _complex_array(rows, 2, f"{where}.coeffs")
@@ -128,12 +146,9 @@ def boundary_to_json(boundary) -> dict:
 def boundary_from_json(data: dict, where: str = "boundary"):
     from .node_model import NodeBoundary
 
-    for key in ("z", "xi", "eta"):
-        if key not in data:
-            raise ValueError(f"{where}: missing field '{key}'")
-    return NodeBoundary(complex_from_pair(data["z"], f"{where}.z"),
-                        loop_from_json(data["xi"], f"{where}.xi"),
-                        loop_from_json(data["eta"], f"{where}.eta"))
+    return NodeBoundary(complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
+                        loop_from_json(_field(data, "xi", where=where), f"{where}.xi"),
+                        loop_from_json(_field(data, "eta", where=where), f"{where}.eta"))
 
 
 def chart_to_json(chart) -> dict:
@@ -146,13 +161,10 @@ def chart_to_json(chart) -> dict:
 def chart_from_json(data: dict, where: str = "chart"):
     from .node_model import NodeChart
 
-    for key in ("z", "xi_plus", "eta_plus", "lambda"):
-        if key not in data:
-            raise ValueError(f"{where}: missing field '{key}'")
-    return NodeChart(complex_from_pair(data["z"], f"{where}.z"),
-                     loop_from_json(data["xi_plus"], f"{where}.xi_plus"),
-                     loop_from_json(data["eta_plus"], f"{where}.eta_plus"),
-                     vector_from_json(data["lambda"], f"{where}.lambda"))
+    return NodeChart(complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
+                     loop_from_json(_field(data, "xi_plus", where=where), f"{where}.xi_plus"),
+                     loop_from_json(_field(data, "eta_plus", where=where), f"{where}.eta_plus"),
+                     vector_from_json(_field(data, "lambda", where=where), f"{where}.lambda"))
 
 
 def nodal_config_to_json(cfg) -> dict:
@@ -174,9 +186,9 @@ def _int_tuple(data, length: int, where: str) -> tuple:
     raise ValueError(f"{where}: expected a list of {length} integers, got {data!r}")
 
 
-def _list_field(data: dict, key: str, where: str) -> list:
-    """List field ``key`` of ``data`` (empty when absent)."""
-    value = data.get(key, [])
+def _list_field(data: dict, key: str, where: str, default=_REQUIRED) -> list:
+    """List field ``key`` of the object ``data``."""
+    value = _field(data, key, default, where)
     if not isinstance(value, list):
         raise ValueError(f"{where}.{key}: expected a list, got {value!r}")
     return value
@@ -187,28 +199,18 @@ def nodal_config_from_json(data: dict, where: str = "config"):
     ValueError naming its path."""
     from .moduli import Component, NodalConfig
 
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {data!r}")
-    if "components" not in data:
-        raise ValueError(f"{where}: missing field 'components'")
     comps = []
     for i, c in enumerate(_list_field(data, "components", where)):
         w = f"{where}.components[{i}]"
-        if not isinstance(c, dict):
-            raise ValueError(f"{w}: expected an object with fields genus, ghost, got {c!r}")
-        try:
-            genus = int(c.get("genus", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{w}.genus: expected an integer, got {c.get('genus')!r}") from None
-        comps.append(Component(genus, bool(c.get("ghost", False))))
+        comps.append(Component(_field(c, "genus", 0, w, int), bool(_field(c, "ghost", False, w))))
     nodes = []
-    for i, pair in enumerate(_list_field(data, "nodes", where)):
+    for i, pair in enumerate(_list_field(data, "nodes", where, [])):
         w = f"{where}.nodes[{i}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{w}: expected two [component, point] pairs, got {pair!r}")
         nodes.append(tuple(_int_tuple(p, 2, f"{w}[{j}]") for j, p in enumerate(pair)))
     marks = tuple(_int_tuple(p, 2, f"{where}.marks[{i}]")
-                  for i, p in enumerate(_list_field(data, "marks", where)))
+                  for i, p in enumerate(_list_field(data, "marks", where, [])))
     try:
         return NodalConfig(tuple(comps), tuple(nodes), marks)
     except ValueError as exc:

@@ -105,10 +105,6 @@ class NodalConfig:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_marks(self) -> int:
-        return len(self.marks)
-
 
 @dataclass(frozen=True)
 class TargetData:
@@ -211,11 +207,8 @@ class LineBundleTriple:
 
 
 def _mode_columns(n_max: int, modes) -> np.ndarray:
-    dim = 2 * n_max + 1
-    cols = np.zeros((dim, len(modes)), dtype=complex)
-    for j, n in enumerate(modes):
-        cols[n + n_max, j] = 1.0
-    return cols
+    """The 0/1 columns of the Laurent modes ``modes`` among -n_max..n_max."""
+    return np.eye(2 * n_max + 1, dtype=complex)[:, np.add(modes, n_max)]
 
 
 def hardy_triple_for_line_bundle(deg2d: int, n_max: int,
@@ -243,15 +236,6 @@ def hardy_sphere_triple(m: int, n_max: int, rank_tol: float = DEFAULT_RANK_TOL) 
     nonpositive modes; they meet exactly in the constants."""
     if m < 1:
         raise ValueError(f"target dimension must be positive, got {m}")
-    dim = 2 * n_max + 1
-
-    def block(modes) -> np.ndarray:
-        cols = np.zeros((dim * m, len(modes) * m), dtype=complex)
-        for j, n in enumerate(modes):
-            for comp in range(m):
-                cols[(n + n_max) * m + comp, j * m + comp] = 1.0
-        return cols
-
-    plus_const = block(list(range(0, n_max + 1)))
-    minus_const = block(list(range(-n_max, 1)))
-    return SubspaceTriple(dim * m, plus_const, minus_const, rank_tol)
+    plus_const, minus_const = (np.kron(_mode_columns(n_max, modes), np.eye(m))
+                               for modes in (range(0, n_max + 1), range(-n_max, 1)))
+    return SubspaceTriple((2 * n_max + 1) * m, plus_const, minus_const, rank_tol)

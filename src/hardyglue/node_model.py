@@ -176,13 +176,16 @@ def boundary_traces(poly: NodePolynomial, z: complex, n_max: int) -> NodeBoundar
         raise ValueError(
             f"polynomial degree {max(poly.deg_x, poly.deg_y)} overflows truncation order {n_max}"
         )
+    xi_plus, eta_plus = (Loop(poly.m, n_max, _plus_stack(rows[None], n_max)[0])
+                         for rows in (poly.a, poly.b))
+    return node_chart(NodeChart(z, xi_plus, eta_plus, poly.c))
 
-    def plus_loop(rows: np.ndarray) -> Loop:
-        coeffs = np.zeros((2 * n_max + 1, poly.m), dtype=complex)
-        coeffs[n_max + 1 : n_max + 1 + len(rows)] = rows
-        return Loop(poly.m, n_max, coeffs)
 
-    return node_chart(NodeChart(z, plus_loop(poly.a), plus_loop(poly.b), poly.c))
+def _plus_stack(rows: np.ndarray, n_max: int) -> np.ndarray:
+    """Coefficient stack of order ``n_max`` holding ``rows`` (T, d, m) on modes 1..d."""
+    out = np.zeros((rows.shape[0], 2 * n_max + 1, rows.shape[2]), dtype=complex)
+    out[:, n_max + 1:n_max + 1 + rows.shape[1]] = rows
+    return out
 
 
 def _power_table(z, *stacks) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -27,6 +28,23 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     lines = [json.loads(line) for line in out.strip().splitlines()]
     return code, lines[:-1], lines[-1]
+
+
+def run_params(tmp_path, capsys, command, params):
+    """Run one scenario through `main` with warnings recorded; returns the exit
+    code, the strict-JSON stdout lines, stderr and the warnings."""
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps({"command": command, "params": params}), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(f)])
+    captured = capsys.readouterr()
+    return code, strict_json_lines(captured.out), captured.err, caught
+
+
+ENERGY_FAMILY = {"z_seq": {"geometric": {"start": 0.5, "ratio": 0.5, "count": 34}},
+                 "eps_schedule": [0.1, 0.01, 0.001, 0.0001]}
+LOOP_1 = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}
 
 
 class TestScenarioFiles:
@@ -236,12 +254,27 @@ class TestErrorPaths:
                                           "cycles": []}]},
          "params.contractions[0].config.nodes[0]"),
         ("reduce", {**QUADRATIC_MAP, "components": [5], "seeds": []}, "params.components[0]"),
+        # out-of-range node-check parameters and malformed loop fields
+        ("node-check", {"m": 0}, "params.m"),
+        ("node-check", {"n_max": -1}, "params.n_max"),
+        ("node-check", {"z_max": 1.5}, "params.z_max"),
+        ("node-check", {"z_max": 1.0}, "params.z_max"),
+        ("node-check", {"z_max": -0.1}, "params.z_max"),
+        ("node-check", {"trials": 0}, "params.trials"),
+        ("node-check", {"seed": -1}, "params.seed"),
+        ("node-check", {"boundary": 7}, "params.boundary"),
+        ("node-check", {"boundary": {"z": [0, 0], "xi": LOOP_1, "eta": {**LOOP_1, "n_max": "a"}}},
+         "params.boundary.eta.n_max"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": 5, "eta": LOOP_1}]}, "params.nodes[0].xi"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": "m", "eta": LOOP_1}]}, "params.nodes[0].xi"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": LOOP_1, "eta": {**LOOP_1, "n_max": "a"}}]},
+         "params.nodes[0].eta.n_max"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": {**LOOP_1, "m": None}, "eta": LOOP_1}]},
+         "params.nodes[0].xi.m"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
-        f = tmp_path / "scenario.json"
-        f.write_text(json.dumps({"command": command, "params": params}), encoding="utf-8")
-        assert main([command, str(f)]) == 2
-        err = capsys.readouterr().err
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert code == 2 and lines == [] and caught == []
         assert err.startswith(f"error: {path}: ")
 
 
@@ -409,3 +442,78 @@ class TestVerify:
         from hardyglue.cli import _small_dual_graphs
         assert sum(1 for _ in _small_dual_graphs(3, 3)) == 615
         assert sum(1 for _ in _small_dual_graphs(4, 4)) == 13668
+
+
+class TestEnergyScale:
+    def test_huge_neck_compares_on_the_scaled_neck(self, tmp_path, capsys):
+        # |a|^2 = 1e320 overflows; both energies are homogeneous of degree 2,
+        # so the comparisons are those of a divided by the power of two
+        # 2^531 <= 1e160, and the energy itself (pi * 1e320 * eps^2) is past
+        # the float range: the family fails
+        params = {**ENERGY_FAMILY, "laurent": {"a": [[1e160, 0]]}, "expect_pass": False}
+        code, lines, err, caught = run_params(tmp_path, capsys, "energy", params)
+        assert code == 0 and err == "" and caught == []
+        by_name = {c["check"]: c for c in lines[:-1]}
+        unit = {**ENERGY_FAMILY, "laurent": {"a": [[math.ldexp(1e160, -531), 0]]}}
+        _, unit_lines, _, _ = run_params(tmp_path, capsys, "energy", unit)
+        for eps in ("0.1", "0.01", "0.001", "0.0001"):
+            assert by_name[f"eps{eps}_k_limit_stable"]["status"] == "pass"
+            check = by_name[f"eps{eps}_quadrature_agreement"]
+            assert check["status"] == "pass"
+            assert check["residual"] == next(c["residual"] for c in unit_lines
+                                             if c["check"] == f"eps{eps}_quadrature_agreement")
+        assert by_name["energy_axiom_verdict"]["value"] == 0
+
+    def test_comparison_past_float_range_is_inconclusive(self, tmp_path, capsys):
+        # the neck coefficient z*b = 5e-310 sits on a circle of radius
+        # |z|/eps = 5e-156: r^-2 is past the float range even for the
+        # scaled neck, so the quadrature agreement cannot be decided
+        params = {"z_seq": [[0.5, 0], [5e-310, 0]], "laurent": {"b": [[1, 0]]},
+                  "eps_schedule": [1e-154], "n_max": 4}
+        code, lines, err, caught = run_params(tmp_path, capsys, "energy", params)
+        assert code == 1 and err == "" and caught == []
+        check = lines[0]
+        assert check["check"] == "eps1e-154_quadrature_agreement"
+        assert check["status"] == "inconclusive" and "residual" not in check
+        assert lines[-1]["inconclusive"] == 1 and lines[-1]["failures"] == 0
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["energy", str(SCENARIOS / "energy_neck.json")], 2),
+        (["verify", "energy"], 4),
+    ])
+    def test_necks_built_once_per_family(self, capsys, monkeypatch, argv, calls):
+        # the last two parameters' necks, once per family (two families in
+        # the suite), whatever the number of eps rows
+        from hardyglue import degeneration
+        made = []
+        real = degeneration.neck_laurent
+        monkeypatch.setattr(degeneration, "neck_laurent", lambda *a: made.append(a) or real(*a))
+        assert main(argv) == 0
+        strict_json_lines(capsys.readouterr().out)
+        assert len(made) == calls
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("params", [{"n_max": 0, "trials": 2}, {"z_max": 0.0, "trials": 2},
+                                        {"m": 1, "trials": 1}])
+    def test_edges_of_the_ranges_run(self, tmp_path, capsys, params):
+        code, lines, err, caught = run_params(tmp_path, capsys, "node-check", params)
+        assert code == 0 and err == "" and caught == []
+        assert lines[-1]["checks"] == 5 and lines[-1]["failures"] == 0
+
+
+class TestExtensionSuite:
+    def test_disk_pairs_checked_against_the_exact_conditions(self, monkeypatch):
+        # one node_membership call per disk-pair trial, the one inside
+        # disk_pair_node_test; the agreement is with the exact conditions
+        from hardyglue import extension, node_model
+        calls = []
+        real = node_model.node_membership
+        counted = lambda *a, **k: calls.append(1) or real(*a, **k)
+        monkeypatch.setattr(node_model, "node_membership", counted)
+        monkeypatch.setattr(extension, "node_membership", counted)
+        records = verify_suite("extension")
+        assert len(calls) == 1000
+        agreement = records[0]
+        assert agreement.name == "disk_pair_vs_membership_agreement"
+        assert agreement.status == "pass" and agreement.value == agreement.expected == 1000

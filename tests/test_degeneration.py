@@ -161,6 +161,25 @@ class TestEnergyAxiom:
         assert not any(r.stable for r in report.rows)
         assert report.rows[-1].energy > 1.0
 
+    def test_report_carries_the_last_neck(self):
+        fam = NeckFamily.from_constant(coordinate_poly(), self.z_seq)
+        report = energy_axiom_check(fam, self.eps_schedule, tol=1e-6, n_max=8)
+        assert {r.k_index for r in report.rows} == {len(self.z_seq) - 1}
+        last = neck_laurent(coordinate_poly(), self.z_seq[-1], 8)
+        assert np.array_equal(report.neck.coeffs, last.coeffs)
+
+    def test_huge_neck_keeps_the_k_limit_stable(self):
+        # |a|^2 = 1e320 overflows; the energy is homogeneous of degree 2, so
+        # the k-limit settles exactly as for a = 1, and the energy reads inf
+        poly = NodePolynomial(np.array([[1e160 + 0j]]), np.zeros((0, 1), complex), np.zeros(1, complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = energy_axiom_check(NeckFamily.from_constant(poly, self.z_seq),
+                                        self.eps_schedule, tol=1e-6, n_max=8)
+        assert all(r.stable for r in report.rows)
+        assert all(r.energy == np.inf for r in report.rows)
+        assert not report.passed
+
     def test_eps_needs_usable_parameter(self):
         fam = NeckFamily.from_constant(coordinate_poly(), (0.5, 0.25))
         with pytest.raises(ValueError, match="eps"):

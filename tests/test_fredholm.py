@@ -103,6 +103,41 @@ class TestIndexStability:
         assert not bool(result)
         assert result.min_gap < 1e-6
 
+    def test_inconclusive_draws_no_trial(self, monkeypatch):
+        # the verdict rests on the gap alone, so no perturbed triple is built
+        import hardyglue.fredholm as fredholm
+        bq = np.array(eye_cols(4, [2, 1]))
+        bq[3, 1] = 1e-7
+        t = SubspaceTriple(4, eye_cols(4, [0, 1]), bq)
+        built = []
+        monkeypatch.setattr(fredholm, "triple_index", lambda *a: built.append(a))
+        monkeypatch.setattr(fredholm.np.random, "default_rng", lambda *a: built.append(a))
+        assert index_stability_check(t, 1e-6, trials=20).verdict == "inconclusive"
+        assert built == []
+
+    def test_gap_read_at_the_index_rank(self):
+        # [e0, e1 | e1] has singular values (sqrt 2, 1, 0): rank 2, so the
+        # gap is (1 - 0) / sqrt 2; with no columns at all it is 1
+        t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1]))
+        result = index_stability_check(t, 1e-6, trials=5)
+        assert result.min_gap == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+        assert index_stability_check(SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))),
+                                     1e-6, trials=5).min_gap == 1.0
+
+
+class TestBasisRank:
+    def test_more_columns_than_rows_is_rank_deficient(self):
+        # rank <= N < p: the basis cannot have full column rank
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="basis_prime is rank deficient: rank 2 < 3"):
+            SubspaceTriple(2, rng.standard_normal((2, 3)), np.zeros((2, 0)))
+
+    def test_tiny_last_singular_value_rejected(self):
+        bq = np.array(eye_cols(3, [0, 1]))
+        bq[:, 1] = bq[:, 0] + 1e-12 * bq[:, 1]
+        with pytest.raises(ValueError, match="basis_dprime is rank deficient: rank 1 < 2"):
+            SubspaceTriple(3, eye_cols(3, [2]), bq)
+
 
 class TestNormalCoordinates:
     def test_plane_example_dims(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hardyglue.jsonio import (
     boundary_to_json,
     chart_from_json,
     chart_to_json,
+    loop_from_json,
     matrix_from_json,
     matrix_to_json,
     nodal_config_from_json,
@@ -61,6 +64,25 @@ def test_missing_fields_raise():
         chart_from_json({"z": [0, 0]})
     with pytest.raises(ValueError, match="components"):
         nodal_config_from_json({})
+
+
+@pytest.mark.parametrize("data, message", [
+    (5, "loop: expected an object, got 5"),
+    ("m", "loop: expected an object, got 'm'"),
+    ({"m": 1, "coeffs": []}, "loop: missing field 'n_max'"),
+    ({"m": 1, "n_max": "a", "coeffs": []}, "loop.n_max: invalid value 'a'"),
+    ({"m": None, "n_max": 0, "coeffs": [[[1, 0]]]}, "loop.m: invalid value None"),
+])
+def test_loop_fields_name_their_path(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        loop_from_json(data)
+
+
+def test_boundary_and_chart_need_objects():
+    with pytest.raises(ValueError, match=r"^boundary: expected an object, got 7$"):
+        boundary_from_json(7)
+    with pytest.raises(ValueError, match=r"^chart\.xi_plus: expected an object, got \[\]$"):
+        chart_from_json({"z": [0, 0], "xi_plus": [], "eta_plus": {}, "lambda": []})
 
 
 # Elements numpy reads as one numeric array (ints up to uint64, bools,

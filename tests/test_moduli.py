@@ -247,3 +247,17 @@ class TestHardyTriples:
         for m in (1, 2, 3):
             idx = triple_index(hardy_sphere_triple(m, 16))
             assert idx == (m, 0, m)
+
+    def test_sphere_bases_are_mode_columns_per_component(self):
+        # column (j, comp) is the unit vector of mode n_j in component comp,
+        # row (n + n_max) * m + comp
+        n_max = 3
+        for m in (1, 2, 3):
+            t = hardy_sphere_triple(m, n_max)
+            for basis, modes in ((t.basis_prime, range(0, n_max + 1)),
+                                 (t.basis_dprime, range(-n_max, 1))):
+                ref = np.zeros(((2 * n_max + 1) * m, len(modes) * m), dtype=complex)
+                for j, n in enumerate(modes):
+                    for comp in range(m):
+                        ref[(n + n_max) * m + comp, j * m + comp] = 1.0
+                assert basis.dtype == complex and np.array_equal(basis, ref)
