@@ -133,14 +133,21 @@ def _decoded(decode, data, where: str):
         raise ScenarioError(str(exc)) from exc
 
 
+class _OutOfRange(ValueError, argparse.ArgumentTypeError):
+    """A value outside its range: `_get` quotes it after the field's path,
+    argparse after the flag."""
+
+
 def _within(conv, low, rule: str, below=math.inf):
     """``conv`` followed by the test ``low <= value < below``; a value outside
-    is a ValueError quoting ``rule``, so `_get` names its path."""
+    is an `_OutOfRange` quoting ``rule``.  Also an argparse ``type``, where
+    a value ``conv`` rejects reads as an invalid ``conv`` value."""
     def checked(data):
         value = conv(data)
         if not low <= value < below:
-            raise ValueError(f"expected {rule}")
+            raise _OutOfRange(f"expected {rule}")
         return value
+    checked.__name__ = conv.__name__
     return checked
 
 
@@ -351,9 +358,9 @@ def _trace_block(z, a, b, c, n_max: int, s: float) -> np.ndarray:
     return node_model._membership_residuals(table, xi, eta, s)
 
 
-def _h_reproduction_max(rng, m: int, n_max: int, grid: int = 10) -> float:
+def _h_reproduction_max(rng, m: int, n_max: int) -> float:
     """Largest relative gap between the glued evaluation ``H(x, y)`` and a
-    random polynomial ``v(x, y)`` over a ``grid x grid`` set of points.
+    random polynomial ``v(x, y)`` over a 10 x 10 set of points.
 
     At each point the family's chart is the chart inverse of the traces of
     ``v`` at ``z = x*y``, behind the 1e-8 membership gate, and ``H`` is
@@ -362,20 +369,16 @@ def _h_reproduction_max(rng, m: int, n_max: int, grid: int = 10) -> float:
 
     All points go through one pass at the width K of the polynomial, its
     degree.  Modes past K of the traces and of the charts are exact zeros
-    at order ``n_max``, so dropping them approximates nothing, and the
-    stacks stay (P, 2K+1, m) whatever ``n_max`` is.  Only the gate's
-    residuals, which decide but are never reported, are summed at width K.
-    ``H`` is summed at order ``n_max``, one grid row at a time: numpy sums
-    a single column pairwise, so leading zero rows change the rounding, and
-    the order-``n_max`` sum is the one `eval_plus` takes.
+    at order ``n_max``, and every sum runs over the live modes alone, so
+    the stacks stay (P, 2K+1, m) whatever ``n_max`` is.
     """
     poly = _random_poly(rng, m, deg=min(8, n_max))
     points = []
-    radii = 0.85 * (np.arange(grid) + 0.5) / grid
-    for j in range(grid):
-        x = radii[j] * np.exp(2j * np.pi * j / grid)
-        for k in range(grid):
-            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / grid)))
+    radii = 0.85 * (np.arange(10) + 0.5) / 10
+    for j in range(10):
+        x = radii[j] * np.exp(2j * np.pi * j / 10)
+        for k in range(10):
+            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / 10)))
     refs = np.array([poly(x, y) for x, y in points])
     xs, ys = (np.array(v, dtype=complex) for v in zip(*points))
     z = np.array([complex(x) * complex(y) for x, y in points])
@@ -386,10 +389,7 @@ def _h_reproduction_max(rng, m: int, n_max: int, grid: int = 10) -> float:
     xi, eta = node_model._chart(table, *plus, np.broadcast_to(poly.c, (len(points), m)))
     member = node_model._membership_residuals(table, xi, eta, node_model.DEFAULT_SOBOLEV_S)
     xi_plus, eta_plus, lam = node_model._chart_inverse(xi, eta, member, 1e-8)
-    hvals = np.empty_like(refs)
-    for row in np.split(np.arange(len(points)), grid):
-        hvals[row] = (node_model._eval_plus(xs[row], xi_plus[row], n_max)
-                      + node_model._eval_plus(ys[row], eta_plus[row], n_max) + lam[row])
+    hvals = node_model._eval_plus(xs, xi_plus) + node_model._eval_plus(ys, eta_plus) + lam
     gaps = np.max(np.abs(hvals - refs), axis=1) / (1.0 + np.max(np.abs(refs), axis=1))
     return float(np.max(gaps, initial=0.0))
 
@@ -732,14 +732,14 @@ def _suite_genus_invariance(opts: RunOptions, max_components: int = 3, max_nodes
     ``genus_first`` in 0..genus that keeps none or all of its points."""
     violations = 0
     cases = 0
-    for comps, nodes in _small_dual_graphs(max_components, max_nodes):
-        cfg = moduli.NodalConfig(comps, nodes)
+    for cfg in _small_dual_graphs(max_components, max_nodes):
         base = moduli.arithmetic_genus(cfg)
         contractions = [degeneration.NonseparatingCycle(i)
                         for i, comp in enumerate(cfg.components) if comp.genus >= 1]
-        points_on_0 = frozenset(pid for pair in nodes for ci, pid in pair if ci == 0)
+        points_on_0 = frozenset(pid for pair in cfg.nodes for ci, pid in pair if ci == 0)
         contractions += [degeneration.SeparatingCycle(0, g_first, keep)
-                         for g_first in range(comps[0].genus + 1) for keep in (frozenset(), points_on_0)]
+                         for g_first in range(cfg.components[0].genus + 1)
+                         for keep in (frozenset(), points_on_0)]
         for cycle in contractions:
             cases += 1
             if moduli.arithmetic_genus(degeneration.apply_deformation(cfg, [cycle])) != base:
@@ -749,7 +749,8 @@ def _suite_genus_invariance(opts: RunOptions, max_components: int = 3, max_nodes
 
 
 def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
-    """Connected dual graphs: all genus assignments and node multigraphs."""
+    """The validated configuration of each connected dual graph: all genus
+    assignments and node multigraphs."""
     from itertools import combinations_with_replacement, product
 
     for c in range(1, max_components + 1):
@@ -764,13 +765,12 @@ def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
                     pid_j = counters[j]
                     counters[j] += 1
                     nodes.append(((i, pid_i), (j, pid_j)))
-                nodes = tuple(nodes)
-                try:
-                    moduli.NodalConfig((moduli.Component(0),) * c, nodes)
-                except ValueError:  # disconnected dual graph
-                    continue
                 for genus_vec in product(genera, repeat=c):
-                    yield tuple(moduli.Component(g) for g in genus_vec), nodes
+                    try:
+                        cfg = moduli.NodalConfig(tuple(moduli.Component(g) for g in genus_vec), nodes)
+                    except ValueError:  # disconnected, whatever the genera
+                        break
+                    yield cfg
 
 
 def verify_suite(suite: str, opts: RunOptions | None = None) -> list:
@@ -885,11 +885,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Hardy-space node model and Fredholm "
                                                  "intersection verification runner")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation", type=int, default=32, help="Fourier truncation order N")
-    common.add_argument("--sobolev-s", type=float, default=1.5, dest="sobolev_s",
+    count = _within(int, 0, "an integer >= 0")
+    size = _within(float, 0.0, "a number in [0, inf)")
+    common.add_argument("--truncation", type=count, default=32, help="Fourier truncation order N")
+    common.add_argument("--sobolev-s", type=size, default=1.5, dest="sobolev_s",
                         help="Sobolev exponent for residual norms")
-    common.add_argument("--tol", type=float, default=1e-10, help="relative residual tolerance")
-    common.add_argument("--seed", type=int, default=7, help="seed for randomized batteries")
+    common.add_argument("--tol", type=size, default=1e-10, help="relative residual tolerance")
+    common.add_argument("--seed", type=count, default=7, help="seed for randomized batteries")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common], help=f"run a {name} scenario file")

@@ -79,19 +79,12 @@ def matrix_rank(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 def nullspace(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel, columns of shape (n_cols, nullity)."""
-    n_cols = M.shape[1]
-    if n_cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if M.size == 0:
-        return np.eye(n_cols, dtype=complex)
     _, s, vh = np.linalg.svd(M, full_matrices=True)
     return vh[_rank_of(s, rank_tol):].conj().T
 
 
 def orthonormal_range(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span."""
-    if M.shape[1] == 0 or M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     return u[:, :_rank_of(s, rank_tol)]
 
@@ -102,13 +95,8 @@ def subspace_intersection(B1: np.ndarray, B2: np.ndarray, rank_tol: float = DEFA
     Vectors in the intersection are ``B1 a = B2 b``; they are read off the
     kernel of the stacked matrix ``[B1 | -B2]``.
     """
-    p = B1.shape[1]
-    if p == 0 or B2.shape[1] == 0:
-        return np.zeros((B1.shape[0], 0), dtype=complex)
     null = nullspace(np.hstack([B1, -B2]), rank_tol)
-    if null.shape[1] == 0:
-        return np.zeros((B1.shape[0], 0), dtype=complex)
-    return orthonormal_range(B1 @ null[:p], rank_tol)
+    return orthonormal_range(B1 @ null[:B1.shape[1]], rank_tol)
 
 
 @dataclass(frozen=True)
@@ -176,6 +164,10 @@ def _index_of(t: SubspaceTriple, rank: int) -> TripleIndex:
 
 @dataclass(frozen=True)
 class StabilityResult:
+    """Verdict of `index_stability_check`; ``trials`` counts the
+    perturbations drawn: none for "inconclusive", k when the k-th changed
+    the index, all of them when "stable"."""
+
     verdict: str  # "stable" | "changed" | "inconclusive"
     min_gap: float
     trials: int
@@ -201,7 +193,7 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     below = s[rank] / s[0] if rank < s.size else 0.0
     gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
     if eps >= 0.1 * gap:
-        return StabilityResult("inconclusive", gap, trials)
+        return StabilityResult("inconclusive", gap, 0)
     base = _index_of(t, rank)
     rng = np.random.default_rng(seed)
 
@@ -211,13 +203,13 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
         g = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
         return b + eps * (np.linalg.norm(b) / np.linalg.norm(g)) * g
 
-    for _ in range(trials):
+    for k in range(1, trials + 1):
         try:
             t2 = SubspaceTriple(t.ambient_dim, perturb(t.basis_prime), perturb(t.basis_dprime), t.rank_tol)
         except ValueError:
-            return StabilityResult("changed", gap, trials)
+            return StabilityResult("changed", gap, k)
         if triple_index(t2) != base:
-            return StabilityResult("changed", gap, trials)
+            return StabilityResult("changed", gap, k)
     return StabilityResult("stable", gap, trials)
 
 
@@ -260,7 +252,7 @@ class NormalSplitting:
 
 
 def _complement_within(span_basis: np.ndarray, cap: np.ndarray, rank_tol: float) -> np.ndarray:
-    if span_basis.shape[1] == 0 or cap.shape[1] == 0:
+    if cap.shape[1] == 0:  # an SVD would rotate the basis
         return span_basis
     residue = span_basis - cap @ (cap.conj().T @ span_basis)
     # span_basis is orthonormal, so genuine complement directions have
@@ -278,12 +270,8 @@ def normal_coordinates(t: SubspaceTriple) -> NormalSplitting:
     q_dprime = orthonormal_range(t.basis_dprime, t.rank_tol)
     prime_comp = _complement_within(q_prime, cap, t.rank_tol)
     dprime_comp = _complement_within(q_dprime, cap, t.rank_tol)
-    stacked = np.hstack([t.basis_prime, t.basis_dprime])
-    if stacked.size == 0:
-        outer = np.eye(t.ambient_dim, dtype=complex)
-    else:
-        u, s, _ = np.linalg.svd(stacked, full_matrices=True)
-        outer = u[:, _rank_of(s, t.rank_tol):]
+    u, s, _ = np.linalg.svd(np.hstack([t.basis_prime, t.basis_dprime]), full_matrices=True)
+    outer = u[:, _rank_of(s, t.rank_tol):]
     split = NormalSplitting(cap, prime_comp, dprime_comp, outer)
     if sum(split.dims) != t.ambient_dim:
         raise ValueError(f"normal splitting dims {split.dims} do not sum to N={t.ambient_dim}; "

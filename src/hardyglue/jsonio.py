@@ -49,6 +49,15 @@ def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
         raise ValueError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
 
 
+def _built(cls, where: str, *args):
+    """``cls(*args)``, with a ValueError the constructor raises prefixed by
+    the path ``where``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def complex_to_pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -135,7 +144,7 @@ def loop_from_json(data: dict, where: str = "loop") -> Loop:
     coeffs = _complex_array(rows, 2, f"{where}.coeffs")
     if coeffs.shape[1] != m:
         raise ValueError(f"{where}.coeffs: expected {m} pairs per mode row, got {coeffs.shape[1]}")
-    return Loop(m, n_max, coeffs)
+    return _built(Loop, where, m, n_max, coeffs)
 
 
 def boundary_to_json(boundary) -> dict:
@@ -146,9 +155,10 @@ def boundary_to_json(boundary) -> dict:
 def boundary_from_json(data: dict, where: str = "boundary"):
     from .node_model import NodeBoundary
 
-    return NodeBoundary(complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
-                        loop_from_json(_field(data, "xi", where=where), f"{where}.xi"),
-                        loop_from_json(_field(data, "eta", where=where), f"{where}.eta"))
+    return _built(NodeBoundary, where,
+                  complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
+                  loop_from_json(_field(data, "xi", where=where), f"{where}.xi"),
+                  loop_from_json(_field(data, "eta", where=where), f"{where}.eta"))
 
 
 def chart_to_json(chart) -> dict:
@@ -161,10 +171,11 @@ def chart_to_json(chart) -> dict:
 def chart_from_json(data: dict, where: str = "chart"):
     from .node_model import NodeChart
 
-    return NodeChart(complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
-                     loop_from_json(_field(data, "xi_plus", where=where), f"{where}.xi_plus"),
-                     loop_from_json(_field(data, "eta_plus", where=where), f"{where}.eta_plus"),
-                     vector_from_json(_field(data, "lambda", where=where), f"{where}.lambda"))
+    return _built(NodeChart, where,
+                  complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
+                  loop_from_json(_field(data, "xi_plus", where=where), f"{where}.xi_plus"),
+                  loop_from_json(_field(data, "eta_plus", where=where), f"{where}.eta_plus"),
+                  vector_from_json(_field(data, "lambda", where=where), f"{where}.lambda"))
 
 
 def nodal_config_to_json(cfg) -> dict:
@@ -211,7 +222,4 @@ def nodal_config_from_json(data: dict, where: str = "config"):
         nodes.append(tuple(_int_tuple(p, 2, f"{w}[{j}]") for j, p in enumerate(pair)))
     marks = tuple(_int_tuple(p, 2, f"{where}.marks[{i}]")
                   for i, p in enumerate(_list_field(data, "marks", where, [])))
-    try:
-        return NodalConfig(tuple(comps), tuple(nodes), marks)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    return _built(NodalConfig, where, tuple(comps), tuple(nodes), marks)

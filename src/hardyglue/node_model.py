@@ -18,19 +18,19 @@ The set of such pairs is parametrized by the chart
 The relation is computed on stacks: the private kernels take a leading
 trial axis, coefficient stacks of shape (T, 2N+1, m), gluing parameters of
 shape (T,) and constants of shape (T, m).  `_power_table` forms the powers
-``z^n`` once per gluing parameter, for n = K..1 with K the highest
-positive mode that is nonzero in any of the stacks it is given; `_transfer`
-multiplies them into ``z^n c_n`` for modes -N..-1 and leaves the rows
--N..-(K+1) zero.  Those rows hold ``z^n * 0``, an exact zero, in the full
-product, so trimming the table changes no value of any sum or norm taken
-afterwards (at most the sign of a zero); and numpy's complex power depends
-on the exponent alone, not on the length of the exponent array, so each
-kept power has the bits of the full table's.  One table serves both transfers of a chart and both
-defects of a membership test.  The public functions are stacks of one over
-the same kernels (`_transfer`, `_chart_side`, `_defect`, `_eval_plus`),
-and `loops._sobolev_norms` takes one ``np.dot`` per row, so a stacked row
-gives the same bits as the public function on that row; the annulus test
-in `extension` goes through `membership_defect`.
+``z^n`` once per gluing parameter, for n = K..1 with K the live width: the
+highest positive mode that is nonzero in any of the stacks it is given.
+`_transfer` multiplies them into ``z^n c_n`` on modes -K..-1 (the rows
+further down stay zero, as ``c_n`` is zero there), and `_eval_plus` sums
+those same products, so a power series is summed at its live width whatever
+order of loop carries it.  numpy's complex power depends on the exponent
+alone, so a power has the same bits in any table.  One table serves both
+transfers of a chart and both defects of a membership test.  The public
+functions are stacks of one over the same kernels (`_transfer`,
+`_chart_side`, `_defect`, `_eval_plus`), and `loops._sobolev_norms` takes
+one ``np.dot`` per row, so a stacked row gives the same bits as the public
+function on that row; the annulus test in `extension` goes through
+`membership_defect`.
 """
 
 from __future__ import annotations
@@ -206,21 +206,19 @@ def _power_table(z, *stacks) -> np.ndarray:
     return np.asarray(z, dtype=complex)[:, None] ** np.arange(width, 0, -1)
 
 
-def _transfer(table: np.ndarray, coeffs: np.ndarray, n_max: int | None = None) -> np.ndarray:
+def _transfer(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The gluing relation's one kernel: ``z^n c_n`` for n = N..1, the rows
     that land on modes -N..-1, shape (T, N, m) from ``coeffs`` of shape
-    (T, 2M+1, m) and ``table`` from `_power_table`.  N is ``n_max`` when
-    given (at least the table's width) and M otherwise.
+    (T, 2N+1, m) and ``table`` from `_power_table`.
 
     Rows with n above the table's width K stay zero: ``c_n`` is zero there,
     so the product would be an exact zero as well.  Every ``z^n`` of the
     gluing relation is taken from such a table.
     """
-    order = coeffs.shape[1] // 2
-    n_max = order if n_max is None else n_max
+    n_max = coeffs.shape[1] // 2
     width = table.shape[1]
     out = np.zeros((coeffs.shape[0], n_max, coeffs.shape[2]), dtype=complex)
-    out[:, n_max - width:] = table[:, :, None] * coeffs[:, order + width:order:-1]
+    out[:, n_max - width:] = table[:, :, None] * coeffs[:, n_max + width:n_max:-1]
     return out
 
 
@@ -278,13 +276,14 @@ def _chart_inverse(xi, eta, residuals, tol: float) -> tuple:
     return xi_plus, eta_plus, xi[:, n_max].copy()
 
 
-def _eval_plus(points, coeffs, n_max: int | None = None) -> np.ndarray:
+def _eval_plus(points, coeffs) -> np.ndarray:
     """Stacked `eval_plus`: ``sum_{n>0} c_n x^n`` at one point per row,
-    shape (T, m).  The sum runs over all N rows of the transfer (N as in
-    `_transfer`), zero rows included, so its rounding is that of a loop of
-    order N: numpy sums a single column pairwise, and where the zero rows
-    sit changes that sum's rounding."""
-    return np.sum(_transfer(_power_table(points, coeffs), coeffs, n_max), axis=1)
+    shape (T, m), summed over the transfer's rows of the live modes 1..K
+    (K as in `_power_table`).  A row has the bits of `eval_plus` on that
+    row when its own live width is K: numpy sums a single column pairwise,
+    so leading zero rows would change the rounding."""
+    table = _power_table(points, coeffs)
+    return np.sum(_transfer(table, coeffs)[:, coeffs.shape[1] // 2 - table.shape[1]:], axis=1)
 
 
 def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:

@@ -271,6 +271,21 @@ class TestErrorPaths:
          "params.nodes[0].eta.n_max"),
         ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": {**LOOP_1, "m": None}, "eta": LOOP_1}]},
          "params.nodes[0].xi.m"),
+        # values the constructors reject
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": {"m": 0, "n_max": 0, "coeffs": [[]]},
+                                     "eta": LOOP_1}]}, "params.nodes[0].xi"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": LOOP_1,
+                                     "eta": {**LOOP_1, "coeffs": [[[1e400, 0]], [[1, 0]], [[0, 0]]]}}]},
+         "params.nodes[0].eta"),
+        ("node-check", {"boundary": {"z": [2, 0], "xi": LOOP_1, "eta": LOOP_1}}, "params.boundary"),
+        ("node-check", {"boundary": {"z": [0, 0], "xi": LOOP_1,
+                                     "eta": {"m": 2, "n_max": 1, "coeffs": [[[0, 0], [0, 0]]] * 3}}},
+         "params.boundary"),
+        # a polynomial whose rows and constant disagree on m, an unknown cycle
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[[1, 0], [0, 0]]], "c": [0, 0]}}, "params.laurent"),
+        ("moduli-dim", {"contractions": [{"config": {"components": [{"genus": 1}]},
+                                          "cycles": [{"kind": "twisted", "component": 0}]}]},
+         "params.contractions[0].cycles[0].kind"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
@@ -500,6 +515,74 @@ class TestParameterRanges:
         code, lines, err, caught = run_params(tmp_path, capsys, "node-check", params)
         assert code == 0 and err == "" and caught == []
         assert lines[-1]["checks"] == 5 and lines[-1]["failures"] == 0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "node", "--truncation=-1"], "--truncation"),
+        (["verify", "node", "--seed=-1"], "--seed"),
+        (["extend-check", str(SCENARIOS / "annulus_pair.json"), "--sobolev-s=-1"], "--sobolev-s"),
+        (["node-check", str(SCENARIOS / "node_roundtrip.json"), "--sobolev-s=inf"], "--sobolev-s"),
+        (["extend-check", str(SCENARIOS / "annulus_pair.json"), "--tol=nan"], "--tol"),
+        (["verify", "extension", "--sobolev-s=nan"], "--sobolev-s"),
+        (["verify", "node", "--seed=x"], "--seed"),
+    ])
+    def test_common_flag_out_of_range_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        captured = capsys.readouterr()
+        assert stop.value.code == 2 and captured.out == ""
+        assert f"error: argument {flag}: " in captured.err
+
+    def test_common_flags_accept_zero(self, capsys):
+        code = main(["extend-check", str(SCENARIOS / "annulus_pair.json"),
+                     "--tol=0", "--sobolev-s=0", "--seed=0", "--truncation=0"])
+        assert code in (0, 1) and strict_json_lines(capsys.readouterr().out)
+
+
+class TestScenarioFields:
+    def run(self, tmp_path, capsys, command, params):
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert err == "" and caught == []
+        return code, lines[:-1]
+
+    def test_one_laurent_per_parameter_is_the_shared_laurent(self, tmp_path, capsys):
+        shared = self.run(tmp_path, capsys, "energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}})
+        per_z = self.run(tmp_path, capsys, "energy",
+                         {**ENERGY_FAMILY, "laurents": [{"a": [[1, 0]]}] * 34})
+        assert per_z == shared and shared[0] == 0
+
+    def test_laurents_with_a_growing_neck_fail(self, tmp_path, capsys):
+        # b_1 = 1/z puts the fixed coefficient 1 on the neck mode x^-1: the
+        # energy concentrates, no k-limit settles and the family fails
+        z_seq = [0.5 ** k for k in range(1, 35)]
+        params = {**ENERGY_FAMILY, "laurents": [{"b": [[1 / z, 0]]} for z in z_seq],
+                  "expect_pass": False}
+        code, checks = self.run(tmp_path, capsys, "energy", params)
+        assert code == 1
+        assert {c["status"] for c in checks if c["check"].endswith("_k_limit_stable")} == {"fail"}
+        assert checks[-1] == {**checks[-1], "check": "energy_axiom_verdict", "status": "pass", "value": 0}
+
+    def test_bare_pair_constant_means_m_1(self, tmp_path, capsys):
+        bare = self.run(tmp_path, capsys, "energy",
+                        {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]], "c": [0.5, 0]}})
+        listed = self.run(tmp_path, capsys, "energy",
+                          {**ENERGY_FAMILY, "laurent": {"a": [[[1, 0]]], "c": [[0.5, 0]]}})
+        assert bare == listed and bare[0] == 0
+
+    def test_expect_stable(self, tmp_path, capsys):
+        # pinching a ghost torus leaves a ghost sphere with a node: two
+        # special points, unstable; a mark on the torus makes it three
+        def pinched(label, marks, stable):
+            return {"label": label, "expect_stable": stable,
+                    "config": {"components": [{"genus": 1, "ghost": True}], "marks": marks},
+                    "cycles": [{"kind": "nonseparating", "component": 0}]}
+
+        params = {"contractions": [pinched("bare", [], False), pinched("marked", [[0, 0]], True),
+                                   pinched("wrong", [], True)]}
+        code, checks = self.run(tmp_path, capsys, "moduli-dim", params)
+        stable = {c["check"]: (c["status"], c["value"]) for c in checks if c["check"].endswith("_stable")}
+        assert code == 1
+        assert stable == {"bare_stable": ("pass", 0), "marked_stable": ("pass", 1),
+                          "wrong_stable": ("fail", 0)}
 
 
 class TestExtensionSuite:

@@ -12,6 +12,8 @@ from hardyglue.fredholm import (
     intersect_newton,
     lambda_product_triple,
     normal_coordinates,
+    nullspace,
+    orthonormal_range,
     parametrized_index,
     polynomial_test_set,
     subspace_intersection,
@@ -99,7 +101,7 @@ class TestIndexStability:
         bq = np.array(eye_cols(4, [2, 1]))
         bq[3, 1] = 1e-7
         result = index_stability_check(SubspaceTriple(4, bp, bq), 1e-6, trials=20)
-        assert result.verdict == "inconclusive"
+        assert result.verdict == "inconclusive" and result.trials == 0
         assert not bool(result)
         assert result.min_gap < 1e-6
 
@@ -114,6 +116,21 @@ class TestIndexStability:
         monkeypatch.setattr(fredholm.np.random, "default_rng", lambda *a: built.append(a))
         assert index_stability_check(t, 1e-6, trials=20).verdict == "inconclusive"
         assert built == []
+
+    def test_trials_count_the_perturbations_drawn(self, monkeypatch):
+        import hardyglue.fredholm as fredholm
+        t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
+        assert index_stability_check(t, 1e-6, trials=7).trials == 7
+        real, drawn = fredholm.triple_index, []
+
+        def changed_on_third(t2):  # the third perturbed triple reads a new index
+            drawn.append(t2)
+            idx = real(t2)
+            return idx._replace(index=idx.index + 1) if len(drawn) == 3 else idx
+
+        monkeypatch.setattr(fredholm, "triple_index", changed_on_third)
+        result = index_stability_check(t, 1e-6, trials=7)
+        assert (result.verdict, result.trials, len(drawn)) == ("changed", 3, 3)
 
     def test_gap_read_at_the_index_rank(self):
         # [e0, e1 | e1] has singular values (sqrt 2, 1, 0): rank 2, so the
@@ -382,3 +399,24 @@ class TestSubspaceHelpers:
         # cap lies inside span(shared)
         proj = shared @ np.linalg.lstsq(shared, cap, rcond=None)[0]
         assert np.max(np.abs(proj - cap)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_empty_inputs_through_the_svd(self, p, q):
+        # numpy's SVD of an (r, 0) or (0, n) matrix has no singular values
+        # and identity factors, which is every empty case's answer
+        empty = np.zeros((0, 3), dtype=complex)
+        for got, want in ((nullspace(empty.T), np.zeros((0, 0))), (nullspace(empty), np.eye(3)),
+                          (orthonormal_range(empty.T), np.zeros((3, 0))),
+                          (orthonormal_range(empty), np.zeros((0, 0))),
+                          (subspace_intersection(empty[:, :p], empty[:, :q]), np.zeros((0, 0)))):
+            assert got.dtype == complex and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        t = random_triple(np.random.default_rng(p + q), 5, p, q)
+        assert subspace_intersection(t.basis_prime, t.basis_dprime).shape == (5, 0)
+        split = normal_coordinates(t)
+        assert split.dims == (0, p, q, 5 - p - q)
+        np.testing.assert_array_equal(split.prime_comp, orthonormal_range(t.basis_prime))
+        np.testing.assert_array_equal(split.dprime_comp, orthonormal_range(t.basis_dprime))
+        if p + q == 0:
+            np.testing.assert_array_equal(split.outer, np.eye(5))

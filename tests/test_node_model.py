@@ -295,6 +295,17 @@ class TestEvaluateH:
         loop = plus_loop({1: 2.0, 3: 1.0})
         assert eval_plus(loop, 0.5)[0] == pytest.approx(2.0 * 0.5 + 0.125)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_eval_plus_independent_of_truncation_order(self, m):
+        # the same degree-8 series carried by loops of order 8 and 13 is one
+        # value: the sum runs over its live modes, not over the loop's order
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            rows = np.sqrt(rng.uniform(size=(8, m))) * np.exp(2j * np.pi * rng.uniform(size=(8, m)))
+            x = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            short, long = (Loop.from_modes(m, n, dict(enumerate(rows, start=1))) for n in (8, 13))
+            np.testing.assert_array_equal(eval_plus(short, x), eval_plus(long, x))
+
 
 class TestHolomorphicityResidual:
     grid = np.linspace(-0.4, 0.4, 5)
