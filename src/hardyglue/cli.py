@@ -2,8 +2,8 @@
 modules, and emits JSON-lines reports (one check per line plus a summary).
 
 Exit codes: 0 when every check passes, 1 when any check fails or is
-inconclusive, 2 on parse/config errors, malformed ``[re, im]`` data
-included (the error line names the path of the first bad element).
+inconclusive, 2 on a flag argparse rejects or a `ScenarioError`, whose error
+line names the path of the first bad record, field or value.
 
 `main` may be called repeatedly in one process: the argument parser is
 built once, on the first call, and keeps no state between calls.
@@ -12,7 +12,6 @@ built once, on the first call, and keeps no state between calls.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -25,8 +24,11 @@ import numpy as np
 
 from . import degeneration, extension, fredholm, moduli, node_model
 from .jsonio import (
-    _REQUIRED,
+    ScenarioError,
+    _built,
     _field,
+    _int_tuple,
+    _list_field,
     boundary_from_json,
     complex_from_pair,
     loop_from_json,
@@ -50,10 +52,6 @@ CLASSICAL_TABLE = (
     {"label": "DM-genus-4", "g": 4, "n": 0, "m": 0, "c1d": 0, "expect": 9},
     {"label": "DM-genus-5", "g": 5, "n": 0, "m": 0, "c1d": 0, "expect": 12},
 )
-
-
-class ScenarioError(Exception):
-    """Schema or configuration problem; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -105,37 +103,10 @@ def check_bool(name: str, ok: bool) -> CheckRecord:
 # ---------------------------------------------------------------------------
 # parameter parsing helpers
 
-@contextlib.contextmanager
-def _rejected_as(prefix: str, errors=ValueError):
-    """Turn ``errors`` raised inside the block into a ScenarioError whose
-    message is ``prefix`` followed by the error's."""
-    try:
-        yield
-    except errors as exc:
-        raise ScenarioError(f"{prefix}{exc}") from exc
-
-
-# `_get` and `_decoded` run for every field read, so they take a bare try
-# block: a generator context manager would cost them 2 us a call.
-def _get(params: dict, name: str, default=_REQUIRED, where: str = "params", conv=None):
-    """`jsonio._field`, with a malformed field as a ScenarioError."""
-    try:
-        return _field(params, name, default, where, conv)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def _decoded(decode, data, where: str):
-    """Apply a `jsonio` decoder; malformed data is a ScenarioError."""
-    try:
-        return decode(data, where)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
 
 class _OutOfRange(ValueError, argparse.ArgumentTypeError):
-    """A value outside its range: `_get` quotes it after the field's path,
-    argparse after the flag."""
+    """A value outside its range: `jsonio._field` quotes it after the
+    field's path, argparse after the flag."""
 
 
 def _within(conv, low, rule: str, below=math.inf):
@@ -151,83 +122,64 @@ def _within(conv, low, rule: str, below=math.inf):
     return checked
 
 
+_COUNT = _within(int, 0, "an integer >= 0")
+_SIZE = _within(float, 0.0, "a number in [0, inf)")
+
+
 def _bare_pair(data) -> bool:
     return isinstance(data, list) and bool(data) and isinstance(data[0], (int, float))
 
 
-def _parse_vector_or_scalar(data, where: str) -> np.ndarray:
-    if _bare_pair(data):
-        return np.array([_decoded(complex_from_pair, data, where)])
-    return _decoded(vector_from_json, data, where)
-
-
 def _parse_coeff_rows(data, where: str) -> np.ndarray:
     """Rows of coefficient vectors; bare [re,im] rows mean m=1."""
-    if not isinstance(data, list):
-        raise ScenarioError(f"{where}: expected a list")
-    if not data:
-        return np.zeros((0, 1), dtype=complex)
-    return _decoded(matrix_from_json, [[row] if _bare_pair(row) else row for row in data], where)
+    if isinstance(data, list):
+        data = [[row] if _bare_pair(row) else row for row in data]
+    return matrix_from_json(data, where)
 
 
 def _parse_poly(data, where: str) -> NodePolynomial:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected an object with fields a, b, c")
-    c = _parse_vector_or_scalar(_get(data, "c", [0.0, 0.0], where), f"{where}.c")
-    a = _parse_coeff_rows(_get(data, "a", [], where), f"{where}.a")
-    b = _parse_coeff_rows(_get(data, "b", [], where), f"{where}.b")
-    m = len(c)
-    if a.size == 0:
-        a = np.zeros((0, m), dtype=complex)
-    if b.size == 0:
-        b = np.zeros((0, m), dtype=complex)
-    if a.shape[1] != m or b.shape[1] != m:
-        raise ScenarioError(f"{where}: a, b, c disagree on the target dimension")
-    return NodePolynomial(a, b, c)
+    """A `NodePolynomial` from fields a, b (coefficient rows) and c; a bare
+    [re,im] constant means m=1."""
+    c = _field(data, "c", [0.0, 0.0], where)
+    c = np.array([complex_from_pair(c, f"{where}.c")]) if _bare_pair(c) else vector_from_json(c, f"{where}.c")
+    return _built(NodePolynomial, where, _parse_coeff_rows(_field(data, "a", [], where), f"{where}.a"),
+                  _parse_coeff_rows(_field(data, "b", [], where), f"{where}.b"), c)
 
 
 def _parse_cycles(data, where: str) -> list:
     cycles = []
     for i, cyc in enumerate(data):
         w = f"{where}[{i}]"
-        kind = _get(cyc, "kind", where=w)
-        with _rejected_as(f"{w}: "):
-            if kind == "nonseparating":
-                cycles.append(degeneration.NonseparatingCycle(_get(cyc, "component", where=w, conv=int)))
-            elif kind == "separating":
-                cycles.append(degeneration.SeparatingCycle(
-                    _get(cyc, "component", where=w, conv=int),
-                    _get(cyc, "genus_first", where=w, conv=int),
-                    _get(cyc, "points_first", frozenset(), w,
-                         conv=lambda ids: frozenset(int(p) for p in ids))))
-            else:
-                raise ScenarioError(f"{w}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
+        kind = _field(cyc, "kind", where=w)
+        if kind == "nonseparating":
+            cycles.append(degeneration.NonseparatingCycle(_field(cyc, "component", where=w, conv=int)))
+        elif kind == "separating":
+            cycles.append(degeneration.SeparatingCycle(
+                _field(cyc, "component", where=w, conv=int),
+                _field(cyc, "genus_first", where=w, conv=int),
+                _field(cyc, "points_first", frozenset(), w, conv=lambda ids: frozenset(int(p) for p in ids))))
+        else:
+            raise ScenarioError(f"{w}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
     return cycles
 
 
 def _parse_polynomial_map(params: dict, where: str = "params") -> fredholm.GraphPairLocal:
     """The graph pair of the polynomial map in ``params``."""
-    dims = _get(params, "dims", where=where)
-    if not (isinstance(dims, list) and len(dims) == 4):
-        raise ScenarioError(f"{where}.dims: expected four integers")
-    comps_raw = _get(params, "components", where=where)
-    if not isinstance(comps_raw, list):
-        raise ScenarioError(f"{where}.components: expected a list per output component")
+    dims = _int_tuple(_field(params, "dims", where=where), 4, f"{where}.dims")
     comps = []
-    for i, comp in enumerate(comps_raw):
+    for i, comp in enumerate(_list_field(params, "components", where)):
         if not isinstance(comp, list):
             raise ScenarioError(f"{where}.components[{i}]: expected a list of terms, got {comp!r}")
         terms = []
         for j, term in enumerate(comp):
             w = f"{where}.components[{i}][{j}]"
-            coeff = _decoded(complex_from_pair, _get(term, "c", where=w), f"{w}.c")
-            terms.append((coeff, _get(term, "u", where=w, conv=tuple),
-                          _get(term, "xp", where=w, conv=tuple)))
-        comps.append(terms)
-    allow_nonflat = bool(_get(params, "allow_nonflat", False, where))
-    with _rejected_as(f"{where}: ", (TypeError, ValueError)):
-        pm = fredholm.PolynomialMap(tuple(int(d) for d in dims), tuple(tuple(c) for c in comps))
-        return pm.as_graph(allow_nonflat=allow_nonflat)
+            terms.append((complex_from_pair(_field(term, "c", where=w), f"{w}.c"),
+                          _int_tuple(_field(term, "u", where=w), None, f"{w}.u"),
+                          _int_tuple(_field(term, "xp", where=w), None, f"{w}.xp")))
+        comps.append(tuple(terms))
+    allow_nonflat = bool(_field(params, "allow_nonflat", False, where))
+    pm = _built(fredholm.PolynomialMap, where, dims, tuple(comps))
+    return _built(pm.as_graph, where, allow_nonflat=allow_nonflat)
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +348,32 @@ def _h_reproduction_max(rng, m: int, n_max: int) -> float:
 
 def handle_node_check(params: dict, opts: RunOptions) -> list:
     if "boundary" in params:
-        boundary = _decoded(boundary_from_json, params["boundary"], "params.boundary")
+        boundary = boundary_from_json(params["boundary"], "params.boundary")
         res = node_model.node_membership(boundary, tol=opts.tol, s=opts.sobolev_s)
         return [check_residual("membership", res.residual, opts.tol)]
-    trials = _get(params, "trials", 200, conv=_within(int, 1, "an integer >= 1"))
-    m = _get(params, "m", 2, conv=_within(int, 1, "an integer >= 1"))
-    n_max = _get(params, "n_max", opts.truncation, conv=_within(int, 0, "an integer >= 0"))
-    z_max = _get(params, "z_max", 0.9, conv=_within(float, 0.0, "a number in [0, 1)", below=1.0))
-    seed = _get(params, "seed", opts.seed, conv=_within(int, 0, "an integer >= 0"))
+    positive = _within(int, 1, "an integer >= 1")
+    trials = _field(params, "trials", 200, "params", positive)
+    m = _field(params, "m", 2, "params", positive)
+    n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
+    z_max = _field(params, "z_max", 0.9, "params", _within(float, 0.0, "a number in [0, 1)", below=1.0))
+    seed = _field(params, "seed", opts.seed, "params", _COUNT)
     return _node_random_battery(opts, trials, m, n_max, z_max, seed)
 
 
 def handle_extend_check(params: dict, opts: RunOptions) -> list:
-    records_raw = _get(params, "nodes")
-    if not isinstance(records_raw, list) or not records_raw:
+    records_raw = _list_field(params, "nodes", "params")
+    if not records_raw:
         raise ScenarioError("params.nodes: expected a nonempty list of node records")
-    ball = bool(_get(params, "ball_check", True))
+    ball = bool(_field(params, "ball_check", True, "params"))
     records = []
     for i, rec in enumerate(records_raw):
         where = f"params.nodes[{i}]"
-        kind = _get(rec, "kind", where=where)
-        xi = _decoded(loop_from_json, _get(rec, "xi", where=where), f"{where}.xi")
-        eta = _decoded(loop_from_json, _get(rec, "eta", where=where), f"{where}.eta")
-        with _rejected_as(f"{where}: "):
-            if kind == "disk_pair":
-                z = _decoded(complex_from_pair, _get(rec, "z", [0.0, 0.0], where), f"{where}.z")
-                records.append(extension.NodeData("disk_pair", xi, eta, z=z))
-            elif kind == "annulus":
-                records.append(extension.NodeData("annulus", xi, eta,
-                                                  delta=_get(rec, "delta", where=where, conv=float)))
-            else:
-                raise ScenarioError(f"{where}.kind: expected 'disk_pair' or 'annulus', got {kind!r}")
+        kind = _field(rec, "kind", where=where)
+        xi = loop_from_json(_field(rec, "xi", where=where), f"{where}.xi")
+        eta = loop_from_json(_field(rec, "eta", where=where), f"{where}.eta")
+        records.append(_built(extension.NodeData, where, kind, xi, eta,
+                              z=complex_from_pair(_field(rec, "z", [0.0, 0.0], where), f"{where}.z"),
+                              delta=_field(rec, "delta", None, where, float)))
     report = extension.vprime_membership(records, ball_check=ball, tol=opts.tol, s=opts.sobolev_s)
     out = []
     for v in report.nodes:
@@ -440,29 +387,26 @@ def handle_extend_check(params: dict, opts: RunOptions) -> list:
 def handle_index(params: dict, opts: RunOptions) -> list:
     out = []
     if "triples" in params:
-        for i, entry in enumerate(_get(params, "triples", conv=list)):
+        for i, entry in enumerate(_list_field(params, "triples", "params")):
             where = f"params.triples[{i}]"
-            basis_prime = _decoded(matrix_from_json, _get(entry, "basis_prime", where=where),
-                                   f"{where}.basis_prime")
-            basis_dprime = _decoded(matrix_from_json, _get(entry, "basis_dprime", where=where),
-                                    f"{where}.basis_dprime")
-            with _rejected_as(f"{where}: "):
-                triple = fredholm.SubspaceTriple(_get(entry, "ambient_dim", where=where, conv=int),
-                                                 basis_prime, basis_dprime)
+            basis_prime = matrix_from_json(_field(entry, "basis_prime", where=where), f"{where}.basis_prime")
+            basis_dprime = matrix_from_json(_field(entry, "basis_dprime", where=where), f"{where}.basis_dprime")
+            triple = _built(fredholm.SubspaceTriple, where, _field(entry, "ambient_dim", where=where, conv=int),
+                            basis_prime, basis_dprime)
             idx = fredholm.triple_index(triple)
             out.append(check_int(f"triple{i}_euler_identity", idx.index,
                                  triple.p + triple.q - triple.ambient_dim))
-            expect = _get(entry, "expect", None, where)
+            expect = _field(entry, "expect", None, where)
             if expect:
                 for key in ("dim_cap", "codim_sum", "index"):
                     out.append(check_int(f"triple{i}_{key}", getattr(idx, key),
-                                         _get(expect, key, where=f"{where}.expect", conv=int)))
+                                         _field(expect, key, where=f"{where}.expect", conv=int)))
     if "line_bundle" in params:
         entry = params["line_bundle"]
-        d_max = _get(entry, "d_max", 10, "params.line_bundle", int)
-        n_max = _get(entry, "n_max", 64, "params.line_bundle", int)
+        d_max = _field(entry, "d_max", 10, "params.line_bundle", _COUNT)
+        n_max = _field(entry, "n_max", 64, "params.line_bundle", _COUNT)
         for d in range(d_max + 1):
-            built = moduli.hardy_triple_for_line_bundle(2 * d, n_max)
+            built = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, n_max)
             idx = fredholm.triple_index(built.triple)
             rr = moduli.riemann_roch_index(moduli.TargetData(1, 2 * d), 0, "complex")
             out.append(check_int(f"line_bundle_d{d}_index", idx.index, rr))
@@ -474,32 +418,30 @@ def handle_index(params: dict, opts: RunOptions) -> list:
 
 def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
     out = []
-    entries = _get(params, "entries", [], conv=list)
-    if _get(params, "builtin_table", False):
+    entries = _list_field(params, "entries", "params", [])
+    if _field(params, "builtin_table", False, "params"):
         entries = list(CLASSICAL_TABLE) + entries
-    contractions = _get(params, "contractions", [], conv=list)
+    contractions = _list_field(params, "contractions", "params", [])
     if not entries and not contractions:
         raise ScenarioError("params: provide 'entries', 'builtin_table', and/or 'contractions'")
     for i, row in enumerate(entries):
         where = f"params.entries[{i}]"
-        label = _get(row, "label", f"row{i}", where)
-        target = moduli.TargetData(_get(row, "m", where=where, conv=int),
-                                   _get(row, "c1d", where=where, conv=int))
-        value = moduli.moduli_dimension(_get(row, "g", where=where, conv=int),
-                                        _get(row, "n", where=where, conv=int), target)
-        out.append(check_int(f"moduli_dim_{label}", value, _get(row, "expect", where=where, conv=int)))
+        label = _field(row, "label", f"row{i}", where)
+        target = _built(moduli.TargetData, where, _field(row, "m", where=where, conv=int),
+                        _field(row, "c1d", where=where, conv=int))
+        value = moduli.moduli_dimension(_field(row, "g", where=where, conv=int),
+                                        _field(row, "n", where=where, conv=int), target)
+        out.append(check_int(f"moduli_dim_{label}", value, _field(row, "expect", where=where, conv=int)))
     for i, job in enumerate(contractions):
         where = f"params.contractions[{i}]"
-        cfg = _decoded(nodal_config_from_json, _get(job, "config", where=where), f"{where}.config")
-        cycles = _parse_cycles(_get(job, "cycles", where=where, conv=list), f"{where}.cycles")
-        label = _get(job, "label", f"contraction{i}", where)
+        cfg = nodal_config_from_json(_field(job, "config", where=where), f"{where}.config")
+        cycles = _parse_cycles(_list_field(job, "cycles", where), f"{where}.cycles")
+        label = _field(job, "label", f"contraction{i}", where)
         before = moduli.arithmetic_genus(cfg)
-        with _rejected_as(f"{where}: "):
-            after_cfg = degeneration.apply_deformation(cfg, cycles)
+        after_cfg = _built(degeneration.apply_deformation, where, cfg, cycles)
         out.append(check_int(f"{label}_genus_preserved", moduli.arithmetic_genus(after_cfg), before))
         if "expect_genus" in job:
-            out.append(check_int(f"{label}_genus", before,
-                                 _get(job, "expect_genus", where=where, conv=int)))
+            out.append(check_int(f"{label}_genus", before, _field(job, "expect_genus", where=where, conv=int)))
         if "expect_stable" in job:
             out.append(check_int(f"{label}_stable", int(moduli.is_stable_map(after_cfg)),
                                  int(bool(job["expect_stable"]))))
@@ -508,13 +450,13 @@ def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
 
 def handle_reduce(params: dict, opts: RunOptions) -> list:
     reduction = fredholm.finite_dim_reduction(_parse_polynomial_map(params))
-    newton_cfg = _get(params, "newton", {})
-    max_iter = _get(newton_cfg, "max_iter", 200, "params.newton", int)
-    tol = _get(newton_cfg, "tol", 1e-12, "params.newton", float)
+    newton_cfg = _field(params, "newton", {}, "params")
+    max_iter = _field(newton_cfg, "max_iter", 200, "params.newton", _COUNT)
+    tol = _field(newton_cfg, "tol", 1e-12, "params.newton", _SIZE)
     out = []
-    for i, seed_raw in enumerate(_get(params, "seeds", conv=list)):
-        seed = _decoded(vector_from_json, seed_raw, f"params.seeds[{i}]")
-        result = reduction.solve(seed, max_iter=max_iter, tol=tol)
+    for i, seed_raw in enumerate(_list_field(params, "seeds", "params")):
+        where = f"params.seeds[{i}]"
+        result = _built(reduction.solve, where, vector_from_json(seed_raw, where), max_iter=max_iter, tol=tol)
         out.append(check_residual(f"seed{i}_newton_residual", result.residual, tol))
         if result.converged:
             tc = reduction.tangent_check(result.u)
@@ -526,10 +468,10 @@ def handle_reduce(params: dict, opts: RunOptions) -> list:
 
 def handle_intersect(params: dict, opts: RunOptions) -> list:
     graph = _parse_polynomial_map(params)
-    seed = _decoded(vector_from_json, _get(params, "seed"), "params.seed")
-    max_iter = _get(params, "max_iter", 200, conv=int)
-    tol = _get(params, "tol", 1e-12, conv=float)
-    result = fredholm.intersect_newton(graph, seed, max_iter=max_iter, tol=tol)
+    seed = vector_from_json(_field(params, "seed", where="params"), "params.seed")
+    max_iter = _field(params, "max_iter", 200, "params", _COUNT)
+    tol = _field(params, "tol", 1e-12, "params", _SIZE)
+    result = _built(fredholm.intersect_newton, "params.seed", graph, seed, max_iter=max_iter, tol=tol)
     return [
         check_bool("newton_converged", result.converged),
         check_residual("newton_residual", result.residual, tol),
@@ -539,14 +481,14 @@ def handle_intersect(params: dict, opts: RunOptions) -> list:
 def _parse_z_seq(data, where: str) -> tuple:
     if isinstance(data, dict) and "geometric" in data:
         geo = data["geometric"]
-        start = _get(geo, "start", 0.5, f"{where}.geometric", float)
-        ratio = _get(geo, "ratio", 0.5, f"{where}.geometric", float)
-        count = _get(geo, "count", 34, f"{where}.geometric", int)
+        start = _field(geo, "start", 0.5, f"{where}.geometric", float)
+        ratio = _field(geo, "ratio", 0.5, f"{where}.geometric", float)
+        count = _field(geo, "count", 34, f"{where}.geometric", int)
         if not (0 < ratio < 1) or not (0 < start < 1):
             raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
         return tuple(start * ratio**k for k in range(count))
     if isinstance(data, list):
-        return tuple(_decoded(vector_from_json, data, where).tolist())
+        return tuple(vector_from_json(data, where).tolist())
     raise ScenarioError(f"{where}: expected a list of [re,im] pairs or a geometric sequence")
 
 
@@ -566,25 +508,23 @@ def _quadrature_gaps(report: degeneration.EnergyReport) -> list:
 
 
 def handle_energy(params: dict, opts: RunOptions) -> list:
-    z_seq = _parse_z_seq(_get(params, "z_seq"), "params.z_seq")
+    z_seq = _parse_z_seq(_field(params, "z_seq", where="params"), "params.z_seq")
     if "laurents" in params:
         polys = tuple(_parse_poly(p, f"params.laurents[{i}]")
-                      for i, p in enumerate(_get(params, "laurents", conv=list)))
+                      for i, p in enumerate(_list_field(params, "laurents", "params")))
     else:
-        polys = (_parse_poly(_get(params, "laurent"), "params.laurent"),) * len(z_seq)
-    with _rejected_as("params: "):
-        fam = degeneration.NeckFamily(z_seq, polys)
-    eps_schedule = _get(params, "eps_schedule", [1e-1, 1e-2, 1e-3, 1e-4],
-                        conv=lambda eps: [float(e) for e in eps])
-    energy_tol = _get(params, "energy_tol", 1e-6, conv=float)
-    n_max = _get(params, "n_max", opts.truncation, conv=int)
-    with _rejected_as("params: "):
-        report = degeneration.energy_axiom_check(fam, eps_schedule, tol=energy_tol, n_max=n_max)
+        polys = (_parse_poly(_field(params, "laurent", where="params"), "params.laurent"),) * len(z_seq)
+    fam = _built(degeneration.NeckFamily, "params", z_seq, polys)
+    eps_schedule = _field(params, "eps_schedule", [1e-1, 1e-2, 1e-3, 1e-4], "params",
+                          lambda eps: [float(e) for e in eps])
+    energy_tol = _field(params, "energy_tol", 1e-6, "params", _SIZE)
+    n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
+    report = _built(degeneration.energy_axiom_check, "params", fam, eps_schedule, tol=energy_tol, n_max=n_max)
     out = []
     for row, gap in zip(report.rows, _quadrature_gaps(report)):
         out.append(check_residual(f"eps{row.eps:g}_quadrature_agreement", gap, 1e-8))
         out.append(check_bool(f"eps{row.eps:g}_k_limit_stable", row.stable))
-    expect_pass = bool(_get(params, "expect_pass", True))
+    expect_pass = bool(_field(params, "expect_pass", True, "params"))
     out.append(check_int("energy_axiom_verdict", int(report.passed), int(expect_pass)))
     return out
 
@@ -864,7 +804,7 @@ def _emit_report(report: ScenarioReport, stream) -> int:
             line["value"] = check.value
         if check.expected is not None:
             line["expected"] = check.expected
-        stream.write(json.dumps(line, sort_keys=True) + "\n")
+        stream.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
         if check.status == "fail":
             failures += 1
         elif check.status == "inconclusive":
@@ -875,7 +815,7 @@ def _emit_report(report: ScenarioReport, stream) -> int:
         "failures": failures, "inconclusive": inconclusive,
         "wall_time_s": round(report.wall_time_s, 6),
     }
-    stream.write(json.dumps(summary, sort_keys=True) + "\n")
+    stream.write(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
     return 0 if failures == 0 and inconclusive == 0 else 1
 
 
@@ -885,13 +825,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Hardy-space node model and Fredholm "
                                                  "intersection verification runner")
     common = argparse.ArgumentParser(add_help=False)
-    count = _within(int, 0, "an integer >= 0")
-    size = _within(float, 0.0, "a number in [0, inf)")
-    common.add_argument("--truncation", type=count, default=32, help="Fourier truncation order N")
-    common.add_argument("--sobolev-s", type=size, default=1.5, dest="sobolev_s",
+    common.add_argument("--truncation", type=_COUNT, default=32, help="Fourier truncation order N")
+    common.add_argument("--sobolev-s", type=_SIZE, default=1.5, dest="sobolev_s",
                         help="Sobolev exponent for residual norms")
-    common.add_argument("--tol", type=size, default=1e-10, help="relative residual tolerance")
-    common.add_argument("--seed", type=count, default=7, help="seed for randomized batteries")
+    common.add_argument("--tol", type=_SIZE, default=1e-10, help="relative residual tolerance")
+    common.add_argument("--seed", type=_COUNT, default=7, help="seed for randomized batteries")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common], help=f"run a {name} scenario file")

@@ -148,6 +148,8 @@ class NodeData:
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError("annulus record requires delta in (0, 1)")
         object.__setattr__(self, "z", complex(self.z))
+        # the boundary the record stands for checks its gluing parameter and loop shapes
+        NodeBoundary(self.z if self.kind == "disk_pair" else self.delta, self.xi, self.eta)
 
 
 @dataclass(frozen=True)

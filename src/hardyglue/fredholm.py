@@ -335,6 +335,9 @@ def lambda_product_triple(t: SubspaceTriple, dim_lambda: int) -> SubspaceTriple:
 # ---------------------------------------------------------------------------
 # graph-form local quadruples
 
+# relative step of the central differences behind `GraphPairLocal.jacobian`
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class GraphPairLocal:
@@ -351,7 +354,6 @@ class GraphPairLocal:
     dims: tuple
     f: Callable
     jac: Callable | None = None
-    fd_step: float = 1e-6
     allow_nonflat: bool = False
 
     def __post_init__(self):
@@ -395,7 +397,7 @@ class GraphPairLocal:
             return (np.asarray(ju, dtype=complex).reshape(self.dims[3], self.dims[0]),
                     np.asarray(jxp, dtype=complex).reshape(self.dims[3], self.dims[1]))
         point = np.concatenate([u, xprime])
-        h = self.fd_step * (1.0 + np.linalg.norm(point))
+        h = FD_STEP * (1.0 + np.linalg.norm(point))
         du = self.dims[0]
         full = np.zeros((self.dims[3], point.size), dtype=complex)
         for j in range(point.size):
@@ -612,10 +614,7 @@ class FiniteDimReduction:
                          z((dxp, du + dxd)),
                          np.hstack([z((dxd, du)), np.eye(dxd, dtype=complex)]),
                          z((dxi, du + dxd)), du + dxd)
-        t_u = rows(np.hstack([eye_u, z((du, dxi))]),
-                   z((dxp, du + dxi)), z((dxd, du + dxi)),
-                   np.hstack([z((dxi, du)), np.eye(dxi, dtype=complex)]), du + dxi)
-        return {"U": t_u, "U'": t_uprime, "U''": t_udprime, "X'": t_xprime, "X''": t_xdprime}
+        return {"U'": t_uprime, "U''": t_udprime, "X'": t_xprime, "X''": t_xdprime}
 
     def tangent_check(self, u, rank_tol: float = DEFAULT_RANK_TOL) -> TangentCheck:
         """Verify the reduction identities at a solution of f(u,0)=0:

@@ -2,6 +2,10 @@
 
 Complex numbers are serialized as ``[re, im]`` pairs throughout; matrices
 are row-major nested lists of pairs.
+
+Every reader raises `ScenarioError`, a ValueError, naming the path of the
+first bad field or element; `_built` gives a model constructor's ValueError
+the path of the record it was built from.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import numpy as np
 from .loops import Loop
 
 __all__ = [
+    "ScenarioError",
     "complex_to_pair",
     "complex_from_pair",
     "vector_to_json",
@@ -28,34 +33,38 @@ __all__ = [
 ]
 
 
+class ScenarioError(ValueError):
+    """Malformed scenario data, named by its path; the CLI exits 2 on it."""
+
+
 _REQUIRED = object()
 
 
 def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
     """Field ``name`` of the object ``data`` at path ``where``, passed through
     ``conv`` when one is given.  A non-object ``data``, a missing field without
-    a default, and a value ``conv`` rejects are ValueErrors naming the path."""
+    a default, and a value ``conv`` rejects are ScenarioErrors naming the path."""
     if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {data!r}")
+        raise ScenarioError(f"{where}: expected an object, got {data!r}")
     if name not in data:
         if default is _REQUIRED:
-            raise ValueError(f"{where}: missing field '{name}'")
+            raise ScenarioError(f"{where}: missing field '{name}'")
         return default
     if conv is None:
         return data[name]
     try:
         return conv(data[name])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
+        raise ScenarioError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
 
 
-def _built(cls, where: str, *args):
-    """``cls(*args)``, with a ValueError the constructor raises prefixed by
-    the path ``where``."""
+def _built(fn, where: str, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError it raises turned into a
+    ScenarioError prefixed by the path ``where``."""
     try:
-        return cls(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def complex_to_pair(z) -> list:
@@ -65,11 +74,11 @@ def complex_to_pair(z) -> list:
 
 def complex_from_pair(pair, where: str = "value") -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"{where}: expected [re, im] pair, got {pair!r}")
+        raise ScenarioError(f"{where}: expected [re, im] pair, got {pair!r}")
     try:
         return complex(float(pair[0]), float(pair[1]))
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected [re, im] pair of numbers, got {pair!r}") from None
+        raise ScenarioError(f"{where}: expected [re, im] pair of numbers, got {pair!r}") from None
 
 
 def _complex_array(data, ndim: int, where: str) -> np.ndarray:
@@ -80,7 +89,7 @@ def _complex_array(data, ndim: int, where: str) -> np.ndarray:
     float pairs as complex, which is bit-identical to
     ``complex(float(re), float(im))`` (``-0.0`` included).  Anything else
     (strings, ``null``, ragged rows, ints numpy holds only as objects) is
-    walked element by element; a malformed element raises ValueError
+    walked element by element; a malformed element raises ScenarioError
     naming its path.
     """
     try:
@@ -96,13 +105,13 @@ def _walk_pairs(data, ndim: int, where: str) -> np.ndarray:
     if ndim == 0:
         return np.array(complex_from_pair(data, where))
     if not isinstance(data, list):
-        raise ValueError(f"{where}: expected a list")
+        raise ScenarioError(f"{where}: expected a list")
     parts = []
     for i, item in enumerate(data):
         part = _walk_pairs(item, ndim - 1, f"{where}[{i}]")
         if parts and part.shape != parts[0].shape:
-            raise ValueError(f"{where}[{i}]: ragged rows, shape {part.shape} "
-                             f"against {parts[0].shape} at {where}[0]")
+            raise ScenarioError(f"{where}[{i}]: ragged rows, shape {part.shape} "
+                                f"against {parts[0].shape} at {where}[0]")
         parts.append(part)
     if not parts:
         return np.zeros((0,) * ndim, dtype=complex)
@@ -140,10 +149,10 @@ def loop_from_json(data: dict, where: str = "loop") -> Loop:
     n_max = _field(data, "n_max", where=where, conv=int)
     rows = _field(data, "coeffs", where=where)
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
-        raise ValueError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
+        raise ScenarioError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
     coeffs = _complex_array(rows, 2, f"{where}.coeffs")
     if coeffs.shape[1] != m:
-        raise ValueError(f"{where}.coeffs: expected {m} pairs per mode row, got {coeffs.shape[1]}")
+        raise ScenarioError(f"{where}.coeffs: expected {m} pairs per mode row, got {coeffs.shape[1]}")
     return _built(Loop, where, m, n_max, coeffs)
 
 
@@ -186,39 +195,40 @@ def nodal_config_to_json(cfg) -> dict:
     }
 
 
-def _int_tuple(data, length: int, where: str) -> tuple:
-    """``data`` as a tuple of ``length`` integers; anything else is a
-    ValueError naming ``where``."""
-    if isinstance(data, list) and len(data) == length:
+def _int_tuple(data, length: int | None, where: str) -> tuple:
+    """``data`` as a tuple of ``length`` integers (of any length for None);
+    anything else is a ScenarioError naming ``where``."""
+    if isinstance(data, list) and length in (None, len(data)):
         try:
             return tuple(int(v) for v in data)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{where}: expected a list of {length} integers, got {data!r}")
+    count = "" if length is None else f"{length} "
+    raise ScenarioError(f"{where}: expected a list of {count}integers, got {data!r}")
 
 
 def _list_field(data: dict, key: str, where: str, default=_REQUIRED) -> list:
     """List field ``key`` of the object ``data``."""
     value = _field(data, key, default, where)
     if not isinstance(value, list):
-        raise ValueError(f"{where}.{key}: expected a list, got {value!r}")
+        raise ScenarioError(f"{where}.{key}: expected a list, got {value!r}")
     return value
 
 
 def nodal_config_from_json(data: dict, where: str = "config"):
     """Nodal configuration from its schema; every malformed field is a
-    ValueError naming its path."""
+    ScenarioError naming its path."""
     from .moduli import Component, NodalConfig
 
     comps = []
     for i, c in enumerate(_list_field(data, "components", where)):
         w = f"{where}.components[{i}]"
-        comps.append(Component(_field(c, "genus", 0, w, int), bool(_field(c, "ghost", False, w))))
+        comps.append(_built(Component, w, _field(c, "genus", 0, w, int), bool(_field(c, "ghost", False, w))))
     nodes = []
     for i, pair in enumerate(_list_field(data, "nodes", where, [])):
         w = f"{where}.nodes[{i}]"
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{w}: expected two [component, point] pairs, got {pair!r}")
+            raise ScenarioError(f"{w}: expected two [component, point] pairs, got {pair!r}")
         nodes.append(tuple(_int_tuple(p, 2, f"{w}[{j}]") for j, p in enumerate(pair)))
     marks = tuple(_int_tuple(p, 2, f"{where}.marks[{i}]")
                   for i, p in enumerate(_list_field(data, "marks", where, [])))

@@ -4,8 +4,9 @@ A `Loop` holds the Fourier coefficients of a map S^1 -> C^m truncated to
 modes |n| <= n_max.  It is the finite-dimensional stand-in for a Sobolev
 space of boundary loops: the norm is a weighted coefficient sum, the Hardy
 projections split strictly positive and strictly negative modes, evaluation
-off the unit circle is a truncated Laurent sum, and winding numbers are
-computed by argument increments on a uniform sample grid.
+off the unit circle is a truncated Laurent sum, and a winding number is
+the count of zeros of ``x^N f(x)`` inside the unit disk minus N, checked
+against the argument increments on an adaptively refined sample grid.
 
 Pointwise operations (sampling, products, winding) use a grid of
 ``8*(n_max+1)`` points so that products of two loops of order n_max are
@@ -271,17 +272,48 @@ def multiply_loops(a: Loop, b: Loop) -> Loop:
 
 
 def winding_number(loop: Loop, tol: float = 1e-9) -> int:
-    """Winding number of a scalar loop about the origin.
-
-    Sums argument increments over a uniform grid of ``8*(n_max+1)`` points
-    and divides by 2*pi.  Rejects loops whose sampled modulus comes within
-    ``tol`` of zero, where the winding number is not defined.
-    """
+    """Winding number of a scalar loop about the origin: the number of
+    roots of the polynomial ``x^N f(x)`` inside the unit disk (companion
+    matrix eigenvalues, `np.roots`) minus N.  A root within ``tol`` of the
+    circle, where it is not defined, and a count the argument principle
+    (`_argument_count`) does not confirm are ValueErrors."""
     if loop.m != 1:
         raise ValueError("winding number requires a scalar loop (m=1)")
+    roots = np.roots(loop.coeffs[::-1, 0])
+    if np.any(np.abs(np.abs(roots) - 1.0) <= tol):
+        raise ValueError(f"loop has a zero within {tol} of the circle; winding number undefined")
+    count = int(np.sum(np.abs(roots) < 1.0)) - loop.n_max
+    by_argument = _argument_count(loop, roots, tol)
+    if count != by_argument:
+        raise ValueError(f"zero count {count} disagrees with the argument principle ({by_argument})")
+    return count
+
+
+def _argument_count(loop: Loop, roots: np.ndarray, tol: float) -> int:
+    """The argument principle: the argument increments of a scalar loop f
+    between samples, summed and divided by 2*pi.  The samples start as the
+    uniform grid of ``8*(n_max+1)`` points, none within ``tol`` of 0.  On
+    the circle ``|d arg f / d theta| <= N + sum_j 1/|x - r_j|`` over the
+    ``roots`` of ``x^N f(x)``; an interval where that bound times its width
+    is pi/2 or more is bisected (at most 64 times, past float resolution)
+    until it is below, so each principal increment is the true one."""
     vals = sample_values(loop)[:, 0]
     if np.min(np.abs(vals)) <= tol:
         raise ValueError(f"loop passes within {tol} of the origin; winding number undefined")
-    increments = np.angle(np.roll(vals, -1) / vals)
-    total = float(np.sum(increments)) / (2.0 * np.pi)
-    return int(round(total))
+    edges = 2.0 * np.pi * np.arange(len(vals) + 1) / len(vals)
+    left, right, f_left, f_right = edges[:-1], edges[1:], vals, np.roll(vals, -1)
+    off_circle = np.abs(1.0 - np.abs(roots))
+    total = 0.0
+    for _ in range(64):
+        mid = 0.5 * (left + right)
+        x = np.exp(1j * mid)
+        near = np.maximum(np.abs(x[:, None] - roots) - 0.5 * (right - left)[:, None], off_circle)
+        sure = (right - left) * (loop.n_max + np.sum(1.0 / near, axis=1)) < np.pi / 2
+        total += float(np.sum(np.angle(f_right[sure] / f_left[sure])))
+        if sure.all():
+            return int(round(total / (2.0 * np.pi)))
+        left, right, f_left, f_right, mid, x = (v[~sure] for v in (left, right, f_left, f_right, mid, x))
+        f_mid = np.polyval(loop.coeffs[::-1, 0], x) * x ** -loop.n_max
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
+    raise ValueError("argument increments not resolved after 64 bisections")

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import re
@@ -45,6 +46,7 @@ def run_params(tmp_path, capsys, command, params):
 ENERGY_FAMILY = {"z_seq": {"geometric": {"start": 0.5, "ratio": 0.5, "count": 34}},
                  "eps_schedule": [0.1, 0.01, 0.001, 0.0001]}
 LOOP_1 = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}
+LOOP_2 = {"m": 1, "n_max": 2, "coeffs": [[[0, 0]], [[0, 0]], [[1, 0]], [[0, 0]], [[0, 0]]]}
 
 
 class TestScenarioFiles:
@@ -223,6 +225,18 @@ class TestErrorPaths:
         with pytest.raises(ScenarioError):
             verify_suite("everything")
 
+    def test_one_scenario_error(self):
+        from hardyglue import jsonio
+
+        assert ScenarioError is jsonio.ScenarioError and issubclass(ScenarioError, ValueError)
+
+    def test_report_refuses_non_finite_numbers(self):
+        from hardyglue.cli import CheckRecord, ScenarioReport, _emit_report
+
+        check = CheckRecord("gap", "fail", 1e-8, residual=math.nan)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _emit_report(ScenarioReport("x", "energy", "0" * 64, (check,), 0.0), io.StringIO())
+
     @pytest.mark.parametrize("command, params, path", [
         ("extend-check",
          {"nodes": [{"kind": "disk_pair", "z": [0, 0],
@@ -242,7 +256,7 @@ class TestErrorPaths:
         ("node-check", {"trials": "x"}, "params.trials"),
         ("index", {"line_bundle": {"d_max": "x"}}, "params.line_bundle.d_max"),
         ("reduce", {**QUADRATIC_MAP, "seeds": 5}, "params.seeds"),
-        ("reduce", {**QUADRATIC_MAP, "dims": [None, 1, 1, 1], "seeds": []}, "params"),
+        ("reduce", {**QUADRATIC_MAP, "dims": [None, 1, 1, 1], "seeds": []}, "params.dims"),
         ("reduce", {**QUADRATIC_MAP, "newton": {"max_iter": "x"}, "seeds": []}, "params.newton.max_iter"),
         ("energy", {"z_seq": {"geometric": {"count": "x"}}, "laurent": {"a": [[1, 0]]}},
          "params.z_seq.geometric.count"),
@@ -286,6 +300,19 @@ class TestErrorPaths:
         ("moduli-dim", {"contractions": [{"config": {"components": [{"genus": 1}]},
                                           "cycles": [{"kind": "twisted", "component": 0}]}]},
          "params.contractions[0].cycles[0].kind"),
+        # values a model constructor or solver rejects, named by their record
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "xi": LOOP_1, "eta": LOOP_2}]}, "params.nodes[0]"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "z": [2, 0], "xi": LOOP_1, "eta": LOOP_1}]},
+         "params.nodes[0]"),
+        ("extend-check", {"nodes": [{"kind": "annulus", "delta": 0.5, "xi": LOOP_1, "eta": LOOP_2}]},
+         "params.nodes[0]"),
+        ("index", {"line_bundle": {"d_max": 5, "n_max": 4}}, "params.line_bundle"),
+        ("moduli-dim", {"entries": [{"g": 0, "n": 0, "m": -1, "c1d": 3, "expect": 2}]}, "params.entries[0]"),
+        ("reduce", {**QUADRATIC_MAP, "seeds": [[[0.5, 0], [0.1, 0]]]}, "params.seeds[0]"),
+        ("intersect", {**QUADRATIC_MAP, "seed": [[0.5, 0], [0.1, 0]]}, "params.seed"),
+        # tolerances that are not finite
+        ("intersect", {**QUADRATIC_MAP, "seed": [[0.5, 0]], "tol": math.nan}, "params.tol"),
+        ("reduce", {**QUADRATIC_MAP, "newton": {"tol": math.inf}, "seeds": [[[0.5, 0]]]}, "params.newton.tol"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)

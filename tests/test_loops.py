@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hardyglue.jsonio import loop_from_json, loop_to_json
 from hardyglue.loops import (
     Loop,
+    default_grid_size,
     hardy_project,
     laurent_eval,
     loop_from_samples,
@@ -182,6 +183,19 @@ class TestWinding:
     def test_loop_through_origin_rejected(self):
         with pytest.raises(ValueError):
             winding_number(scalar({0: 1.0, 1: 1.0}))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_zeros_between_grid_samples(self, k):
+        # k zeros just inside the circle, all between two adjacent samples
+        # of the 8*(n_max+1) grid, where sampled increments alone miss them
+        gap = 2 * np.pi / default_grid_size(8)
+        zeros = (1 - 1e-6) * np.exp(1j * gap * (3 + np.arange(1, k + 1) / (k + 1)))
+        loop = scalar(dict(enumerate(np.poly(zeros)[::-1])))
+        assert winding_number(loop) == k
+
+    def test_zero_on_circle_rejected(self):
+        with pytest.raises(ValueError, match="circle"):
+            winding_number(scalar({0: 1.0, 1: -np.exp(0.3j)}))
 
     def test_additive_under_products(self):
         a = scalar({0: 2.0, 1: 1.0})      # winding 0
