@@ -36,8 +36,8 @@ from .jsonio import (
     nodal_config_from_json,
     vector_from_json,
 )
-from .loops import Loop, _relative
-from .node_model import NodeChart, NodePolynomial, _plus_stack
+from .loops import _l2_rows, _relative
+from .node_model import NodePolynomial, _plus_stack
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
 
@@ -193,16 +193,10 @@ def _random_disc(rng, shape, radius=1.0):
 
 
 def _random_chart_rows(rng, m: int, n_max: int, z_max: float) -> tuple:
-    """The draws of `_random_chart`: ``(z, xi_+ rows, eta_+ rows, lam)``, the
+    """The draws of a random chart: ``(z, xi_+ rows, eta_+ rows, lam)``, the
     plus rows (N, m) holding modes 1..N."""
     z = _random_disc(rng, ()) * z_max
     return z, _random_disc(rng, (n_max, m)), _random_disc(rng, (n_max, m)), _random_disc(rng, (m,))
-
-
-def _random_chart(rng, m: int, n_max: int, z_max: float) -> NodeChart:
-    z, xi_rows, eta_rows, lam = _random_chart_rows(rng, m, n_max, z_max)
-    return NodeChart(z, Loop(m, n_max, _plus_stack(xi_rows[None], n_max)[0]),
-                     Loop(m, n_max, _plus_stack(eta_rows[None], n_max)[0]), lam)
 
 
 def _random_poly(rng, m: int, deg: int) -> NodePolynomial:
@@ -222,13 +216,6 @@ def _random_node_trial(rng, m: int, n_max: int, z_max: float) -> tuple:
     return chart + (poly.a, poly.b, poly.c, z_trace)
 
 
-def _l2_rows(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a stack, with its rounding: the dot
-    products of the flattened real and imaginary parts."""
-    flat = stack.reshape(len(stack), -1)
-    return np.sqrt([np.dot(r, r) + np.dot(i, i) for r, i in zip(flat.real, flat.imag)])
-
-
 def _chart_distances(chart: tuple, back: tuple) -> np.ndarray:
     """Relative distance of each row of two chart stacks ``(z, xi_+, eta_+, lam)``."""
     num = _l2_rows(chart[1] - back[1])
@@ -241,12 +228,12 @@ def _chart_distances(chart: tuple, back: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # command handlers
 
-# Coefficients per stack in one pass of the node battery: 32 trials at
-# N = 32, m = 2.  Sizing the block in coefficients keeps the battery's
-# traced peak near 1 MB whatever N and m are (a fixed 32 trials would take
-# 9 MB at N = 512), and each pass still spans enough trials to spread its
-# fixed cost.
-_NODE_BLOCK_COEFFS = 32 * 65 * 2
+# Coefficients per stack in one pass of a random battery: 32 trials of the
+# node battery at N = 32, m = 2, or 166 disk pairs of the extension suite.
+# Sizing the block in coefficients keeps a battery's traced peak near 1 MB
+# whatever N and m are (a fixed 32 trials would take 9 MB at N = 512), and
+# each pass still spans enough trials to spread its fixed cost.
+_BLOCK_COEFFS = 32 * 65 * 2
 
 
 def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
@@ -255,7 +242,7 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
     trace membership over ``trials`` random trials, then the H-grid.
 
     Trials are drawn one at a time, in the same rng order as ever, and
-    checked in blocks of up to `_NODE_BLOCK_COEFFS` coefficients per stack:
+    checked in blocks of up to `_BLOCK_COEFFS` coefficients per stack:
     each step (chart, membership, the 1e-8 inverse gate, roundtrips, traces,
     trace membership) is one pass over the block.  Every row is computed as
     the public functions compute it alone, so each maximum has the bits of
@@ -263,7 +250,7 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
     """
     rng = np.random.default_rng(seed)
     s = opts.sobolev_s
-    block = max(1, _NODE_BLOCK_COEFFS // ((2 * n_max + 1) * m))
+    block = max(1, _BLOCK_COEFFS // ((2 * n_max + 1) * m))
     worst = [0.0] * 4
     for start in range(0, trials, block):
         draws = [_random_node_trial(rng, m, n_max, z_max) for _ in range(min(block, trials - start))]
@@ -539,42 +526,74 @@ def suite_node(opts: RunOptions) -> list:
 
 
 def suite_extension(opts: RunOptions) -> list:
-    rng = np.random.default_rng(opts.seed)
-    s = opts.sobolev_s
-    n_max = 12
-    agreements = 0
-    trials = 1000
-    for _ in range(trials):
-        if rng.uniform() < 0.5:
-            boundary = node_model.node_chart(_random_chart(rng, 1, n_max, 0.0))
-            xi, eta = boundary.xi, boundary.eta
-        else:
-            xi = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
-            eta = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
-        pair = extension.disk_pair_node_test(xi, eta, tol=opts.tol, s=s)
-        # the exact extension conditions: no negative modes, equal constants
-        exact = (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
-                 and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
-        if pair.extends == exact:
-            agreements += 1
-    checks = [check_int("disk_pair_vs_membership_agreement", agreements, trials)]
+    """Disk pairs against the exact extension conditions, then annulus
+    pairs against the swap symmetry and the Laurent restriction.
 
-    sym_max = 0.0
-    restriction_max = 0.0
-    for _ in range(200):
-        delta = float(rng.uniform(0.15, 0.85))
-        coeffs = _random_disc(rng, (2 * n_max + 1, 1))
-        laurent = Loop(1, n_max, coeffs)
-        xi = laurent
-        eta = Loop.from_modes(1, n_max, {n: laurent.mode(-n) * delta ** float(-n)
-                                         for n in range(-n_max, n_max + 1)})
-        fwd = extension.annulus_extension_test(xi, eta, delta, tol=opts.tol, s=s)
-        rev = extension.annulus_extension_test(eta, xi, delta, tol=opts.tol, s=s)
-        sym_max = max(sym_max, abs(fwd.defect - rev.defect) / (1.0 + fwd.defect))
-        restriction_max = max(restriction_max, fwd.defect)
-    checks.append(check_residual("annulus_swap_symmetry_max", sym_max, 1e-12))
-    checks.append(check_residual("laurent_restriction_defect_max", restriction_max, 1e-12))
-    return checks
+    The trials are drawn one at a time, in the same rng order as ever, and
+    checked in blocks of up to `_BLOCK_COEFFS` coefficients per stack
+    (`_disk_pair_block`, `_annulus_block`).  Each row has the bits of the
+    public function on that trial alone.
+    """
+    rng = np.random.default_rng(opts.seed)
+    n_max = 12
+    block = _BLOCK_COEFFS // (2 * n_max + 1)
+    agreements = sum(_disk_pair_block(rng, min(block, 1000 - start), n_max, opts)
+                     for start in range(0, 1000, block))
+    worst = [0.0, 0.0]
+    for start in range(0, 200, block):
+        residuals = _annulus_block(rng, min(block, 200 - start), n_max, opts.sobolev_s)
+        worst = [max([w, *values.tolist()]) for w, values in zip(worst, residuals)]
+    return [check_int("disk_pair_vs_membership_agreement", agreements, 1000),
+            check_residual("annulus_swap_symmetry_max", worst[0], 1e-12),
+            check_residual("laurent_restriction_defect_max", worst[1], 1e-12)]
+
+
+def _disk_pair_block(rng, trials: int, n_max: int, opts: RunOptions) -> int:
+    """Draw ``trials`` disk pairs of order ``n_max``, each a chart at
+    ``z = 0`` or a random pair with even odds, and count those whose
+    verdict (`extension.disk_pair_node_test`, membership at ``z = 0``)
+    agrees with the exact extension conditions.  The charts go through one
+    `node_model._chart` pass and all pairs through one membership pass."""
+    xi, eta = (np.zeros((trials, 2 * n_max + 1, 1), dtype=complex) for _ in range(2))
+    charted = np.zeros(trials, dtype=bool)
+    z = np.zeros(trials, dtype=complex)
+    lam = np.zeros((trials, 1), dtype=complex)
+    for t in range(trials):
+        if rng.uniform() < 0.5:
+            charted[t] = True
+            z[t], xi[t, n_max + 1:], eta[t, n_max + 1:], lam[t] = _random_chart_rows(rng, 1, n_max, 0.0)
+        else:
+            xi[t] = _random_disc(rng, (2 * n_max + 1, 1))
+            eta[t] = _random_disc(rng, (2 * n_max + 1, 1))
+    if charted.any():
+        plus = (xi[charted], eta[charted])
+        table = node_model._power_table(z[charted], *plus)
+        xi[charted], eta[charted] = node_model._chart(table, *plus, lam[charted])
+    table = node_model._power_table(np.zeros(trials), xi, eta)
+    residuals = node_model._membership_residuals(table, xi, eta, opts.sobolev_s)
+    # the exact extension conditions: no negative modes, equal constants
+    exact = (~xi[:, :n_max].any(axis=(1, 2)) & ~eta[:, :n_max].any(axis=(1, 2))
+             & (xi[:, n_max] == eta[:, n_max]).all(axis=1))
+    return int(np.count_nonzero((residuals <= opts.tol) == exact))
+
+
+def _annulus_block(rng, pairs: int, n_max: int, s: float) -> tuple:
+    """Draw ``pairs`` annulus pairs, a modulus ``delta`` and a random Laurent
+    loop ``xi`` each, with ``eta_n = delta^(-n) xi_{-n}`` (each power a
+    Python float power), the restriction of one Laurent series to both
+    boundary circles.  Returns the swap asymmetries
+    ``|d(xi, eta) - d(eta, xi)| / (1 + d(xi, eta))`` and the defects
+    ``d(xi, eta)`` of `extension._annulus_defects`, one pass each way."""
+    delta = np.zeros(pairs)
+    laurent = np.zeros((pairs, 2 * n_max + 1, 1), dtype=complex)
+    for t in range(pairs):
+        delta[t] = rng.uniform(0.15, 0.85)
+        laurent[t] = _random_disc(rng, (2 * n_max + 1, 1))
+    weights = np.array([[d ** float(-n) for n in range(-n_max, n_max + 1)] for d in delta.tolist()])
+    restricted = laurent[:, ::-1] * weights[:, :, None]
+    fwd = extension._annulus_defects(delta, laurent, restricted, s)
+    rev = extension._annulus_defects(delta, restricted, laurent, s)
+    return np.abs(fwd - rev) / (1.0 + fwd), fwd
 
 
 def suite_fredholm(opts: RunOptions) -> list:

@@ -117,9 +117,32 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
     return float(total * 0.5 * (hi - lo))
 
 
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 def neck_laurent(poly: NodePolynomial, z: complex, n_max: int) -> Loop:
-    """Laurent series of ``v(x, z/x)`` in the x-coordinate of the neck."""
-    return boundary_traces(poly, z, n_max).xi
+    """Laurent series of ``v(x, z/x)`` in the x-coordinate of the neck.
+
+    Mode ``-n`` carries ``b_n z^n``.  Where ``|z|^n`` is below the normal
+    float range but ``|b_n z^n|`` is not, the power alone would lose bits
+    or read 0, so that product is formed in log space instead,
+    ``exp(log b_n + n log z)``.
+    """
+    neck = boundary_traces(poly, z, n_max).xi
+    z = complex(z)
+    if z == 0 or not poly.deg_y:
+        return neck
+    n = np.arange(1, poly.deg_y + 1)[:, None]
+    log_power = n * math.log(abs(z))
+    with np.errstate(divide="ignore"):
+        log_b = np.log(np.abs(poly.b))
+    lost = (log_power < _LOG_TINY) & (log_b + log_power >= _LOG_TINY)
+    if not lost.any():
+        return neck
+    coeffs = np.array(neck.coeffs)
+    rows = coeffs[n_max - 1::-1][:poly.deg_y]  # a view: modes -1, -2, ..., -deg_y
+    rows[lost] = np.exp(np.log(poly.b[lost]) + np.broadcast_to(n, lost.shape)[lost] * np.log(z))
+    return neck.with_coeffs(coeffs)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ which weights mode ``n`` of the defect by ``delta^(-|n|/2)``; the disk-pair
 and node tests keep the unweighted defect of ``node_membership``.  Every
 finite Laurent series is holomorphic on the open annulus, so the matching
 relation is the whole content of the test; no growth condition is applied.
+
+The annulus test is a stack of one over `_annulus_defects`, which takes a
+stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
+forms the node defects (`node_model._power_table`, `node_model._defect`),
+and a row whose core weights overflow takes the log-space path on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loops import Loop, _mode_power, _relative, _sobolev_norms, hardy_project, sample_values
-from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, membership_defect, node_membership
+from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, _defect, _power_table, node_membership
 
 __all__ = [
     "ExtensionResult",
@@ -74,40 +79,71 @@ def annulus_extension_test(
     and `disk_pair_node_test` stay unweighted.  Zero defect entries stay
     zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows;
     a nonzero entry whose weight is past the float range sends the whole
-    defect through `_annulus_defect_past_overflow`.
+    defect through `_annulus_defect_past_overflow`.  The test is a stack of
+    one over `_annulus_defects`.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
-    delta = float(delta)
-    defects = [d.coeffs for d in membership_defect(NodeBoundary(delta, xi, eta))]
-    core = delta ** (np.abs(xi.modes) / 2.0)[:, None]
-    weak = (core < _TINY)[:, 0]
-    past = weak.any() and any(np.any(d[weak] != 0) for d in defects)
-    if not past:
-        on_core = [_on_core(d, core) for d in defects]
-        past = not all(np.isfinite(c).all() for c in on_core)
-    if not past:
-        defect = float(_relative([c[None] for c in on_core], (xi.coeffs[None], eta.coeffs[None]), s)[0])
-        past = defect == np.inf
-    if past:
-        defect = _annulus_defect_past_overflow(defects, xi, eta, delta, s)
+    NodeBoundary(delta, xi, eta)  # the boundary checks the loop shapes
+    defect = float(_annulus_defects(np.array([float(delta)]), xi.coeffs[None], eta.coeffs[None], s)[0])
     return ExtensionResult(defect <= tol, defect)
 
 
+def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: float) -> np.ndarray:
+    """Stacked `annulus_extension_test` defects, shape (T,): one annulus
+    parameter per row of ``delta`` (T,), in (0, 1), and coefficient stacks
+    ``xi``, ``eta`` (T, 2N+1, m).
+
+    The node defect at ``z = delta`` comes from one power table
+    (`_power_table`, `_defect`) and is read on each row's core circle, with
+    the weights ``delta ** (|n|/2)``.  A row with a nonzero entry whose
+    weight is below the normal float range, or whose weighted defect or
+    ratio is not finite, goes through `_annulus_defect_past_overflow` on
+    its own.
+    """
+    dxi, deta = _defect(_power_table(delta, xi, eta), xi, eta)
+    n_max = xi.shape[1] // 2
+    core = delta[:, None, None] ** (np.abs(np.arange(-n_max, n_max + 1)) / 2.0)[:, None]
+    live = [d != 0 for d in (dxi, deta)]
+    past = np.zeros(len(delta), dtype=bool)
+    weak = core < _TINY
+    if weak.any():
+        past = ((live[0] | live[1]) & weak).any(axis=(1, 2))
+        live = [nz & ~weak for nz in live]
+    defects = np.full(len(delta), np.inf)
+    if not past.all():
+        on_core = [_on_core(d, core, nz) for d, nz in zip((dxi, deta), live)]
+        past |= ~(np.isfinite(on_core[0]).all(axis=(1, 2)) & np.isfinite(on_core[1]).all(axis=(1, 2)))
+        if past.any():  # those rows are taken below; zeros keep the pass finite
+            for c in on_core:
+                c[past] = 0.0
+        # every Sobolev norm in one pass; a row's norm has its own bits
+        norms = np.split(_sobolev_norms(np.concatenate([*on_core, xi, eta]), s), 4)
+        defects = _relative(on_core, (xi, eta), s, norms)
+        defects[past] = np.inf
+    for t in np.flatnonzero(defects == np.inf):
+        defects[t] = _annulus_defect_past_overflow(dxi[t], deta[t], xi[t], eta[t], float(delta[t]), s)
+    return defects
+
+
 @np.errstate(over="ignore")
-def _on_core(defect: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """The defect read on the core circle; zero entries stay zero, and an
-    entry past the float range reads inf, with no overflow warning."""
-    return np.divide(defect, core, out=np.zeros_like(defect), where=defect != 0)
+def _on_core(defect: np.ndarray, core: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The defect read on the core circle at the ``live`` entries, the
+    nonzero ones whose weight is a normal float; every other entry reads
+    zero, and an entry past the float range reads inf, with no overflow
+    warning."""
+    return np.divide(defect, core, out=np.zeros_like(defect), where=live)
 
 
 _TINY = np.finfo(float).tiny
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-def _annulus_defect_past_overflow(defects, xi: Loop, eta: Loop, delta: float, s: float) -> float:
-    """The annulus defect where a core weight ``delta^(-|n|/2)`` on a nonzero
-    defect entry is past the normal float range.
+def _annulus_defect_past_overflow(dxi, deta, xi, eta, delta: float, s: float) -> float:
+    """The annulus defect of one row, defects ``dxi``, ``deta`` of the
+    coefficient arrays ``xi``, ``eta`` (2N+1, m), where a core weight
+    ``delta^(-|n|/2)`` on a nonzero defect entry is past the normal float
+    range.
 
     Each norm is taken in log space: ``log|c_n| - (|n|/2) log delta`` per
     entry, shifted by its maximum so every entry is at most 1 in modulus,
@@ -115,7 +151,8 @@ def _annulus_defect_past_overflow(defects, xi: Loop, eta: Loop, delta: float, s:
     ratio past the float range is reported as the largest finite float, a
     lower bound that fails every tolerance.
     """
-    log_weight = -(np.abs(xi.modes) / 2.0 * np.log(delta))[:, None]
+    n_max = xi.shape[0] // 2
+    log_weight = -(np.abs(np.arange(-n_max, n_max + 1)) / 2.0 * np.log(delta))[:, None]
 
     def log_norm(parts, log_w):
         with np.errstate(divide="ignore"):
@@ -125,8 +162,8 @@ def _annulus_defect_past_overflow(defects, xi: Loop, eta: Loop, delta: float, s:
             return -np.inf
         return shift + np.log(np.hypot.reduce(_sobolev_norms(np.exp(np.array(logs) - shift), s)))
 
-    log_ratio = log_norm(defects, log_weight) - np.logaddexp(
-        0.0, max(log_norm([xi.coeffs], 0.0), log_norm([eta.coeffs], 0.0)))
+    log_ratio = log_norm([dxi, deta], log_weight) - np.logaddexp(
+        0.0, max(log_norm([xi], 0.0), log_norm([eta], 0.0)))
     return float(np.exp(log_ratio)) if log_ratio < _LOG_MAX else float(np.finfo(float).max)
 
 

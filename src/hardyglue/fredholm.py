@@ -13,7 +13,10 @@ Gauss-Newton solver for the intersection equation.
 
 Every rank and nullspace decision counts singular values above one
 relative tolerance times the largest (`_rank_of`), so results do not
-depend on the choice of basis.  `_complement_within` alone thresholds
+depend on the choice of basis.  `_rank_of` takes one spectrum or a stack
+of spectra ``(..., k)``, one rank per row: `index_stability_check` ranks
+its perturbed triples as stacks, one ``np.linalg.svd`` per stack for each
+of its three rank decisions.  `_complement_within` alone thresholds
 absolutely, on purpose: it ranks a residue of orthonormal columns, whose
 genuine directions have singular values near 1.
 """
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .loops import _l2_rows
 
 __all__ = [
     "SubspaceTriple",
@@ -64,12 +69,13 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
     return m
 
 
-def _rank_of(s: np.ndarray, rank_tol: float) -> int:
+def _rank_of(s: np.ndarray, rank_tol: float):
     """Number of singular values ``s`` (descending) above ``rank_tol`` times
-    the largest; 0 for an empty or zero matrix."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    the largest; 0 for an empty or zero matrix.  On a stack of spectra
+    ``(..., k)`` the count is taken per row, an integer array of shape
+    ``(...)``; on one spectrum it is an int."""
+    above = s > rank_tol * s[..., :1]
+    return int(np.count_nonzero(above)) if above.ndim == 1 else above.sum(axis=-1)
 
 
 def matrix_rank(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -165,8 +171,8 @@ def _index_of(t: SubspaceTriple, rank: int) -> TripleIndex:
 @dataclass(frozen=True)
 class StabilityResult:
     """Verdict of `index_stability_check`; ``trials`` counts the
-    perturbations drawn: none for "inconclusive", k when the k-th changed
-    the index, all of them when "stable"."""
+    perturbations the verdict rests on: none for "inconclusive", k when the
+    k-th changed the index, all of them when "stable"."""
 
     verdict: str  # "stable" | "changed" | "inconclusive"
     min_gap: float
@@ -174,6 +180,11 @@ class StabilityResult:
 
     def __bool__(self) -> bool:
         return self.verdict == "stable"
+
+
+# Coefficients per perturbed stack of `index_stability_check`: 1 MB of
+# complex entries, so a block of trials stays small whatever the triple.
+_STABILITY_BLOCK_COEFFS = 1 << 16
 
 
 def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed: int = 0) -> StabilityResult:
@@ -185,6 +196,14 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     perturbation could flip the rank decision itself and the check reports
     "inconclusive" together with the observed gap, without drawing any
     perturbation.
+
+    Trial k perturbs ``B'`` and then ``B''`` by ``eps |B| g / |g|``, with
+    ``g`` the real and then the imaginary part drawn from one stream.  The
+    index changes at trial k when a perturbed basis loses rank or
+    ``[B' | B'']`` takes another rank.  The trials are checked as stacks,
+    one SVD per stack for each of the three rank decisions, in blocks of
+    up to `_STABILITY_BLOCK_COEFFS` coefficients; the verdict is read at
+    the first trial that changed.
     """
     s = _stacked_spectrum(t)
     rank = _rank_of(s, t.rank_tol)
@@ -194,23 +213,37 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
     if eps >= 0.1 * gap:
         return StabilityResult("inconclusive", gap, 0)
-    base = _index_of(t, rank)
     rng = np.random.default_rng(seed)
-
-    def perturb(b: np.ndarray) -> np.ndarray:
-        if b.size == 0:
-            return b
-        g = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-        return b + eps * (np.linalg.norm(b) / np.linalg.norm(g)) * g
-
-    for k in range(1, trials + 1):
-        try:
-            t2 = SubspaceTriple(t.ambient_dim, perturb(t.basis_prime), perturb(t.basis_dprime), t.rank_tol)
-        except ValueError:
-            return StabilityResult("changed", gap, k)
-        if triple_index(t2) != base:
-            return StabilityResult("changed", gap, k)
+    bp, bq = t.basis_prime, t.basis_dprime
+    # per trial: the real, then the imaginary part of the noise on B', then on B''
+    cuts = np.cumsum([bp.size, bp.size, bq.size, bq.size])
+    block = max(1, _STABILITY_BLOCK_COEFFS // max(1, cuts[-1]))
+    for start in range(0, trials, block):
+        draws = rng.standard_normal((min(block, trials - start), cuts[-1]))
+        re_p, im_p, re_q, im_q = np.split(draws, cuts[:-1], axis=1)
+        moved = (_perturbed(bp, eps, re_p, im_p), _perturbed(bq, eps, re_q, im_q))
+        changed = _stack_ranks(np.concatenate(moved, axis=2), t.rank_tol) != rank
+        for b, stack in zip((bp, bq), moved):
+            if b.shape[1]:
+                changed |= _stack_ranks(stack, t.rank_tol) < b.shape[1]
+        if changed.any():
+            return StabilityResult("changed", gap, start + int(np.argmax(changed)) + 1)
     return StabilityResult("stable", gap, trials)
+
+
+def _perturbed(b: np.ndarray, eps: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The stack ``b + eps * (|b| / |g|) * g`` over one row of draws per
+    trial, ``g = re + 1j * im`` in the shape of ``b``; ``|g|`` is taken per
+    trial with `np.linalg.norm`'s rounding."""
+    g = (re + 1j * im).reshape(len(re), *b.shape)
+    if not b.size:
+        return g
+    return b + (eps * (np.linalg.norm(b) / _l2_rows(g)))[:, None, None] * g
+
+
+def _stack_ranks(stack: np.ndarray, rank_tol: float) -> np.ndarray:
+    """`matrix_rank` of each matrix of a stack (T, n, k), one SVD for all."""
+    return _rank_of(np.linalg.svd(stack, compute_uv=False), rank_tol)
 
 
 @dataclass(frozen=True)
@@ -413,8 +446,9 @@ class PolynomialMap:
     """Polynomial graph map with exact Jacobians.
 
     ``terms[i]`` lists the monomials of the i-th output component as
-    ``(coeff, u_exponents, xprime_exponents)``.  Usable directly as the
-    ``f``/``jac`` pair of a `GraphPairLocal` via :meth:`as_graph`.
+    ``(coeff, u_exponents, xprime_exponents)``, the exponents nonnegative
+    integers.  Usable directly as the ``f``/``jac`` pair of a
+    `GraphPairLocal` via :meth:`as_graph`.
     """
 
     dims: tuple
@@ -424,13 +458,16 @@ class PolynomialMap:
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         norm_terms = []
-        for comp in self.terms:
+        for i, comp in enumerate(self.terms):
             rows = []
-            for coeff, u_pows, xp_pows in comp:
+            for j, (coeff, u_pows, xp_pows) in enumerate(comp):
                 u_pows = tuple(int(p) for p in u_pows)
                 xp_pows = tuple(int(p) for p in xp_pows)
                 if len(u_pows) != dims[0] or len(xp_pows) != dims[1]:
                     raise ValueError("exponent tuples must match (d_u, d_xprime)")
+                if min(u_pows + xp_pows, default=0) < 0:
+                    raise ValueError(f"term {j} of component {i} has a negative exponent: "
+                                     f"u {list(u_pows)}, xp {list(xp_pows)}")
                 rows.append((complex(coeff), u_pows, xp_pows))
             norm_terms.append(tuple(rows))
         if len(norm_terms) != dims[3]:

@@ -148,6 +148,13 @@ def _sobolev_norms(stack: np.ndarray, s: float) -> np.ndarray:
     return np.array(norms)
 
 
+def _l2_rows(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a stack, with its rounding: the dot
+    products of the flattened real and imaginary parts."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt([np.dot(r, r) + np.dot(i, i) for r, i in zip(flat.real, flat.imag)])
+
+
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(n_max: int, s: float) -> np.ndarray:
     """``(1 + |n|)^(2s)`` for n = -n_max..n_max (read-only, shared)."""

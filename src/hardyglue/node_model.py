@@ -29,8 +29,8 @@ transfers of a chart and both defects of a membership test.  The public
 functions are stacks of one over the same kernels (`_transfer`,
 `_chart_side`, `_defect`, `_eval_plus`), and `loops._sobolev_norms` takes
 one ``np.dot`` per row, so a stacked row gives the same bits as the public
-function on that row; the annulus test in `extension` goes through
-`membership_defect`.
+function on that row; the annulus kernel in `extension` goes through
+`_power_table` and `_defect` as well.
 """
 
 from __future__ import annotations

@@ -313,11 +313,27 @@ class TestErrorPaths:
         # tolerances that are not finite
         ("intersect", {**QUADRATIC_MAP, "seed": [[0.5, 0]], "tol": math.nan}, "params.tol"),
         ("reduce", {**QUADRATIC_MAP, "newton": {"tol": math.inf}, "seeds": [[[0.5, 0]]]}, "params.newton.tol"),
+        # a negative exponent, which would divide by zero at the origin
+        ("intersect", {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [-1], "xp": [0]}]],
+                       "seed": [[0.5, 0]]}, "params"),
+        ("reduce", {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [-1], "xp": [0]}]],
+                    "seeds": [[[0.5, 0]]]}, "params"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
         assert code == 2 and lines == [] and caught == []
         assert err.startswith(f"error: {path}: ")
+
+
+def random_chart(rng, m, n_max, z_max):
+    """The `NodeChart` of one draw of `cli._random_chart_rows`."""
+    from hardyglue.cli import _random_chart_rows
+    from hardyglue.loops import Loop
+    from hardyglue.node_model import NodeChart, _plus_stack
+
+    z, xi_rows, eta_rows, lam = _random_chart_rows(rng, m, n_max, z_max)
+    return NodeChart(z, Loop(m, n_max, _plus_stack(xi_rows[None], n_max)[0]),
+                     Loop(m, n_max, _plus_stack(eta_rows[None], n_max)[0]), lam)
 
 
 class TestStackedNodeBattery:
@@ -328,13 +344,13 @@ class TestStackedNodeBattery:
     @staticmethod
     def reference_battery(trials, m, n_max, z_max, seed, s=1.5):
         from hardyglue import node_model as nm
-        from hardyglue.cli import _random_chart, _random_disc, _random_poly
+        from hardyglue.cli import _random_disc, _random_poly
         from hardyglue.loops import Loop, sobolev_norm
 
         rng = np.random.default_rng(seed)
         worst = [0.0, 0.0, 0.0, 0.0]
         for _ in range(trials):
-            chart = _random_chart(rng, m, n_max, z_max)
+            chart = random_chart(rng, m, n_max, z_max)
             boundary = nm.node_chart(chart)
             worst[0] = max(worst[0], nm.node_membership(boundary, s=s).residual)
             back = nm.node_chart_inverse(boundary, tol=1e-8, s=s)
@@ -389,6 +405,236 @@ class TestStackedNodeBattery:
         worst, rng = self.reference_battery(33, m, n_max, 0.9, seed)
         h_max = self.reference_h_grid(rng, m, n_max)
         assert [r.residual for r in records] == worst[:4] + [h_max]
+
+
+class TestStackedExtensionSuite:
+    """`suite_extension` checks its trials as stacks; its records must equal
+    those of the trial-by-trial loop over the public API below, and each row
+    of the stacked annulus kernel must equal the scalar test on that row."""
+
+    @staticmethod
+    def reference_suite(opts):
+        from hardyglue import extension, node_model
+        from hardyglue.cli import _random_disc, check_int, check_residual
+        from hardyglue.loops import Loop
+
+        rng = np.random.default_rng(opts.seed)
+        s = opts.sobolev_s
+        n_max = 12
+        agreements = 0
+        trials = 1000
+        for _ in range(trials):
+            if rng.uniform() < 0.5:
+                boundary = node_model.node_chart(random_chart(rng, 1, n_max, 0.0))
+                xi, eta = boundary.xi, boundary.eta
+            else:
+                xi = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
+                eta = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
+            pair = extension.disk_pair_node_test(xi, eta, tol=opts.tol, s=s)
+            exact = (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
+                     and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
+            if pair.extends == exact:
+                agreements += 1
+        checks = [check_int("disk_pair_vs_membership_agreement", agreements, trials)]
+        sym_max = 0.0
+        restriction_max = 0.0
+        for _ in range(200):
+            delta = float(rng.uniform(0.15, 0.85))
+            laurent = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
+            eta = Loop.from_modes(1, n_max, {n: laurent.mode(-n) * delta ** float(-n)
+                                             for n in range(-n_max, n_max + 1)})
+            fwd = extension.annulus_extension_test(laurent, eta, delta, tol=opts.tol, s=s)
+            rev = extension.annulus_extension_test(eta, laurent, delta, tol=opts.tol, s=s)
+            sym_max = max(sym_max, abs(fwd.defect - rev.defect) / (1.0 + fwd.defect))
+            restriction_max = max(restriction_max, fwd.defect)
+        checks.append(check_residual("annulus_swap_symmetry_max", sym_max, 1e-12))
+        checks.append(check_residual("laurent_restriction_defect_max", restriction_max, 1e-12))
+        return checks
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 12345])
+    def test_records_equal_to_trial_loop(self, seed):
+        opts = RunOptions(seed=seed)
+        assert verify_suite("extension", opts) == self.reference_suite(opts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_of_one_trial(self, seed):
+        # a block of one trial holds no chart or no random pair: the 1,000
+        # trials end in a block of 4 at 166 per block
+        from hardyglue.cli import _disk_pair_block
+        assert _disk_pair_block(np.random.default_rng(seed), 1, 12, RunOptions()) == 1
+
+    def test_annulus_kernel_rows_equal_scalar_test(self, monkeypatch):
+        # random, restricted (member) and overflow rows in one stack at
+        # per-row deltas; n_max = 40, so delta^20 is the smallest weight
+        from hardyglue import extension
+        from hardyglue.cli import _random_disc
+        from hardyglue.loops import Loop
+
+        n_max, m = 40, 2
+        rng = np.random.default_rng(5)
+        rows = []
+        for k in range(12):
+            delta = float(rng.uniform(0.05, 0.95))
+            xi = _random_disc(rng, (2 * n_max + 1, m)) * 10.0 ** rng.integers(-3, 4)
+            weights = np.array([delta ** float(-n) for n in range(-n_max, n_max + 1)])[:, None]
+            eta = xi[::-1] * weights if k % 2 else _random_disc(rng, (2 * n_max + 1, m))
+            rows.append((delta, xi, eta))
+        spike = np.zeros((2 * n_max + 1, m), dtype=complex)
+        spike[0, 0] = 10.0  # mode -40
+        zero = np.zeros_like(spike)
+        rows += [(1e-16, spike, zero),         # a weight below the normal float range
+                 (1e-12, 1e100 * spike, zero),  # a weighted entry past the float range
+                 (10.0 ** -15.35, spike, zero),  # a weighted norm past the float range
+                 (1e-16, zero, zero)]           # a zero defect needs no weight
+        past = []
+        real = extension._annulus_defect_past_overflow
+        monkeypatch.setattr(extension, "_annulus_defect_past_overflow", lambda *a: past.append(a) or real(*a))
+        delta, xi, eta = (np.array(col) for col in zip(*rows))
+        stacked = extension._annulus_defects(delta, xi, eta, 1.5).tolist()
+        assert len(past) == 3
+        scalar = [extension.annulus_extension_test(Loop(m, n_max, x), Loop(m, n_max, y), d).defect
+                  for d, x, y in rows]
+        assert stacked == scalar
+        assert max(stacked[1:12:2]) < 1e-12 < min(stacked[0:12:2])  # restrictions extend
+        assert all(math.isfinite(d) for d in stacked) and stacked[-1] == 0.0
+
+
+class TestStackedFredholmSuite:
+    """`index_stability_check` checks its perturbed triples as stacks; each
+    verdict must equal that of the trial-by-trial loop below, and the
+    records of `suite_fredholm` those of the suite over that loop."""
+
+    @staticmethod
+    def reference_stability(t, eps, trials, seed):
+        from hardyglue import fredholm
+
+        s = np.linalg.svd(np.hstack([t.basis_prime, t.basis_dprime]), compute_uv=False)
+        base = fredholm.triple_index(t)
+        rank = t.p + t.q - base.dim_cap
+        below = s[rank] / s[0] if rank < s.size else 0.0
+        gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
+        if eps >= 0.1 * gap:
+            return fredholm.StabilityResult("inconclusive", gap, 0)
+        rng = np.random.default_rng(seed)
+
+        def perturb(b):
+            if b.size == 0:
+                return b
+            g = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+            return b + eps * (np.linalg.norm(b) / np.linalg.norm(g)) * g
+
+        for k in range(1, trials + 1):
+            try:
+                t2 = fredholm.SubspaceTriple(t.ambient_dim, perturb(t.basis_prime),
+                                             perturb(t.basis_dprime), t.rank_tol)
+            except ValueError:
+                return fredholm.StabilityResult("changed", gap, k)
+            if fredholm.triple_index(t2) != base:
+                return fredholm.StabilityResult("changed", gap, k)
+        return fredholm.StabilityResult("stable", gap, trials)
+
+    @classmethod
+    def reference_suite(cls, opts):
+        from hardyglue import fredholm
+        from hardyglue.cli import _random_disc, check_int, check_residual
+
+        rng = np.random.default_rng(opts.seed)
+        violations = 0
+        for _ in range(1000):
+            N = int(rng.integers(1, 12))
+            p = int(rng.integers(0, N + 1))
+            q = int(rng.integers(0, N + 1))
+            bp = _random_disc(rng, (N, p)) if p else np.zeros((N, 0), complex)
+            bq = _random_disc(rng, (N, q)) if q else np.zeros((N, 0), complex)
+            try:
+                t = fredholm.SubspaceTriple(N, bp, bq)
+            except ValueError:
+                violations += 1
+                continue
+            if fredholm.triple_index(t).index != p + q - N:
+                violations += 1
+        checks = [check_int("euler_identity_violations", violations, 0)]
+        stable = 0
+        for trial in range(100):
+            t = fredholm.SubspaceTriple(8, _random_disc(rng, (8, 3)), _random_disc(rng, (8, 3)))
+            if cls.reference_stability(t, 1e-6, 20, opts.seed + trial):
+                stable += 1
+        checks.append(check_int("generic_stability_count", stable, 100))
+        for case_idx, (pm, seeds) in enumerate(fredholm.polynomial_test_set()):
+            reduction = fredholm.finite_dim_reduction(pm.as_graph())
+            for seed_idx, seed in enumerate(seeds):
+                result = reduction.solve(seed, max_iter=300, tol=1e-12)
+                prefix = f"polyset{case_idx}_seed{seed_idx}"
+                checks.append(check_residual(f"{prefix}_newton_residual", result.residual, 1e-12))
+                tc = reduction.tangent_check(result.u)
+                checks.append(check_int(f"{prefix}_tangent_cap", tc.dim_cap_reduced, tc.dim_cap_full))
+                checks.append(check_residual(f"{prefix}_tangent_gap", tc.subspace_gap, 1e-6))
+                checks.append(check_int(f"{prefix}_quotient", tc.quotient_reduced, tc.quotient_full))
+        return checks
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_records_equal_to_trial_loop(self, seed):
+        opts = RunOptions(seed=seed)
+        assert verify_suite("fredholm", opts) == self.reference_suite(opts)
+
+    @staticmethod
+    def triples():
+        """Random triples of every shape with a few near-dependent columns,
+        then the engineered ones: a basis and [B' | B''] each with a relative
+        singular value just above the rank tolerance, a near-degenerate
+        triple, and one without columns."""
+        from hardyglue.fredholm import SubspaceTriple
+
+        rng = np.random.default_rng(123)
+        for i in range(60):
+            N = int(rng.integers(1, 9))
+            p, q = (int(v) for v in rng.integers(0, N + 1, 2))
+            bp = rng.standard_normal((N, p)) + 1j * rng.standard_normal((N, p))
+            bq = rng.standard_normal((N, q)) + 1j * rng.standard_normal((N, q))
+            if i % 5 == 0 and p and q:
+                bq[:, 0] = bp[:, 0] + 10.0 ** -rng.integers(3, 9) * bq[:, 0]
+            try:
+                yield SubspaceTriple(N, bp, bq), float(10.0 ** -rng.uniform(2, 9))
+            except ValueError:
+                continue
+        eye = np.eye(4, dtype=complex)
+        thin = eye[:3, :2].copy()
+        thin[1, 1] = 1.02e-9
+        yield SubspaceTriple(3, thin, eye[:3, 2:3]), 9e-11
+        yield SubspaceTriple(3, eye[:3, :1], eye[:3, :1] + 2.05e-9 * eye[:3, 1:2]), 1e-10
+        near = eye[:, [2, 1]].copy()
+        near[3, 1] = 1e-7
+        yield SubspaceTriple(4, eye[:, :2], near), 1e-6
+        yield SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))), 1e-6
+
+    @pytest.mark.parametrize("block", [None, 1, 25])
+    def test_verdicts_equal_to_trial_loop(self, monkeypatch, block):
+        # block=1 checks one trial per stack, 25 a few per stack (12 to 48
+        # coefficients a trial on the engineered triples); None the default
+        from hardyglue import fredholm
+
+        if block is not None:
+            monkeypatch.setattr(fredholm, "_STABILITY_BLOCK_COEFFS", block)
+        verdicts = []
+        for i, (t, eps) in enumerate(self.triples()):
+            for seed in (i, i + 1000):
+                got = fredholm.index_stability_check(t, eps, trials=12, seed=seed)
+                assert got == self.reference_stability(t, eps, 12, seed)
+                verdicts.append((got.verdict, got.trials))
+        assert {v for v, _ in verdicts} == {"stable", "changed", "inconclusive"}
+        assert max(k for v, k in verdicts if v == "changed") > 2
+        assert fredholm.index_stability_check(next(self.triples())[0], 1e-6, trials=0).trials == 0
+
+    def test_svd_calls_pinned(self, monkeypatch):
+        # verify fredholm at the default seed: the Euler triples as before
+        # (up to two validations and the index each), then per stability
+        # triple its two validations, its spectrum and one stacked SVD for
+        # each of the three rank decisions (6 a triple, 63 trial by trial)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        verify_suite("fredholm")
+        assert len(calls) == 2654 + 100 * 6
 
 
 class TestDeterminism:
@@ -519,6 +765,19 @@ class TestEnergyScale:
         assert check["status"] == "inconclusive" and "residual" not in check
         assert lines[-1]["inconclusive"] == 1 and lines[-1]["failures"] == 0
 
+    def test_neck_coefficient_past_an_underflowing_power(self, tmp_path, capsys):
+        # z^39 = 1e-390 underflows, but b_39 z^39 = 1e-90 is a normal float:
+        # the neck keeps it, so its energy on 1e-6 < |x| < 1e-4 (about
+        # 39 pi 1e-180 1e468) is past the float range instead of 0, the
+        # quadrature comparison is inconclusive and the family fails
+        params = {"laurent": {"b": [[0, 0]] * 38 + [[1e300, 0]]}, "z_seq": [[0.5, 0], [1e-10, 0]],
+                  "eps_schedule": [1e-4], "n_max": 40}
+        code, lines, err, caught = run_params(tmp_path, capsys, "energy", params)
+        assert code == 1 and err == "" and caught == []
+        by_name = {c["check"]: c for c in lines[:-1]}
+        assert by_name["eps0.0001_quadrature_agreement"]["status"] == "inconclusive"
+        assert by_name["energy_axiom_verdict"]["value"] == 0
+
     @pytest.mark.parametrize("argv, calls", [
         (["energy", str(SCENARIOS / "energy_neck.json")], 2),
         (["verify", "energy"], 4),
@@ -614,16 +873,19 @@ class TestScenarioFields:
 
 class TestExtensionSuite:
     def test_disk_pairs_checked_against_the_exact_conditions(self, monkeypatch):
-        # one node_membership call per disk-pair trial, the one inside
-        # disk_pair_node_test; the agreement is with the exact conditions
-        from hardyglue import extension, node_model
-        calls = []
+        # the disk pairs go through one stacked membership pass, so neither
+        # node_membership nor Loop runs per trial; the agreement is with the
+        # exact conditions
+        from hardyglue import extension, loops, node_model
+        calls, built = [], []
         real = node_model.node_membership
         counted = lambda *a, **k: calls.append(1) or real(*a, **k)
         monkeypatch.setattr(node_model, "node_membership", counted)
         monkeypatch.setattr(extension, "node_membership", counted)
+        real_init = loops.Loop.__post_init__
+        monkeypatch.setattr(loops.Loop, "__post_init__", lambda self: built.append(1) or real_init(self))
         records = verify_suite("extension")
-        assert len(calls) == 1000
+        assert len(calls) == 0 and len(built) == 0
         agreement = records[0]
         assert agreement.name == "disk_pair_vs_membership_agreement"
         assert agreement.status == "pass" and agreement.value == agreement.expected == 1000

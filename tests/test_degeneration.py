@@ -118,6 +118,27 @@ class TestNeckLaurent:
         assert neck.mode(-1)[0] == pytest.approx(0.3)
         assert neck.mode(0)[0] == 1.0
 
+    def test_coefficient_kept_where_the_power_underflows(self):
+        # |z|^39 = 1e-390 is below the float range, b_39 z^39 = 1e-90 is not
+        z, b39 = 1e-10 * np.exp(0.3j), 1e300 * np.exp(0.7j)
+        b = np.zeros((39, 2), complex)
+        b[38, 0] = b39
+        b[0, 1] = 5.0  # mode -1 keeps the plain product
+        poly = NodePolynomial(np.zeros((0, 2), complex), b, np.zeros(2, complex))
+        neck = neck_laurent(poly, z, 40)
+        assert neck.mode(-39)[0] == pytest.approx(1e-90 * np.exp(1j * (0.7 + 39 * 0.3)), rel=1e-12, abs=0)
+        assert neck.mode(-1)[1] == 5.0 * z and not neck.mode(-39)[1]
+        # a product below the normal range stays the plain product
+        tiny = NodePolynomial(np.zeros((0, 1), complex), np.array([[1.0 + 0j]]), np.zeros(1, complex))
+        assert neck_laurent(tiny, 5e-310, 4).mode(-1)[0] == 5e-310
+
+    def test_underflowing_power_no_longer_hides_the_energy(self):
+        b = np.zeros((39, 1), complex)
+        b[38, 0] = 1e300
+        poly = NodePolynomial(np.zeros((0, 1), complex), b, np.zeros(1, complex))
+        report = energy_axiom_check(NeckFamily((0.5, 1e-10), (poly, poly)), [1e-4], n_max=40)
+        assert report.rows[0].energy != 0.0 and not report.passed
+
 
 class TestEnergyAxiom:
     z_seq = tuple(2.0 ** (-k) for k in range(1, 49))
