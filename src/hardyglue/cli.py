@@ -583,7 +583,9 @@ def _annulus_block(rng, pairs: int, n_max: int, s: float) -> tuple:
     Python float power), the restriction of one Laurent series to both
     boundary circles.  Returns the swap asymmetries
     ``|d(xi, eta) - d(eta, xi)| / (1 + d(xi, eta))`` and the defects
-    ``d(xi, eta)`` of `extension._annulus_defects`, one pass each way."""
+    ``d(xi, eta)`` of `extension._annulus_defects`, one pass each way.  The
+    swap check is exact by design: the loops share their constant, so a swap
+    swaps the two defects entry for entry and the asymmetry reads 0.0."""
     delta = np.zeros(pairs)
     laurent = np.zeros((pairs, 2 * n_max + 1, 1), dtype=complex)
     for t in range(pairs):

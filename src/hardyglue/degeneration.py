@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .loops import Loop, _mode_power
+from .loops import Loop, _ldexp, _mode_power, _top_exponents
 from .moduli import Component, NodalConfig
 from .node_model import NodePolynomial, boundary_traces
 
@@ -193,13 +193,13 @@ class EnergyReport:
 
 
 def _per_unit(loops) -> list:
-    """``loops`` divided by the power of two at or below their largest real or
-    imaginary part: energies are homogeneous of degree 2, so their energies
-    compare as the originals' do, with no ``|c|^2`` past the float range.
-    ``ldexp`` divides exactly; a largest part in [1, 2) keeps every bit."""
-    big = max(float(np.max(np.abs(loop.coeffs.view(float)))) for loop in loops)
-    shift = math.frexp(big)[1] - 1 if big else 0
-    return [loop.with_coeffs(np.ldexp(loop.coeffs.view(float), -shift).view(complex)) for loop in loops]
+    """``loops`` divided, exactly, by the power of two at or below their
+    largest real or imaginary part (`loops._top_exponents`): energies are
+    homogeneous of degree 2, so they compare as the originals' do, with no
+    ``|c|^2`` past the float range.  The part lands in [1, 2), not [1/2, 1):
+    the gaps ``|E - Q| / (1 + |Q|)`` are not scale-free."""
+    (top,) = _top_exponents(np.concatenate([loop.coeffs.ravel() for loop in loops])[None])
+    return [loop.with_coeffs(_ldexp(loop.coeffs, 1 - top)) for loop in loops]
 
 
 def energy_axiom_check(fam: NeckFamily, eps_schedule, tol: float = 1e-6,

@@ -15,7 +15,8 @@ relation is the whole content of the test; no growth condition is applied.
 The annulus test is a stack of one over `_annulus_defects`, which takes a
 stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
 forms the node defects (`node_model._power_table`, `node_model._defect`),
-and a row whose core weights overflow takes the log-space path on its own.
+and the core weights enter as mantissas and binary exponents, under the
+one scale rule of `loops._at_scale`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _mode_power, _relative, _sobolev_norms, hardy_project, sample_values
+from .loops import Loop, _at_scale, _ldexp, _mode_power, _relative, hardy_project, sample_values
 from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, _defect, _power_table, node_membership
 
 __all__ = [
@@ -78,9 +79,9 @@ def annulus_extension_test(
     ``delta^(n/2) eta_n - delta^(-n/2) xi_{-n}``.  `node_membership`
     and `disk_pair_node_test` stay unweighted.  Zero defect entries stay
     zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows;
-    a nonzero entry whose weight is past the float range sends the whole
-    defect through `_annulus_defect_past_overflow`.  The test is a stack of
-    one over `_annulus_defects`.
+    a weight past the float range enters as a binary exponent, and a
+    defect past it reads as the largest float.  The test is a stack of one
+    over `_annulus_defects`.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
@@ -95,76 +96,23 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
     ``xi``, ``eta`` (T, 2N+1, m).
 
     The node defect at ``z = delta`` comes from one power table
-    (`_power_table`, `_defect`) and is read on each row's core circle, with
-    the weights ``delta ** (|n|/2)``.  A row with a nonzero entry whose
-    weight is below the normal float range, or whose weighted defect or
-    ratio is not finite, goes through `_annulus_defect_past_overflow` on
-    its own.
+    (`_power_table`, `_defect`) and is read on each row's core circle, over
+    the weights ``delta ** (|n|/2)`` split by `np.frexp` (from ``log2``
+    where the power is below the normal float range): `_relative` takes the
+    defect over the mantissas, shifted by the exponents.
     """
     dxi, deta = _defect(_power_table(delta, xi, eta), xi, eta)
     n_max = xi.shape[1] // 2
-    core = delta[:, None, None] ** (np.abs(np.arange(-n_max, n_max + 1)) / 2.0)[:, None]
-    live = [d != 0 for d in (dxi, deta)]
-    past = np.zeros(len(delta), dtype=bool)
-    weak = core < _TINY
-    if weak.any():
-        past = ((live[0] | live[1]) & weak).any(axis=(1, 2))
-        live = [nz & ~weak for nz in live]
-    defects = np.full(len(delta), np.inf)
-    if not past.all():
-        on_core = [_on_core(d, core, nz) for d, nz in zip((dxi, deta), live)]
-        past |= ~(np.isfinite(on_core[0]).all(axis=(1, 2)) & np.isfinite(on_core[1]).all(axis=(1, 2)))
-        if past.any():  # those rows are taken below; zeros keep the pass finite
-            for c in on_core:
-                c[past] = 0.0
-        # every Sobolev norm in one pass; a row's norm has its own bits
-        norms = np.split(_sobolev_norms(np.concatenate([*on_core, xi, eta]), s), 4)
-        defects = _relative(on_core, (xi, eta), s, norms)
-        defects[past] = np.inf
-    for t in np.flatnonzero(defects == np.inf):
-        defects[t] = _annulus_defect_past_overflow(dxi[t], deta[t], xi[t], eta[t], float(delta[t]), s)
-    return defects
-
-
-@np.errstate(over="ignore")
-def _on_core(defect: np.ndarray, core: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The defect read on the core circle at the ``live`` entries, the
-    nonzero ones whose weight is a normal float; every other entry reads
-    zero, and an entry past the float range reads inf, with no overflow
-    warning."""
-    return np.divide(defect, core, out=np.zeros_like(defect), where=live)
-
-
-_TINY = np.finfo(float).tiny
-_LOG_MAX = float(np.log(np.finfo(float).max))
-
-
-def _annulus_defect_past_overflow(dxi, deta, xi, eta, delta: float, s: float) -> float:
-    """The annulus defect of one row, defects ``dxi``, ``deta`` of the
-    coefficient arrays ``xi``, ``eta`` (2N+1, m), where a core weight
-    ``delta^(-|n|/2)`` on a nonzero defect entry is past the normal float
-    range.
-
-    Each norm is taken in log space: ``log|c_n| - (|n|/2) log delta`` per
-    entry, shifted by its maximum so every entry is at most 1 in modulus,
-    then ``log|.|_s = shift + log`` of the norm of the shifted moduli.  A
-    ratio past the float range is reported as the largest finite float, a
-    lower bound that fails every tolerance.
-    """
-    n_max = xi.shape[0] // 2
-    log_weight = -(np.abs(np.arange(-n_max, n_max + 1)) / 2.0 * np.log(delta))[:, None]
-
-    def log_norm(parts, log_w):
-        with np.errstate(divide="ignore"):
-            logs = [np.log(np.abs(c)) + log_w for c in parts]
-        shift = max(np.max(x) for x in logs)
-        if shift == -np.inf:
-            return -np.inf
-        return shift + np.log(np.hypot.reduce(_sobolev_norms(np.exp(np.array(logs) - shift), s)))
-
-    log_ratio = log_norm([dxi, deta], log_weight) - np.logaddexp(
-        0.0, max(log_norm([xi], 0.0), log_norm([eta], 0.0)))
-    return float(np.exp(log_ratio)) if log_ratio < _LOG_MAX else float(np.finfo(float).max)
+    half = np.abs(np.arange(-n_max, n_max + 1)) / 2.0
+    core = delta[:, None] ** half
+    mant, exp = np.frexp(core)
+    low = core < np.finfo(float).tiny
+    if low.any():
+        log_core = (half * np.log2(delta)[:, None])[low]
+        exp[low] = np.floor(log_core) + 1
+        mant[low] = np.exp2(log_core - exp[low])
+    mant = 2.0 * mant[:, :, None]  # in [1, 2), so the defect over it stays finite
+    return _relative((dxi / mant, deta / mant), (xi, eta), s, shift=1 - exp[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -209,11 +157,6 @@ class VPrimeReport:
     member: bool
 
 
-def _sampled_sup(loop: Loop) -> float:
-    vals = sample_values(loop)
-    return float(np.max(np.sqrt(_mode_power(vals))))
-
-
 def vprime_membership(
     nodes, ball_check: bool = True, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S
 ) -> VPrimeReport:
@@ -226,7 +169,9 @@ def vprime_membership(
     verdicts = []
     for i, node in enumerate(nodes):
         if ball_check:
-            sup = max(_sampled_sup(node.xi), _sampled_sup(node.eta))
+            # the sampled sups of both loops, under the scale rule of the norms
+            samples = np.stack([sample_values(node.xi), sample_values(node.eta)])
+            sup = float(_ldexp(*_at_scale(lambda rows: np.sqrt(_mode_power(rows)).max(axis=1), samples)).max())
             ball_ok = sup < 1.0
         else:
             sup = None

@@ -107,45 +107,72 @@ def default_grid_size(n_max: int) -> int:
 
 
 def sobolev_norm(loop: Loop, s: float) -> float:
-    """Weighted-coefficient Sobolev norm of a loop.
-
-    Computes ``sqrt(sum_n (1+|n|)^(2s) |c_n|^2)`` over the stored modes,
-    with ``|c_n|`` the Euclidean norm of the coefficient vector in C^m.
-
-    Parameters
-    ----------
-    loop: Loop
-    s: float
-        Smoothness exponent, must be >= 0.
-
-    Returns
-    -------
-    float
-        The norm; zero iff all coefficients vanish.
-    """
+    """Weighted-coefficient Sobolev norm ``sqrt(sum_n (1+|n|)^(2s) |c_n|^2)``
+    of a loop over its stored modes, ``|c_n|`` the Euclidean norm in C^m and
+    the smoothness exponent ``s >= 0``.  Zero iff all coefficients vanish;
+    inf where the norm is past the float range."""
     if s < 0:
         raise ValueError(f"Sobolev exponent must be nonnegative, got {s}")
     return float(_sobolev_norms(loop.coeffs[None], s)[0])
 
 
 def _sobolev_norms(stack: np.ndarray, s: float) -> np.ndarray:
-    """`sobolev_norm` of each row of a stack of coefficient arrays, shape
-    (T, 2N+1, m) -> (T,).
+    """`sobolev_norm` of each row of a stack, shape (T, 2N+1, m) -> (T,)."""
+    return _ldexp(*_norm_pairs(stack, s))
 
-    One `_mode_power` call covers the stack; each row then takes its own
-    ``np.dot`` with the weights, so a row's norm has the same bits as the
-    norm of that row alone (a stacked matmul rounds differently in the last
-    bit).  A row whose |c|^2 overflowed (|c| >~ 1e154) is rescaled by its
-    largest modulus, as LAPACK nrm2 does, and its norm is taken from the
-    scaled coefficients.
-    """
+
+def _norm_pairs(stack: np.ndarray, s: float, shift=None) -> tuple:
+    """The Sobolev norms of the rows of ``stack * 2**shift`` as `_at_scale`
+    pairs.  Each row takes its own ``np.dot`` with the weights, so a row's
+    norm has the bits of that row's norm alone (a stacked matmul rounds
+    differently in the last bit)."""
     weights = _sobolev_weights(stack.shape[1] // 2, s)
-    norms = [math.sqrt(np.dot(weights, row)) for row in _mode_power(stack)]
-    for t, norm in enumerate(norms):
-        if norm == math.inf:
-            big = float(np.max(np.abs(stack[t])))
-            norms[t] = big * math.sqrt(np.dot(weights, _mode_power(stack[t] / big)))
-    return np.array(norms)
+    return _at_scale(lambda rows: np.array([math.sqrt(np.dot(weights, row)) for row in _mode_power(rows)]),
+                     stack, shift)
+
+
+_SMALL = 2.0 ** -480  # below this a row may hold a subnormal |c|^2
+
+
+@np.errstate(over="ignore")
+def _at_scale(plain, stack: np.ndarray, shift=None) -> tuple:
+    """The one scale rule for norms: ``plain`` of each row of ``stack *
+    2**shift`` as a pair ``(values, exps)`` for ``values * 2**exps``.
+
+    ``plain`` maps a complex stack (T, ...) to one float per row and is
+    homogeneous of degree one; ``shift`` holds integer exponents broadcast
+    against ``stack``, with its leading axis.  A row that reads inf or
+    below ``_SMALL`` is taken again divided, exactly, by the power of two
+    at its largest real or imaginary part (`_top_exponents`) and carries
+    that exponent.  ``exps`` is None where no row was taken again.
+    """
+    values = plain(stack if shift is None else _ldexp(stack, shift))
+    scan = values.tolist()  # Python's min and max are the cheaper at T = 1
+    if _SMALL <= min(scan) and max(scan) < math.inf or not stack.any():
+        return values, None
+    odd = np.flatnonzero((values < _SMALL) | (values == np.inf))
+    shift = 0 if shift is None else shift[odd]
+    exps = np.zeros(len(values), dtype=int)
+    exps[odd] = top = _top_exponents(stack[odd], shift)
+    values[odd] = plain(_ldexp(stack[odd], shift - top.reshape((-1,) + (1,) * (stack.ndim - 1))))
+    return values, exps
+
+
+def _top_exponents(rows: np.ndarray, shift=0) -> np.ndarray:
+    """Per row of ``rows * 2**shift`` (complex, (T, ...)), the `np.frexp`
+    exponent of its largest real or imaginary part; -2^20 for a zero row."""
+    parts = rows.view(float)
+    e = np.frexp(parts)[1] + np.asarray(shift, dtype=np.int32)
+    return np.where(parts != 0, e, -(2 ** 20)).reshape(len(rows), -1).max(axis=1)
+
+
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
+    """``x * 2**e`` (``x`` where ``e`` is None), a complex ``x`` part by
+    part: exact in the normal float range, inf past it."""
+    if e is None:
+        return x
+    with np.errstate(over="ignore"):
+        return np.ldexp(x.view(float), e).view(x.dtype)
 
 
 def _l2_rows(stack: np.ndarray) -> np.ndarray:
@@ -163,40 +190,33 @@ def _sobolev_weights(n_max: int, s: float) -> np.ndarray:
     return weights
 
 
-# The decorator form costs less per call than a `with np.errstate(...)`
-# block; stacked callers make one call per stack.
-@np.errstate(over="ignore")
 def _mode_power(coeffs: np.ndarray) -> np.ndarray:
-    """Sums of |c|^2 over the last axis.  A row past the float range reads
-    inf, with no overflow warning; `_sobolev_norms` then rescales."""
+    """Sums of |c|^2 over the last axis, inf past the float range (the
+    callers silence the overflow)."""
     return np.sum(np.abs(coeffs) ** 2, axis=-1)
 
 
-def _relative(parts, refs, s: float, norms=None) -> np.ndarray:
+def _relative(parts, refs, s: float, pairs=None, shift=None) -> np.ndarray:
     """``|parts|_s / (1 + max |refs|_s)`` for each row of coefficient stacks.
 
-    ``|parts|_s`` is the root sum of squares of the parts' norms.  ``norms``
-    may hand in the Sobolev norms already taken, one row array per part and
-    then per reference, in that order.  Where ``max |refs|_s`` is past the
-    float range, ``1 + max |refs|_s`` rounds to ``max |refs|_s`` and both
-    norms scale alike, so that row's ratio is taken after dividing every
-    loop by the largest coefficient modulus among them, where no reference
-    norm overflows.  Without this a finite defect over an infinite scale
-    would read as residual 0.
+    ``|parts|_s`` is the root sum of squares of the norms of the parts, each
+    taken times ``2**shift``.  ``pairs`` may hand in the `_norm_pairs` pairs
+    already taken, one per part and then per reference.  Where a norm was
+    taken at scale, the ratio is formed from the pairs: the parts at their
+    largest exponent, the references at theirs (at least 0, where the 1
+    counts), the quotient scaled back.  A ratio past the float range reads
+    as the largest float, a lower bound failing every tolerance.
     """
-    if norms is None:
-        norms = [_sobolev_norms(c, s) for c in (*parts, *refs)]
+    pairs = pairs or [_norm_pairs(c, s, shift) for c in parts] + [_norm_pairs(c, s) for c in refs]
+    norms, exps = zip(*pairs)
     k = len(parts)
-    top = functools.reduce(np.maximum, norms[k:])
-    num = functools.reduce(np.hypot, norms[:k])
-    if top.max() < np.inf:
-        return num / (1.0 + top)
-    ratio = np.divide(num, 1.0 + top, out=np.zeros_like(num), where=top < np.inf)
-    for t in np.flatnonzero(top == np.inf):
-        rows = np.array([c[t] for c in (*parts, *refs)])
-        scaled = _sobolev_norms(rows / np.max(np.abs(rows)), s)
-        ratio[t] = np.hypot.reduce(scaled[:k]) / np.max(scaled[k:])
-    return ratio
+    if all(e is None for e in exps):
+        return functools.reduce(np.hypot, norms[:k]) / (1.0 + functools.reduce(np.maximum, norms[k:]))
+    exps = [0 if e is None else e for e in exps]
+    num_e, top_e = functools.reduce(np.maximum, exps[:k]), functools.reduce(np.maximum, exps[k:], 0)
+    num = functools.reduce(np.hypot, [np.ldexp(v, e - num_e) for v, e in zip(norms[:k], exps[:k])])
+    top = functools.reduce(np.maximum, [np.ldexp(v, e - top_e) for v, e in zip(norms[k:], exps[k:])])
+    return np.minimum(_ldexp(num / (np.ldexp(1.0, -top_e) + top), num_e - top_e), np.finfo(float).max)
 
 
 def hardy_project(loop: Loop, side: str):

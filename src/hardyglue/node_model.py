@@ -27,9 +27,10 @@ order of loop carries it.  numpy's complex power depends on the exponent
 alone, so a power has the same bits in any table.  One table serves both
 transfers of a chart and both defects of a membership test.  The public
 functions are stacks of one over the same kernels (`_transfer`,
-`_chart_side`, `_defect`, `_eval_plus`), and `loops._sobolev_norms` takes
-one ``np.dot`` per row, so a stacked row gives the same bits as the public
-function on that row; the annulus kernel in `extension` goes through
+`_chart_side`, `_defect`, `_eval_plus`), and `loops._norm_pairs` takes one
+``np.dot`` per row (scaled only where out of range), so a stacked row gives
+the same bits as the public function on that row; the annulus kernel in
+`extension` goes through
 `_power_table` and `_defect` as well.
 """
 
@@ -327,9 +328,11 @@ def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBO
     ``1 + max(|xi|_s, |eta|_s)``; membership means residual <= tol.
     """
     pair = membership_defect(b) + (b.xi, b.eta)
-    norms = [np.array([sobolev_norm(loop, s)]) for loop in pair]
+    norms = [sobolev_norm(loop, s) for loop in pair]
     stacks = [loop.coeffs[None] for loop in pair]
-    residual = float(_relative(stacks[:2], stacks[2:], s, norms)[0])
+    # a norm past the float range reads inf; `_relative` then takes pairs
+    finite = [(np.array([norm]), None) for norm in norms] if max(norms) < np.inf else None
+    residual = float(_relative(stacks[:2], stacks[2:], s, finite)[0])
     return MembershipResult(residual <= tol, residual)
 
 

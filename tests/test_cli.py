@@ -43,6 +43,34 @@ def run_params(tmp_path, capsys, command, params):
     return code, strict_json_lines(captured.out), captured.err, caught
 
 
+def annulus_defect_oracle(delta, xi, eta, s=1.5):
+    """The annulus defect of one pair of coefficient arrays (2N+1, m) in
+    mpmath at 40 digits: the node relation at ``z = delta`` read on the core
+    circle (mode ``-n`` of each defect over ``delta^(n/2)``), its Sobolev-s
+    norm over ``1 + max(|xi|_s, |eta|_s)``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        n_max = xi.shape[0] // 2
+        d = mpmath.mpf(float(delta))
+
+        def c(z):
+            return mpmath.mpc(float(z.real), float(z.imag))
+
+        def norm(entries):
+            return mpmath.sqrt(mpmath.fsum((1 + abs(n)) ** (2 * mpmath.mpf(s)) * abs(v) ** 2
+                                           for n, v in entries))
+
+        defect = [(0, c(a) - c(b)) for a, b in zip(xi[n_max], eta[n_max])]
+        for n in range(1, n_max + 1):
+            for j in range(xi.shape[1]):
+                defect.append((n, c(xi[n_max - n, j]) - d ** n * c(eta[n_max + n, j])))
+                defect.append((n, c(eta[n_max - n, j]) - d ** n * c(xi[n_max + n, j])))
+        core = norm([(n, v / d ** (mpmath.mpf(n) / 2)) for n, v in defect])
+        refs = [norm([(k - n_max, c(v)) for k, row in enumerate(x) for v in row]) for x in (xi, eta)]
+        return core / (1 + max(refs))
+
+
 ENERGY_FAMILY = {"z_seq": {"geometric": {"start": 0.5, "ratio": 0.5, "count": 34}},
                  "eps_schedule": [0.1, 0.01, 0.001, 0.0001]}
 LOOP_1 = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}
@@ -126,6 +154,34 @@ class TestScenarioFiles:
         assert by_name["node0_annulus_defect"]["status"] == "fail"
         assert by_name["node0_annulus_defect"]["residual"] == pytest.approx(expected, rel=1e-12)
         assert by_name["vprime_member"]["value"] == 0
+
+    def test_annulus_weighted_sum_past_float_range_warns_nothing(self, tmp_path, capsys):
+        # delta 1e-3 at order 110: the on-core defect entries reach 1e165, so
+        # each square is a float and their weighted sum is not
+        from hardyglue.jsonio import loop_to_json
+        from hardyglue.loops import Loop
+        rng = np.random.default_rng(0)
+        xi, eta = (Loop(1, 110, rng.uniform(-0.7, 0.7, (221, 1, 2)) @ [1, 1j]) for _ in range(2))
+        code, lines, err, caught = run_params(tmp_path, capsys, "extend-check", {"nodes": [
+            {"kind": "annulus", "delta": 1e-3, "xi": loop_to_json(xi), "eta": loop_to_json(eta)}]})
+        assert caught == [] and err == ""
+        assert code == 1
+        by_name = {c["check"]: c for c in lines[:-1]}
+        assert by_name["node0_annulus_defect"]["status"] == "fail"
+        expected = float(annulus_defect_oracle(1e-3, xi.coeffs, eta.coeffs))
+        assert by_name["node0_annulus_defect"]["residual"] == pytest.approx(expected, rel=1e-12)
+
+    def test_ball_sup_past_squares_fails_finite(self, tmp_path, capsys):
+        # |1e200|^2 is past the float range; the sampled sup is not
+        big = {"m": 1, "n_max": 0, "coeffs": [[[1e200, 0]]]}
+        code, lines, err, caught = run_params(tmp_path, capsys, "extend-check", {"nodes": [
+            {"kind": "disk_pair", "xi": big, "eta": big}]})
+        assert caught == [] and err == ""
+        assert code == 1
+        by_name = {c["check"]: c for c in lines[:-1]}
+        assert by_name["node0_ball_sup"]["status"] == "fail"
+        assert by_name["node0_ball_sup"]["residual"] == pytest.approx(1e200, rel=1e-15)
+        assert by_name["node0_disk_pair_defect"]["status"] == "pass"
 
     def test_contraction_scenario(self, capsys):
         code, checks, _ = run_cli(capsys, "moduli-dim", str(SCENARIOS / "vanishing_cycles.json"))
@@ -463,7 +519,7 @@ class TestStackedExtensionSuite:
         from hardyglue.cli import _disk_pair_block
         assert _disk_pair_block(np.random.default_rng(seed), 1, 12, RunOptions()) == 1
 
-    def test_annulus_kernel_rows_equal_scalar_test(self, monkeypatch):
+    def test_annulus_kernel_rows_equal_scalar_test(self):
         # random, restricted (member) and overflow rows in one stack at
         # per-row deltas; n_max = 40, so delta^20 is the smallest weight
         from hardyglue import extension
@@ -486,12 +542,13 @@ class TestStackedExtensionSuite:
                  (1e-12, 1e100 * spike, zero),  # a weighted entry past the float range
                  (10.0 ** -15.35, spike, zero),  # a weighted norm past the float range
                  (1e-16, zero, zero)]           # a zero defect needs no weight
-        past = []
-        real = extension._annulus_defect_past_overflow
-        monkeypatch.setattr(extension, "_annulus_defect_past_overflow", lambda *a: past.append(a) or real(*a))
         delta, xi, eta = (np.array(col) for col in zip(*rows))
         stacked = extension._annulus_defects(delta, xi, eta, 1.5).tolist()
-        assert len(past) == 3
+        # the overflow rows against mpmath: 41^1.5 * 1e321 / (1 + 41^1.5 * 10)
+        # is past the float range and reads as the largest float
+        oracle = [annulus_defect_oracle(*row) for row in rows[12:15]]
+        assert oracle[0] > np.finfo(float).max and stacked[12] == np.finfo(float).max
+        assert stacked[13:15] == pytest.approx([float(x) for x in oracle[1:]], rel=1e-12)
         scalar = [extension.annulus_extension_test(Loop(m, n_max, x), Loop(m, n_max, y), d).defect
                   for d, x, y in rows]
         assert stacked == scalar

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardyglue.jsonio import loop_from_json, loop_to_json
@@ -12,6 +12,7 @@ from hardyglue.loops import (
     loop_from_samples,
     multiply_loops,
     sample_values,
+    _sobolev_norms,
     sobolev_norm,
     winding_number,
 )
@@ -59,6 +60,24 @@ class TestSobolevNorm:
         unit = scalar({0: 1.0, 2: 1.0 - 1.0j})
         huge = unit.with_coeffs(1e200 * unit.coeffs)
         assert sobolev_norm(huge, 1.5) == pytest.approx(1e200 * sobolev_norm(unit, 1.5), rel=1e-14)
+
+    def test_squares_below_float_range(self):
+        # |c|^2 underflows to 0 for |c| = 1e-170; the norm itself does not
+        tiny = Loop.from_modes(1, 2, {1: [1e-170]})
+        assert sobolev_norm(tiny, 1.5) == pytest.approx(2.0**1.5 * 1e-170, rel=1e-15, abs=0.0)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-900, max_value=900))
+    @example(0, -540)
+    @example(0, 520)
+    @settings(deadline=None)
+    def test_power_of_two_scale_is_exact(self, seed, k):
+        # a power of two times a stack gives the same power times its norms,
+        # bit for bit, wherever those norms are normal floats
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((1, 21, 2)) + 1j * rng.standard_normal((1, 21, 2))
+        want = np.ldexp(_sobolev_norms(stack, 1.5), k)
+        assume(np.finfo(float).tiny <= want[0] < np.inf)
+        np.testing.assert_array_equal(_sobolev_norms(stack * 2.0**k, 1.5), want)
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
