@@ -14,9 +14,9 @@ relation is the whole content of the test; no growth condition is applied.
 
 The annulus test is a stack of one over `_annulus_defects`, which takes a
 stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
-forms the node defects (`node_model._power_table`, `node_model._defect`),
-and the core weights enter as mantissas and binary exponents, under the
-one scale rule of `loops._at_scale`.
+forms the node defects (`node_model._membership_residuals`), and the core
+weights enter as mantissas and binary exponents, under the one scale rule
+of `loops._at_scale`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _at_scale, _ldexp, _mode_power, _relative, hardy_project, sample_values
-from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, _defect, _power_table, node_membership
+from .loops import Loop, _at_scale, _ldexp, _mode_power, _relative, _samples, default_grid_size, hardy_project
+from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, _membership_residuals, _power_table, node_membership
 
 __all__ = [
     "ExtensionResult",
@@ -95,13 +95,12 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
     parameter per row of ``delta`` (T,), in (0, 1), and coefficient stacks
     ``xi``, ``eta`` (T, 2N+1, m).
 
-    The node defect at ``z = delta`` comes from one power table
-    (`_power_table`, `_defect`) and is read on each row's core circle, over
-    the weights ``delta ** (|n|/2)`` split by `np.frexp` (from ``log2``
-    where the power is below the normal float range): `_relative` takes the
-    defect over the mantissas, shifted by the exponents.
+    The node defect at ``z = delta`` (`_membership_residuals` over one
+    power table) is read on each row's core circle, over the weights
+    ``delta ** (|n|/2)`` split by `np.frexp` (from ``log2`` where the power
+    is below the normal float range): the defect over the mantissas, which
+    are in [1, 2), stays finite, and the exponents enter as a shift.
     """
-    dxi, deta = _defect(_power_table(delta, xi, eta), xi, eta)
     n_max = xi.shape[1] // 2
     half = np.abs(np.arange(-n_max, n_max + 1)) / 2.0
     core = delta[:, None] ** half
@@ -111,8 +110,8 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
         log_core = (half * np.log2(delta)[:, None])[low]
         exp[low] = np.floor(log_core) + 1
         mant[low] = np.exp2(log_core - exp[low])
-    mant = 2.0 * mant[:, :, None]  # in [1, 2), so the defect over it stays finite
-    return _relative((dxi / mant, deta / mant), (xi, eta), s, shift=1 - exp[:, :, None])
+    return _membership_residuals(_power_table(delta, xi, eta), xi, eta, s,
+                                 2.0 * mant[:, :, None], 1 - exp[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,10 @@ def vprime_membership(
     verdicts = []
     for i, node in enumerate(nodes):
         if ball_check:
-            # the sampled sups of both loops, under the scale rule of the norms
-            samples = np.stack([sample_values(node.xi), sample_values(node.eta)])
-            sup = float(_ldexp(*_at_scale(lambda rows: np.sqrt(_mode_power(rows)).max(axis=1), samples)).max())
+            # the sampled sups of both loops; a row whose samples overflow is sampled again at scale
+            grid = default_grid_size(node.xi.n_max)
+            sup = float(_ldexp(*_at_scale(lambda rows: np.sqrt(_mode_power(_samples(rows, grid))).max(axis=1),
+                                          np.stack([node.xi.coeffs, node.eta.coeffs]))).max())
             ball_ok = sup < 1.0
         else:
             sup = None

@@ -11,14 +11,12 @@ graph-form local quadruples ``X'' = {x'=0, xi=0}``,
 morphisms, the ``+ dim Lambda`` parametrized index relation, and a damped
 Gauss-Newton solver for the intersection equation.
 
-Every rank and nullspace decision counts singular values above one
-relative tolerance times the largest (`_rank_of`), so results do not
-depend on the choice of basis.  `_rank_of` takes one spectrum or a stack
-of spectra ``(..., k)``, one rank per row: `index_stability_check` ranks
-its perturbed triples as stacks, one ``np.linalg.svd`` per stack for each
-of its three rank decisions.  `_complement_within` alone thresholds
-absolutely, on purpose: it ranks a residue of orthonormal columns, whose
-genuine directions have singular values near 1.
+Every rank decision counts the singular values above `RANK_TOL` times the
+largest (`_rank_of`), one rank per spectrum or per row of a stack of them,
+as `index_stability_check` ranks its perturbed triples.  The rule is
+relative to the largest singular value of ``[B' | B'']``, so results do not
+depend on the bases while their scales differ by less than ``1/RANK_TOL``.
+Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ __all__ = [
     "matrix_rank",
 ]
 
-DEFAULT_RANK_TOL = 1e-9
+RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular value
 
 
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
@@ -69,40 +67,45 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
     return m
 
 
-def _rank_of(s: np.ndarray, rank_tol: float):
-    """Number of singular values ``s`` (descending) above ``rank_tol`` times
+def _rank_of(s: np.ndarray):
+    """Number of singular values ``s`` (descending) above `RANK_TOL` times
     the largest; 0 for an empty or zero matrix.  On a stack of spectra
     ``(..., k)`` the count is taken per row, an integer array of shape
     ``(...)``; on one spectrum it is an int."""
-    above = s > rank_tol * s[..., :1]
+    above = s > RANK_TOL * s[..., :1]
     return int(np.count_nonzero(above)) if above.ndim == 1 else above.sum(axis=-1)
 
 
-def matrix_rank(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def matrix_rank(M: np.ndarray) -> int:
     """Rank by singular-value thresholding relative to the largest value."""
-    return _rank_of(np.linalg.svd(M, compute_uv=False), rank_tol)
+    return _rank_of(np.linalg.svd(M, compute_uv=False))
 
 
-def nullspace(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, columns of shape (n_cols, nullity)."""
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    return vh[_rank_of(s, rank_tol):].conj().T
+    return vh[_rank_of(s):].conj().T
 
 
-def orthonormal_range(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_range(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span."""
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    return u[:, :_rank_of(s, rank_tol)]
+    return u[:, :_rank_of(s)]
 
 
-def subspace_intersection(B1: np.ndarray, B2: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of ``span(B1) ∩ span(B2)``.
+def _cap_and_outer(B1: np.ndarray, B2: np.ndarray) -> tuple:
+    """Orthonormal bases of ``span(B1) ∩ span(B2)`` and of the complement
+    of ``span(B1) + span(B2)`` from one SVD of ``[B1 | -B2]`` and one rank:
+    the intersection is ``B1 a = B2 b`` over its kernel ``(a, b)``, the
+    complement is spanned by the left singular vectors past the rank."""
+    u, s, vh = np.linalg.svd(np.hstack([B1, -B2]), full_matrices=True)
+    rank = _rank_of(s)
+    return orthonormal_range(B1 @ vh[rank:, :B1.shape[1]].conj().T), u[:, rank:]
 
-    Vectors in the intersection are ``B1 a = B2 b``; they are read off the
-    kernel of the stacked matrix ``[B1 | -B2]``.
-    """
-    null = nullspace(np.hstack([B1, -B2]), rank_tol)
-    return orthonormal_range(B1 @ null[:B1.shape[1]], rank_tol)
+
+def subspace_intersection(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ``span(B1) ∩ span(B2)`` (see `_cap_and_outer`)."""
+    return _cap_and_outer(B1, B2)[0]
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,6 @@ class SubspaceTriple:
     ambient_dim: int
     basis_prime: np.ndarray
     basis_dprime: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -122,10 +124,10 @@ class SubspaceTriple:
         for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
             if b.shape[1] == 0:
                 continue
-            rank = matrix_rank(b, self.rank_tol)
+            rank = matrix_rank(b)
             if rank < b.shape[1]:
                 raise ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
-                                 f"at rank_tol {self.rank_tol:g}")
+                                 f"at RANK_TOL {RANK_TOL:g}")
         for b in (bp, bq):
             b.flags.writeable = False
         object.__setattr__(self, "basis_prime", bp)
@@ -158,11 +160,7 @@ def triple_index(t: SubspaceTriple) -> TripleIndex:
     ``N - rank[B' | B'']``; the index ``dim_cap - codim_sum`` satisfies the
     Euler identity ``p + q - N`` exactly.
     """
-    return _index_of(t, _rank_of(_stacked_spectrum(t), t.rank_tol))
-
-
-def _index_of(t: SubspaceTriple, rank: int) -> TripleIndex:
-    """`triple_index` from the rank of ``[B' | B'']``."""
+    rank = _rank_of(_stacked_spectrum(t))
     dim_cap = t.p + t.q - rank
     codim_sum = t.ambient_dim - rank
     return TripleIndex(dim_cap, codim_sum, dim_cap - codim_sum)
@@ -206,7 +204,7 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     the first trial that changed.
     """
     s = _stacked_spectrum(t)
-    rank = _rank_of(s, t.rank_tol)
+    rank = _rank_of(s)
     # the relative gap at that rank; full-column-rank bases make rank >= 1
     # whenever there is a column at all
     below = s[rank] / s[0] if rank < s.size else 0.0
@@ -222,10 +220,10 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
         draws = rng.standard_normal((min(block, trials - start), cuts[-1]))
         re_p, im_p, re_q, im_q = np.split(draws, cuts[:-1], axis=1)
         moved = (_perturbed(bp, eps, re_p, im_p), _perturbed(bq, eps, re_q, im_q))
-        changed = _stack_ranks(np.concatenate(moved, axis=2), t.rank_tol) != rank
+        changed = _stack_ranks(np.concatenate(moved, axis=2)) != rank
         for b, stack in zip((bp, bq), moved):
             if b.shape[1]:
-                changed |= _stack_ranks(stack, t.rank_tol) < b.shape[1]
+                changed |= _stack_ranks(stack) < b.shape[1]
         if changed.any():
             return StabilityResult("changed", gap, start + int(np.argmax(changed)) + 1)
     return StabilityResult("stable", gap, trials)
@@ -241,9 +239,9 @@ def _perturbed(b: np.ndarray, eps: float, re: np.ndarray, im: np.ndarray) -> np.
     return b + (eps * (np.linalg.norm(b) / _l2_rows(g)))[:, None, None] * g
 
 
-def _stack_ranks(stack: np.ndarray, rank_tol: float) -> np.ndarray:
+def _stack_ranks(stack: np.ndarray) -> np.ndarray:
     """`matrix_rank` of each matrix of a stack (T, n, k), one SVD for all."""
-    return _rank_of(np.linalg.svd(stack, compute_uv=False), rank_tol)
+    return _rank_of(np.linalg.svd(stack, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -284,36 +282,27 @@ class NormalSplitting:
         return out
 
 
-def _complement_within(span_basis: np.ndarray, cap: np.ndarray, rank_tol: float) -> np.ndarray:
-    if cap.shape[1] == 0:  # an SVD would rotate the basis
-        return span_basis
-    residue = span_basis - cap @ (cap.conj().T @ span_basis)
-    # span_basis is orthonormal, so genuine complement directions have
-    # singular values near 1; threshold absolutely, not against the largest
-    # singular value of the (possibly pure-roundoff) residue.
-    u, s, _ = np.linalg.svd(residue, full_matrices=False)
-    rank = int(np.sum(s > rank_tol))
-    return u[:, :rank]
-
-
 def normal_coordinates(t: SubspaceTriple) -> NormalSplitting:
-    """Orthonormal splitting of the ambient space adapted to the triple."""
-    cap = subspace_intersection(t.basis_prime, t.basis_dprime, t.rank_tol)
-    q_prime = orthonormal_range(t.basis_prime, t.rank_tol)
-    q_dprime = orthonormal_range(t.basis_dprime, t.rank_tol)
-    prime_comp = _complement_within(q_prime, cap, t.rank_tol)
-    dprime_comp = _complement_within(q_dprime, cap, t.rank_tol)
-    u, s, _ = np.linalg.svd(np.hstack([t.basis_prime, t.basis_dprime]), full_matrices=True)
-    outer = u[:, _rank_of(s, t.rank_tol):]
-    split = NormalSplitting(cap, prime_comp, dprime_comp, outer)
+    """Orthonormal splitting of the ambient space adapted to the triple.
+
+    ``cap`` and ``outer`` come from one `_cap_and_outer`; the complement of
+    ``cap`` in a side of width p is the first ``p - dim_cap`` left singular
+    vectors of the side's orthonormal basis with ``cap`` projected out.  The
+    widths sum to N, or a ValueError says the triple is too ill-conditioned."""
+    cap, outer = _cap_and_outer(t.basis_prime, t.basis_dprime)
+    k = cap.shape[1]
+    comps = [orthonormal_range(b) for b in (t.basis_prime, t.basis_dprime)]
+    if k:  # with no cap an SVD would only rotate the bases
+        comps = [np.linalg.svd(c - cap @ (cap.conj().T @ c), full_matrices=False)[0][:, :max(c.shape[1] - k, 0)]
+                 for c in comps]
+    split = NormalSplitting(cap, *comps, outer)
     if sum(split.dims) != t.ambient_dim:
         raise ValueError(f"normal splitting dims {split.dims} do not sum to N={t.ambient_dim}; "
-                         "the triple is too ill-conditioned for rank_tol")
+                         "the triple is too ill-conditioned for RANK_TOL")
     return split
 
 
-def exactness_check(dh: np.ndarray, source: SubspaceTriple, target: SubspaceTriple,
-                    rank_tol: float | None = None) -> bool:
+def exactness_check(dh: np.ndarray, source: SubspaceTriple, target: SubspaceTriple) -> bool:
     """Exactness of a linear morphism between triples.
 
     True iff ``dh`` maps the intersection block of the source bijectively
@@ -322,21 +311,14 @@ def exactness_check(dh: np.ndarray, source: SubspaceTriple, target: SubspaceTrip
     bijective.  Both conditions are rank decisions, hence invariant under
     change of basis of the four subspaces.
     """
-    tol = rank_tol if rank_tol is not None else max(source.rank_tol, target.rank_tol)
     dh = np.asarray(dh, dtype=complex)
     if dh.shape != (target.ambient_dim, source.ambient_dim):
         raise ValueError(f"dh has shape {dh.shape}, expected "
                          f"({target.ambient_dim}, {source.ambient_dim})")
-    ns = normal_coordinates(source)
-    nt = normal_coordinates(target)
-    c_s, c_t = ns.cap.shape[1], nt.cap.shape[1]
-    q_s, q_t = ns.outer.shape[1], nt.outer.shape[1]
-    if c_s != c_t or q_s != q_t:
-        return False
-    if c_s > 0 and matrix_rank(nt.cap.conj().T @ dh @ ns.cap, tol) != c_s:
-        return False
-    if q_s > 0 and matrix_rank(nt.outer.conj().T @ dh @ ns.outer, tol) != q_s:
-        return False
+    ns, nt = normal_coordinates(source), normal_coordinates(target)
+    for a, b in ((ns.cap, nt.cap), (ns.outer, nt.outer)):
+        if a.shape[1] != b.shape[1] or a.shape[1] and matrix_rank(b.conj().T @ dh @ a) != a.shape[1]:
+            return False
     return True
 
 
@@ -362,7 +344,7 @@ def lambda_product_triple(t: SubspaceTriple, dim_lambda: int) -> SubspaceTriple:
         bottom = np.hstack([np.zeros((N, L), dtype=complex), basis])
         return np.vstack([top, bottom])
 
-    return SubspaceTriple(N + L, extend(t.basis_prime), extend(t.basis_dprime), t.rank_tol)
+    return SubspaceTriple(N + L, extend(t.basis_prime), extend(t.basis_dprime))
 
 
 # ---------------------------------------------------------------------------
@@ -653,25 +635,23 @@ class FiniteDimReduction:
                          z((dxi, du + dxd)), du + dxd)
         return {"U'": t_uprime, "U''": t_udprime, "X'": t_xprime, "X''": t_xdprime}
 
-    def tangent_check(self, u, rank_tol: float = DEFAULT_RANK_TOL) -> TangentCheck:
+    def tangent_check(self, u) -> TangentCheck:
         """Verify the reduction identities at a solution of f(u,0)=0:
         ``T U' ∩ T U'' = T X' ∩ T X''`` and equality of the sum-quotient
-        dimensions, all by rank computations."""
+        dimensions, from one `_cap_and_outer` per pair (the reduced pair's
+        outer block also holds the x' and x'' directions)."""
         bases = self.tangent_bases(u)
-        du, dxp, dxd, dxi = self.dims
-        D = du + dxp + dxd + dxi
-        cap_reduced = subspace_intersection(bases["U'"], bases["U''"], rank_tol)
-        cap_full = subspace_intersection(bases["X'"], bases["X''"], rank_tol)
+        _, dxp, dxd, _ = self.dims
+        cap_reduced, outer_reduced = _cap_and_outer(bases["U'"], bases["U''"])
+        cap_full, outer_full = _cap_and_outer(bases["X'"], bases["X''"])
         gap = 0.0
         if cap_reduced.shape[1] == cap_full.shape[1] and cap_reduced.shape[1] > 0:
             s = np.linalg.svd(cap_reduced.conj().T @ cap_full, compute_uv=False)
             gap = float(abs(1.0 - np.min(s)))
         elif cap_reduced.shape[1] != cap_full.shape[1]:
             gap = 1.0
-        quotient_reduced = (du + dxi) - matrix_rank(np.hstack([bases["U'"], bases["U''"]]), rank_tol)
-        quotient_full = D - matrix_rank(np.hstack([bases["X'"], bases["X''"]]), rank_tol)
         return TangentCheck(cap_reduced.shape[1], cap_full.shape[1], gap,
-                            quotient_reduced, quotient_full)
+                            outer_reduced.shape[1] - dxp - dxd, outer_full.shape[1])
 
 
 def finite_dim_reduction(g: GraphPairLocal) -> FiniteDimReduction:

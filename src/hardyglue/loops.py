@@ -134,23 +134,23 @@ def _norm_pairs(stack: np.ndarray, s: float, shift=None) -> tuple:
 _SMALL = 2.0 ** -480  # below this a row may hold a subnormal |c|^2
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _at_scale(plain, stack: np.ndarray, shift=None) -> tuple:
     """The one scale rule for norms: ``plain`` of each row of ``stack *
     2**shift`` as a pair ``(values, exps)`` for ``values * 2**exps``.
 
     ``plain`` maps a complex stack (T, ...) to one float per row and is
     homogeneous of degree one; ``shift`` holds integer exponents broadcast
-    against ``stack``, with its leading axis.  A row that reads inf or
+    against ``stack``, with its leading axis.  A row that reads inf, nan or
     below ``_SMALL`` is taken again divided, exactly, by the power of two
     at its largest real or imaginary part (`_top_exponents`) and carries
     that exponent.  ``exps`` is None where no row was taken again.
     """
     values = plain(stack if shift is None else _ldexp(stack, shift))
-    scan = values.tolist()  # Python's min and max are the cheaper at T = 1
-    if _SMALL <= min(scan) and max(scan) < math.inf or not stack.any():
+    scan = values.tolist()  # Python's min and sum are the cheaper at T = 1; a nan row makes the sum nan
+    if _SMALL <= min(scan) and sum(scan) < math.inf or not stack.any():
         return values, None
-    odd = np.flatnonzero((values < _SMALL) | (values == np.inf))
+    odd = np.flatnonzero(~((_SMALL <= values) & (values < np.inf)))
     shift = 0 if shift is None else shift[odd]
     exps = np.zeros(len(values), dtype=int)
     exps[odd] = top = _top_exponents(stack[odd], shift)
@@ -196,19 +196,20 @@ def _mode_power(coeffs: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(coeffs) ** 2, axis=-1)
 
 
-def _relative(parts, refs, s: float, pairs=None, shift=None) -> np.ndarray:
-    """``|parts|_s / (1 + max |refs|_s)`` for each row of coefficient stacks.
+def _relative(parts, refs, s: float | None = None) -> np.ndarray:
+    """``|parts|_s / (1 + max |refs|_s)`` for each row of coefficient stacks,
+    or, with ``s`` None, of the `_norm_pairs` pairs already taken of them.
 
-    ``|parts|_s`` is the root sum of squares of the norms of the parts, each
-    taken times ``2**shift``.  ``pairs`` may hand in the `_norm_pairs` pairs
-    already taken, one per part and then per reference.  Where a norm was
+    ``|parts|_s`` is the root sum of squares of the norms of the parts.
+    Where a norm was
     taken at scale, the ratio is formed from the pairs: the parts at their
     largest exponent, the references at theirs (at least 0, where the 1
     counts), the quotient scaled back.  A ratio past the float range reads
     as the largest float, a lower bound failing every tolerance.
     """
-    pairs = pairs or [_norm_pairs(c, s, shift) for c in parts] + [_norm_pairs(c, s) for c in refs]
-    norms, exps = zip(*pairs)
+    if s is not None:
+        parts, refs = ([_norm_pairs(c, s) for c in group] for group in (parts, refs))
+    norms, exps = zip(*parts, *refs)
     k = len(parts)
     if all(e is None for e in exps):
         return functools.reduce(np.hypot, norms[:k]) / (1.0 + functools.reduce(np.maximum, norms[k:]))
@@ -270,9 +271,14 @@ def sample_values(loop: Loop, n_points: int | None = None) -> np.ndarray:
     P = default_grid_size(loop.n_max) if n_points is None else int(n_points)
     if P < 2 * loop.n_max + 1:
         raise ValueError(f"need at least {2 * loop.n_max + 1} samples, got {P}")
-    spread = np.zeros((P, loop.m), dtype=complex)
-    spread[loop.modes % P] = loop.coeffs
-    return np.fft.ifft(spread, axis=0) * P
+    return _samples(loop.coeffs[None], P)[0]
+
+
+def _samples(stack: np.ndarray, P: int) -> np.ndarray:
+    """`sample_values` of each row of a stack (T, 2N+1, m), shape (T, P, m)."""
+    spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
+    spread[:, np.arange(-(stack.shape[1] // 2), stack.shape[1] // 2 + 1) % P] = stack
+    return np.fft.ifft(spread, axis=1) * P
 
 
 def loop_from_samples(values: np.ndarray, n_max: int) -> Loop:

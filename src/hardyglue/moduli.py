@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fredholm import DEFAULT_RANK_TOL, SubspaceTriple
+from .fredholm import SubspaceTriple
 
 __all__ = [
     "Component",
@@ -211,8 +211,7 @@ def _mode_columns(n_max: int, modes) -> np.ndarray:
     return np.eye(2 * n_max + 1, dtype=complex)[:, np.add(modes, n_max)]
 
 
-def hardy_triple_for_line_bundle(deg2d: int, n_max: int,
-                                 rank_tol: float = DEFAULT_RANK_TOL) -> LineBundleTriple:
+def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> LineBundleTriple:
     """Hardy triple of a degree-``deg2d`` twisted bundle on the sphere.
 
     Ambient space: Laurent modes -n_max..n_max.  One side spans the modes
@@ -227,15 +226,15 @@ def hardy_triple_for_line_bundle(deg2d: int, n_max: int,
         raise ValueError(f"truncation {n_max} must exceed the twist degree {deg2d}")
     inner = _mode_columns(n_max, range(0, n_max + 1))
     outer = _mode_columns(n_max, range(-n_max, deg2d + 1))
-    triple = SubspaceTriple(2 * n_max + 1, inner, outer, rank_tol)
+    triple = SubspaceTriple(2 * n_max + 1, inner, outer)
     return LineBundleTriple(triple, deg2d + 1)
 
 
-def hardy_sphere_triple(m: int, n_max: int, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceTriple:
+def hardy_sphere_triple(m: int, n_max: int) -> SubspaceTriple:
     """Hardy split of sphere loops in C^m: nonnegative modes against
     nonpositive modes; they meet exactly in the constants."""
     if m < 1:
         raise ValueError(f"target dimension must be positive, got {m}")
     plus_const, minus_const = (np.kron(_mode_columns(n_max, modes), np.eye(m))
                                for modes in (range(0, n_max + 1), range(-n_max, 1)))
-    return SubspaceTriple((2 * n_max + 1) * m, plus_const, minus_const, rank_tol)
+    return SubspaceTriple((2 * n_max + 1) * m, plus_const, minus_const)

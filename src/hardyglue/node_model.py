@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _relative, hardy_project, sobolev_norm
+from .loops import Loop, _ldexp, _norm_pairs, _relative, hardy_project, sobolev_norm
 
 __all__ = [
     "DEFAULT_SOBOLEV_S",
@@ -61,6 +61,10 @@ __all__ = [
 
 # Standing smoothness exponent: the model requires s + 1/2 > 1.
 DEFAULT_SOBOLEV_S = 1.5
+
+# Below this norm of both loops, each part of a defect entry, at most 1 + sqrt(2)
+# times the largest part of the pair as |z| < 1, is in the float range.
+_DEFECT_SAFE = 2.0 ** 1022
 
 
 def _check_gluing(z: complex) -> None:
@@ -250,10 +254,18 @@ def _defect(table, xi, eta) -> tuple:
     return dxi, deta
 
 
-def _membership_residuals(table, xi, eta, s: float) -> np.ndarray:
-    """Stacked `node_membership` residuals, shape (T,)."""
-    dxi, deta = _defect(table, xi, eta)
-    return _relative((dxi, deta), (xi, eta), s)
+def _membership_residuals(table, xi, eta, s: float, mant=None, shift=None) -> np.ndarray:
+    """Stacked `node_membership` residuals, shape (T,), of the defect over
+    ``mant * 2**-shift`` where given (the annulus test's core weights).  A
+    row whose loops reach `_DEFECT_SAFE` takes the defect of the pair over
+    4, exactly, so that no defect entry passes the float range."""
+    refs = [_norm_pairs(c, s) for c in (xi, eta)]
+    top = np.maximum(*(_ldexp(v, e) for v, e in refs))
+    if max(top.tolist(), default=0.0) >= _DEFECT_SAFE:  # Python's max is the cheaper at T = 1
+        quarter = np.where(top >= _DEFECT_SAFE, -2, 0)[:, None, None]
+        xi, eta, shift = _ldexp(xi, quarter), _ldexp(eta, quarter), (0 if shift is None else shift) - quarter
+    parts = [d if mant is None else d / mant for d in _defect(table, xi, eta)]
+    return _relative([_norm_pairs(d, s, shift) for d in parts], refs)
 
 
 def _check_members(residuals, tol: float) -> None:
@@ -325,14 +337,16 @@ def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBO
     map on ``N_z``.
 
     The residual is the Sobolev-s norm of the relation defect divided by
-    ``1 + max(|xi|_s, |eta|_s)``; membership means residual <= tol.
+    ``1 + max(|xi|_s, |eta|_s)``; membership means residual <= tol.  Loops
+    whose norms reach `_DEFECT_SAFE` are tested as a stack of one.
     """
-    pair = membership_defect(b) + (b.xi, b.eta)
-    norms = [sobolev_norm(loop, s) for loop in pair]
-    stacks = [loop.coeffs[None] for loop in pair]
-    # a norm past the float range reads inf; `_relative` then takes pairs
-    finite = [(np.array([norm]), None) for norm in norms] if max(norms) < np.inf else None
-    residual = float(_relative(stacks[:2], stacks[2:], s, finite)[0])
+    refs = [sobolev_norm(loop, s) for loop in (b.xi, b.eta)]
+    if max(refs) < _DEFECT_SAFE:  # then the defect's norms, at most |xi|_s + |eta|_s, are finite
+        parts = [sobolev_norm(loop, s) for loop in membership_defect(b)]
+        residual = float(_relative(*[[(np.array([n]), None) for n in g] for g in (parts, refs)])[0])
+    else:
+        xi, eta = b.xi.coeffs[None], b.eta.coeffs[None]
+        residual = float(_membership_residuals(_power_table([b.z], xi, eta), xi, eta, s)[0])
     return MembershipResult(residual <= tol, residual)
 
 

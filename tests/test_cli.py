@@ -183,6 +183,28 @@ class TestScenarioFiles:
         assert by_name["node0_ball_sup"]["residual"] == pytest.approx(1e200, rel=1e-15)
         assert by_name["node0_disk_pair_defect"]["status"] == "pass"
 
+    @pytest.mark.parametrize("command, record, expected", [
+        ("node-check", {"z": [0.5, 0.0]}, 1.5),
+        ("extend-check", {"kind": "disk_pair", "z": [0.5, 0.0]}, 1.5),
+        ("extend-check", {"kind": "annulus", "delta": 0.5}, 1.5 * 2 ** 0.5)])
+    def test_defect_past_float_range_fails_finite(self, tmp_path, capsys, command, record, expected):
+        # xi_{-1} - z eta_1 = 1.7e308 + 0.85e308 is past the float range; the
+        # residual is 1.5 (on the annulus core circle, over delta^(1/2))
+        xi = {"m": 1, "n_max": 1, "coeffs": [[[1.7e308, 0]], [[0, 0]], [[0, 0]]]}
+        eta = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[0, 0]], [[-1.7e308, 0]]]}
+        record = dict(record, xi=xi, eta=eta)
+        params = {"boundary": record} if command == "node-check" else {"nodes": [record]}
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert caught == [] and err == ""
+        assert code == 1
+        by_name = {c["check"]: c for c in lines[:-1]}
+        defect = by_name.get("membership") or by_name[f"node0_{record.get('kind')}_defect"]
+        assert defect["status"] == "fail"
+        assert defect["residual"] == pytest.approx(expected, rel=1e-15)
+        if command == "extend-check":
+            assert by_name["node0_ball_sup"]["status"] == "fail"
+            assert by_name["node0_ball_sup"]["residual"] == pytest.approx(1.7e308, rel=1e-15)
+
     def test_contraction_scenario(self, capsys):
         code, checks, _ = run_cli(capsys, "moduli-dim", str(SCENARIOS / "vanishing_cycles.json"))
         assert code == 0
@@ -583,7 +605,7 @@ class TestStackedFredholmSuite:
         for k in range(1, trials + 1):
             try:
                 t2 = fredholm.SubspaceTriple(t.ambient_dim, perturb(t.basis_prime),
-                                             perturb(t.basis_dprime), t.rank_tol)
+                                             perturb(t.basis_dprime))
             except ValueError:
                 return fredholm.StabilityResult("changed", gap, k)
             if fredholm.triple_index(t2) != base:
@@ -686,12 +708,16 @@ class TestStackedFredholmSuite:
         # verify fredholm at the default seed: the Euler triples as before
         # (up to two validations and the index each), then per stability
         # triple its two validations, its spectrum and one stacked SVD for
-        # each of the three rank decisions (6 a triple, 63 trial by trial)
+        # each of the three rank decisions (6 a triple, 63 trial by trial).
+        # Each of the five tangent checks makes 5: per pair one SVD of the
+        # stacked bases and one of the cap, plus the gap.  The two ranks of
+        # the sums (7 a check before) went: the SVD that finds the kernel
+        # also gives them
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         verify_suite("fredholm")
-        assert len(calls) == 2654 + 100 * 6
+        assert len(calls) == 2644 + 100 * 6
 
 
 class TestDeterminism:

@@ -151,6 +151,33 @@ class TestBasisRank:
             SubspaceTriple(3, eye_cols(3, [2]), bq)
 
 
+class TestRankRule:
+    def test_every_count_follows_the_one_tolerance(self, monkeypatch):
+        # two lines 1e-6 apart: distinct at the default tolerance, one line
+        # once the tolerance is looser than their angle
+        from hardyglue import fredholm
+        b1 = eye_cols(3, [0])
+        b2 = b1 + 1e-6 * eye_cols(3, [1])
+        t = SubspaceTriple(3, b1, b2)
+
+        def counts():
+            return (triple_index(t).dim_cap, subspace_intersection(b1, b2).shape[1],
+                    normal_coordinates(t).dims)
+
+        assert counts() == (0, 0, (0, 1, 1, 1))
+        monkeypatch.setattr(fredholm, "RANK_TOL", 1e-3)
+        assert counts() == (1, 1, (1, 0, 0, 2))
+
+    @pytest.mark.parametrize("small", [[1], [1, 2]])
+    def test_bases_of_scales_past_the_tolerance_rejected(self, small):
+        # a side 1e-10 times the other reads as kernel of [B' | -B''], but
+        # its image is no intersection: the widths cannot sum to N
+        n = 1 + len(small)
+        t = SubspaceTriple(n, eye_cols(n, [0]), 1e-10 * eye_cols(n, small))
+        with pytest.raises(ValueError, match="do not sum to N"):
+            normal_coordinates(t)
+
+
 class TestNormalCoordinates:
     def test_plane_example_dims(self):
         t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
