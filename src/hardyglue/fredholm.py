@@ -17,10 +17,13 @@ as `index_stability_check` ranks its perturbed triples.  The rule is
 relative to the largest singular value of ``[B' | B'']``, so results do not
 depend on the bases while their scales differ by less than ``1/RANK_TOL``.
 Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
+`index_stability_check` proves a triple stable from its three spectra
+(Weyl's inequality) and draws perturbed triples only where that fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -170,11 +173,17 @@ def triple_index(t: SubspaceTriple) -> TripleIndex:
 class StabilityResult:
     """Verdict of `index_stability_check`; ``trials`` counts the
     perturbations the verdict rests on: none for "inconclusive", k when the
-    k-th changed the index, all of them when "stable"."""
+    k-th changed the index, all of them when the trials found it "stable",
+    and none when the certificate proved it "stable".  That last case is a
+    change of meaning: a "stable" verdict used to count every trial
+    requested.  ``margin`` is the certificate's smallest margin in units of
+    ``RANK_TOL * s_0``, positive and finite, when it decided the verdict,
+    and 0.0 otherwise."""
 
     verdict: str  # "stable" | "changed" | "inconclusive"
     min_gap: float
     trials: int
+    margin: float = 0.0
 
     def __bool__(self) -> bool:
         return self.verdict == "stable"
@@ -183,6 +192,12 @@ class StabilityResult:
 # Coefficients per perturbed stack of `index_stability_check`: 1 MB of
 # complex entries, so a block of trials stays small whatever the triple.
 _STABILITY_BLOCK_COEFFS = 1 << 16
+
+# Ulps of the largest singular value that the certificate adds to the
+# perturbation's norm, a few for each of: the backward error of the SVD
+# taken here, that of the SVD of a perturbed triple, and the rounding of
+# ``b + E``.
+_CERTIFICATE_ULPS = 32
 
 
 def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed: int = 0) -> StabilityResult:
@@ -195,13 +210,22 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     "inconclusive" together with the observed gap, without drawing any
     perturbation.
 
-    Trial k perturbs ``B'`` and then ``B''`` by ``eps |B| g / |g|``, with
-    ``g`` the real and then the imaginary part drawn from one stream.  The
-    index changes at trial k when a perturbed basis loses rank or
-    ``[B' | B'']`` takes another rank.  The trials are checked as stacks,
-    one SVD per stack for each of the three rank decisions, in blocks of
-    up to `_STABILITY_BLOCK_COEFFS` coefficients; the verdict is read at
-    the first trial that changed.
+    Past the gate, a certificate is tried first (`_certificate`): by
+    Weyl's inequality for singular values (Stewart & Sun, *Matrix
+    Perturbation Theory*, 1990) no trial moves a singular value of ``B'``,
+    ``B''`` or ``[B' | B'']`` by more than ``eps`` times the Frobenius norm
+    of what it perturbs.  When all three rank decisions keep their margin
+    against that move, no trial can change the index: the verdict is
+    "stable" with ``trials == 0`` and the smallest margin, and nothing is
+    drawn.
+
+    Otherwise trial k perturbs ``B'`` and then ``B''`` by ``eps |B| g /
+    |g|``, with ``g`` the real and then the imaginary part drawn from one
+    stream.  The index changes at trial k when a perturbed basis loses
+    rank or ``[B' | B'']`` takes another rank.  The trials are checked as
+    stacks, one SVD per stack for each of the three rank decisions, in
+    blocks of up to `_STABILITY_BLOCK_COEFFS` coefficients; the verdict is
+    read at the first trial that changed.
     """
     s = _stacked_spectrum(t)
     rank = _rank_of(s)
@@ -211,6 +235,9 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
     if eps >= 0.1 * gap:
         return StabilityResult("inconclusive", gap, 0)
+    margin = _certificate(t, s, eps)
+    if margin > 0.0:
+        return StabilityResult("stable", gap, 0, margin)
     rng = np.random.default_rng(seed)
     bp, bq = t.basis_prime, t.basis_dprime
     # per trial: the real, then the imaginary part of the noise on B', then on B''
@@ -227,6 +254,39 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
         if changed.any():
             return StabilityResult("changed", gap, start + int(np.argmax(changed)) + 1)
     return StabilityResult("stable", gap, trials)
+
+
+def _certificate(t: SubspaceTriple, s: np.ndarray, eps: float) -> float:
+    """The smallest `_weyl_margin` of the three rank decisions on ``t``
+    (stacked spectrum ``s``): ``B'`` against ``d' = eps |B'|_F``, ``B''``
+    against ``d'' = eps |B''|_F`` and ``[B' | B'']`` against ``hypot(d',
+    d'')``.  ``1 / RANK_TOL``, more than any spectrum's, when there is no
+    column; nan, which certifies nothing, for a nan ``eps``."""
+    bp, bq = t.basis_prime, t.basis_dprime
+    dp, dq = (abs(eps) * float(np.linalg.norm(b)) for b in (bp, bq))
+    margins = [_weyl_margin(s, math.hypot(dp, dq))] if s.size else []
+    margins += [_weyl_margin(np.linalg.svd(b, compute_uv=False), d) for b, d in ((bp, dp), (bq, dq)) if b.size]
+    return float(np.min(margins, initial=1.0 / RANK_TOL))
+
+
+def _weyl_margin(s: np.ndarray, d: float) -> float:
+    """How far the rank decision on the spectrum ``s`` (descending, not
+    empty, ``s_0 > 0``) holds against any perturbation of 2-norm at most
+    ``d``, in units of ``RANK_TOL * s_0``; positive when it holds.
+
+    With ``r`` the rank and each singular value moved by at most ``d``,
+    ``s_{r-1}`` stays above the rule's threshold while ``s_{r-1} - d >
+    RANK_TOL (s_0 + d)`` and ``s_r`` (where it exists) stays at or below
+    it while ``s_r + d <= RANK_TOL (s_0 - d)``.  ``d`` is first padded by a
+    relative 1e-12 for the rounding of the perturbation's norm and by
+    `_CERTIFICATE_ULPS` ulps of ``s_0``."""
+    r = _rank_of(s)
+    s0 = float(s[0])
+    d = d * (1.0 + 1e-12) + _CERTIFICATE_ULPS * np.finfo(float).eps * s0
+    slack = s[r - 1] - d - RANK_TOL * (s0 + d)
+    if r < s.size:
+        slack = min(slack, RANK_TOL * (s0 - d) - s[r] - d)
+    return float(slack / (RANK_TOL * s0))
 
 
 def _perturbed(b: np.ndarray, eps: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:

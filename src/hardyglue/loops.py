@@ -274,11 +274,23 @@ def sample_values(loop: Loop, n_points: int | None = None) -> np.ndarray:
     return _samples(loop.coeffs[None], P)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _samples(stack: np.ndarray, P: int) -> np.ndarray:
-    """`sample_values` of each row of a stack (T, 2N+1, m), shape (T, P, m)."""
+    """`sample_values` of each row of a stack (T, 2N+1, m), shape (T, P, m).
+
+    The scale rule of `_at_scale`: a row whose samples do not all read
+    finite is synthesised again divided, exactly, by the power of two at
+    its largest part (`_top_exponents`) and multiplied back, so that only a
+    sample past the float range reads inf.  The other rows are taken as
+    they stand."""
     spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
     spread[:, np.arange(-(stack.shape[1] // 2), stack.shape[1] // 2 + 1) % P] = stack
-    return np.fft.ifft(spread, axis=1) * P
+    out = np.fft.ifft(spread, axis=1) * P
+    odd = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if odd.size:
+        top = _top_exponents(spread[odd])[:, None, None]
+        out[odd] = _ldexp(np.fft.ifft(_ldexp(spread[odd], -top), axis=1) * P, top)
+    return out
 
 
 def loop_from_samples(values: np.ndarray, n_max: int) -> Loop:
@@ -308,31 +320,38 @@ def winding_number(loop: Loop, tol: float = 1e-9) -> int:
     """Winding number of a scalar loop about the origin: the number of
     roots of the polynomial ``x^N f(x)`` inside the unit disk (companion
     matrix eigenvalues, `np.roots`) minus N.  A root within ``tol`` of the
-    circle, where it is not defined, and a count the argument principle
-    (`_argument_count`) does not confirm are ValueErrors."""
+    circle, where it is not defined, a sample within ``tol`` of 0 and a
+    count the argument principle (`_argument_count`) does not confirm are
+    ValueErrors.  A loop with a part of modulus 1 or more is counted
+    divided, exactly, by the power of two at its largest part: the roots
+    and the argument are the same, and no sample, ratio or Horner sum
+    passes the float range."""
     if loop.m != 1:
         raise ValueError("winding number requires a scalar loop (m=1)")
-    roots = np.roots(loop.coeffs[::-1, 0])
+    top = max(int(_top_exponents(loop.coeffs[None])[0]), 0)
+    f = _ldexp(loop.coeffs[:, 0], -top)
+    roots = np.roots(f[::-1])
     if np.any(np.abs(np.abs(roots) - 1.0) <= tol):
         raise ValueError(f"loop has a zero within {tol} of the circle; winding number undefined")
     count = int(np.sum(np.abs(roots) < 1.0)) - loop.n_max
-    by_argument = _argument_count(loop, roots, tol)
+    vals = _samples(f[None, :, None], default_grid_size(loop.n_max))[0, :, 0]
+    if np.min(np.abs(vals)) <= math.ldexp(tol, -top):
+        raise ValueError(f"loop passes within {tol} of the origin; winding number undefined")
+    by_argument = _argument_count(f, vals, roots)
     if count != by_argument:
         raise ValueError(f"zero count {count} disagrees with the argument principle ({by_argument})")
     return count
 
 
-def _argument_count(loop: Loop, roots: np.ndarray, tol: float) -> int:
-    """The argument principle: the argument increments of a scalar loop f
-    between samples, summed and divided by 2*pi.  The samples start as the
-    uniform grid of ``8*(n_max+1)`` points, none within ``tol`` of 0.  On
-    the circle ``|d arg f / d theta| <= N + sum_j 1/|x - r_j|`` over the
+def _argument_count(f: np.ndarray, vals: np.ndarray, roots: np.ndarray) -> int:
+    """The argument principle: the argument increments of the scalar loop
+    with coefficients ``f`` (modes -N..N) between samples, summed and
+    divided by 2*pi.  The samples start as ``vals`` on the uniform grid.
+    On the circle ``|d arg f / d theta| <= N + sum_j 1/|x - r_j|`` over the
     ``roots`` of ``x^N f(x)``; an interval where that bound times its width
     is pi/2 or more is bisected (at most 64 times, past float resolution)
     until it is below, so each principal increment is the true one."""
-    vals = sample_values(loop)[:, 0]
-    if np.min(np.abs(vals)) <= tol:
-        raise ValueError(f"loop passes within {tol} of the origin; winding number undefined")
+    n_max = len(f) // 2
     edges = 2.0 * np.pi * np.arange(len(vals) + 1) / len(vals)
     left, right, f_left, f_right = edges[:-1], edges[1:], vals, np.roll(vals, -1)
     off_circle = np.abs(1.0 - np.abs(roots))
@@ -341,12 +360,12 @@ def _argument_count(loop: Loop, roots: np.ndarray, tol: float) -> int:
         mid = 0.5 * (left + right)
         x = np.exp(1j * mid)
         near = np.maximum(np.abs(x[:, None] - roots) - 0.5 * (right - left)[:, None], off_circle)
-        sure = (right - left) * (loop.n_max + np.sum(1.0 / near, axis=1)) < np.pi / 2
+        sure = (right - left) * (n_max + np.sum(1.0 / near, axis=1)) < np.pi / 2
         total += float(np.sum(np.angle(f_right[sure] / f_left[sure])))
         if sure.all():
             return int(round(total / (2.0 * np.pi)))
         left, right, f_left, f_right, mid, x = (v[~sure] for v in (left, right, f_left, f_right, mid, x))
-        f_mid = np.polyval(loop.coeffs[::-1, 0], x) * x ** -loop.n_max
+        f_mid = np.polyval(f[::-1], x) * x ** -n_max
         left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
     raise ValueError("argument increments not resolved after 64 bisections")

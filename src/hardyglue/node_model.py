@@ -325,11 +325,17 @@ def membership_defect(b: NodeBoundary) -> tuple[Loop, Loop]:
     ``xi_0 - eta_0`` at mode 0; the eta-defect carries
     ``eta_{-n} - z^n xi_n`` at mode ``-n``.  At ``z = 0`` (where
     ``0^n = 0``) this is exactly the separate conditions: negative modes
-    vanish and the constants agree.
+    vanish and the constants agree.  A defect entry past the float range
+    is a ValueError: `node_membership` tests such a pair at scale.
     """
     xi, eta = b.xi.coeffs[None], b.eta.coeffs[None]
-    dxi, deta = _defect(_power_table([b.z], xi, eta), xi, eta)
-    return b.xi.with_coeffs(dxi[0]), b.eta.with_coeffs(deta[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dxi, deta = _defect(_power_table([b.z], xi, eta), xi, eta)
+    try:
+        return b.xi.with_coeffs(dxi[0]), b.eta.with_coeffs(deta[0])
+    except ValueError:  # the shapes agree, so an entry is not finite
+        raise ValueError("the membership defect is past the float range; "
+                         "node_membership tests such a pair at scale") from None
 
 
 def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:

@@ -686,6 +686,72 @@ class TestStackedFredholmSuite:
         yield SubspaceTriple(4, eye[:, :2], near), 1e-6
         yield SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))), 1e-6
 
+    @staticmethod
+    def near_threshold():
+        """Small random triples with one rank decision near the rule's
+        threshold, each with an eps from a third to three times the largest
+        that Weyl's inequality allows for that decision: a side with a
+        relative singular value just above `RANK_TOL` against an invertible
+        other side, then ``[a u0 | b (u0 + mu u1)]`` with its relative s_1
+        below `RANK_TOL` and just above it."""
+        from hardyglue.fredholm import RANK_TOL, SubspaceTriple
+
+        rng = np.random.default_rng(99)
+
+        def unitary(n):
+            return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+        for i in range(36):
+            factor = 10.0 ** rng.uniform(-0.5, 0.5)
+            if i % 3 == 0:
+                tau = RANK_TOL * (1 + 10.0 ** rng.uniform(-2, 0))
+                bp, bq = unitary(2) @ np.diag([1.0, tau]) @ unitary(2), unitary(2)
+                eps = factor * (tau - RANK_TOL) / np.linalg.norm(bp)
+                yield SubspaceTriple(2, *((bq, bp) if i % 2 else (bp, bq))), eps
+                continue
+            N = int(rng.integers(2, 4))
+            u = unitary(N)
+            rel = RANK_TOL * (rng.uniform(0.1, 0.9) if i % 3 == 1 else 1 + 10.0 ** rng.uniform(-2, -0.5))
+            a, b = rng.uniform(0.5, 2, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            # the relative s_1 is about |a b| mu / s_0^2, with s_0^2 about |a|^2 + |b|^2
+            mu = rel * (abs(a) ** 2 + abs(b) ** 2) / abs(a * b)
+            stacked = np.hstack([a * u[:, :1], b * (u[:, :1] + mu * u[:, 1:2])])
+            s = np.linalg.svd(stacked, compute_uv=False)
+            yield SubspaceTriple(N, stacked[:, :1], stacked[:, 1:]), \
+                factor * abs(s[1] - RANK_TOL * s[0]) / np.linalg.norm(stacked)
+
+    @classmethod
+    def certified_but_changed(cls, triples):
+        """The triples the certificate decides that the trial loop finds
+        changed within 200 trials at one of 3 seeds."""
+        from hardyglue import fredholm
+
+        for t, eps in triples:
+            if fredholm.index_stability_check(t, eps, trials=0).margin > 0:
+                if any(cls.reference_stability(t, eps, 200, seed).verdict != "stable" for seed in range(3)):
+                    yield t, eps
+
+    def test_certified_triples_read_stable_in_the_trial_loop(self):
+        from hardyglue import fredholm
+
+        triples = [*self.triples(), *self.near_threshold()]
+        assert list(self.certified_but_changed(triples)) == []
+        certified = [fredholm.index_stability_check(t, eps, trials=0).margin > 0 for t, eps in triples]
+        assert sum(certified[:64]) == 61 and sum(certified[64:]) == 11
+
+    @pytest.mark.parametrize("mutant", ["d halved", "sides skipped"])
+    def test_unsound_certificate_caught(self, monkeypatch, mutant):
+        # the test above must fail under a certificate that claims too much
+        from hardyglue import fredholm
+
+        if mutant == "d halved":
+            weyl_margin = fredholm._weyl_margin
+            monkeypatch.setattr(fredholm, "_weyl_margin", lambda s, d: weyl_margin(s, d / 2))
+        else:
+            monkeypatch.setattr(fredholm, "_certificate", lambda t, s, eps: fredholm._weyl_margin(
+                s, abs(eps) * np.linalg.norm(np.hstack([t.basis_prime, t.basis_dprime]))))
+        assert next(self.certified_but_changed(self.near_threshold()), None) is not None
+
     @pytest.mark.parametrize("block", [None, 1, 25])
     def test_verdicts_equal_to_trial_loop(self, monkeypatch, block):
         # block=1 checks one trial per stack, 25 a few per stack (12 to 48
@@ -694,21 +760,32 @@ class TestStackedFredholmSuite:
 
         if block is not None:
             monkeypatch.setattr(fredholm, "_STABILITY_BLOCK_COEFFS", block)
-        verdicts = []
+        verdicts, certified = [], 0
         for i, (t, eps) in enumerate(self.triples()):
             for seed in (i, i + 1000):
                 got = fredholm.index_stability_check(t, eps, trials=12, seed=seed)
-                assert got == self.reference_stability(t, eps, 12, seed)
+                want = self.reference_stability(t, eps, 12, seed)
+                if got.margin > 0:  # certified: past the gate, no trial drawn, "stable" in the loop
+                    assert (got.verdict, got.trials) == ("stable", 0) and eps < 0.1 * got.min_gap
+                    assert (want.verdict, want.min_gap) == (got.verdict, got.min_gap)
+                    certified += 1
+                    # the trials behind the certificate still give the loop's result
+                    with monkeypatch.context() as patch:
+                        patch.setattr(fredholm, "_certificate", lambda *args: 0.0)
+                        got = fredholm.index_stability_check(t, eps, trials=12, seed=seed)
+                assert got == want
                 verdicts.append((got.verdict, got.trials))
         assert {v for v, _ in verdicts} == {"stable", "changed", "inconclusive"}
         assert max(k for v, k in verdicts if v == "changed") > 2
+        assert certified == 122  # 61 of the 64 triples, at both seeds
         assert fredholm.index_stability_check(next(self.triples())[0], 1e-6, trials=0).trials == 0
 
     def test_svd_calls_pinned(self, monkeypatch):
         # verify fredholm at the default seed: the Euler triples as before
         # (up to two validations and the index each), then per stability
-        # triple its two validations, its spectrum and one stacked SVD for
-        # each of the three rank decisions (6 a triple, 63 trial by trial).
+        # triple its two validations, its spectrum and the spectra of its
+        # two sides for the certificate, which decides all 100 (5 a triple;
+        # 6 with one stacked SVD per rank decision before, 63 trial by trial).
         # Each of the five tangent checks makes 5: per pair one SVD of the
         # stacked bases and one of the cap, plus the gap.  The two ranks of
         # the sums (7 a check before) went: the SVD that finds the kernel
@@ -717,7 +794,7 @@ class TestStackedFredholmSuite:
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         verify_suite("fredholm")
-        assert len(calls) == 2644 + 100 * 6
+        assert len(calls) == 2644 + 100 * 5
 
 
 class TestDeterminism:

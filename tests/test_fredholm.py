@@ -3,6 +3,7 @@ import pytest
 import sympy
 
 from hardyglue.fredholm import (
+    RANK_TOL,
     GraphPairLocal,
     PolynomialMap,
     SubspaceTriple,
@@ -118,8 +119,15 @@ class TestIndexStability:
         assert built == []
 
     def test_trials_count_the_perturbations_drawn(self):
+        # the plane example is certified and draws none; B' = [e0, e0 +
+        # 1e-6 e1] has a relative singular value about 5e-7, which a move of
+        # eps |B'|_F = 2e-6 could undercut, so the trials run, while the gap
+        # of [B' | B''] (rank 3, no s_3) clears the gate
         t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
-        assert index_stability_check(t, 1e-6, trials=7).trials == 7
+        assert index_stability_check(t, 1e-6, trials=7).trials == 0
+        bp = np.array([[1, 1], [0, 1e-6], [0, 0]], dtype=complex)
+        result = index_stability_check(SubspaceTriple(3, bp, eye_cols(3, [1, 2])), 1e-6, trials=7)
+        assert (result.verdict, result.trials, result.margin) == ("stable", 7, 0.0)
         # [B' | B''] has the relative singular value 1.025e-9 just above the
         # rank tolerance 1e-9 and a gap ten times eps; with seed 3 the
         # fourth perturbation drops it below, so the index changes there
@@ -135,6 +143,29 @@ class TestIndexStability:
         assert result.min_gap == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
         assert index_stability_check(SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))),
                                      1e-6, trials=5).min_gap == 1.0
+
+
+class TestStabilityCertificate:
+    # eps_weyl is the largest eps the certificate of `index_stability_check`
+    # accepts, in closed form from diagonal singular values
+    @pytest.mark.parametrize("bp, bq, eps_weyl", [
+        # B' = diag(1, 1e-6) against B'' = e1: the side's s_1 must stay above
+        # RANK_TOL (s_0 + d') after a move d' = eps |B'|_F
+        (np.diag([1.0, 1e-6]), eye_cols(2, [1]), (1e-6 - RANK_TOL) / ((1 + RANK_TOL) * np.hypot(1.0, 1e-6))),
+        # B' = B'' = e0: [B' | B''] has s = (sqrt 2, 0), and s_1 + d must stay
+        # at or below RANK_TOL (s_0 - d) for d = eps sqrt 2
+        (eye_cols(2, [0]), eye_cols(2, [0]), RANK_TOL / (1 + RANK_TOL)),
+    ], ids=["side s_1", "stacked s_r"])
+    def test_tight_at_the_weyl_bound(self, bp, bq, eps_weyl):
+        t = SubspaceTriple(2, bp, bq)
+        inside = index_stability_check(t, eps_weyl * (1 - 1e-4), trials=5)
+        assert (inside.verdict, inside.trials) == ("stable", 0) and 0 < inside.margin < 1
+        outside = index_stability_check(t, eps_weyl * (1 + 1e-4), trials=5)
+        assert outside.trials > 0 and outside.margin == 0.0
+
+    def test_triple_without_columns_certified(self):
+        result = index_stability_check(SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))), 1e-6)
+        assert (result.verdict, result.trials, result.margin) == ("stable", 0, 1 / RANK_TOL)
 
 
 class TestBasisRank:

@@ -22,6 +22,14 @@ def scalar(entries, n_max=8):
     return Loop.from_modes(1, n_max, {n: [v] for n, v in entries.items()})
 
 
+def _spread(stack, P):
+    """The stack (T, 2N+1, m) placed on the FFT grid of P points."""
+    spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
+    for j in range(stack.shape[1]):
+        spread[:, (j - stack.shape[1] // 2) % P] = stack[:, j]
+    return spread
+
+
 def horner_oracle(coeffs_low_to_high, x):
     """Polynomial evaluation oracle, independent of the vectorized path."""
     acc = 0j
@@ -235,6 +243,35 @@ class TestSamplingRoundtrip:
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError):
             sample_values(scalar({1: 1.0}, n_max=8), 5)
+
+    def test_sampled_at_scale_near_the_float_maximum(self):
+        # 1.7e308 e^{-i theta}: every sample is finite, and the winding -1;
+        # the plain synthesis overflows in 4 of the 16 samples
+        loop = Loop(1, 1, [[1.7e308], [0], [0]])
+        theta = 2 * np.pi * np.arange(16) / 16
+        vals = sample_values(loop)[:, 0]
+        assert np.isfinite(vals).all()
+        assert vals == pytest.approx(1.7e308 * np.exp(-1j * theta), rel=1e-15, abs=1e293)
+        assert winding_number(loop) == -1
+        # power-of-two multiples sample to the same bits, scaled
+        small = loop.with_coeffs(2.0 ** -600 * loop.coeffs)
+        assert np.array_equal(sample_values(small)[:, 0] * 2.0 ** 600, vals)
+        assert winding_number(small) == -1
+
+    def test_only_rows_past_the_float_range_sampled_again(self):
+        from hardyglue.loops import _samples
+        rng = np.random.default_rng(8)
+        stack = 1e300 * (rng.standard_normal((4, 9, 2)) + 1j * rng.standard_normal((4, 9, 2)))
+        stack[2] = 0.0
+        stack[2, 1, 0] = 1.7e308  # mode -3 alone: finite samples whose plain synthesis overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.fft.ifft(_spread(stack, 64), axis=1) * 64
+        assert np.isfinite(plain).all(axis=(1, 2)).tolist() == [True, True, False, True]
+        got = _samples(stack, 64)
+        assert np.array_equal(got[[0, 1, 3]], plain[[0, 1, 3]])
+        theta = 2 * np.pi * np.arange(64) / 64
+        assert got[2, :, 0] == pytest.approx(1.7e308 * np.exp(-3j * theta), rel=1e-14, abs=1e294)
+        assert not got[2, :, 1].any()
 
 
 class TestLoopValidation:

@@ -151,6 +151,14 @@ class TestMembership:
         assert not res.member
         assert res.residual == pytest.approx(small.residual, rel=1e-9)
 
+    def test_defect_past_float_range_named(self):
+        # xi_{-1} - z eta_1 = 1.7e308 + 0.85e308 is past the float range;
+        # node_membership tests the pair at scale
+        b = NodeBoundary(0.5, Loop(1, 1, [[1.7e308], [0], [0]]), Loop(1, 1, [[0], [0], [-1.7e308]]))
+        with pytest.raises(ValueError, match="past the float range.*node_membership"):
+            membership_defect(b)
+        assert not node_membership(b).member
+
     def test_perturbation_bracket_at_s0(self):
         # single-relation perturbations of size eps land within [0.1 eps, 10 eps]
         rng = np.random.default_rng(17)
