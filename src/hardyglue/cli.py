@@ -344,7 +344,7 @@ def handle_node_check(params: dict, opts: RunOptions) -> list:
     n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
     z_max = _field(params, "z_max", 0.9, "params", _within(float, 0.0, "a number in [0, 1)", below=1.0))
     seed = _field(params, "seed", opts.seed, "params", _COUNT)
-    return _node_random_battery(opts, trials, m, n_max, z_max, seed)
+    return _built(_node_random_battery, "params", opts, trials, m, n_max, z_max, seed)
 
 
 def handle_extend_check(params: dict, opts: RunOptions) -> list:

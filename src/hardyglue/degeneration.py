@@ -217,6 +217,8 @@ def energy_axiom_check(fam: NeckFamily, eps_schedule, tol: float = 1e-6,
     reads the last two necks, built once and compared through `_per_unit`.
     """
     eps_schedule = [float(e) for e in eps_schedule]
+    if not eps_schedule:
+        raise ValueError("eps schedule must not be empty")
     if any(e <= 0 for e in eps_schedule):
         raise ValueError("eps schedule entries must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):

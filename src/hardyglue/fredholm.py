@@ -12,10 +12,10 @@ morphisms, the ``+ dim Lambda`` parametrized index relation, and a damped
 Gauss-Newton solver for the intersection equation.
 
 Every rank decision counts the singular values above `RANK_TOL` times the
-largest (`_rank_of`), one rank per spectrum or per row of a stack of them,
-as `index_stability_check` ranks its perturbed triples.  The rule is
-relative to the largest singular value of ``[B' | B'']``, so results do not
-depend on the bases while their scales differ by less than ``1/RANK_TOL``.
+largest of one spectrum (`_rank_of`), relative to the largest singular
+value of ``[B' | B'']``, so results do not depend on the bases while their
+scales differ by less than ``1/RANK_TOL``.  A `SubspaceTriple` takes its
+three spectra once; `triple_index` and `index_stability_check` read them.
 Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
 `index_stability_check` proves a triple stable from its three spectra
 (Weyl's inequality) and draws perturbed triples only where that fails.
@@ -24,12 +24,10 @@ Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .loops import _l2_rows
 
 __all__ = [
     "SubspaceTriple",
@@ -70,13 +68,10 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
     return m
 
 
-def _rank_of(s: np.ndarray):
+def _rank_of(s: np.ndarray) -> int:
     """Number of singular values ``s`` (descending) above `RANK_TOL` times
-    the largest; 0 for an empty or zero matrix.  On a stack of spectra
-    ``(..., k)`` the count is taken per row, an integer array of shape
-    ``(...)``; on one spectrum it is an int."""
-    above = s > RANK_TOL * s[..., :1]
-    return int(np.count_nonzero(above)) if above.ndim == 1 else above.sum(axis=-1)
+    the largest; 0 for an empty or zero matrix."""
+    return int(np.count_nonzero(s > RANK_TOL * s[:1]))
 
 
 def matrix_rank(M: np.ndarray) -> int:
@@ -113,28 +108,34 @@ def subspace_intersection(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceTriple:
-    """Ambient dimension plus two full-column-rank subspace bases."""
+    """Ambient dimension plus two full-column-rank subspace bases, and
+    ``spectra``: the singular values (descending, read-only) of ``[B' | B'']``,
+    ``B'`` and ``B''``, taken once; a side without columns takes no SVD."""
 
     ambient_dim: int
     basis_prime: np.ndarray
     basis_dprime: np.ndarray
+    spectra: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValueError(f"ambient dimension must be positive, got {self.ambient_dim}")
         bp = _as_basis(self.basis_prime, self.ambient_dim, "basis_prime")
         bq = _as_basis(self.basis_dprime, self.ambient_dim, "basis_dprime")
+        sides = []
         for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
-            if b.shape[1] == 0:
-                continue
-            rank = matrix_rank(b)
+            s = np.linalg.svd(b, compute_uv=False) if b.shape[1] else np.zeros(0)
+            rank = _rank_of(s)
             if rank < b.shape[1]:
                 raise ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
                                  f"at RANK_TOL {RANK_TOL:g}")
-        for b in (bp, bq):
-            b.flags.writeable = False
+            sides.append(s)
+        spectra = (np.linalg.svd(np.hstack([bp, bq]), compute_uv=False), *sides)
+        for a in (bp, bq, *spectra):
+            a.flags.writeable = False
         object.__setattr__(self, "basis_prime", bp)
         object.__setattr__(self, "basis_dprime", bq)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def p(self) -> int:
@@ -151,11 +152,6 @@ class TripleIndex(NamedTuple):
     index: int
 
 
-def _stacked_spectrum(t: SubspaceTriple) -> np.ndarray:
-    """Singular values of ``[B' | B'']``, descending (none when p + q = 0)."""
-    return np.linalg.svd(np.hstack([t.basis_prime, t.basis_dprime]), compute_uv=False)
-
-
 def triple_index(t: SubspaceTriple) -> TripleIndex:
     """Intersection dimension, codimension of the sum, and their difference.
 
@@ -163,7 +159,7 @@ def triple_index(t: SubspaceTriple) -> TripleIndex:
     ``N - rank[B' | B'']``; the index ``dim_cap - codim_sum`` satisfies the
     Euler identity ``p + q - N`` exactly.
     """
-    rank = _rank_of(_stacked_spectrum(t))
+    rank = _rank_of(t.spectra[0])
     dim_cap = t.p + t.q - rank
     codim_sum = t.ambient_dim - rank
     return TripleIndex(dim_cap, codim_sum, dim_cap - codim_sum)
@@ -174,11 +170,9 @@ class StabilityResult:
     """Verdict of `index_stability_check`; ``trials`` counts the
     perturbations the verdict rests on: none for "inconclusive", k when the
     k-th changed the index, all of them when the trials found it "stable",
-    and none when the certificate proved it "stable".  That last case is a
-    change of meaning: a "stable" verdict used to count every trial
-    requested.  ``margin`` is the certificate's smallest margin in units of
-    ``RANK_TOL * s_0``, positive and finite, when it decided the verdict,
-    and 0.0 otherwise."""
+    and none when the certificate proved it "stable".  ``margin`` is the
+    certificate's smallest margin in units of ``RANK_TOL * s_0``, positive
+    and finite, when it decided the verdict, and 0.0 otherwise."""
 
     verdict: str  # "stable" | "changed" | "inconclusive"
     min_gap: float
@@ -189,10 +183,6 @@ class StabilityResult:
         return self.verdict == "stable"
 
 
-# Coefficients per perturbed stack of `index_stability_check`: 1 MB of
-# complex entries, so a block of trials stays small whatever the triple.
-_STABILITY_BLOCK_COEFFS = 1 << 16
-
 # Ulps of the largest singular value that the certificate adds to the
 # perturbation's norm, a few for each of: the backward error of the SVD
 # taken here, that of the SVD of a perturbed triple, and the rounding of
@@ -202,7 +192,7 @@ _CERTIFICATE_ULPS = 32
 
 def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed: int = 0) -> StabilityResult:
     """Check that (dim_cap, codim_sum, index) survive random basis
-    perturbations of relative size ``eps``.
+    perturbations of relative size ``eps``, a number >= 0.
 
     The verdict is only conclusive when ``eps < 0.1 * gap`` for the
     spectral gap of the stacked basis matrix; below that threshold a
@@ -221,13 +211,13 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
 
     Otherwise trial k perturbs ``B'`` and then ``B''`` by ``eps |B| g /
     |g|``, with ``g`` the real and then the imaginary part drawn from one
-    stream.  The index changes at trial k when a perturbed basis loses
-    rank or ``[B' | B'']`` takes another rank.  The trials are checked as
-    stacks, one SVD per stack for each of the three rank decisions, in
-    blocks of up to `_STABILITY_BLOCK_COEFFS` coefficients; the verdict is
-    read at the first trial that changed.
+    stream, and builds the perturbed `SubspaceTriple`.  The index changes
+    at trial k when that triple is rejected (a basis lost rank) or its
+    `triple_index` differs.
     """
-    s = _stacked_spectrum(t)
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be a number >= 0, got {eps}")
+    s = t.spectra[0]
     rank = _rank_of(s)
     # the relative gap at that rank; full-column-rank bases make rank >= 1
     # whenever there is a column at all
@@ -235,38 +225,42 @@ def index_stability_check(t: SubspaceTriple, eps: float, trials: int = 100, seed
     gap = float(s[rank - 1] / s[0] - below) if s.size else 1.0
     if eps >= 0.1 * gap:
         return StabilityResult("inconclusive", gap, 0)
-    margin = _certificate(t, s, eps)
+    margin = _certificate(t, eps)
     if margin > 0.0:
         return StabilityResult("stable", gap, 0, margin)
     rng = np.random.default_rng(seed)
-    bp, bq = t.basis_prime, t.basis_dprime
-    # per trial: the real, then the imaginary part of the noise on B', then on B''
-    cuts = np.cumsum([bp.size, bp.size, bq.size, bq.size])
-    block = max(1, _STABILITY_BLOCK_COEFFS // max(1, cuts[-1]))
-    for start in range(0, trials, block):
-        draws = rng.standard_normal((min(block, trials - start), cuts[-1]))
-        re_p, im_p, re_q, im_q = np.split(draws, cuts[:-1], axis=1)
-        moved = (_perturbed(bp, eps, re_p, im_p), _perturbed(bq, eps, re_q, im_q))
-        changed = _stack_ranks(np.concatenate(moved, axis=2)) != rank
-        for b, stack in zip((bp, bq), moved):
-            if b.shape[1]:
-                changed |= _stack_ranks(stack) < b.shape[1]
-        if changed.any():
-            return StabilityResult("changed", gap, start + int(np.argmax(changed)) + 1)
+    index = triple_index(t)
+    for k in range(1, trials + 1):
+        bp = _perturbed(t.basis_prime, eps, rng)  # B' draws first
+        try:
+            moved = SubspaceTriple(t.ambient_dim, bp, _perturbed(t.basis_dprime, eps, rng))
+        except ValueError:
+            return StabilityResult("changed", gap, k)
+        if triple_index(moved) != index:
+            return StabilityResult("changed", gap, k)
     return StabilityResult("stable", gap, trials)
 
 
-def _certificate(t: SubspaceTriple, s: np.ndarray, eps: float) -> float:
-    """The smallest `_weyl_margin` of the three rank decisions on ``t``
-    (stacked spectrum ``s``): ``B'`` against ``d' = eps |B'|_F``, ``B''``
+def _perturbed(b: np.ndarray, eps: float, rng) -> np.ndarray:
+    """``b + eps (|b| / |g|) g``, ``g`` the real and then the imaginary part
+    drawn from ``rng`` in the shape of ``b``; ``b`` itself when it is empty."""
+    if not b.size:
+        return b
+    g = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    return b + eps * (np.linalg.norm(b) / np.linalg.norm(g)) * g
+
+
+def _certificate(t: SubspaceTriple, eps: float) -> float:
+    """The smallest `_weyl_margin` of the three rank decisions on ``t``,
+    read from ``t.spectra``: ``B'`` against ``d' = eps |B'|_F``, ``B''``
     against ``d'' = eps |B''|_F`` and ``[B' | B'']`` against ``hypot(d',
     d'')``.  ``1 / RANK_TOL``, more than any spectrum's, when there is no
-    column; nan, which certifies nothing, for a nan ``eps``."""
-    bp, bq = t.basis_prime, t.basis_dprime
-    dp, dq = (abs(eps) * float(np.linalg.norm(b)) for b in (bp, bq))
+    column."""
+    s, sp, sq = t.spectra
+    dp, dq = (eps * float(np.linalg.norm(b)) for b in (t.basis_prime, t.basis_dprime))
     margins = [_weyl_margin(s, math.hypot(dp, dq))] if s.size else []
-    margins += [_weyl_margin(np.linalg.svd(b, compute_uv=False), d) for b, d in ((bp, dp), (bq, dq)) if b.size]
-    return float(np.min(margins, initial=1.0 / RANK_TOL))
+    margins += [_weyl_margin(side, d) for side, d in ((sp, dp), (sq, dq)) if side.size]
+    return min(margins, default=1.0 / RANK_TOL)
 
 
 def _weyl_margin(s: np.ndarray, d: float) -> float:
@@ -287,21 +281,6 @@ def _weyl_margin(s: np.ndarray, d: float) -> float:
     if r < s.size:
         slack = min(slack, RANK_TOL * (s0 - d) - s[r] - d)
     return float(slack / (RANK_TOL * s0))
-
-
-def _perturbed(b: np.ndarray, eps: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The stack ``b + eps * (|b| / |g|) * g`` over one row of draws per
-    trial, ``g = re + 1j * im`` in the shape of ``b``; ``|g|`` is taken per
-    trial with `np.linalg.norm`'s rounding."""
-    g = (re + 1j * im).reshape(len(re), *b.shape)
-    if not b.size:
-        return g
-    return b + (eps * (np.linalg.norm(b) / _l2_rows(g)))[:, None, None] * g
-
-
-def _stack_ranks(stack: np.ndarray) -> np.ndarray:
-    """`matrix_rank` of each matrix of a stack (T, n, k), one SVD for all."""
-    return _rank_of(np.linalg.svd(stack, compute_uv=False))
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,11 @@ class TestErrorPaths:
                        "seed": [[0.5, 0]]}, "params"),
         ("reduce", {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [-1], "xp": [0]}]],
                     "seeds": [[[0.5, 0]]]}, "params"),
+        # sizes past numpy's largest dimension, and an empty eps schedule
+        ("node-check", {"m": 2 ** 64}, "params"),
+        ("node-check", {"n_max": 1e308}, "params"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": []}, "params"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": {}}, "params"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
@@ -579,9 +584,10 @@ class TestStackedExtensionSuite:
 
 
 class TestStackedFredholmSuite:
-    """`index_stability_check` checks its perturbed triples as stacks; each
-    verdict must equal that of the trial-by-trial loop below, and the
-    records of `suite_fredholm` those of the suite over that loop."""
+    """`index_stability_check` certifies most triples without a trial and
+    runs its trials one at a time otherwise; each verdict must equal that
+    of the trial-by-trial loop below, and the records of `suite_fredholm`
+    those of the suite over that loop."""
 
     @staticmethod
     def reference_stability(t, eps, trials, seed):
@@ -748,18 +754,13 @@ class TestStackedFredholmSuite:
             weyl_margin = fredholm._weyl_margin
             monkeypatch.setattr(fredholm, "_weyl_margin", lambda s, d: weyl_margin(s, d / 2))
         else:
-            monkeypatch.setattr(fredholm, "_certificate", lambda t, s, eps: fredholm._weyl_margin(
-                s, abs(eps) * np.linalg.norm(np.hstack([t.basis_prime, t.basis_dprime]))))
+            monkeypatch.setattr(fredholm, "_certificate", lambda t, eps: fredholm._weyl_margin(
+                t.spectra[0], eps * np.linalg.norm(np.hstack([t.basis_prime, t.basis_dprime]))))
         assert next(self.certified_but_changed(self.near_threshold()), None) is not None
 
-    @pytest.mark.parametrize("block", [None, 1, 25])
-    def test_verdicts_equal_to_trial_loop(self, monkeypatch, block):
-        # block=1 checks one trial per stack, 25 a few per stack (12 to 48
-        # coefficients a trial on the engineered triples); None the default
+    def test_verdicts_equal_to_trial_loop(self, monkeypatch):
         from hardyglue import fredholm
 
-        if block is not None:
-            monkeypatch.setattr(fredholm, "_STABILITY_BLOCK_COEFFS", block)
         verdicts, certified = [], 0
         for i, (t, eps) in enumerate(self.triples()):
             for seed in (i, i + 1000):
@@ -782,10 +783,10 @@ class TestStackedFredholmSuite:
 
     def test_svd_calls_pinned(self, monkeypatch):
         # verify fredholm at the default seed: the Euler triples as before
-        # (up to two validations and the index each), then per stability
-        # triple its two validations, its spectrum and the spectra of its
-        # two sides for the certificate, which decides all 100 (5 a triple;
-        # 6 with one stacked SVD per rank decision before, 63 trial by trial).
+        # (the spectrum of each side with columns and of [B' | B''], taken
+        # once when the triple is built), then per stability triple its
+        # three spectra, which the certificate reads to decide all 100 (3 a
+        # triple, so 100 * 3).
         # Each of the five tangent checks makes 5: per pair one SVD of the
         # stacked bases and one of the cap, plus the gap.  The two ranks of
         # the sums (7 a check before) went: the SVD that finds the kernel
@@ -794,7 +795,7 @@ class TestStackedFredholmSuite:
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         verify_suite("fredholm")
-        assert len(calls) == 2644 + 100 * 5
+        assert len(calls) == 2644 + 100 * 3
 
 
 class TestDeterminism:

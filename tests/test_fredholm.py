@@ -84,6 +84,17 @@ class TestTripleIndex:
                 continue
             assert tuple(triple_index(t)) == sympy_triple_oracle(bp, bq, n)
 
+    @pytest.mark.parametrize("p, q", [(2, 1), (0, 3), (0, 0)])
+    def test_spectra_are_the_three_svds(self, p, q):
+        rng = np.random.default_rng(4)
+        t = random_triple(rng, 4, p, q)
+        svd = [np.linalg.svd(b, compute_uv=False)
+               for b in (np.hstack([t.basis_prime, t.basis_dprime]), t.basis_prime, t.basis_dprime)]
+        assert [s.tobytes() for s in t.spectra] == [s.tobytes() for s in svd]
+        assert all(s.dtype == np.float64 and not s.flags.writeable for s in t.spectra)
+        with pytest.raises(ValueError, match="read-only"):
+            t.spectra[0][:] = 0.0
+
 
 class TestIndexStability:
     def test_generic_triple_stable(self):
@@ -135,6 +146,15 @@ class TestIndexStability:
         result = index_stability_check(SubspaceTriple(3, eye_cols(3, [0]), bq), 1e-10, trials=9, seed=3)
         assert (result.verdict, result.trials) == ("changed", 4)
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-6])
+    def test_eps_nan_or_negative_rejected(self, eps):
+        # LinAlgError subclasses ValueError: an SVD failing on nan entries
+        # is not the rejection
+        t = SubspaceTriple(3, eye_cols(3, [0]), eye_cols(3, [1]))
+        with pytest.raises(ValueError, match="eps") as err:
+            index_stability_check(t, eps)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
     def test_gap_read_at_the_index_rank(self):
         # [e0, e1 | e1] has singular values (sqrt 2, 1, 0): rank 2, so the
         # gap is (1 - 0) / sqrt 2; with no columns at all it is 1
@@ -162,6 +182,17 @@ class TestStabilityCertificate:
         assert (inside.verdict, inside.trials) == ("stable", 0) and 0 < inside.margin < 1
         outside = index_stability_check(t, eps_weyl * (1 + 1e-4), trials=5)
         assert outside.trials > 0 and outside.margin == 0.0
+
+    def test_certified_verdict_takes_no_svd_and_draws_nothing(self, monkeypatch):
+        # the certificate reads the spectra the triple took when it was built
+        import hardyglue.fredholm as fredholm
+        t = random_triple(np.random.default_rng(8), 8, 3, 3)
+        called = []
+        monkeypatch.setattr(fredholm.np.linalg, "svd", lambda *a, **k: called.append("svd"))
+        monkeypatch.setattr(fredholm.np.random, "default_rng", lambda *a: called.append("rng"))
+        result = index_stability_check(t, 1e-6)
+        assert (result.verdict, result.trials) == ("stable", 0) and result.margin > 0
+        assert called == []
 
     def test_triple_without_columns_certified(self):
         result = index_stability_check(SubspaceTriple(3, np.zeros((3, 0)), np.zeros((3, 0))), 1e-6)
