@@ -297,14 +297,32 @@ def _trace_block(z, a, b, c, n_max: int, s: float) -> np.ndarray:
     return node_model._membership_residuals(table, xi, eta, s)
 
 
+@functools.lru_cache(maxsize=1)
+def _h_grid() -> tuple:
+    """The H-grid's fixed 10 x 10 points, read-only arrays of shape (100,):
+    ``(xs, ys, z)`` with ``z = x*y`` formed point by point."""
+    points = []
+    radii = 0.85 * (np.arange(10) + 0.5) / 10
+    for j in range(10):
+        x = radii[j] * np.exp(2j * np.pi * j / 10)
+        for k in range(10):
+            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / 10)))
+    xs, ys = (np.array(v, dtype=complex) for v in zip(*points))
+    z = np.array([complex(x) * complex(y) for x, y in points])
+    for arr in (xs, ys, z):
+        arr.flags.writeable = False
+    return xs, ys, z
+
+
 def _h_reproduction_max(rng, m: int, n_max: int) -> float:
     """Largest relative gap between the glued evaluation ``H(x, y)`` and a
-    random polynomial ``v(x, y)`` over a 10 x 10 set of points.
+    random polynomial ``v(x, y)`` over the points of `_h_grid`.
 
     At each point the family's chart is the chart inverse of the traces of
     ``v`` at ``z = x*y``, behind the 1e-8 membership gate, and ``H`` is
     evaluated from that chart.  The reference is ``v`` itself, summed term
-    by term by `NodePolynomial.__call__`, so the oracle stays independent.
+    by term by `NodePolynomial.__call__` in one call over the points, so
+    the oracle stays independent of the gluing kernels.
 
     All points go through one pass at the width K of the polynomial, its
     degree.  Modes past K of the traces and of the charts are exact zeros
@@ -312,20 +330,13 @@ def _h_reproduction_max(rng, m: int, n_max: int) -> float:
     the stacks stay (P, 2K+1, m) whatever ``n_max`` is.
     """
     poly = _random_poly(rng, m, deg=min(8, n_max))
-    points = []
-    radii = 0.85 * (np.arange(10) + 0.5) / 10
-    for j in range(10):
-        x = radii[j] * np.exp(2j * np.pi * j / 10)
-        for k in range(10):
-            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / 10)))
-    refs = np.array([poly(x, y) for x, y in points])
-    xs, ys = (np.array(v, dtype=complex) for v in zip(*points))
-    z = np.array([complex(x) * complex(y) for x, y in points])
+    xs, ys, z = _h_grid()
+    refs = poly(xs, ys)
     width = max(poly.deg_x, poly.deg_y)
-    plus = [np.broadcast_to(_plus_stack(rows[None], width), (len(points), 2 * width + 1, m))
+    plus = [np.broadcast_to(_plus_stack(rows[None], width), (len(z), 2 * width + 1, m))
             for rows in (poly.a, poly.b)]
     table = node_model._power_table(z, *plus)
-    xi, eta = node_model._chart(table, *plus, np.broadcast_to(poly.c, (len(points), m)))
+    xi, eta = node_model._chart(table, *plus, np.broadcast_to(poly.c, (len(z), m)))
     member = node_model._membership_residuals(table, xi, eta, node_model.DEFAULT_SOBOLEV_S)
     xi_plus, eta_plus, lam = node_model._chart_inverse(xi, eta, member, 1e-8)
     hvals = node_model._eval_plus(xs, xi_plus) + node_model._eval_plus(ys, eta_plus) + lam

@@ -58,13 +58,16 @@ RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular valu
 
 
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
+    """A complex copy of ``mat`` with ``n_rows`` rows and finite entries."""
+    m = np.array(mat, dtype=complex)
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
         m = m.reshape(n_rows, 0)
     if m.shape[0] != n_rows:
         raise ValueError(f"{name}: expected {n_rows} rows, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
     return m
 
 

@@ -129,17 +129,16 @@ class NodePolynomial:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=complex)) if np.size(self.a) else np.zeros((0, np.size(self.c)), complex)
-        b = np.atleast_2d(np.asarray(self.b, dtype=complex)) if np.size(self.b) else np.zeros((0, np.size(self.c)), complex)
-        c = np.atleast_1d(np.asarray(self.c, dtype=complex))
-        m = c.shape[0]
-        if a.shape[1:] != (m,) or b.shape[1:] != (m,):
+        c = np.atleast_1d(np.array(self.c, dtype=complex))
+        rows = [np.atleast_2d(np.array(v, dtype=complex)) if np.size(v) else np.zeros((0, c.shape[0]), complex)
+                for v in (self.a, self.b)]
+        if any(arr.shape[1:] != c.shape for arr in rows):
             raise ValueError("a, b, c must agree on the target dimension m")
-        for arr in (a, b, c):
+        for name, arr in zip("abc", (*rows, c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name}: coefficients must be finite (no NaN/Inf)")
             arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -153,12 +152,21 @@ class NodePolynomial:
     def deg_y(self) -> int:
         return self.b.shape[0]
 
-    def __call__(self, x: complex, y: complex) -> np.ndarray:
-        val = np.array(self.c, dtype=complex)
-        for i, row in enumerate(self.a):
-            val = val + row * x ** (i + 1)
-        for j, row in enumerate(self.b):
-            val = val + row * y ** (j + 1)
+    def __call__(self, x, y) -> np.ndarray:
+        """``v`` at complex points ``x`` and ``y`` that broadcast against each
+        other, shape (..., m); (m,) at a single point.
+
+        The sum runs ``c``, then each row of ``a``, then each row of ``b``,
+        with the powers taken as ``x[..., None] ** arange(1, deg + 1)``,
+        which has the bits of each complex scalar ``x ** k``; a loop of array
+        powers ``x ** k`` would not, as numpy squares by a faster path at k = 2.
+        """
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        val = np.full(np.broadcast_shapes(x.shape, y.shape) + (self.m,), self.c)
+        for rows, p in ((self.a, x), (self.b, y)):
+            powers = p[..., None] ** np.arange(1, len(rows) + 1)
+            for k, row in enumerate(rows):
+                val = val + row * powers[..., k, None]
         return val
 
 

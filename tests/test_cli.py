@@ -407,6 +407,18 @@ class TestErrorPaths:
         assert code == 2 and lines == [] and caught == []
         assert err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command, params, message", [
+        ("index", {"triples": [{"ambient_dim": 2, "basis_prime": [[[math.nan, 0]], [[0, 0]]],
+                                "basis_dprime": [[[0, 0]], [[1, 0]]]}]},
+         "params.triples[0]: basis_prime: entries must be finite (no NaN/Inf)"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]], "b": [[math.inf, 0]]}},
+         "params.laurent: b: coefficients must be finite (no NaN/Inf)"),
+    ])
+    def test_non_finite_model_data_names_its_field(self, tmp_path, capsys, command, params, message):
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert code == 2 and lines == [] and caught == []
+        assert err == f"error: {message}\n"
+
 
 def random_chart(rng, m, n_max, z_max):
     """The `NodeChart` of one draw of `cli._random_chart_rows`."""
@@ -455,7 +467,7 @@ class TestStackedNodeBattery:
         return worst, rng
 
     @staticmethod
-    def reference_h_grid(rng, m, n_max, grid=10):
+    def reference_h_grid(rng, m, n_max, term_by_term, grid=10):
         from hardyglue import node_model as nm
         from hardyglue.cli import _random_poly
 
@@ -471,7 +483,7 @@ class TestStackedNodeBattery:
             for k in range(grid):
                 y = radii[k] * np.exp(2j * np.pi * (k + 0.3) / grid)
                 hval = nm.evaluate_H(family, x, y)
-                ref = poly(x, y)
+                ref = term_by_term(poly, x, y)
                 worst = max(worst, float(np.max(np.abs(hval - ref))) / (1.0 + float(np.max(np.abs(ref)))))
         return worst
 
@@ -481,12 +493,12 @@ class TestStackedNodeBattery:
     @pytest.mark.parametrize("n_max", [8, 13, 64, 256])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed):
+    def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed, term_by_term):
         from hardyglue.cli import _node_random_battery
 
         records = _node_random_battery(RunOptions(), 33, m, n_max, 0.9, seed)
         worst, rng = self.reference_battery(33, m, n_max, 0.9, seed)
-        h_max = self.reference_h_grid(rng, m, n_max)
+        h_max = self.reference_h_grid(rng, m, n_max, term_by_term)
         assert [r.residual for r in records] == worst[:4] + [h_max]
 
 

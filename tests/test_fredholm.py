@@ -199,6 +199,24 @@ class TestStabilityCertificate:
         assert (result.verdict, result.trials, result.margin) == ("stable", 0, 1 / RANK_TOL)
 
 
+class TestBasisInput:
+    def test_caller_basis_stays_writeable(self):
+        b = np.array(eye_cols(3, [0, 1]))
+        t = SubspaceTriple(3, b, b)
+        assert b.flags.writeable
+        assert not t.basis_prime.flags.writeable and not t.basis_dprime.flags.writeable
+        b[0, 0] = 2.0
+        assert t.basis_prime[0, 0] == 1.0 and t.basis_dprime[0, 0] == 1.0
+
+    @pytest.mark.parametrize("side", ["basis_prime", "basis_dprime"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, side, bad):
+        bases = {"basis_prime": np.array([[1.0], [0.0]]), "basis_dprime": np.array([[0.0], [1.0]])}
+        bases[side][0, 0] = bad
+        with pytest.raises(ValueError, match=rf"^{side}: entries must be finite"):
+            SubspaceTriple(2, **bases)
+
+
 class TestBasisRank:
     def test_more_columns_than_rows_is_rank_deficient(self):
         # rank <= N < p: the basis cannot have full column rank

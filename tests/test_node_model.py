@@ -94,6 +94,69 @@ class TestBoundaryTraces:
             assert res.member and res.residual <= 1e-12
 
 
+def disc_points(rng, shape):
+    return 0.95 * np.sqrt(rng.uniform(0, 1, shape)) * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestNodePolynomial:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("deg_x, deg_y", [(8, 8), (3, 7), (8, 0), (0, 5), (0, 0)])
+    def test_array_call_bitwise_equal_to_term_by_term(self, m, deg_x, deg_y, term_by_term):
+        from hardyglue.cli import _h_grid
+
+        rng = np.random.default_rng(10 * m + deg_x + 3 * deg_y)
+        poly = NodePolynomial(disc_points(rng, (deg_x, m)), disc_points(rng, (deg_y, m)),
+                              disc_points(rng, (m,)))
+        xs, ys, _ = _h_grid()
+        rx, ry = disc_points(rng, (40,)), disc_points(rng, (40,))
+        for px, py in ((xs, ys), (rx, ry)):
+            got = poly(px, py)
+            assert same_bits(got, np.array([term_by_term(poly, x, y) for x, y in zip(px, py)]))
+            assert all(same_bits(poly(x, y), row) for x, y, row in zip(px, py, got))
+            assert same_bits(poly(complex(px[3]), complex(py[3])), got[3])
+        grid = poly(rx[:6, None], ry[None, :5])
+        assert grid.shape == (6, 5, m)
+        assert all(same_bits(grid[i, j], term_by_term(poly, rx[i], ry[j]))
+                   for i in range(6) for j in range(5))
+        assert same_bits(poly(rx, ry[0]), np.array([term_by_term(poly, x, ry[0]) for x in rx]))
+
+    def test_oracle_independent_of_gluing_kernels(self, monkeypatch, term_by_term):
+        from hardyglue import node_model
+        from hardyglue.cli import _h_grid
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("NodePolynomial.__call__ reached a gluing kernel")
+
+        for name in ("_power_table", "_transfer", "_chart", "_eval_plus"):
+            monkeypatch.setattr(node_model, name, forbidden)
+        rng = np.random.default_rng(8)
+        poly = NodePolynomial(disc_points(rng, (8, 2)), disc_points(rng, (6, 2)), disc_points(rng, (2,)))
+        xs, ys, _ = _h_grid()
+        got = poly(xs, ys)
+        assert same_bits(got, np.array([term_by_term(poly, x, y) for x, y in zip(xs, ys)]))
+
+    def test_caller_arrays_stay_writeable(self):
+        a, b, c = np.ones((2, 1), complex), np.ones((1, 1), complex), np.ones(1, complex)
+        poly = NodePolynomial(a, b, c)
+        for mine, theirs in ((a, poly.a), (b, poly.b), (c, poly.c)):
+            assert mine.flags.writeable and not theirs.flags.writeable
+            mine[...] = 5.0
+            assert np.all(theirs == 1.0)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, field, bad):
+        data = {"a": np.zeros((1, 1), complex), "b": np.zeros((1, 1), complex), "c": np.zeros(1, complex)}
+        data[field][0] = bad
+        with pytest.raises(ValueError, match=rf"^{field}: coefficients must be finite"):
+            NodePolynomial(**data)
+
+
 class TestTransferOperator:
     def test_half(self):
         out = transfer_Tz(0.5, plus_loop({1: 1.0}))
@@ -270,7 +333,7 @@ class TestEvaluateH:
             NodeChart(z, chart.xi_plus, chart.eta_plus, chart.lam))), x, y)
         assert glued[0] == pytest.approx(trace_val[0], rel=1e-10)
 
-    def test_reproduces_laurent_data_on_grid(self):
+    def test_reproduces_laurent_data_on_grid(self, term_by_term):
         poly = NodePolynomial(np.array([[0.0], [1.0]], dtype=complex),
                               np.array([[1.0]], dtype=complex), np.zeros(1, complex))
 
@@ -282,8 +345,8 @@ class TestEvaluateH:
             x = 0.85 * (j + 0.5) / 10 * np.exp(2j * np.pi * j / 10)
             for k in range(10):
                 y = 0.85 * (k + 0.5) / 10 * np.exp(2j * np.pi * (k + 0.3) / 10)
-                diff = abs(evaluate_H(family, x, y)[0] - poly(x, y)[0])
-                worst = max(worst, diff / (1.0 + abs(poly(x, y)[0])))
+                ref = term_by_term(poly, x, y)[0]
+                worst = max(worst, abs(evaluate_H(family, x, y)[0] - ref) / (1.0 + abs(ref)))
         assert worst <= 1e-10
 
     def test_domain_validation(self):
