@@ -186,34 +186,25 @@ def _parse_polynomial_map(params: dict, where: str = "params") -> fredholm.Graph
 # random data generators (shared by node-check and the verify suites)
 
 
+def _disc(u, shape, radius=1.0):
+    """Points ``radius * sqrt(u_r) * exp(1j * 2pi * u_phi)`` of ``shape``
+    from each row of the doubles ``u`` (..., 2n), n the size of ``shape``:
+    the r block, then the phi block.  Numpy's ``uniform(low, high)`` is
+    ``low + (high - low) * random()``, so these are the bits of two
+    ``uniform`` draws of ``shape`` over the same doubles."""
+    lead = u.shape[:-1]
+    n = u.shape[-1] // 2
+    r = radius * np.sqrt(u[..., :n].reshape(lead + shape))
+    return r * np.exp(1j * (2.0 * np.pi * u[..., n:].reshape(lead + shape)))
+
+
 def _random_disc(rng, shape, radius=1.0):
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, shape))
-    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return r * np.exp(1j * phi)
-
-
-def _random_chart_rows(rng, m: int, n_max: int, z_max: float) -> tuple:
-    """The draws of a random chart: ``(z, xi_+ rows, eta_+ rows, lam)``, the
-    plus rows (N, m) holding modes 1..N."""
-    z = _random_disc(rng, ()) * z_max
-    return z, _random_disc(rng, (n_max, m)), _random_disc(rng, (n_max, m)), _random_disc(rng, (m,))
+    return _disc(rng.random(2 * math.prod(shape)), shape, radius)
 
 
 def _random_poly(rng, m: int, deg: int) -> NodePolynomial:
     return NodePolynomial(_random_disc(rng, (deg, m)), _random_disc(rng, (deg, m)),
                           _random_disc(rng, (m,)))
-
-
-def _random_node_trial(rng, m: int, n_max: int, z_max: float) -> tuple:
-    """One trial of the node battery: a random chart, a random polynomial and
-    the gluing parameter of its traces, drawn in that order, as
-    ``(z, xi_+ rows, eta_+ rows, lam, a, b, c, z_trace)``."""
-    chart = _random_chart_rows(rng, m, n_max, z_max)
-    poly = _random_poly(rng, m, deg=min(8, n_max))
-    z_trace = _random_disc(rng, ()) * z_max
-    for z in (chart[0], z_trace):
-        node_model._check_gluing(complex(z))
-    return chart + (poly.a, poly.b, poly.c, z_trace)
 
 
 def _chart_distances(chart: tuple, back: tuple) -> np.ndarray:
@@ -241,21 +232,32 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
     """The node battery: chart membership, chart and boundary roundtrips and
     trace membership over ``trials`` random trials, then the H-grid.
 
-    Trials are drawn one at a time, in the same rng order as ever, and
-    checked in blocks of up to `_BLOCK_COEFFS` coefficients per stack:
-    each step (chart, membership, the 1e-8 inverse gate, roundtrips, traces,
-    trace membership) is one pass over the block.  Every row is computed as
-    the public functions compute it alone, so each maximum has the bits of
-    a trial-by-trial loop.
+    Trials are checked in blocks of up to `_BLOCK_COEFFS` coefficients per
+    stack.  A block's draws are one array, a row of doubles per trial, each
+    row cut in the order of a trial's draws: a random chart ``(z, xi_+
+    rows, eta_+ rows, lam)``, a random polynomial ``(a, b, c)`` and the
+    gluing parameter of its traces.  Each step (chart, membership, the 1e-8 inverse gate,
+    roundtrips, traces, trace membership) is one pass over the block.  Every
+    row is computed as the public functions compute it alone, so each
+    maximum has the bits of a trial-by-trial loop.
     """
     rng = np.random.default_rng(seed)
     s = opts.sobolev_s
     block = max(1, _BLOCK_COEFFS // ((2 * n_max + 1) * m))
+    deg = min(8, n_max)
+    shapes = ((), (n_max, m), (n_max, m), (m,), (deg, m), (deg, m), (m,), ())
+    cuts = np.cumsum([0] + [2 * math.prod(shape) for shape in shapes]).tolist()
     worst = [0.0] * 4
     for start in range(0, trials, block):
-        draws = [_random_node_trial(rng, m, n_max, z_max) for _ in range(min(block, trials - start))]
-        z, xi_rows, eta_rows, lam, a, b, c, z_trace = (np.array(col) for col in zip(*draws))
-        del draws
+        u = rng.random((min(block, trials - start), cuts[-1]))
+        z, xi_rows, eta_rows, lam, a, b, c, z_trace = (
+            _disc(u[:, i:j], shape) for i, j, shape in zip(cuts, cuts[1:], shapes))
+        del u
+        gluing = np.stack([z, z_trace], axis=1).ravel() * z_max
+        outside = gluing[np.abs(gluing) >= 1.0]
+        if outside.size:
+            node_model._check_gluing(complex(outside[0]))
+        z, z_trace = gluing[0::2], gluing[1::2]
         residuals = (*_chart_block(z, xi_rows, eta_rows, lam, n_max, s),
                      _trace_block(z_trace, a, b, c, n_max, s))
         worst = [max([w, *values.tolist()]) for w, values in zip(worst, residuals)]
@@ -540,10 +542,10 @@ def suite_extension(opts: RunOptions) -> list:
     """Disk pairs against the exact extension conditions, then annulus
     pairs against the swap symmetry and the Laurent restriction.
 
-    The trials are drawn one at a time, in the same rng order as ever, and
-    checked in blocks of up to `_BLOCK_COEFFS` coefficients per stack
-    (`_disk_pair_block`, `_annulus_block`).  Each row has the bits of the
-    public function on that trial alone.
+    The trials are checked in blocks of up to `_BLOCK_COEFFS` coefficients
+    per stack (`_disk_pair_block`, `_annulus_block`).  A block's draws are
+    one array, cut in the order of the per-trial draws, and each row has the
+    bits of the public function on that trial alone.
     """
     rng = np.random.default_rng(opts.seed)
     n_max = 12
@@ -564,22 +566,34 @@ def _disk_pair_block(rng, trials: int, n_max: int, opts: RunOptions) -> int:
     ``z = 0`` or a random pair with even odds, and count those whose
     verdict (`extension.disk_pair_node_test`, membership at ``z = 0``)
     agrees with the exact extension conditions.  The charts go through one
-    `node_model._chart` pass and all pairs through one membership pass."""
-    xi, eta = (np.zeros((trials, 2 * n_max + 1, 1), dtype=complex) for _ in range(2))
-    charted = np.zeros(trials, dtype=bool)
-    z = np.zeros(trials, dtype=complex)
-    lam = np.zeros((trials, 1), dtype=complex)
-    for t in range(trials):
-        if rng.uniform() < 0.5:
-            charted[t] = True
-            z[t], xi[t, n_max + 1:], eta[t, n_max + 1:], lam[t] = _random_chart_rows(rng, 1, n_max, 0.0)
-        else:
-            xi[t] = _random_disc(rng, (2 * n_max + 1, 1))
-            eta[t] = _random_disc(rng, (2 * n_max + 1, 1))
+    `node_model._chart` pass and all pairs through one membership pass.
+
+    A trial takes a coin and then the doubles of a chart ``(z, xi_+ rows,
+    eta_+ rows, lam)`` or of two random loops.  The coins are walked in a
+    draw of the most the block can take; the generator is then put back
+    and draws exactly the doubles the trials take, so it ends where a
+    trial-by-trial loop ends."""
+    width = 2 * n_max + 1
+    sizes = (4 * n_max + 4, 4 * width)  # chart, pair
+    state = rng.bit_generator.state
+    bound = rng.random(trials * (1 + sizes[1]))
+    starts, end = [], 0
+    for _ in range(trials):
+        starts.append(end + 1)
+        end += 1 + (sizes[0] if bound[end] < 0.5 else sizes[1])
+    del bound  # freed before the second draw: holding both raised the peak RSS of verify all by 0.2 MB
+    rng.bit_generator.state = state
+    u = rng.random(end)
+    starts = np.array(starts)
+    charted = u[starts - 1] < 0.5
+    xi, eta = (np.zeros((trials, width, 1), dtype=complex) for _ in range(2))
+    pairs = _disc(u[starts[~charted, None] + np.arange(sizes[1])].reshape(-1, 2, 2 * width), (width, 1))
+    xi[~charted], eta[~charted] = pairs[:, 0], pairs[:, 1]
     if charted.any():
-        plus = (xi[charted], eta[charted])
-        table = node_model._power_table(z[charted], *plus)
-        xi[charted], eta[charted] = node_model._chart(table, *plus, lam[charted])
+        rows = u[starts[charted, None] + np.arange(sizes[0])]
+        plus = [_plus_stack(_disc(rows[:, i:i + 2 * n_max], (n_max, 1)), n_max) for i in (2, 2 + 2 * n_max)]
+        table = node_model._power_table(_disc(rows[:, :2], ()) * 0.0, *plus)
+        xi[charted], eta[charted] = node_model._chart(table, *plus, _disc(rows[:, -2:], (1,)))
     table = node_model._power_table(np.zeros(trials), xi, eta)
     residuals = node_model._membership_residuals(table, xi, eta, opts.sobolev_s)
     # the exact extension conditions: no negative modes, equal constants
@@ -597,11 +611,9 @@ def _annulus_block(rng, pairs: int, n_max: int, s: float) -> tuple:
     ``d(xi, eta)`` of `extension._annulus_defects`, one pass each way.  The
     swap check is exact by design: the loops share their constant, so a swap
     swaps the two defects entry for entry and the asymmetry reads 0.0."""
-    delta = np.zeros(pairs)
-    laurent = np.zeros((pairs, 2 * n_max + 1, 1), dtype=complex)
-    for t in range(pairs):
-        delta[t] = rng.uniform(0.15, 0.85)
-        laurent[t] = _random_disc(rng, (2 * n_max + 1, 1))
+    u = rng.random((pairs, 4 * n_max + 3))
+    delta = 0.15 + (0.85 - 0.15) * u[:, 0]
+    laurent = _disc(u[:, 1:], (2 * n_max + 1, 1))
     weights = np.array([[d ** float(-n) for n in range(-n_max, n_max + 1)] for d in delta.tolist()])
     restricted = laurent[:, ::-1] * weights[:, :, None]
     fwd = extension._annulus_defects(delta, laurent, restricted, s)
@@ -628,8 +640,9 @@ def suite_fredholm(opts: RunOptions) -> list:
     checks = [check_int("euler_identity_violations", violations, 0)]
 
     stable = 0
+    bases = _disc(rng.random((100, 2, 48)), (8, 3))
     for trial in range(100):
-        t = fredholm.SubspaceTriple(8, _random_disc(rng, (8, 3)), _random_disc(rng, (8, 3)))
+        t = fredholm.SubspaceTriple(8, *bases[trial])
         if fredholm.index_stability_check(t, 1e-6, trials=20, seed=opts.seed + trial):
             stable += 1
     checks.append(check_int("generic_stability_count", stable, 100))

@@ -4,8 +4,8 @@ Complex numbers are serialized as ``[re, im]`` pairs throughout; matrices
 are row-major nested lists of pairs.
 
 Every reader raises `ScenarioError`, a ValueError, naming the path of the
-first bad field or element; `_built` gives a model constructor's ValueError
-the path of the record it was built from.
+first bad field or element; `_built` gives a model constructor's ValueError,
+or a MemoryError, the path of the record it was built from.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
 
 
 def _built(fn, where: str, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with a ValueError it raises turned into a
-    ScenarioError prefixed by the path ``where``."""
+    """``fn(*args, **kwargs)``, with a ValueError or MemoryError it raises
+    turned into a ScenarioError prefixed by the path ``where``."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    except (ValueError, MemoryError) as exc:
+        raise ScenarioError(f"{where}: {str(exc) or type(exc).__name__}") from exc
 
 
 def complex_to_pair(z) -> list:

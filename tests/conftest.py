@@ -8,10 +8,17 @@ budget of acceptance criteria 1 and 2.  The variables take effect only if
 they are set before numpy is first imported, which is why they live here.
 
 The `term_by_term` fixture is the reference definition of a
-`NodePolynomial`'s values, shared by the node and CLI tests.
+`NodePolynomial`'s values, shared by the node and CLI tests; `uniform_disc`
+is the reference definition of a random disc point, two ``rng.uniform``
+draws per call, which the CLI's batteries must reproduce bit for bit.
+`cli_output` runs one CLI command once per session, for the tests that
+read the same output.
 """
 
+import functools
+import importlib.util
 import os
+from pathlib import Path
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
@@ -37,3 +44,38 @@ def _term_by_term(poly, x, y):
 def term_by_term():
     """`_term_by_term`, the independent reference of a polynomial's values."""
     return _term_by_term
+
+
+def _uniform_disc(rng, shape, radius=1.0):
+    """Random points of the disc of ``radius``, by definition: the radius
+    ``radius * sqrt(U)`` of one ``uniform`` draw of ``shape``, then the angle
+    of a second one on ``[0, 2pi)``."""
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, shape))
+    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    return r * np.exp(1j * phi)
+
+
+@pytest.fixture
+def uniform_disc():
+    """`_uniform_disc`, the independent reference of the batteries' draws."""
+    return _uniform_disc
+
+
+_spec = importlib.util.spec_from_file_location("golden", Path(__file__).parent / "golden" / "regen.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+_cli_output = functools.lru_cache(maxsize=None)(golden.run)
+
+
+@pytest.fixture(scope="session")
+def cli_output():
+    """``(exit code, stdout)`` of ``hardyglue <argv>`` for a tuple ``argv``,
+    run in-process once per session (`tests/golden/regen.py`); the CLI is
+    deterministic up to ``wall_time_s``."""
+    return _cli_output
+
+
+@pytest.fixture(scope="session")
+def golden_cases():
+    """The golden report cases and the helpers of `tests/golden/regen.py`."""
+    return golden

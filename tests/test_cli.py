@@ -419,16 +419,157 @@ class TestErrorPaths:
         assert code == 2 and lines == [] and caught == []
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("exc, text", [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_memory_error_names_its_record(self, tmp_path, capsys, monkeypatch, exc, text):
+        # raised by a stand-in: an allocation that is overcommitted and then
+        # touched can end the process instead of raising
+        from hardyglue import cli
 
-def random_chart(rng, m, n_max, z_max):
-    """The `NodeChart` of one draw of `cli._random_chart_rows`."""
-    from hardyglue.cli import _random_chart_rows
+        def battery(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_node_random_battery", battery)
+        code, lines, err, caught = run_params(tmp_path, capsys, "node-check", {"trials": 3})
+        assert code == 2 and lines == [] and caught == []
+        assert err == f"error: params: {text}\n"
+
+
+def random_chart(disc, rng, m, n_max, z_max):
+    """The `NodeChart` of one random chart, drawn by ``disc`` in the order
+    of the batteries: ``z``, the xi_+ rows (modes 1..N), the eta_+ rows and
+    ``lam``."""
     from hardyglue.loops import Loop
     from hardyglue.node_model import NodeChart, _plus_stack
 
-    z, xi_rows, eta_rows, lam = _random_chart_rows(rng, m, n_max, z_max)
+    z = disc(rng, ()) * z_max
+    xi_rows, eta_rows, lam = disc(rng, (n_max, m)), disc(rng, (n_max, m)), disc(rng, (m,))
     return NodeChart(z, Loop(m, n_max, _plus_stack(xi_rows[None], n_max)[0]),
                      Loop(m, n_max, _plus_stack(eta_rows[None], n_max)[0]), lam)
+
+
+def random_poly(disc, rng, m, deg):
+    """A random `NodePolynomial` of degree ``deg``, drawn by ``disc``: ``a``,
+    ``b``, then ``c``."""
+    from hardyglue.node_model import NodePolynomial
+
+    return NodePolynomial(disc(rng, (deg, m)), disc(rng, (deg, m)), disc(rng, (m,)))
+
+
+def first_generator(monkeypatch, run):
+    """Call ``run()`` and return the first generator it made with
+    `np.random.default_rng`, to read where the battery left it."""
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(real(*args)) or made[-1])
+    try:
+        run()
+    finally:
+        monkeypatch.setattr(np.random, "default_rng", real)
+    return made[0]
+
+
+class TestBulkDraws:
+    """Each battery draws a block's doubles in one array and cuts it in the
+    order of the per-trial draws; the points must have the bits of the
+    reference `uniform_disc`, and the generator must end where the
+    trial-by-trial loop ends."""
+
+    @pytest.mark.parametrize("shape", [(), (8, 3), (11, 6), (25, 1), (0, 2)])
+    @pytest.mark.parametrize("radius", [1.0, 3.0])
+    def test_random_disc_bitwise(self, shape, radius, uniform_disc):
+        from hardyglue.cli import _random_disc
+
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got, want = _random_disc(rng, shape, radius), uniform_disc(ref, shape, radius)
+                assert type(got) is type(want) and np.shape(got) == shape
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert rng.random() == ref.random()
+
+    @staticmethod
+    def capture(monkeypatch, module, name):
+        """Record the arguments of each call of ``module.name``."""
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("kind, trials", [("chart", 1), ("pair", 1), ("mixed", 40)])
+    def test_disk_pair_stacks_bitwise(self, kind, trials, uniform_disc, monkeypatch):
+        from hardyglue import node_model
+        from hardyglue.cli import _disk_pair_block
+
+        n_max = 12
+        seed = next(s for s in range(100) if kind == "mixed" or
+                    (np.random.default_rng(s).random() < 0.5) == (kind == "chart"))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        calls = self.capture(monkeypatch, node_model, "_membership_residuals")
+        assert _disk_pair_block(rng, trials, n_max, RunOptions()) == trials
+        xi_got, eta_got = calls[-1][1:3]
+        charted = []
+        for t in range(trials):
+            charted.append(ref.uniform() < 0.5)
+            if charted[-1]:
+                boundary = node_model.node_chart(random_chart(uniform_disc, ref, 1, n_max, 0.0))
+                xi, eta = boundary.xi.coeffs, boundary.eta.coeffs
+            else:
+                xi, eta = (uniform_disc(ref, (2 * n_max + 1, 1)) for _ in range(2))
+            assert xi_got[t].tobytes() == xi.tobytes() and eta_got[t].tobytes() == eta.tobytes()
+        assert kind == "mixed" and 0 < sum(charted) < trials or charted == [kind == "chart"]
+        assert rng.random() == ref.random()
+
+    def test_annulus_draws_bitwise(self, uniform_disc, monkeypatch):
+        from hardyglue import extension
+        from hardyglue.cli import _annulus_block
+
+        n_max = 12
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        calls = self.capture(monkeypatch, extension, "_annulus_defects")
+        _annulus_block(rng, 9, n_max, 1.5)
+        delta, laurent = calls[0][:2]
+        for t in range(9):
+            assert delta[t] == ref.uniform(0.15, 0.85)
+            assert laurent[t].tobytes() == uniform_disc(ref, (2 * n_max + 1, 1)).tobytes()
+        assert rng.random() == ref.random()
+
+    @staticmethod
+    def first_gate_failure(disc, trials, m, n_max, z_max, seed):
+        """The message of the first ``|z| >= 1`` in the trial-by-trial draws
+        of the node battery, or None."""
+        from hardyglue import node_model
+
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            z = disc(rng, ()) * z_max
+            for shape in [(n_max, m)] * 2 + [(m,)] + [(min(8, n_max), m)] * 2 + [(m,)]:
+                disc(rng, shape)
+            for z in (z, disc(rng, ()) * z_max):
+                try:
+                    node_model._check_gluing(complex(z))
+                except ValueError as exc:
+                    return str(exc)
+        return None
+
+    # z_max 1.01 puts about 2% of the gluing parameters past the gate.  At
+    # N = 64, m = 2 a block holds 16 trials; the first failure falls on a
+    # trace's z in block 0 (seed 0), on a chart's z in block 0 (seed 1) and
+    # in block 2 (seed 4), on a trace's z in block 2 (seed 8); seed 2 passes
+    # the gate in all 60 trials
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 8])
+    def test_node_gate_names_first_failure(self, seed, uniform_disc):
+        from hardyglue.cli import _node_random_battery
+
+        message = self.first_gate_failure(uniform_disc, 60, 2, 64, 1.01, seed)
+        if message is None:
+            assert seed == 2 and len(_node_random_battery(RunOptions(), 60, 2, 64, 1.01, seed)) == 5
+            return
+        with pytest.raises(ValueError) as caught:
+            _node_random_battery(RunOptions(), 60, 2, 64, 1.01, seed)
+        assert str(caught.value) == message
 
 
 class TestStackedNodeBattery:
@@ -437,15 +578,14 @@ class TestStackedNodeBattery:
     point-by-point loops over the public scalar API below."""
 
     @staticmethod
-    def reference_battery(trials, m, n_max, z_max, seed, s=1.5):
+    def reference_battery(trials, m, n_max, z_max, seed, disc, s=1.5):
         from hardyglue import node_model as nm
-        from hardyglue.cli import _random_disc, _random_poly
         from hardyglue.loops import Loop, sobolev_norm
 
         rng = np.random.default_rng(seed)
         worst = [0.0, 0.0, 0.0, 0.0]
         for _ in range(trials):
-            chart = random_chart(rng, m, n_max, z_max)
+            chart = random_chart(disc, rng, m, n_max, z_max)
             boundary = nm.node_chart(chart)
             worst[0] = max(worst[0], nm.node_membership(boundary, s=s).residual)
             back = nm.node_chart_inverse(boundary, tol=1e-8, s=s)
@@ -461,17 +601,16 @@ class TestStackedNodeBattery:
             num = np.hypot(*(sobolev_norm(d, s) for d in diffs))
             scale = 1.0 + max(sobolev_norm(boundary.xi, s), sobolev_norm(boundary.eta, s))
             worst[3] = max(worst[3], float(num / scale))
-            poly = _random_poly(rng, m, deg=min(8, n_max))
-            z = _random_disc(rng, ()) * z_max
+            poly = random_poly(disc, rng, m, deg=min(8, n_max))
+            z = disc(rng, ()) * z_max
             worst[2] = max(worst[2], nm.node_membership(nm.boundary_traces(poly, z, n_max), s=s).residual)
         return worst, rng
 
     @staticmethod
-    def reference_h_grid(rng, m, n_max, term_by_term, grid=10):
+    def reference_h_grid(rng, m, n_max, term_by_term, disc, grid=10):
         from hardyglue import node_model as nm
-        from hardyglue.cli import _random_poly
 
-        poly = _random_poly(rng, m, deg=min(8, n_max))
+        poly = random_poly(disc, rng, m, deg=min(8, n_max))
 
         def family(z, t):
             return nm.node_chart_inverse(nm.boundary_traces(poly, z, n_max), tol=1e-8)
@@ -493,13 +632,17 @@ class TestStackedNodeBattery:
     @pytest.mark.parametrize("n_max", [8, 13, 64, 256])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed, term_by_term):
+    def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed, term_by_term, uniform_disc,
+                                                 monkeypatch):
         from hardyglue.cli import _node_random_battery
 
-        records = _node_random_battery(RunOptions(), 33, m, n_max, 0.9, seed)
-        worst, rng = self.reference_battery(33, m, n_max, 0.9, seed)
-        h_max = self.reference_h_grid(rng, m, n_max, term_by_term)
+        records = []
+        made = first_generator(monkeypatch, lambda: records.extend(
+            _node_random_battery(RunOptions(), 33, m, n_max, 0.9, seed)))
+        worst, rng = self.reference_battery(33, m, n_max, 0.9, seed, uniform_disc)
+        h_max = self.reference_h_grid(rng, m, n_max, term_by_term, uniform_disc)
         assert [r.residual for r in records] == worst[:4] + [h_max]
+        assert made.random() == rng.random()
 
 
 class TestStackedExtensionSuite:
@@ -508,9 +651,9 @@ class TestStackedExtensionSuite:
     of the stacked annulus kernel must equal the scalar test on that row."""
 
     @staticmethod
-    def reference_suite(opts):
+    def reference_suite(opts, disc):
         from hardyglue import extension, node_model
-        from hardyglue.cli import _random_disc, check_int, check_residual
+        from hardyglue.cli import check_int, check_residual
         from hardyglue.loops import Loop
 
         rng = np.random.default_rng(opts.seed)
@@ -520,11 +663,11 @@ class TestStackedExtensionSuite:
         trials = 1000
         for _ in range(trials):
             if rng.uniform() < 0.5:
-                boundary = node_model.node_chart(random_chart(rng, 1, n_max, 0.0))
+                boundary = node_model.node_chart(random_chart(disc, rng, 1, n_max, 0.0))
                 xi, eta = boundary.xi, boundary.eta
             else:
-                xi = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
-                eta = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
+                xi = Loop(1, n_max, disc(rng, (2 * n_max + 1, 1)))
+                eta = Loop(1, n_max, disc(rng, (2 * n_max + 1, 1)))
             pair = extension.disk_pair_node_test(xi, eta, tol=opts.tol, s=s)
             exact = (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
                      and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
@@ -535,7 +678,7 @@ class TestStackedExtensionSuite:
         restriction_max = 0.0
         for _ in range(200):
             delta = float(rng.uniform(0.15, 0.85))
-            laurent = Loop(1, n_max, _random_disc(rng, (2 * n_max + 1, 1)))
+            laurent = Loop(1, n_max, disc(rng, (2 * n_max + 1, 1)))
             eta = Loop.from_modes(1, n_max, {n: laurent.mode(-n) * delta ** float(-n)
                                              for n in range(-n_max, n_max + 1)})
             fwd = extension.annulus_extension_test(laurent, eta, delta, tol=opts.tol, s=s)
@@ -547,9 +690,13 @@ class TestStackedExtensionSuite:
         return checks
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 12345])
-    def test_records_equal_to_trial_loop(self, seed):
+    def test_records_equal_to_trial_loop(self, seed, uniform_disc, monkeypatch):
         opts = RunOptions(seed=seed)
-        assert verify_suite("extension", opts) == self.reference_suite(opts)
+        got, want = [], []
+        made = first_generator(monkeypatch, lambda: got.extend(verify_suite("extension", opts)))
+        rng = first_generator(monkeypatch, lambda: want.extend(self.reference_suite(opts, uniform_disc)))
+        assert got == want
+        assert made.random() == rng.random()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_of_one_trial(self, seed):
@@ -631,9 +778,9 @@ class TestStackedFredholmSuite:
         return fredholm.StabilityResult("stable", gap, trials)
 
     @classmethod
-    def reference_suite(cls, opts):
+    def reference_suite(cls, opts, disc):
         from hardyglue import fredholm
-        from hardyglue.cli import _random_disc, check_int, check_residual
+        from hardyglue.cli import check_int, check_residual
 
         rng = np.random.default_rng(opts.seed)
         violations = 0
@@ -641,8 +788,8 @@ class TestStackedFredholmSuite:
             N = int(rng.integers(1, 12))
             p = int(rng.integers(0, N + 1))
             q = int(rng.integers(0, N + 1))
-            bp = _random_disc(rng, (N, p)) if p else np.zeros((N, 0), complex)
-            bq = _random_disc(rng, (N, q)) if q else np.zeros((N, 0), complex)
+            bp = disc(rng, (N, p)) if p else np.zeros((N, 0), complex)
+            bq = disc(rng, (N, q)) if q else np.zeros((N, 0), complex)
             try:
                 t = fredholm.SubspaceTriple(N, bp, bq)
             except ValueError:
@@ -653,7 +800,7 @@ class TestStackedFredholmSuite:
         checks = [check_int("euler_identity_violations", violations, 0)]
         stable = 0
         for trial in range(100):
-            t = fredholm.SubspaceTriple(8, _random_disc(rng, (8, 3)), _random_disc(rng, (8, 3)))
+            t = fredholm.SubspaceTriple(8, disc(rng, (8, 3)), disc(rng, (8, 3)))
             if cls.reference_stability(t, 1e-6, 20, opts.seed + trial):
                 stable += 1
         checks.append(check_int("generic_stability_count", stable, 100))
@@ -670,9 +817,13 @@ class TestStackedFredholmSuite:
         return checks
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
-    def test_records_equal_to_trial_loop(self, seed):
+    def test_records_equal_to_trial_loop(self, seed, uniform_disc, monkeypatch):
         opts = RunOptions(seed=seed)
-        assert verify_suite("fredholm", opts) == self.reference_suite(opts)
+        got, want = [], []
+        made = first_generator(monkeypatch, lambda: got.extend(verify_suite("fredholm", opts)))
+        rng = first_generator(monkeypatch, lambda: want.extend(self.reference_suite(opts, uniform_disc)))
+        assert got == want
+        assert made.random() == rng.random()
 
     @staticmethod
     def triples():
@@ -885,13 +1036,15 @@ class TestVerify:
             assert "tol" in c
             assert ("residual" in c) or ("value" in c)
 
-    def test_verify_all_check_names_pinned(self, capsys):
+    def test_verify_all_check_names_pinned(self, cli_output):
         # perfbench/gate.py holds the digest the benchmark gates on; pinning
-        # it here makes a renamed or reordered check fail the tests too
+        # it here makes a renamed or reordered check fail the tests too.  The
+        # run at the default seed is shared with tests/test_golden.py.
         spec = importlib.util.spec_from_file_location("gate", SCENARIOS.parent / "perfbench" / "gate.py")
         gate = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gate)
-        code, checks, summary = run_cli(capsys, "verify", "all")
+        code, out = cli_output(("verify", "all", "--seed", "7"))
+        *checks, summary = [json.loads(line) for line in out.splitlines()]
         assert code == 0
         assert len(checks) == summary["checks"] == 86
         names = "\n".join(c["check"] for c in checks).encode()
