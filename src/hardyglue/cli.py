@@ -25,9 +25,11 @@ import numpy as np
 from . import degeneration, extension, fredholm, moduli, node_model
 from .jsonio import (
     ScenarioError,
+    _boolean,
     _built,
     _field,
     _int_tuple,
+    _integer,
     _list_field,
     boundary_from_json,
     complex_from_pair,
@@ -36,8 +38,7 @@ from .jsonio import (
     nodal_config_from_json,
     vector_from_json,
 )
-from .loops import _l2_rows, _relative
-from .node_model import NodePolynomial, _plus_stack
+from .node_model import NodePolynomial
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
 
@@ -122,7 +123,7 @@ def _within(conv, low, rule: str, below=math.inf):
     return checked
 
 
-_COUNT = _within(int, 0, "an integer >= 0")
+_COUNT = _within(_integer, 0, "an integer >= 0")
 _SIZE = _within(float, 0.0, "a number in [0, inf)")
 
 
@@ -152,12 +153,12 @@ def _parse_cycles(data, where: str) -> list:
         w = f"{where}[{i}]"
         kind = _field(cyc, "kind", where=w)
         if kind == "nonseparating":
-            cycles.append(degeneration.NonseparatingCycle(_field(cyc, "component", where=w, conv=int)))
+            cycles.append(degeneration.NonseparatingCycle(_field(cyc, "component", where=w, conv=_integer)))
         elif kind == "separating":
             cycles.append(degeneration.SeparatingCycle(
-                _field(cyc, "component", where=w, conv=int),
-                _field(cyc, "genus_first", where=w, conv=int),
-                _field(cyc, "points_first", frozenset(), w, conv=lambda ids: frozenset(int(p) for p in ids))))
+                _field(cyc, "component", where=w, conv=_integer),
+                _field(cyc, "genus_first", where=w, conv=_integer),
+                _field(cyc, "points_first", frozenset(), w, conv=lambda ids: frozenset(_integer(p) for p in ids))))
         else:
             raise ScenarioError(f"{w}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
     return cycles
@@ -177,7 +178,7 @@ def _parse_polynomial_map(params: dict, where: str = "params") -> fredholm.Graph
                           _int_tuple(_field(term, "u", where=w), None, f"{w}.u"),
                           _int_tuple(_field(term, "xp", where=w), None, f"{w}.xp")))
         comps.append(tuple(terms))
-    allow_nonflat = bool(_field(params, "allow_nonflat", False, where))
+    allow_nonflat = _field(params, "allow_nonflat", False, where, _boolean)
     pm = _built(fredholm.PolynomialMap, where, dims, tuple(comps))
     return _built(pm.as_graph, where, allow_nonflat=allow_nonflat)
 
@@ -207,15 +208,6 @@ def _random_poly(rng, m: int, deg: int) -> NodePolynomial:
                           _random_disc(rng, (m,)))
 
 
-def _chart_distances(chart: tuple, back: tuple) -> np.ndarray:
-    """Relative distance of each row of two chart stacks ``(z, xi_+, eta_+, lam)``."""
-    num = _l2_rows(chart[1] - back[1])
-    num = np.hypot(num, _l2_rows(chart[2] - back[2]))
-    num = np.hypot(num, _l2_rows(chart[3] - back[3]))
-    num = np.hypot(num, np.abs(chart[0] - back[0]))
-    return num / (1.0 + _l2_rows(chart[1]) + _l2_rows(chart[2]))
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -229,20 +221,13 @@ _BLOCK_COEFFS = 32 * 65 * 2
 
 def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
                          z_max: float, seed: int) -> list:
-    """The node battery: chart membership, chart and boundary roundtrips and
-    trace membership over ``trials`` random trials, then the H-grid.
-
-    Trials are checked in blocks of up to `_BLOCK_COEFFS` coefficients per
-    stack.  A block's draws are one array, a row of doubles per trial, each
-    row cut in the order of a trial's draws: a random chart ``(z, xi_+
-    rows, eta_+ rows, lam)``, a random polynomial ``(a, b, c)`` and the
-    gluing parameter of its traces.  Each step (chart, membership, the 1e-8 inverse gate,
-    roundtrips, traces, trace membership) is one pass over the block.  Every
-    row is computed as the public functions compute it alone, so each
-    maximum has the bits of a trial-by-trial loop.
-    """
+    """The node battery: `node_model.node_battery_residuals` over
+    ``trials`` random trials, in blocks of up to `_BLOCK_COEFFS`
+    coefficients per stack, then `node_model.h_reproduction_gaps` of a
+    random polynomial.  A block's draws are one array, a row per trial cut
+    in the order of its draws: a chart ``(z, xi_+ rows, eta_+ rows, lam)``,
+    a polynomial ``(a, b, c)`` and the ``z`` of its traces."""
     rng = np.random.default_rng(seed)
-    s = opts.sobolev_s
     block = max(1, _BLOCK_COEFFS // ((2 * n_max + 1) * m))
     deg = min(8, n_max)
     shapes = ((), (n_max, m), (n_max, m), (m,), (deg, m), (deg, m), (m,), ())
@@ -253,15 +238,10 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
         z, xi_rows, eta_rows, lam, a, b, c, z_trace = (
             _disc(u[:, i:j], shape) for i, j, shape in zip(cuts, cuts[1:], shapes))
         del u
-        gluing = np.stack([z, z_trace], axis=1).ravel() * z_max
-        outside = gluing[np.abs(gluing) >= 1.0]
-        if outside.size:
-            node_model._check_gluing(complex(outside[0]))
-        z, z_trace = gluing[0::2], gluing[1::2]
-        residuals = (*_chart_block(z, xi_rows, eta_rows, lam, n_max, s),
-                     _trace_block(z_trace, a, b, c, n_max, s))
+        residuals = node_model.node_battery_residuals((z * z_max, xi_rows, eta_rows, lam),
+                                                      (z_trace * z_max, a, b, c), n_max, opts.sobolev_s)
         worst = [max([w, *values.tolist()]) for w, values in zip(worst, residuals)]
-    h_max = _h_reproduction_max(rng, m, n_max)
+    h_max = float(np.max(node_model.h_reproduction_gaps(_random_poly(rng, m, deg)), initial=0.0))
     return [
         check_residual("chart_membership_max", worst[0], 1e-12),
         check_residual("chart_roundtrip_max", worst[1], 1e-12),
@@ -271,87 +251,12 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
     ]
 
 
-def _chart_block(z, xi_rows, eta_rows, lam, n_max: int, s: float) -> tuple:
-    """Chart membership, chart roundtrip and boundary roundtrip residuals of
-    a stack of random charts (plus rows (T, N, m) on modes 1..N).  One
-    power table serves every transfer; each stack is dropped once used."""
-    chart = (z, _plus_stack(xi_rows, n_max), _plus_stack(eta_rows, n_max), lam)
-    table = node_model._power_table(z, chart[1], chart[2])
-    xi, eta = node_model._chart(table, *chart[1:])
-    member = node_model._membership_residuals(table, xi, eta, s)
-    back = (z,) + node_model._chart_inverse(xi, eta, member, 1e-8)
-    roundtrip = _chart_distances(chart, back)
-    del chart
-    xi_back, eta_back = node_model._chart(table, *back[1:])
-    del back
-    boundary = _relative((np.subtract(xi, xi_back, out=xi_back),
-                          np.subtract(eta, eta_back, out=eta_back)), (xi, eta), s)
-    return member, roundtrip, boundary
-
-
-def _trace_block(z, a, b, c, n_max: int, s: float) -> np.ndarray:
-    """Membership residuals of the boundary traces of a stack of random
-    polynomials (rows (T, deg, m)) at the gluing parameters ``z``."""
-    plus = (_plus_stack(a, n_max), _plus_stack(b, n_max))
-    table = node_model._power_table(z, *plus)
-    xi, eta = node_model._chart(table, *plus, c)
-    del plus
-    return node_model._membership_residuals(table, xi, eta, s)
-
-
-@functools.lru_cache(maxsize=1)
-def _h_grid() -> tuple:
-    """The H-grid's fixed 10 x 10 points, read-only arrays of shape (100,):
-    ``(xs, ys, z)`` with ``z = x*y`` formed point by point."""
-    points = []
-    radii = 0.85 * (np.arange(10) + 0.5) / 10
-    for j in range(10):
-        x = radii[j] * np.exp(2j * np.pi * j / 10)
-        for k in range(10):
-            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / 10)))
-    xs, ys = (np.array(v, dtype=complex) for v in zip(*points))
-    z = np.array([complex(x) * complex(y) for x, y in points])
-    for arr in (xs, ys, z):
-        arr.flags.writeable = False
-    return xs, ys, z
-
-
-def _h_reproduction_max(rng, m: int, n_max: int) -> float:
-    """Largest relative gap between the glued evaluation ``H(x, y)`` and a
-    random polynomial ``v(x, y)`` over the points of `_h_grid`.
-
-    At each point the family's chart is the chart inverse of the traces of
-    ``v`` at ``z = x*y``, behind the 1e-8 membership gate, and ``H`` is
-    evaluated from that chart.  The reference is ``v`` itself, summed term
-    by term by `NodePolynomial.__call__` in one call over the points, so
-    the oracle stays independent of the gluing kernels.
-
-    All points go through one pass at the width K of the polynomial, its
-    degree.  Modes past K of the traces and of the charts are exact zeros
-    at order ``n_max``, and every sum runs over the live modes alone, so
-    the stacks stay (P, 2K+1, m) whatever ``n_max`` is.
-    """
-    poly = _random_poly(rng, m, deg=min(8, n_max))
-    xs, ys, z = _h_grid()
-    refs = poly(xs, ys)
-    width = max(poly.deg_x, poly.deg_y)
-    plus = [np.broadcast_to(_plus_stack(rows[None], width), (len(z), 2 * width + 1, m))
-            for rows in (poly.a, poly.b)]
-    table = node_model._power_table(z, *plus)
-    xi, eta = node_model._chart(table, *plus, np.broadcast_to(poly.c, (len(z), m)))
-    member = node_model._membership_residuals(table, xi, eta, node_model.DEFAULT_SOBOLEV_S)
-    xi_plus, eta_plus, lam = node_model._chart_inverse(xi, eta, member, 1e-8)
-    hvals = node_model._eval_plus(xs, xi_plus) + node_model._eval_plus(ys, eta_plus) + lam
-    gaps = np.max(np.abs(hvals - refs), axis=1) / (1.0 + np.max(np.abs(refs), axis=1))
-    return float(np.max(gaps, initial=0.0))
-
-
 def handle_node_check(params: dict, opts: RunOptions) -> list:
     if "boundary" in params:
         boundary = boundary_from_json(params["boundary"], "params.boundary")
         res = node_model.node_membership(boundary, tol=opts.tol, s=opts.sobolev_s)
         return [check_residual("membership", res.residual, opts.tol)]
-    positive = _within(int, 1, "an integer >= 1")
+    positive = _within(_integer, 1, "an integer >= 1")
     trials = _field(params, "trials", 200, "params", positive)
     m = _field(params, "m", 2, "params", positive)
     n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
@@ -364,7 +269,7 @@ def handle_extend_check(params: dict, opts: RunOptions) -> list:
     records_raw = _list_field(params, "nodes", "params")
     if not records_raw:
         raise ScenarioError("params.nodes: expected a nonempty list of node records")
-    ball = bool(_field(params, "ball_check", True, "params"))
+    ball = _field(params, "ball_check", True, "params", _boolean)
     records = []
     for i, rec in enumerate(records_raw):
         where = f"params.nodes[{i}]"
@@ -391,7 +296,7 @@ def handle_index(params: dict, opts: RunOptions) -> list:
             where = f"params.triples[{i}]"
             basis_prime = matrix_from_json(_field(entry, "basis_prime", where=where), f"{where}.basis_prime")
             basis_dprime = matrix_from_json(_field(entry, "basis_dprime", where=where), f"{where}.basis_dprime")
-            triple = _built(fredholm.SubspaceTriple, where, _field(entry, "ambient_dim", where=where, conv=int),
+            triple = _built(fredholm.SubspaceTriple, where, _field(entry, "ambient_dim", where=where, conv=_integer),
                             basis_prime, basis_dprime)
             idx = fredholm.triple_index(triple)
             out.append(check_int(f"triple{i}_euler_identity", idx.index,
@@ -400,7 +305,7 @@ def handle_index(params: dict, opts: RunOptions) -> list:
             if expect:
                 for key in ("dim_cap", "codim_sum", "index"):
                     out.append(check_int(f"triple{i}_{key}", getattr(idx, key),
-                                         _field(expect, key, where=f"{where}.expect", conv=int)))
+                                         _field(expect, key, where=f"{where}.expect", conv=_integer)))
     if "line_bundle" in params:
         entry = params["line_bundle"]
         d_max = _field(entry, "d_max", 10, "params.line_bundle", _COUNT)
@@ -419,7 +324,7 @@ def handle_index(params: dict, opts: RunOptions) -> list:
 def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
     out = []
     entries = _list_field(params, "entries", "params", [])
-    if _field(params, "builtin_table", False, "params"):
+    if _field(params, "builtin_table", False, "params", _boolean):
         entries = list(CLASSICAL_TABLE) + entries
     contractions = _list_field(params, "contractions", "params", [])
     if not entries and not contractions:
@@ -427,11 +332,11 @@ def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
     for i, row in enumerate(entries):
         where = f"params.entries[{i}]"
         label = _field(row, "label", f"row{i}", where)
-        target = _built(moduli.TargetData, where, _field(row, "m", where=where, conv=int),
-                        _field(row, "c1d", where=where, conv=int))
-        value = moduli.moduli_dimension(_field(row, "g", where=where, conv=int),
-                                        _field(row, "n", where=where, conv=int), target)
-        out.append(check_int(f"moduli_dim_{label}", value, _field(row, "expect", where=where, conv=int)))
+        target = _built(moduli.TargetData, where, _field(row, "m", where=where, conv=_integer),
+                        _field(row, "c1d", where=where, conv=_integer))
+        value = moduli.moduli_dimension(_field(row, "g", where=where, conv=_integer),
+                                        _field(row, "n", where=where, conv=_integer), target)
+        out.append(check_int(f"moduli_dim_{label}", value, _field(row, "expect", where=where, conv=_integer)))
     for i, job in enumerate(contractions):
         where = f"params.contractions[{i}]"
         cfg = nodal_config_from_json(_field(job, "config", where=where), f"{where}.config")
@@ -441,10 +346,10 @@ def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
         after_cfg = _built(degeneration.apply_deformation, where, cfg, cycles)
         out.append(check_int(f"{label}_genus_preserved", moduli.arithmetic_genus(after_cfg), before))
         if "expect_genus" in job:
-            out.append(check_int(f"{label}_genus", before, _field(job, "expect_genus", where=where, conv=int)))
+            out.append(check_int(f"{label}_genus", before, _field(job, "expect_genus", where=where, conv=_integer)))
         if "expect_stable" in job:
             out.append(check_int(f"{label}_stable", int(moduli.is_stable_map(after_cfg)),
-                                 int(bool(job["expect_stable"]))))
+                                 int(_field(job, "expect_stable", where=where, conv=_boolean))))
     return out
 
 
@@ -483,28 +388,13 @@ def _parse_z_seq(data, where: str) -> tuple:
         geo = data["geometric"]
         start = _field(geo, "start", 0.5, f"{where}.geometric", float)
         ratio = _field(geo, "ratio", 0.5, f"{where}.geometric", float)
-        count = _field(geo, "count", 34, f"{where}.geometric", int)
+        count = _field(geo, "count", 34, f"{where}.geometric", _integer)
         if not (0 < ratio < 1) or not (0 < start < 1):
             raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
         return tuple(start * ratio**k for k in range(count))
     if isinstance(data, list):
         return tuple(vector_from_json(data, where).tolist())
     raise ScenarioError(f"{where}: expected a list of [re,im] pairs or a geometric sequence")
-
-
-def _quadrature_gaps(report: degeneration.EnergyReport) -> list:
-    """``|E - Q| / (1 + |Q|)`` for each row of an energy report: the closed
-    form E against the quadrature Q on the row's neck annulus, both taken on
-    the report's neck divided by a power of two near its largest coefficient
-    (`degeneration._per_unit`), where no ``|c|^2`` overflows.  A gap that is
-    still not finite makes its check inconclusive."""
-    (unit,) = degeneration._per_unit([report.neck])
-    gaps = []
-    for row in report.rows:
-        r, R = row.z_abs / row.eps, row.eps
-        quad = degeneration.annulus_energy_quadrature(unit, r, R)
-        gaps.append(abs(degeneration.annulus_energy(unit, r, R) - quad) / (1.0 + abs(quad)))
-    return gaps
 
 
 def handle_energy(params: dict, opts: RunOptions) -> list:
@@ -521,10 +411,10 @@ def handle_energy(params: dict, opts: RunOptions) -> list:
     n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
     report = _built(degeneration.energy_axiom_check, "params", fam, eps_schedule, tol=energy_tol, n_max=n_max)
     out = []
-    for row, gap in zip(report.rows, _quadrature_gaps(report)):
+    for row, gap in zip(report.rows, degeneration.quadrature_gaps(report)):
         out.append(check_residual(f"eps{row.eps:g}_quadrature_agreement", gap, 1e-8))
         out.append(check_bool(f"eps{row.eps:g}_k_limit_stable", row.stable))
-    expect_pass = bool(_field(params, "expect_pass", True, "params"))
+    expect_pass = _field(params, "expect_pass", True, "params", _boolean)
     out.append(check_int("energy_axiom_verdict", int(report.passed), int(expect_pass)))
     return out
 
@@ -539,40 +429,35 @@ def suite_node(opts: RunOptions) -> list:
 
 
 def suite_extension(opts: RunOptions) -> list:
-    """Disk pairs against the exact extension conditions, then annulus
-    pairs against the swap symmetry and the Laurent restriction.
-
-    The trials are checked in blocks of up to `_BLOCK_COEFFS` coefficients
-    per stack (`_disk_pair_block`, `_annulus_block`).  A block's draws are
-    one array, cut in the order of the per-trial draws, and each row has the
-    bits of the public function on that trial alone.
-    """
+    """`extension.disk_pair_residuals` of 1,000 disk pairs, then
+    `extension.annulus_pair_residuals` of 200 annulus pairs, in blocks of
+    up to `_BLOCK_COEFFS` coefficients per stack, each block's draws one
+    array cut in the order of the per-trial draws."""
     rng = np.random.default_rng(opts.seed)
     n_max = 12
     block = _BLOCK_COEFFS // (2 * n_max + 1)
-    agreements = sum(_disk_pair_block(rng, min(block, 1000 - start), n_max, opts)
-                     for start in range(0, 1000, block))
+    agreements = 0
+    for start in range(0, 1000, block):
+        residuals, exact = extension.disk_pair_residuals(*_disk_pair_block(rng, min(block, 1000 - start), n_max),
+                                                         opts.sobolev_s)
+        agreements += int(np.count_nonzero((residuals <= opts.tol) == exact))
     worst = [0.0, 0.0]
     for start in range(0, 200, block):
-        residuals = _annulus_block(rng, min(block, 200 - start), n_max, opts.sobolev_s)
+        residuals = extension.annulus_pair_residuals(*_annulus_block(rng, min(block, 200 - start), n_max),
+                                                     opts.sobolev_s)
         worst = [max([w, *values.tolist()]) for w, values in zip(worst, residuals)]
     return [check_int("disk_pair_vs_membership_agreement", agreements, 1000),
             check_residual("annulus_swap_symmetry_max", worst[0], 1e-12),
             check_residual("laurent_restriction_defect_max", worst[1], 1e-12)]
 
 
-def _disk_pair_block(rng, trials: int, n_max: int, opts: RunOptions) -> int:
-    """Draw ``trials`` disk pairs of order ``n_max``, each a chart at
-    ``z = 0`` or a random pair with even odds, and count those whose
-    verdict (`extension.disk_pair_node_test`, membership at ``z = 0``)
-    agrees with the exact extension conditions.  The charts go through one
-    `node_model._chart` pass and all pairs through one membership pass.
-
-    A trial takes a coin and then the doubles of a chart ``(z, xi_+ rows,
-    eta_+ rows, lam)`` or of two random loops.  The coins are walked in a
-    draw of the most the block can take; the generator is then put back
-    and draws exactly the doubles the trials take, so it ends where a
-    trial-by-trial loop ends."""
+def _disk_pair_block(rng, trials: int, n_max: int) -> tuple:
+    """Draw ``trials`` disk pairs of order ``n_max``, each a chart at ``z =
+    0`` or a random pair with even odds: ``(charted, charts, pairs)`` for
+    `extension.disk_pair_residuals`.  A trial takes a coin, then a chart
+    ``(z, xi_+ rows, eta_+ rows, lam)`` (``z`` unused) or two random loops.
+    The coins are walked in a draw of the most the block can take; the
+    generator is then put back and draws exactly what the trials take."""
     width = 2 * n_max + 1
     sizes = (4 * n_max + 4, 4 * width)  # chart, pair
     state = rng.bit_generator.state
@@ -586,39 +471,18 @@ def _disk_pair_block(rng, trials: int, n_max: int, opts: RunOptions) -> int:
     u = rng.random(end)
     starts = np.array(starts)
     charted = u[starts - 1] < 0.5
-    xi, eta = (np.zeros((trials, width, 1), dtype=complex) for _ in range(2))
     pairs = _disc(u[starts[~charted, None] + np.arange(sizes[1])].reshape(-1, 2, 2 * width), (width, 1))
-    xi[~charted], eta[~charted] = pairs[:, 0], pairs[:, 1]
-    if charted.any():
-        rows = u[starts[charted, None] + np.arange(sizes[0])]
-        plus = [_plus_stack(_disc(rows[:, i:i + 2 * n_max], (n_max, 1)), n_max) for i in (2, 2 + 2 * n_max)]
-        table = node_model._power_table(_disc(rows[:, :2], ()) * 0.0, *plus)
-        xi[charted], eta[charted] = node_model._chart(table, *plus, _disc(rows[:, -2:], (1,)))
-    table = node_model._power_table(np.zeros(trials), xi, eta)
-    residuals = node_model._membership_residuals(table, xi, eta, opts.sobolev_s)
-    # the exact extension conditions: no negative modes, equal constants
-    exact = (~xi[:, :n_max].any(axis=(1, 2)) & ~eta[:, :n_max].any(axis=(1, 2))
-             & (xi[:, n_max] == eta[:, n_max]).all(axis=1))
-    return int(np.count_nonzero((residuals <= opts.tol) == exact))
+    rows = u[starts[charted, None] + np.arange(sizes[0])]
+    charts = (*(_disc(rows[:, i:i + 2 * n_max], (n_max, 1)) for i in (2, 2 + 2 * n_max)),
+              _disc(rows[:, -2:], (1,)))
+    return charted, charts, pairs
 
 
-def _annulus_block(rng, pairs: int, n_max: int, s: float) -> tuple:
-    """Draw ``pairs`` annulus pairs, a modulus ``delta`` and a random Laurent
-    loop ``xi`` each, with ``eta_n = delta^(-n) xi_{-n}`` (each power a
-    Python float power), the restriction of one Laurent series to both
-    boundary circles.  Returns the swap asymmetries
-    ``|d(xi, eta) - d(eta, xi)| / (1 + d(xi, eta))`` and the defects
-    ``d(xi, eta)`` of `extension._annulus_defects`, one pass each way.  The
-    swap check is exact by design: the loops share their constant, so a swap
-    swaps the two defects entry for entry and the asymmetry reads 0.0."""
+def _annulus_block(rng, pairs: int, n_max: int) -> tuple:
+    """Draw ``pairs`` annulus pairs, a modulus in [0.15, 0.85) and a random
+    Laurent loop each, for `extension.annulus_pair_residuals`."""
     u = rng.random((pairs, 4 * n_max + 3))
-    delta = 0.15 + (0.85 - 0.15) * u[:, 0]
-    laurent = _disc(u[:, 1:], (2 * n_max + 1, 1))
-    weights = np.array([[d ** float(-n) for n in range(-n_max, n_max + 1)] for d in delta.tolist()])
-    restricted = laurent[:, ::-1] * weights[:, :, None]
-    fwd = extension._annulus_defects(delta, laurent, restricted, s)
-    rev = extension._annulus_defects(delta, restricted, laurent, s)
-    return np.abs(fwd - rev) / (1.0 + fwd), fwd
+    return 0.15 + (0.85 - 0.15) * u[:, 0], _disc(u[:, 1:], (2 * n_max + 1, 1))
 
 
 def suite_fredholm(opts: RunOptions) -> list:
@@ -700,7 +564,7 @@ def suite_energy(opts: RunOptions) -> list:
     checks = [check_bool("monomial_family_passes", report.passed)]
     closed_max = max(abs(row.energy - np.pi * row.eps**2) / (np.pi * row.eps**2) for row in report.rows)
     checks.append(check_residual("monomial_k_limit_vs_pi_eps2", closed_max, 1e-8))
-    checks.append(check_residual("quadrature_agreement", float(np.max(_quadrature_gaps(report))), 1e-8))
+    checks.append(check_residual("quadrature_agreement", float(np.max(degeneration.quadrature_gaps(report))), 1e-8))
     # fixed neck coefficient a_{-1} = 1: energy concentrates and diverges
     divergent = degeneration.NeckFamily(
         z_seq, tuple(NodePolynomial(np.zeros((0, 1), complex),
@@ -870,11 +734,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Hardy-space node model and Fredholm "
                                                  "intersection verification runner")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation", type=_COUNT, default=32, help="Fourier truncation order N")
+    count = _within(int, 0, "an integer >= 0")  # flags are strings
+    common.add_argument("--truncation", type=count, default=32, help="Fourier truncation order N")
     common.add_argument("--sobolev-s", type=_SIZE, default=1.5, dest="sobolev_s",
                         help="Sobolev exponent for residual norms")
     common.add_argument("--tol", type=_SIZE, default=1e-10, help="relative residual tolerance")
-    common.add_argument("--seed", type=_COUNT, default=7, help="seed for randomized batteries")
+    common.add_argument("--seed", type=count, default=7, help="seed for randomized batteries")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common], help=f"run a {name} scenario file")

@@ -33,6 +33,7 @@ __all__ = [
     "annulus_energy_quadrature",
     "neck_laurent",
     "energy_axiom_check",
+    "quadrature_gaps",
     "apply_deformation",
 ]
 
@@ -244,6 +245,21 @@ def energy_axiom_check(fam: NeckFamily, eps_schedule, tol: float = 1e-6,
     monotone = all(b.energy <= a.energy * (1.0 + 1e-9) + 1e-15 for a, b in zip(rows, rows[1:]))
     passed = monotone and all(r.stable for r in rows) and rows[-1].energy <= tol
     return EnergyReport(tuple(rows), passed, necks[-1])
+
+
+def quadrature_gaps(report: EnergyReport) -> list:
+    """``|E - Q| / (1 + |Q|)`` for each row of an energy report: the closed
+    form E against the quadrature Q on the row's neck annulus, both taken on
+    the report's neck divided by a power of two near its largest coefficient
+    (`_per_unit`), where no ``|c|^2`` overflows.  A gap may still not be
+    finite."""
+    (unit,) = _per_unit([report.neck])
+    gaps = []
+    for row in report.rows:
+        r, R = row.z_abs / row.eps, row.eps
+        quad = annulus_energy_quadrature(unit, r, R)
+        gaps.append(abs(annulus_energy(unit, r, R) - quad) / (1.0 + abs(quad)))
+    return gaps
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,13 @@ The annulus test is a stack of one over `_annulus_defects`, which takes a
 stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
 forms the node defects (`node_model._membership_residuals`), and the core
 weights enter as mantissas and binary exponents, under the one scale rule
-of `loops._at_scale`.
+of `loops._at_scale`.  The node kernels are read through the `node_model`
+namespace, so a patch of one there reaches this module too.
+
+The random trials of ``verify extension`` are checked on stacks by
+`disk_pair_residuals` (charts at ``z = 0`` and random pairs against the
+exact extension conditions) and `annulus_pair_residuals` (restrictions of
+one Laurent series, both ways); each row has the bits of the scalar tests.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import node_model
 from .loops import Loop, _at_scale, _ldexp, _mode_power, _relative, _samples, default_grid_size, hardy_project
-from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, _membership_residuals, _power_table, node_membership
+from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, node_membership
 
 __all__ = [
     "ExtensionResult",
@@ -37,6 +44,8 @@ __all__ = [
     "disk_pair_node_test",
     "annulus_extension_test",
     "vprime_membership",
+    "disk_pair_residuals",
+    "annulus_pair_residuals",
 ]
 
 
@@ -110,8 +119,45 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
         log_core = (half * np.log2(delta)[:, None])[low]
         exp[low] = np.floor(log_core) + 1
         mant[low] = np.exp2(log_core - exp[low])
-    return _membership_residuals(_power_table(delta, xi, eta), xi, eta, s,
-                                 2.0 * mant[:, :, None], 1 - exp[:, :, None])
+    return node_model._membership_residuals(node_model._power_table(delta, xi, eta), xi, eta, s,
+                                            2.0 * mant[:, :, None], 1 - exp[:, :, None])
+
+
+def disk_pair_residuals(charted: np.ndarray, charts: tuple, pairs: np.ndarray,
+                        s: float = DEFAULT_SOBOLEV_S) -> tuple:
+    """`disk_pair_node_test` defects of T disk pairs, and whether each pair
+    meets the exact extension conditions (no negative modes, equal
+    constants), shape (T,) each.  The pairs ``charted`` marks are charts at
+    ``z = 0``, in order ``charts = (xi_+ rows, eta_+ rows, lam)``, rows (k,
+    N, m) on modes 1..N; the others are ``pairs`` (T - k, 2, 2N+1, m).
+    Each row has the bits of `node_chart` and the test on that pair alone.
+    """
+    n_max = pairs.shape[2] // 2
+    xi, eta = (np.zeros((len(charted),) + pairs.shape[2:], dtype=complex) for _ in range(2))
+    xi[~charted], eta[~charted] = pairs[:, 0], pairs[:, 1]
+    if charted.any():
+        plus = [node_model._plus_stack(rows, n_max) for rows in charts[:2]]
+        xi[charted], eta[charted] = node_model._chart_stack(np.zeros(len(charts[2])), *plus, charts[2])[1:]
+    exact = (~xi[:, :n_max].any(axis=(1, 2)) & ~eta[:, :n_max].any(axis=(1, 2))
+             & (xi[:, n_max] == eta[:, n_max]).all(axis=1))
+    table = node_model._power_table(np.zeros(len(charted)), xi, eta)
+    return node_model._membership_residuals(table, xi, eta, s), exact
+
+
+def annulus_pair_residuals(delta: np.ndarray, laurent: np.ndarray,
+                           s: float = DEFAULT_SOBOLEV_S) -> tuple:
+    """Swap asymmetries ``|d(xi, eta) - d(eta, xi)| / (1 + d(xi, eta))`` and
+    defects ``d(xi, eta)`` of `annulus_extension_test`, shape (T,) each, of
+    the Laurent loops ``xi`` of ``laurent`` (T, 2N+1, m) paired with their
+    restrictions ``eta_n = delta^(-n) xi_{-n}`` (Python float powers) to the
+    other circle of ``A(delta, 1)``.  The swap check is exact by design: the
+    loops share their constant, so the asymmetry reads 0.0."""
+    n_max = laurent.shape[1] // 2
+    weights = np.array([[d ** float(-n) for n in range(-n_max, n_max + 1)] for d in delta.tolist()])
+    restricted = laurent[:, ::-1] * weights[:, :, None]
+    fwd = _annulus_defects(delta, laurent, restricted, s)
+    rev = _annulus_defects(delta, restricted, laurent, s)
+    return np.abs(fwd - rev) / (1.0 + fwd), fwd
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ are row-major nested lists of pairs.
 
 Every reader raises `ScenarioError`, a ValueError, naming the path of the
 first bad field or element; `_built` gives a model constructor's ValueError,
-or a MemoryError, the path of the record it was built from.
+or a MemoryError, the path of the record it was built from.  Booleans and
+integers are read strictly (`_boolean`, `_integer`): a string, ``null`` or a
+number of the wrong kind is an error, never a truth value or a truncation.
 """
 
 from __future__ import annotations
@@ -56,6 +58,25 @@ def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
         return conv(data[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
+
+
+def _boolean(value) -> bool:
+    """A JSON ``true`` or ``false``; anything else, 0 and 1 included, is a
+    TypeError (a `_field` converter)."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value, as an int; a boolean, a string,
+    ``null`` or a number with a fractional part is a TypeError or
+    ValueError (a `_field` converter)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
 
 
 def _built(fn, where: str, *args, **kwargs):
@@ -145,8 +166,8 @@ def loop_to_json(loop: Loop) -> dict:
 
 
 def loop_from_json(data: dict, where: str = "loop") -> Loop:
-    m = _field(data, "m", where=where, conv=int)
-    n_max = _field(data, "n_max", where=where, conv=int)
+    m = _field(data, "m", where=where, conv=_integer)
+    n_max = _field(data, "n_max", where=where, conv=_integer)
     rows = _field(data, "coeffs", where=where)
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
         raise ScenarioError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
@@ -200,7 +221,7 @@ def _int_tuple(data, length: int | None, where: str) -> tuple:
     anything else is a ScenarioError naming ``where``."""
     if isinstance(data, list) and length in (None, len(data)):
         try:
-            return tuple(int(v) for v in data)
+            return tuple(_integer(v) for v in data)
         except (TypeError, ValueError, OverflowError):
             pass
     count = "" if length is None else f"{length} "
@@ -223,7 +244,7 @@ def nodal_config_from_json(data: dict, where: str = "config"):
     comps = []
     for i, c in enumerate(_list_field(data, "components", where)):
         w = f"{where}.components[{i}]"
-        comps.append(_built(Component, w, _field(c, "genus", 0, w, int), bool(_field(c, "ghost", False, w))))
+        comps.append(_built(Component, w, _field(c, "genus", 0, w, _integer), _field(c, "ghost", False, w, _boolean)))
     nodes = []
     for i, pair in enumerate(_list_field(data, "nodes", where, [])):
         w = f"{where}.nodes[{i}]"

@@ -29,18 +29,25 @@ transfers of a chart and both defects of a membership test.  The public
 functions are stacks of one over the same kernels (`_transfer`,
 `_chart_side`, `_defect`, `_eval_plus`), and `loops._norm_pairs` takes one
 ``np.dot`` per row (scaled only where out of range), so a stacked row gives
-the same bits as the public function on that row; the annulus kernel in
-`extension` goes through
-`_power_table` and `_defect` as well.
+the same bits as the public function on that row.
+
+A chart is formed on stacks once, in `_chart_stack` (one power table, then
+`_chart`), and `_chart_members` adds the membership residuals over the same
+table.  The node battery's relation passes run through them and are
+public: `node_battery_residuals` checks a block of random trials and
+`h_reproduction_gaps` the H-grid of a polynomial, each returning its residual
+arrays.  `extension` reaches the kernels through this module's namespace
+(``node_model._power_table``), so one patch of a kernel reaches every caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import Loop, _ldexp, _norm_pairs, _relative, hardy_project, sobolev_norm
+from .loops import Loop, _l2_rows, _ldexp, _norm_pairs, _relative, hardy_project, sobolev_norm
 
 __all__ = [
     "DEFAULT_SOBOLEV_S",
@@ -57,6 +64,9 @@ __all__ = [
     "evaluate_H",
     "eval_plus",
     "holomorphicity_residual",
+    "node_battery_residuals",
+    "h_grid",
+    "h_reproduction_gaps",
 ]
 
 # Standing smoothness exponent: the model requires s + 1/2 > 1.
@@ -251,6 +261,19 @@ def _chart(table, xi_plus, eta_plus, lam) -> tuple:
             _chart_side(eta_plus, lam, _transfer(table, xi_plus)))
 
 
+def _chart_stack(z, xi_plus, eta_plus, lam) -> tuple:
+    """Stacked `node_chart` over one power table: ``(table, xi, eta)``."""
+    table = _power_table(z, xi_plus, eta_plus)
+    return (table, *_chart(table, xi_plus, eta_plus, lam))
+
+
+def _chart_members(z, xi_plus, eta_plus, lam, s: float) -> tuple:
+    """`_chart_stack` and the `node_membership` residuals of its pairs over the
+    same table: ``(table, xi, eta, residuals)``; on a polynomial, its traces."""
+    table, xi, eta = _chart_stack(z, xi_plus, eta_plus, lam)
+    return table, xi, eta, _membership_residuals(table, xi, eta, s)
+
+
 def _defect(table, xi, eta) -> tuple:
     """Stacked `membership_defect`: the defect stacks ``(dxi, deta)``."""
     n_max = xi.shape[1] // 2
@@ -434,3 +457,68 @@ def holomorphicity_residual(h_fun, xs, ys, step: float = 1e-3) -> float:
             ) / (4.0 * h)
             worst = max(worst, float(np.max(np.abs(dx_bar))), float(np.max(np.abs(dy_bar))))
     return worst
+
+
+def node_battery_residuals(charts: tuple, traces: tuple, n_max: int,
+                           s: float = DEFAULT_SOBOLEV_S) -> tuple:
+    """Chart membership, chart roundtrip, boundary roundtrip and trace
+    membership residuals of T random trials, each of shape (T,).
+
+    ``charts`` is ``(z, xi_+ rows, eta_+ rows, lam)`` and ``traces`` is a
+    polynomial's ``(z, a, b, c)``, rows (T, d, m) on modes 1..d of order
+    ``n_max``.  A ValueError names the first ``|z| >= 1``, trial by trial,
+    a chart's first.  Each row has the bits of the public functions on that
+    trial alone (chart inverse at tol 1e-8; the chart roundtrip in the l2
+    norms of ``np.linalg.norm``, over ``1 + |xi_+| + |eta_+|``)."""
+    (z, xi_rows, eta_rows, lam), (z_trace, a, b, c) = charts, traces
+    gluing = np.stack([z, z_trace], axis=1).ravel()
+    outside = gluing[np.abs(gluing) >= 1.0]
+    if outside.size:
+        _check_gluing(complex(outside[0]))
+    traced = _chart_members(z_trace, _plus_stack(a, n_max), _plus_stack(b, n_max), c, s)[-1]
+    plus = (_plus_stack(xi_rows, n_max), _plus_stack(eta_rows, n_max))
+    table, xi, eta, member = _chart_members(z, *plus, lam, s)
+    back = _chart_inverse(xi, eta, member, 1e-8)  # shares z with the chart
+    num = np.hypot(_l2_rows(plus[0] - back[0]), _l2_rows(plus[1] - back[1]))
+    roundtrip = np.hypot(num, _l2_rows(lam - back[2])) / (1.0 + _l2_rows(plus[0]) + _l2_rows(plus[1]))
+    del plus
+    xi_back, eta_back = _chart(table, *back)
+    del back
+    boundary = _relative((np.subtract(xi, xi_back, out=xi_back),
+                          np.subtract(eta, eta_back, out=eta_back)), (xi, eta), s)
+    return member, roundtrip, boundary, traced
+
+
+@functools.lru_cache(maxsize=1)
+def h_grid() -> tuple:
+    """The H-grid's fixed 10 x 10 points, read-only arrays of shape (100,):
+    ``(xs, ys, z)`` with ``z = x*y`` formed point by point."""
+    points = []
+    radii = 0.85 * (np.arange(10) + 0.5) / 10
+    for j in range(10):
+        x = radii[j] * np.exp(2j * np.pi * j / 10)
+        for k in range(10):
+            points.append((x, radii[k] * np.exp(2j * np.pi * (k + 0.3) / 10)))
+    xs, ys = (np.array(v, dtype=complex) for v in zip(*points))
+    z = np.array([complex(x) * complex(y) for x, y in points])
+    for arr in (xs, ys, z):
+        arr.flags.writeable = False
+    return xs, ys, z
+
+
+def h_reproduction_gaps(poly: NodePolynomial) -> np.ndarray:
+    """``max |H - v| / (1 + max |v|)`` at each point of `h_grid`, shape (100,):
+    the glued evaluation ``H(x, y)`` of the chart inverse (gate 1e-8) of the
+    traces of ``v`` at ``z = x*y``, against ``v`` summed term by term by
+    `NodePolynomial.__call__`, an oracle independent of the gluing kernels.
+    One pass at the width K of ``v``, its degree: modes past K are exact
+    zeros at any order, so the stacks are (100, 2K+1, m)."""
+    xs, ys, z = h_grid()
+    refs = poly(xs, ys)
+    width = max(poly.deg_x, poly.deg_y)
+    # a broadcast row makes the chart's copies column-major, where sums over m run faster
+    plus = [np.broadcast_to(_plus_stack(v[None], width), (len(z), 2 * width + 1, poly.m)) for v in (poly.a, poly.b)]
+    _, xi, eta, member = _chart_members(z, *plus, np.broadcast_to(poly.c, z.shape + (poly.m,)), DEFAULT_SOBOLEV_S)
+    xi_plus, eta_plus, lam = _chart_inverse(xi, eta, member, 1e-8)
+    hvals = _eval_plus(xs, xi_plus) + _eval_plus(ys, eta_plus) + lam
+    return np.max(np.abs(hvals - refs), axis=1) / (1.0 + np.max(np.abs(refs), axis=1))

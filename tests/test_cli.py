@@ -458,6 +458,14 @@ def random_poly(disc, rng, m, deg):
     return NodePolynomial(disc(rng, (deg, m)), disc(rng, (deg, m)), disc(rng, (m,)))
 
 
+def record_results(monkeypatch, module, name):
+    """Record the result of each call of ``module.name``."""
+    results = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: results.append(real(*args)) or results[-1])
+    return results
+
+
 def first_generator(monkeypatch, run):
     """Call ``run()`` and return the first generator it made with
     `np.random.default_rng`, to read where the battery left it."""
@@ -500,7 +508,7 @@ class TestBulkDraws:
 
     @pytest.mark.parametrize("kind, trials", [("chart", 1), ("pair", 1), ("mixed", 40)])
     def test_disk_pair_stacks_bitwise(self, kind, trials, uniform_disc, monkeypatch):
-        from hardyglue import node_model
+        from hardyglue import extension, node_model
         from hardyglue.cli import _disk_pair_block
 
         n_max = 12
@@ -508,7 +516,8 @@ class TestBulkDraws:
                     (np.random.default_rng(s).random() < 0.5) == (kind == "chart"))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         calls = self.capture(monkeypatch, node_model, "_membership_residuals")
-        assert _disk_pair_block(rng, trials, n_max, RunOptions()) == trials
+        residuals, exact = extension.disk_pair_residuals(*_disk_pair_block(rng, trials, n_max))
+        assert np.count_nonzero((residuals <= RunOptions().tol) == exact) == trials
         xi_got, eta_got = calls[-1][1:3]
         charted = []
         for t in range(trials):
@@ -522,15 +531,12 @@ class TestBulkDraws:
         assert kind == "mixed" and 0 < sum(charted) < trials or charted == [kind == "chart"]
         assert rng.random() == ref.random()
 
-    def test_annulus_draws_bitwise(self, uniform_disc, monkeypatch):
-        from hardyglue import extension
+    def test_annulus_draws_bitwise(self, uniform_disc):
         from hardyglue.cli import _annulus_block
 
         n_max = 12
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        calls = self.capture(monkeypatch, extension, "_annulus_defects")
-        _annulus_block(rng, 9, n_max, 1.5)
-        delta, laurent = calls[0][:2]
+        delta, laurent = _annulus_block(rng, 9, n_max)
         for t in range(9):
             assert delta[t] == ref.uniform(0.15, 0.85)
             assert laurent[t].tobytes() == uniform_disc(ref, (2 * n_max + 1, 1)).tobytes()
@@ -573,9 +579,11 @@ class TestBulkDraws:
 
 
 class TestStackedNodeBattery:
-    """The node battery checks its trials in stacks and its H-grid in one
-    pass; each residual must have the bits of the trial-by-trial and
-    point-by-point loops over the public scalar API below."""
+    """The node battery checks its trials in stacks
+    (`node_model.node_battery_residuals`) and its H-grid in one pass
+    (`node_model.h_reproduction_gaps`); each residual of each trial and
+    point must have the bits of the trial-by-trial and point-by-point loops
+    over the public scalar API below."""
 
     @staticmethod
     def reference_battery(trials, m, n_max, z_max, seed, disc, s=1.5):
@@ -583,28 +591,28 @@ class TestStackedNodeBattery:
         from hardyglue.loops import Loop, sobolev_norm
 
         rng = np.random.default_rng(seed)
-        worst = [0.0, 0.0, 0.0, 0.0]
+        rows = []
         for _ in range(trials):
             chart = random_chart(disc, rng, m, n_max, z_max)
             boundary = nm.node_chart(chart)
-            worst[0] = max(worst[0], nm.node_membership(boundary, s=s).residual)
+            member = nm.node_membership(boundary, s=s).residual
             back = nm.node_chart_inverse(boundary, tol=1e-8, s=s)
             num = np.linalg.norm(chart.xi_plus.coeffs - back.xi_plus.coeffs)
             num = np.hypot(num, np.linalg.norm(chart.eta_plus.coeffs - back.eta_plus.coeffs))
             num = np.hypot(num, np.linalg.norm(chart.lam - back.lam))
             num = np.hypot(num, abs(chart.z - back.z))
             scale = 1.0 + np.linalg.norm(chart.xi_plus.coeffs) + np.linalg.norm(chart.eta_plus.coeffs)
-            worst[1] = max(worst[1], float(num / scale))
+            roundtrip = float(num / scale)
             again = nm.node_chart(back)
             diffs = [Loop(m, n_max, p.coeffs - q.coeffs)
                      for p, q in ((boundary.xi, again.xi), (boundary.eta, again.eta))]
             num = np.hypot(*(sobolev_norm(d, s) for d in diffs))
             scale = 1.0 + max(sobolev_norm(boundary.xi, s), sobolev_norm(boundary.eta, s))
-            worst[3] = max(worst[3], float(num / scale))
             poly = random_poly(disc, rng, m, deg=min(8, n_max))
             z = disc(rng, ()) * z_max
-            worst[2] = max(worst[2], nm.node_membership(nm.boundary_traces(poly, z, n_max), s=s).residual)
-        return worst, rng
+            trace = nm.node_membership(nm.boundary_traces(poly, z, n_max), s=s).residual
+            rows.append((member, roundtrip, float(num / scale), trace))
+        return rows, rng
 
     @staticmethod
     def reference_h_grid(rng, m, n_max, term_by_term, disc, grid=10):
@@ -615,7 +623,7 @@ class TestStackedNodeBattery:
         def family(z, t):
             return nm.node_chart_inverse(nm.boundary_traces(poly, z, n_max), tol=1e-8)
 
-        worst = 0.0
+        gaps = []
         radii = 0.85 * (np.arange(grid) + 0.5) / grid
         for j in range(grid):
             x = radii[j] * np.exp(2j * np.pi * j / grid)
@@ -623,8 +631,8 @@ class TestStackedNodeBattery:
                 y = radii[k] * np.exp(2j * np.pi * (k + 0.3) / grid)
                 hval = nm.evaluate_H(family, x, y)
                 ref = term_by_term(poly, x, y)
-                worst = max(worst, float(np.max(np.abs(hval - ref))) / (1.0 + float(np.max(np.abs(ref)))))
-        return worst
+                gaps.append(float(np.max(np.abs(hval - ref))) / (1.0 + float(np.max(np.abs(ref)))))
+        return gaps
 
     # 33 trials fill one block at N = 8 and several at N >= 64; N = 13 is no
     # multiple of 8, where numpy's pairwise sum of one column would round
@@ -634,14 +642,21 @@ class TestStackedNodeBattery:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_battery_bitwise_equal_to_trial_loop(self, n_max, m, seed, term_by_term, uniform_disc,
                                                  monkeypatch):
+        from hardyglue import node_model
         from hardyglue.cli import _node_random_battery
 
+        passes = record_results(monkeypatch, node_model, "node_battery_residuals")
+        grids = record_results(monkeypatch, node_model, "h_reproduction_gaps")
         records = []
         made = first_generator(monkeypatch, lambda: records.extend(
             _node_random_battery(RunOptions(), 33, m, n_max, 0.9, seed)))
-        worst, rng = self.reference_battery(33, m, n_max, 0.9, seed, uniform_disc)
-        h_max = self.reference_h_grid(rng, m, n_max, term_by_term, uniform_disc)
-        assert [r.residual for r in records] == worst[:4] + [h_max]
+        rows, rng = self.reference_battery(33, m, n_max, 0.9, seed, uniform_disc)
+        gaps = self.reference_h_grid(rng, m, n_max, term_by_term, uniform_disc)
+        # member, chart roundtrip, boundary roundtrip, trace member, trial by trial
+        assert [np.concatenate(col).tolist() for col in zip(*passes)] == [list(col) for col in zip(*rows)]
+        assert len(grids) == 1 and grids[0].tolist() == gaps
+        worst = [max(col) for col in zip(*rows)]
+        assert [r.residual for r in records] == [worst[0], worst[1], worst[3], worst[2], max(gaps)]
         assert made.random() == rng.random()
 
 
@@ -702,8 +717,43 @@ class TestStackedExtensionSuite:
     def test_block_of_one_trial(self, seed):
         # a block of one trial holds no chart or no random pair: the 1,000
         # trials end in a block of 4 at 166 per block
+        from hardyglue import extension
         from hardyglue.cli import _disk_pair_block
-        assert _disk_pair_block(np.random.default_rng(seed), 1, 12, RunOptions()) == 1
+        residuals, exact = extension.disk_pair_residuals(*_disk_pair_block(np.random.default_rng(seed), 1, 12))
+        assert (residuals <= RunOptions().tol) == exact and residuals.shape == (1,)
+
+    def test_pair_passes_rows_equal_scalar_tests(self):
+        # every row of the two public passes against the scalar tests on
+        # that pair alone, over blocks the CLI draws
+        from hardyglue import extension, node_model
+        from hardyglue.cli import _annulus_block, _disk_pair_block
+        from hardyglue.loops import Loop
+
+        n_max = 12
+        rng = np.random.default_rng(11)
+        charted, charts, pairs = _disk_pair_block(rng, 40, n_max)
+        residuals, exact = extension.disk_pair_residuals(charted, charts, pairs)
+        loops = iter(pairs)
+        rows = iter(zip(*charts))
+        for t in range(40):
+            if charted[t]:
+                xi_rows, eta_rows, lam = next(rows)
+                plus = [Loop(1, n_max, node_model._plus_stack(r[None], n_max)[0]) for r in (xi_rows, eta_rows)]
+                boundary = node_model.node_chart(node_model.NodeChart(0.0, *plus, lam))
+                xi, eta = boundary.xi, boundary.eta
+            else:
+                xi, eta = (Loop(1, n_max, c) for c in next(loops))
+            assert residuals[t] == extension.disk_pair_node_test(xi, eta).defect
+            assert exact[t] == (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
+                                and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
+        assert 0 < charted.sum() < 40 and exact.any() and not exact.all()
+        delta, laurent = _annulus_block(rng, 9, n_max)
+        asymmetry, defects = extension.annulus_pair_residuals(delta, laurent)
+        for t, d in enumerate(delta.tolist()):
+            xi = Loop(1, n_max, laurent[t])
+            eta = Loop.from_modes(1, n_max, {n: xi.mode(-n) * d ** float(-n) for n in range(-n_max, n_max + 1)})
+            fwd, rev = (extension.annulus_extension_test(p, q, d).defect for p, q in ((xi, eta), (eta, xi)))
+            assert defects[t] == fwd and asymmetry[t] == abs(fwd - rev) / (1.0 + fwd)
 
     def test_annulus_kernel_rows_equal_scalar_test(self):
         # random, restricted (member) and overflow rows in one stack at
@@ -961,6 +1011,64 @@ class TestStackedFredholmSuite:
         assert len(calls) == 2644 + 100 * 3
 
 
+def private_reads(source: str) -> list:
+    """The underscore-prefixed names of the compute modules that ``source``
+    reads, by ``from ... import`` or by attribute access on a name bound to
+    one of those modules; `jsonio` is not among them."""
+    import ast
+
+    modules = {"node_model", "extension", "loops", "degeneration", "fredholm", "moduli"}
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            origin = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if origin in modules and alias.name.startswith("_"):
+                    found.append(f"{origin}.{alias.name}")
+                elif origin not in modules and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name.rsplit(".", 1)[-1] in modules)
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound and node.attr.startswith("_")]
+    return found
+
+
+class TestLayout:
+    """The CLI draws, calls the public functions of the compute modules and
+    reports; every relation pass lives next to its relation."""
+
+    def test_cli_reads_no_private_name_of_the_compute_modules(self):
+        from hardyglue import cli
+
+        assert private_reads(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+    def test_guard_sees_each_form_of_read(self):
+        source = ("from . import node_model, fredholm as fh\n"
+                  "from .loops import _l2_rows, sobolev_norm\n"
+                  "from .jsonio import _field\n"
+                  "import hardyglue.extension as ext\n"
+                  "node_model._chart(node_model.node_chart, fh._rank, ext._annulus_defects)\n")
+        assert sorted(private_reads(source)) == ["ext._annulus_defects", "fh._rank",
+                                                 "loops._l2_rows", "node_model._chart"]
+
+    def test_planted_power_table_fault_reaches_every_caller(self, monkeypatch, capsys):
+        # one binding patched: each caller reads node_model._power_table
+        # through the module, the annulus kernel in extension included
+        from hardyglue import node_model
+
+        real = node_model._power_table
+        monkeypatch.setattr(node_model, "_power_table", lambda *args: real(*args) * 1.0001)
+        code, checks, _ = run_cli(capsys, "verify", "all", "--seed", "7")
+        status = {c["check"]: c["status"] for c in checks}
+        assert code == 1
+        assert status["node.h_reproduction_max"] == "fail"
+        assert status["extension.laurent_restriction_defect_max"] == "fail"
+
+
 class TestDeterminism:
     def test_reports_byte_identical_modulo_wall_time(self, capsys):
         def run_once():
@@ -1195,6 +1303,78 @@ class TestScenarioFields:
         assert code == 1
         assert stable == {"bare_stable": ("pass", 0), "marked_stable": ("pass", 1),
                           "wrong_stable": ("fail", 0)}
+
+
+def contraction(**fields):
+    """One torus-pinch contraction record with ``fields`` replaced."""
+    config = {"components": [{"genus": 1, "ghost": False}], "marks": []}
+    record = {"config": config, "cycles": [{"kind": "nonseparating", "component": 0}]}
+    for key, value in fields.items():
+        (config["components"][0] if key in ("genus", "ghost") else
+         record["cycles"][0] if key == "component" else record)[key] = value
+    return {"contractions": [record]}
+
+
+def annulus_nodes(**fields):
+    """``scenarios/annulus_pair.json`` with ``fields`` replaced; ``m`` goes
+    to the first node's xi."""
+    params = json.loads((SCENARIOS / "annulus_pair.json").read_text(encoding="utf-8"))["params"]
+    if "m" in fields:
+        params["nodes"][0]["xi"]["m"] = fields.pop("m")
+    return {**params, **fields}
+
+
+class TestStrictReaders:
+    """Booleans and integers are read strictly: a string, null or a number
+    of the wrong kind exits 2, naming the field's path, instead of reading
+    as a truth value or a truncated integer."""
+
+    @pytest.mark.parametrize("value", ["false", "no", None, 0, 1, 1.5, [True]])
+    def test_boolean_reader_rejects(self, tmp_path, capsys, value):
+        code, lines, err, _ = run_params(tmp_path, capsys, "extend-check", annulus_nodes(ball_check=value))
+        assert code == 2 and lines == []
+        assert err.startswith(f"error: params.ball_check: invalid value {value!r} (expected true or false)")
+
+    @pytest.mark.parametrize("value", [True, False, "2", None, 2.9, -0.5, [2]])
+    def test_integer_reader_rejects(self, tmp_path, capsys, value):
+        entry = {"g": value, "n": 0, "m": 0, "c1d": 0, "expect": 3}
+        code, lines, err, _ = run_params(tmp_path, capsys, "moduli-dim", {"entries": [entry]})
+        assert code == 2 and lines == []
+        assert err.startswith(f"error: params.entries[0].g: invalid value {value!r} (expected an integer)")
+
+    def test_valid_values_read(self, tmp_path, capsys):
+        # an integral float is its integer; false switches the ball check off
+        entry = {"g": 2, "n": 0, "m": 0, "c1d": 0, "expect": 3}
+        as_int = run_params(tmp_path, capsys, "moduli-dim", {"entries": [entry]})
+        as_float = run_params(tmp_path, capsys, "moduli-dim", {"entries": [{**entry, "g": 2.0}]})
+        assert as_int[0] == as_float[0] == 0 and as_int[1][:-1] == as_float[1][:-1]
+        code, lines, _, _ = run_params(tmp_path, capsys, "extend-check", annulus_nodes(ball_check=False))
+        assert code == 0 and not any(line.get("check", "").endswith("_ball_sup") for line in lines)
+
+    @pytest.mark.parametrize("command, params, path", [
+        ("moduli-dim", {"builtin_table": "no"}, "params.builtin_table"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "expect_pass": "true"}, "params.expect_pass"),
+        ("moduli-dim", contraction(expect_stable=1), "params.contractions[0].expect_stable"),
+        ("moduli-dim", contraction(ghost="no"), "params.contractions[0].config.components[0].ghost"),
+        ("reduce", {**QUADRATIC_MAP, "allow_nonflat": 1, "seeds": [[[0.5, 0]]]}, "params.allow_nonflat"),
+        ("node-check", {"trials": 2.5}, "params.trials"),
+        ("node-check", {"n_max": "8"}, "params.n_max"),
+        ("index", {"line_bundle": {"d_max": 1.5}}, "params.line_bundle.d_max"),
+        ("index", {"triples": [{"ambient_dim": True, "basis_prime": [], "basis_dprime": []}]},
+         "params.triples[0].ambient_dim"),
+        ("reduce", {**QUADRATIC_MAP, "seeds": [[[0.5, 0]]], "newton": {"max_iter": "300"}},
+         "params.newton.max_iter"),
+        ("energy", {**ENERGY_FAMILY, "z_seq": {"geometric": {"count": 34.5}}, "laurent": {"a": [[1, 0]]}},
+         "params.z_seq.geometric.count"),
+        ("extend-check", annulus_nodes(m=1.5), "params.nodes[0].xi.m"),
+        ("reduce", {**QUADRATIC_MAP, "dims": [1, 1, 1, 1.5], "seeds": [[[0.5, 0]]]}, "params.dims"),
+        ("moduli-dim", contraction(genus="1"), "params.contractions[0].config.components[0].genus"),
+        ("moduli-dim", contraction(component=False), "params.contractions[0].cycles[0].component"),
+        ("moduli-dim", contraction(expect_genus=1.5), "params.contractions[0].expect_genus"),
+    ])
+    def test_every_field_reads_strictly(self, tmp_path, capsys, command, params, path):
+        code, lines, err, _ = run_params(tmp_path, capsys, command, params)
+        assert code == 2 and lines == [] and err.startswith(f"error: {path}: ")
 
 
 class TestExtensionSuite:

@@ -107,12 +107,12 @@ class TestNodePolynomial:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("deg_x, deg_y", [(8, 8), (3, 7), (8, 0), (0, 5), (0, 0)])
     def test_array_call_bitwise_equal_to_term_by_term(self, m, deg_x, deg_y, term_by_term):
-        from hardyglue.cli import _h_grid
+        from hardyglue.node_model import h_grid
 
         rng = np.random.default_rng(10 * m + deg_x + 3 * deg_y)
         poly = NodePolynomial(disc_points(rng, (deg_x, m)), disc_points(rng, (deg_y, m)),
                               disc_points(rng, (m,)))
-        xs, ys, _ = _h_grid()
+        xs, ys, _ = h_grid()
         rx, ry = disc_points(rng, (40,)), disc_points(rng, (40,))
         for px, py in ((xs, ys), (rx, ry)):
             got = poly(px, py)
@@ -127,7 +127,6 @@ class TestNodePolynomial:
 
     def test_oracle_independent_of_gluing_kernels(self, monkeypatch, term_by_term):
         from hardyglue import node_model
-        from hardyglue.cli import _h_grid
 
         def forbidden(*args, **kwargs):
             raise AssertionError("NodePolynomial.__call__ reached a gluing kernel")
@@ -136,7 +135,7 @@ class TestNodePolynomial:
             monkeypatch.setattr(node_model, name, forbidden)
         rng = np.random.default_rng(8)
         poly = NodePolynomial(disc_points(rng, (8, 2)), disc_points(rng, (6, 2)), disc_points(rng, (2,)))
-        xs, ys, _ = _h_grid()
+        xs, ys, _ = node_model.h_grid()
         got = poly(xs, ys)
         assert same_bits(got, np.array([term_by_term(poly, x, y) for x, y in zip(xs, ys)]))
 
