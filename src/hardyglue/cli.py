@@ -1,6 +1,12 @@
 """Scenario runner: loads JSON scenarios, dispatches to the compute
 modules, and emits JSON-lines reports (one check per line plus a summary).
 
+The field tables next to `HANDLERS` are the schema of a scenario:
+`jsonio._record` reads each record through its table, and a key outside the
+table is an error.  A report's ``inputs_digest`` is the sha256 of one
+canonical JSON line (the command, the suite for ``verify``, and the four run
+options) followed by the scenario text as read.
+
 Exit codes: 0 when every check passes, 1 when any check fails or is
 inconclusive, 2 on a flag argparse rejects or a `ScenarioError`, whose error
 line names the path of the first bad record, field or value.
@@ -22,22 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import degeneration, extension, fredholm, moduli, node_model
-from .jsonio import (
-    ScenarioError,
-    _boolean,
-    _built,
-    _field,
-    _int_tuple,
-    _integer,
-    _list_field,
-    boundary_from_json,
-    complex_from_pair,
-    loop_from_json,
-    matrix_from_json,
-    nodal_config_from_json,
-    vector_from_json,
-)
+from . import degeneration, extension, fredholm, jsonio, moduli, node_model
+from .jsonio import (_REQUIRED, ScenarioError, _any, _boolean, _built, _integer, _list_of, _loop, _matrix, _model,
+                     _number, _pair, _record, _vector)
 from .node_model import NodePolynomial
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
@@ -106,7 +99,7 @@ def check_bool(name: str, ok: bool) -> CheckRecord:
 
 
 class _OutOfRange(ValueError, argparse.ArgumentTypeError):
-    """A value outside its range: `jsonio._field` quotes it after the
+    """A value outside its range: `jsonio._read` quotes it after the
     field's path, argparse after the flag."""
 
 
@@ -114,7 +107,7 @@ def _within(conv, low, rule: str, below=math.inf):
     """``conv`` followed by the test ``low <= value < below``; a value outside
     is an `_OutOfRange` quoting ``rule``.  Also an argparse ``type``, where
     a value ``conv`` rejects reads as an invalid ``conv`` value."""
-    def checked(data):
+    def checked(data, where=None):
         value = conv(data)
         if not low <= value < below:
             raise _OutOfRange(f"expected {rule}")
@@ -124,7 +117,7 @@ def _within(conv, low, rule: str, below=math.inf):
 
 
 _COUNT = _within(_integer, 0, "an integer >= 0")
-_SIZE = _within(float, 0.0, "a number in [0, inf)")
+_SIZE = _within(_number, 0.0, "a number in [0, inf)")
 
 
 def _bare_pair(data) -> bool:
@@ -135,52 +128,42 @@ def _parse_coeff_rows(data, where: str) -> np.ndarray:
     """Rows of coefficient vectors; bare [re,im] rows mean m=1."""
     if isinstance(data, list):
         data = [[row] if _bare_pair(row) else row for row in data]
-    return matrix_from_json(data, where)
+    return jsonio.matrix_from_json(data, where)
 
 
-def _parse_poly(data, where: str) -> NodePolynomial:
-    """A `NodePolynomial` from fields a, b (coefficient rows) and c; a bare
-    [re,im] constant means m=1."""
-    c = _field(data, "c", [0.0, 0.0], where)
-    c = np.array([complex_from_pair(c, f"{where}.c")]) if _bare_pair(c) else vector_from_json(c, f"{where}.c")
-    return _built(NodePolynomial, where, _parse_coeff_rows(_field(data, "a", [], where), f"{where}.a"),
-                  _parse_coeff_rows(_field(data, "b", [], where), f"{where}.b"), c)
+def _constant(data, where: str) -> np.ndarray:
+    """The constant of a `NodePolynomial`; a bare [re,im] pair means m=1."""
+    if _bare_pair(data):
+        return np.array([jsonio.complex_from_pair(data, where)])
+    return jsonio.vector_from_json(data, where)
 
 
-def _parse_cycles(data, where: str) -> list:
-    cycles = []
-    for i, cyc in enumerate(data):
-        w = f"{where}[{i}]"
-        kind = _field(cyc, "kind", where=w)
-        if kind == "nonseparating":
-            cycles.append(degeneration.NonseparatingCycle(_field(cyc, "component", where=w, conv=_integer)))
-        elif kind == "separating":
-            cycles.append(degeneration.SeparatingCycle(
-                _field(cyc, "component", where=w, conv=_integer),
-                _field(cyc, "genus_first", where=w, conv=_integer),
-                _field(cyc, "points_first", frozenset(), w, conv=lambda ids: frozenset(_integer(p) for p in ids))))
-        else:
-            raise ScenarioError(f"{w}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
-    return cycles
+def _cycle(data, where: str):
+    """A vanishing cycle: field ``kind`` picks the model whose table reads
+    the other fields."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where}: expected an object, got {data!r}")
+    kind = data.get("kind")
+    if kind not in ("nonseparating", "separating"):
+        raise ScenarioError(f"{where}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
+    return _CYCLES[kind]({key: value for key, value in data.items() if key != "kind"}, where)
 
 
-def _parse_polynomial_map(params: dict, where: str = "params") -> fredholm.GraphPairLocal:
-    """The graph pair of the polynomial map in ``params``."""
-    dims = _int_tuple(_field(params, "dims", where=where), 4, f"{where}.dims")
-    comps = []
-    for i, comp in enumerate(_list_field(params, "components", where)):
-        if not isinstance(comp, list):
-            raise ScenarioError(f"{where}.components[{i}]: expected a list of terms, got {comp!r}")
-        terms = []
-        for j, term in enumerate(comp):
-            w = f"{where}.components[{i}][{j}]"
-            terms.append((complex_from_pair(_field(term, "c", where=w), f"{w}.c"),
-                          _int_tuple(_field(term, "u", where=w), None, f"{w}.u"),
-                          _int_tuple(_field(term, "xp", where=w), None, f"{w}.xp")))
-        comps.append(tuple(terms))
-    allow_nonflat = _field(params, "allow_nonflat", False, where, _boolean)
-    pm = _built(fredholm.PolynomialMap, where, dims, tuple(comps))
-    return _built(pm.as_graph, where, allow_nonflat=allow_nonflat)
+def _z_seq(data, where: str) -> tuple:
+    """Gluing parameters: a list of [re,im] pairs, or a geometric sequence."""
+    if not isinstance(data, dict):
+        return tuple(jsonio.vector_from_json(data, where).tolist())
+    geo = _record(data, _Z_SEQ, where)["geometric"]
+    if not (0 < geo["ratio"] < 1) or not (0 < geo["start"] < 1):
+        raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
+    return tuple(geo["start"] * geo["ratio"]**k for k in range(geo["count"]))
+
+
+def _graph(params: dict) -> fredholm.GraphPairLocal:
+    """The graph pair of the polynomial map read by the `_MAP` fields."""
+    terms = tuple(tuple((t["c"], t["u"], t["xp"]) for t in comp) for comp in params["components"])
+    pm = _built(fredholm.PolynomialMap, "params", params["dims"], terms)
+    return _built(pm.as_graph, "params", allow_nonflat=params["allow_nonflat"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +235,20 @@ def _node_random_battery(opts: RunOptions, trials: int, m: int, n_max: int,
 
 
 def handle_node_check(params: dict, opts: RunOptions) -> list:
-    if "boundary" in params:
-        boundary = boundary_from_json(params["boundary"], "params.boundary")
-        res = node_model.node_membership(boundary, tol=opts.tol, s=opts.sobolev_s)
+    p = _record(params, FIELDS["node-check"], "params")
+    if p["boundary"] is not None:
+        res = node_model.node_membership(p["boundary"], tol=opts.tol, s=opts.sobolev_s)
         return [check_residual("membership", res.residual, opts.tol)]
-    positive = _within(_integer, 1, "an integer >= 1")
-    trials = _field(params, "trials", 200, "params", positive)
-    m = _field(params, "m", 2, "params", positive)
-    n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
-    z_max = _field(params, "z_max", 0.9, "params", _within(float, 0.0, "a number in [0, 1)", below=1.0))
-    seed = _field(params, "seed", opts.seed, "params", _COUNT)
-    return _built(_node_random_battery, "params", opts, trials, m, n_max, z_max, seed)
+    n_max = opts.truncation if p["n_max"] is None else p["n_max"]
+    seed = opts.seed if p["seed"] is None else p["seed"]
+    return _built(_node_random_battery, "params", opts, p["trials"], p["m"], n_max, p["z_max"], seed)
 
 
 def handle_extend_check(params: dict, opts: RunOptions) -> list:
-    records_raw = _list_field(params, "nodes", "params")
-    if not records_raw:
+    p = _record(params, FIELDS["extend-check"], "params")
+    if not p["nodes"]:
         raise ScenarioError("params.nodes: expected a nonempty list of node records")
-    ball = _field(params, "ball_check", True, "params", _boolean)
-    records = []
-    for i, rec in enumerate(records_raw):
-        where = f"params.nodes[{i}]"
-        kind = _field(rec, "kind", where=where)
-        xi = loop_from_json(_field(rec, "xi", where=where), f"{where}.xi")
-        eta = loop_from_json(_field(rec, "eta", where=where), f"{where}.eta")
-        records.append(_built(extension.NodeData, where, kind, xi, eta,
-                              z=complex_from_pair(_field(rec, "z", [0.0, 0.0], where), f"{where}.z"),
-                              delta=_field(rec, "delta", None, where, float)))
-    report = extension.vprime_membership(records, ball_check=ball, tol=opts.tol, s=opts.sobolev_s)
+    report = extension.vprime_membership(p["nodes"], ball_check=p["ball_check"], tol=opts.tol, s=opts.sobolev_s)
     out = []
     for v in report.nodes:
         if v.ball_sup is not None:
@@ -290,28 +259,19 @@ def handle_extend_check(params: dict, opts: RunOptions) -> list:
 
 
 def handle_index(params: dict, opts: RunOptions) -> list:
+    p = _record(params, FIELDS["index"], "params")
     out = []
-    if "triples" in params:
-        for i, entry in enumerate(_list_field(params, "triples", "params")):
-            where = f"params.triples[{i}]"
-            basis_prime = matrix_from_json(_field(entry, "basis_prime", where=where), f"{where}.basis_prime")
-            basis_dprime = matrix_from_json(_field(entry, "basis_dprime", where=where), f"{where}.basis_dprime")
-            triple = _built(fredholm.SubspaceTriple, where, _field(entry, "ambient_dim", where=where, conv=_integer),
-                            basis_prime, basis_dprime)
-            idx = fredholm.triple_index(triple)
-            out.append(check_int(f"triple{i}_euler_identity", idx.index,
-                                 triple.p + triple.q - triple.ambient_dim))
-            expect = _field(entry, "expect", None, where)
-            if expect:
-                for key in ("dim_cap", "codim_sum", "index"):
-                    out.append(check_int(f"triple{i}_{key}", getattr(idx, key),
-                                         _field(expect, key, where=f"{where}.expect", conv=_integer)))
-    if "line_bundle" in params:
-        entry = params["line_bundle"]
-        d_max = _field(entry, "d_max", 10, "params.line_bundle", _COUNT)
-        n_max = _field(entry, "n_max", 64, "params.line_bundle", _COUNT)
-        for d in range(d_max + 1):
-            built = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, n_max)
+    for i, entry in enumerate(p["triples"]):
+        triple = _built(fredholm.SubspaceTriple, f"params.triples[{i}]", entry["ambient_dim"],
+                        entry["basis_prime"], entry["basis_dprime"])
+        idx = fredholm.triple_index(triple)
+        out.append(check_int(f"triple{i}_euler_identity", idx.index, triple.p + triple.q - triple.ambient_dim))
+        for key, expected in (entry["expect"] or {}).items():
+            out.append(check_int(f"triple{i}_{key}", getattr(idx, key), expected))
+    bundle = p["line_bundle"]
+    if bundle is not None:
+        for d in range(bundle["d_max"] + 1):
+            built = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, bundle["n_max"])
             idx = fredholm.triple_index(built.triple)
             rr = moduli.riemann_roch_index(moduli.TargetData(1, 2 * d), 0, "complex")
             out.append(check_int(f"line_bundle_d{d}_index", idx.index, rr))
@@ -322,46 +282,36 @@ def handle_index(params: dict, opts: RunOptions) -> list:
 
 
 def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
-    out = []
-    entries = _list_field(params, "entries", "params", [])
-    if _field(params, "builtin_table", False, "params", _boolean):
-        entries = list(CLASSICAL_TABLE) + entries
-    contractions = _list_field(params, "contractions", "params", [])
-    if not entries and not contractions:
+    p = _record(params, FIELDS["moduli-dim"], "params")
+    if not (p["entries"] or p["builtin_table"] or p["contractions"]):
         raise ScenarioError("params: provide 'entries', 'builtin_table', and/or 'contractions'")
-    for i, row in enumerate(entries):
-        where = f"params.entries[{i}]"
-        label = _field(row, "label", f"row{i}", where)
-        target = _built(moduli.TargetData, where, _field(row, "m", where=where, conv=_integer),
-                        _field(row, "c1d", where=where, conv=_integer))
-        value = moduli.moduli_dimension(_field(row, "g", where=where, conv=_integer),
-                                        _field(row, "n", where=where, conv=_integer), target)
-        out.append(check_int(f"moduli_dim_{label}", value, _field(row, "expect", where=where, conv=_integer)))
-    for i, job in enumerate(contractions):
-        where = f"params.contractions[{i}]"
-        cfg = nodal_config_from_json(_field(job, "config", where=where), f"{where}.config")
-        cycles = _parse_cycles(_list_field(job, "cycles", where), f"{where}.cycles")
-        label = _field(job, "label", f"contraction{i}", where)
-        before = moduli.arithmetic_genus(cfg)
-        after_cfg = _built(degeneration.apply_deformation, where, cfg, cycles)
+    rows = [(row, row["label"], "params") for row in CLASSICAL_TABLE] if p["builtin_table"] else []
+    rows += [(row, f"row{i}" if row["label"] is None else row["label"], f"params.entries[{i}]")
+             for i, row in enumerate(p["entries"])]
+    out = []
+    for row, label, where in rows:
+        target = _built(moduli.TargetData, where, row["m"], row["c1d"])
+        value = moduli.moduli_dimension(row["g"], row["n"], target)
+        out.append(check_int(f"moduli_dim_{label}", value, row["expect"]))
+    for i, job in enumerate(p["contractions"]):
+        label = f"contraction{i}" if job["label"] is None else job["label"]
+        before = moduli.arithmetic_genus(job["config"])
+        after_cfg = _built(degeneration.apply_deformation, f"params.contractions[{i}]", job["config"], job["cycles"])
         out.append(check_int(f"{label}_genus_preserved", moduli.arithmetic_genus(after_cfg), before))
-        if "expect_genus" in job:
-            out.append(check_int(f"{label}_genus", before, _field(job, "expect_genus", where=where, conv=_integer)))
-        if "expect_stable" in job:
-            out.append(check_int(f"{label}_stable", int(moduli.is_stable_map(after_cfg)),
-                                 int(_field(job, "expect_stable", where=where, conv=_boolean))))
+        if job["expect_genus"] is not None:
+            out.append(check_int(f"{label}_genus", before, job["expect_genus"]))
+        if job["expect_stable"] is not None:
+            out.append(check_int(f"{label}_stable", int(moduli.is_stable_map(after_cfg)), int(job["expect_stable"])))
     return out
 
 
 def handle_reduce(params: dict, opts: RunOptions) -> list:
-    reduction = fredholm.finite_dim_reduction(_parse_polynomial_map(params))
-    newton_cfg = _field(params, "newton", {}, "params")
-    max_iter = _field(newton_cfg, "max_iter", 200, "params.newton", _COUNT)
-    tol = _field(newton_cfg, "tol", 1e-12, "params.newton", _SIZE)
+    p = _record(params, FIELDS["reduce"], "params")
+    reduction = fredholm.finite_dim_reduction(_graph(p))
+    max_iter, tol = p["newton"]["max_iter"], p["newton"]["tol"]
     out = []
-    for i, seed_raw in enumerate(_list_field(params, "seeds", "params")):
-        where = f"params.seeds[{i}]"
-        result = _built(reduction.solve, where, vector_from_json(seed_raw, where), max_iter=max_iter, tol=tol)
+    for i, seed in enumerate(p["seeds"]):
+        result = _built(reduction.solve, f"params.seeds[{i}]", seed, max_iter=max_iter, tol=tol)
         out.append(check_residual(f"seed{i}_newton_residual", result.residual, tol))
         if result.converged:
             tc = reduction.tangent_check(result.u)
@@ -372,50 +322,32 @@ def handle_reduce(params: dict, opts: RunOptions) -> list:
 
 
 def handle_intersect(params: dict, opts: RunOptions) -> list:
-    graph = _parse_polynomial_map(params)
-    seed = vector_from_json(_field(params, "seed", where="params"), "params.seed")
-    max_iter = _field(params, "max_iter", 200, "params", _COUNT)
-    tol = _field(params, "tol", 1e-12, "params", _SIZE)
-    result = _built(fredholm.intersect_newton, "params.seed", graph, seed, max_iter=max_iter, tol=tol)
+    p = _record(params, FIELDS["intersect"], "params")
+    result = _built(fredholm.intersect_newton, "params.seed", _graph(p), p["seed"],
+                    max_iter=p["max_iter"], tol=p["tol"])
     return [
         check_bool("newton_converged", result.converged),
-        check_residual("newton_residual", result.residual, tol),
+        check_residual("newton_residual", result.residual, p["tol"]),
     ]
 
 
-def _parse_z_seq(data, where: str) -> tuple:
-    if isinstance(data, dict) and "geometric" in data:
-        geo = data["geometric"]
-        start = _field(geo, "start", 0.5, f"{where}.geometric", float)
-        ratio = _field(geo, "ratio", 0.5, f"{where}.geometric", float)
-        count = _field(geo, "count", 34, f"{where}.geometric", _integer)
-        if not (0 < ratio < 1) or not (0 < start < 1):
-            raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
-        return tuple(start * ratio**k for k in range(count))
-    if isinstance(data, list):
-        return tuple(vector_from_json(data, where).tolist())
-    raise ScenarioError(f"{where}: expected a list of [re,im] pairs or a geometric sequence")
-
-
 def handle_energy(params: dict, opts: RunOptions) -> list:
-    z_seq = _parse_z_seq(_field(params, "z_seq", where="params"), "params.z_seq")
-    if "laurents" in params:
-        polys = tuple(_parse_poly(p, f"params.laurents[{i}]")
-                      for i, p in enumerate(_list_field(params, "laurents", "params")))
+    p = _record(params, FIELDS["energy"], "params")
+    if p["laurents"] is not None:
+        polys = p["laurents"]
+    elif p["laurent"] is not None:
+        polys = (p["laurent"],) * len(p["z_seq"])
     else:
-        polys = (_parse_poly(_field(params, "laurent", where="params"), "params.laurent"),) * len(z_seq)
-    fam = _built(degeneration.NeckFamily, "params", z_seq, polys)
-    eps_schedule = _field(params, "eps_schedule", [1e-1, 1e-2, 1e-3, 1e-4], "params",
-                          lambda eps: [float(e) for e in eps])
-    energy_tol = _field(params, "energy_tol", 1e-6, "params", _SIZE)
-    n_max = _field(params, "n_max", opts.truncation, "params", _COUNT)
-    report = _built(degeneration.energy_axiom_check, "params", fam, eps_schedule, tol=energy_tol, n_max=n_max)
+        raise ScenarioError("params: missing field 'laurent'")
+    fam = _built(degeneration.NeckFamily, "params", p["z_seq"], polys)
+    n_max = opts.truncation if p["n_max"] is None else p["n_max"]
+    report = _built(degeneration.energy_axiom_check, "params", fam, p["eps_schedule"],
+                    tol=p["energy_tol"], n_max=n_max)
     out = []
     for row, gap in zip(report.rows, degeneration.quadrature_gaps(report)):
         out.append(check_residual(f"eps{row.eps:g}_quadrature_agreement", gap, 1e-8))
         out.append(check_bool(f"eps{row.eps:g}_k_limit_stable", row.stable))
-    expect_pass = _field(params, "expect_pass", True, "params", _boolean)
-    out.append(check_int("energy_axiom_verdict", int(report.passed), int(expect_pass)))
+    out.append(check_int("energy_axiom_verdict", int(report.passed), int(p["expect_pass"])))
     return out
 
 
@@ -657,8 +589,51 @@ HANDLERS = {
     "moduli-dim": handle_moduli_dim,
 }
 
+# The field tables, the schema of a scenario: each maps a key of a record to
+# (reader, default), and `jsonio._record` reads the record through it; a key
+# outside its table is an error.  A reader is a function of the value and
+# its path, or a nested table.  FIELDS holds each command's params; a
+# default None for n_max or seed stands for the --truncation or --seed flag.
+_POSITIVE = _within(_integer, 1, "an integer >= 1")
+_TERM = {"c": (_pair, _REQUIRED), "u": (_list_of(_integer), _REQUIRED), "xp": (_list_of(_integer), _REQUIRED)}
+_MAP = {"dims": (_list_of(_integer, 4), _REQUIRED), "components": (_list_of(_list_of(_TERM)), _REQUIRED),
+        "allow_nonflat": (_boolean, False)}
+_NODE = _model(extension.NodeData, kind=(_any, _REQUIRED), xi=(_loop, _REQUIRED), eta=(_loop, _REQUIRED),
+               z=(_pair, 0j), delta=(_number, None))
+_TRIPLE = {"ambient_dim": (_integer, _REQUIRED), "basis_prime": (_matrix, _REQUIRED),
+           "basis_dprime": (_matrix, _REQUIRED),
+           "expect": ({key: (_integer, _REQUIRED) for key in ("dim_cap", "codim_sum", "index")}, None)}
+_ENTRY = {"label": (_any, None), **{key: (_integer, _REQUIRED) for key in ("g", "n", "m", "c1d", "expect")}}
+_CYCLES = {"nonseparating": _model(degeneration.NonseparatingCycle, component=(_integer, _REQUIRED)),
+           "separating": _model(degeneration.SeparatingCycle, component=(_integer, _REQUIRED),
+                                genus_first=(_integer, _REQUIRED), points_first=(_list_of(_integer), ()))}
+_CONTRACTION = {"label": (_any, None), "config": (jsonio._public("nodal_config_from_json"), _REQUIRED),
+                "cycles": (_list_of(_cycle), _REQUIRED), "expect_genus": (_integer, None),
+                "expect_stable": (_boolean, None)}
+_NEWTON = {"max_iter": (_COUNT, 200), "tol": (_SIZE, 1e-12)}
+_Z_SEQ = {"geometric": ({"start": (_number, 0.5), "ratio": (_number, 0.5), "count": (_integer, 34)}, _REQUIRED)}
+_LAURENT = _model(NodePolynomial, a=(_parse_coeff_rows, ()), b=(_parse_coeff_rows, ()), c=(_constant, (0j,)))
+FIELDS = {
+    "node-check": {"boundary": (jsonio._public("boundary_from_json"), None), "trials": (_POSITIVE, 200),
+                   "m": (_POSITIVE, 2), "n_max": (_COUNT, None),
+                   "z_max": (_within(_number, 0.0, "a number in [0, 1)", below=1.0), 0.9), "seed": (_COUNT, None)},
+    "extend-check": {"nodes": (_list_of(_NODE), _REQUIRED), "ball_check": (_boolean, True)},
+    "index": {"triples": (_list_of(_TRIPLE), ()),
+              "line_bundle": ({"d_max": (_COUNT, 10), "n_max": (_COUNT, 64)}, None)},
+    "moduli-dim": {"entries": (_list_of(_ENTRY), ()), "builtin_table": (_boolean, False),
+                   "contractions": (_list_of(_CONTRACTION), ())},
+    "reduce": {**_MAP, "seeds": (_list_of(_vector), _REQUIRED),
+               "newton": (_NEWTON, _record({}, _NEWTON, "params.newton"))},
+    "intersect": {**_MAP, "seed": (_vector, _REQUIRED), "max_iter": (_COUNT, 200), "tol": (_SIZE, 1e-12)},
+    "energy": {"z_seq": (_z_seq, _REQUIRED), "laurents": (_list_of(_LAURENT), None), "laurent": (_LAURENT, None),
+               "eps_schedule": (_list_of(_number), (1e-1, 1e-2, 1e-3, 1e-4)), "energy_tol": (_SIZE, 1e-6),
+               "n_max": (_COUNT, None), "expect_pass": (_boolean, True)},
+}
+_ROOT = {"id": (_any, None), "command": (_any, None), "params": (_any, _REQUIRED)}
 
-def _load_scenario(path: str) -> dict:
+
+def _load_scenario(path: str) -> tuple:
+    """``(text, root)`` of the scenario file at ``path`` ('-' for stdin)."""
     if path == "-":
         text = sys.stdin.read()
         label = "<stdin>"
@@ -675,30 +650,28 @@ def _load_scenario(path: str) -> dict:
         raise ScenarioError(f"{label}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
         raise ScenarioError(f"{label}: scenario root must be a JSON object")
-    return data
+    return text, _record(data, _ROOT, "scenario")
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _digest(head: dict, opts: RunOptions, text: str = "") -> str:
+    """sha256 of one canonical JSON line, ``head`` (the command, and the
+    suite for verify) with the run options, followed by the scenario text
+    as read."""
+    line = json.dumps({**head, **vars(opts)}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{line}\n{text}".encode("utf-8")).hexdigest()
 
 
 def run_scenario(path: str, command: str, opts: RunOptions,
                  scenario_id: str | None = None) -> ScenarioReport:
     """Load a scenario file, dispatch to its handler, and assemble a report."""
-    data = _load_scenario(path)
-    declared = data.get("command")
-    if declared is not None and declared != command:
-        raise ScenarioError(f"scenario declares command {declared!r} but was invoked as {command!r}")
-    params = data.get("params")
-    if not isinstance(params, dict):
-        raise ScenarioError("scenario: missing object field 'params'")
-    sid = scenario_id or data.get("id") or (path if path != "-" else "stdin")
+    text, root = _load_scenario(path)
+    if root["command"] is not None and root["command"] != command:
+        raise ScenarioError(f"scenario declares command {root['command']!r} but was invoked as {command!r}")
+    sid = scenario_id or root["id"] or (path if path != "-" else "stdin")
     start = time.perf_counter()
-    results = HANDLERS[command](params, opts)
+    results = HANDLERS[command](root["params"], opts)
     wall = time.perf_counter() - start
-    return ScenarioReport(sid, command, _digest({"command": command, "params": params}),
-                          tuple(results), wall)
+    return ScenarioReport(sid, command, _digest({"command": command}, opts, text), tuple(results), wall)
 
 
 def _emit_report(report: ScenarioReport, stream) -> int:
@@ -735,10 +708,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "intersection verification runner")
     common = argparse.ArgumentParser(add_help=False)
     count = _within(int, 0, "an integer >= 0")  # flags are strings
+    size = _within(float, 0.0, "a number in [0, inf)")
     common.add_argument("--truncation", type=count, default=32, help="Fourier truncation order N")
-    common.add_argument("--sobolev-s", type=_SIZE, default=1.5, dest="sobolev_s",
+    common.add_argument("--sobolev-s", type=size, default=1.5, dest="sobolev_s",
                         help="Sobolev exponent for residual norms")
-    common.add_argument("--tol", type=_SIZE, default=1e-10, help="relative residual tolerance")
+    common.add_argument("--tol", type=size, default=1e-10, help="relative residual tolerance")
     common.add_argument("--seed", type=count, default=7, help="seed for randomized batteries")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
@@ -759,7 +733,7 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             results = verify_suite(args.suite, opts)
             report = ScenarioReport(f"verify-{args.suite}", "verify",
-                                    _digest({"suite": args.suite}), tuple(results),
+                                    _digest({"command": "verify", "suite": args.suite}, opts), tuple(results),
                                     time.perf_counter() - start)
         else:
             report = run_scenario(args.path, args.subcommand, opts, scenario_id=args.id)

@@ -3,11 +3,15 @@
 Complex numbers are serialized as ``[re, im]`` pairs throughout; matrices
 are row-major nested lists of pairs.
 
-Every reader raises `ScenarioError`, a ValueError, naming the path of the
-first bad field or element; `_built` gives a model constructor's ValueError,
-or a MemoryError, the path of the record it was built from.  Booleans and
-integers are read strictly (`_boolean`, `_integer`): a string, ``null`` or a
-number of the wrong kind is an error, never a truth value or a truncation.
+Every record is read by `_record` through its field table, which maps each
+key to ``(reader, default)``: the tables are the schema.  A key outside the
+table, a missing required key, a non-object and a value a reader rejects
+raise `ScenarioError`, a ValueError naming the path of the first bad field
+or element; `_built` gives a model constructor's ValueError, or a
+MemoryError, the path of the record it was built from.  Booleans, integers
+and numbers are read strictly (`_boolean`, `_integer`, `_number`): a
+string, ``null`` or a value of the wrong kind is an error, never a truth
+value, a truncation or a float.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .loops import Loop
+from .moduli import Component, NodalConfig
+from .node_model import NodeBoundary, NodeChart
 
 __all__ = [
     "ScenarioError",
@@ -42,41 +48,96 @@ class ScenarioError(ValueError):
 _REQUIRED = object()
 
 
-def _field(data, name: str, default=_REQUIRED, where: str = "value", conv=None):
-    """Field ``name`` of the object ``data`` at path ``where``, passed through
-    ``conv`` when one is given.  A non-object ``data``, a missing field without
-    a default, and a value ``conv`` rejects are ScenarioErrors naming the path."""
+def _record(data, fields: dict, where: str) -> dict:
+    """The object ``data`` at path ``where`` read through its table
+    ``fields``, which maps each key to ``(reader, default)``: a present
+    value goes through `_read`, an absent key takes its default (none for
+    `_REQUIRED`).  A non-object, a key outside the table and a missing
+    required key are ScenarioErrors naming the path."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected an object, got {data!r}")
-    if name not in data:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{where}: missing field '{name}'")
-        return default
-    if conv is None:
-        return data[name]
+    for key in data:
+        if key not in fields:
+            raise ScenarioError(f"{where}: unknown field {key!r}; known fields: {', '.join(fields)}")
+    out = {}
+    for key, (reader, default) in fields.items():
+        if key in data:
+            out[key] = _read(reader, data[key], f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise ScenarioError(f"{where}: missing field '{key}'")
+        else:
+            out[key] = default
+    return out
+
+
+def _read(reader, value, where: str):
+    """``value`` at path ``where`` read by ``reader``: a field table (a
+    dict) reads a nested record, anything else is called as ``reader(value,
+    where)``.  A scalar reader ignores the path; its TypeError or ValueError
+    is quoted after the path."""
+    if isinstance(reader, dict):
+        return _record(value, reader, where)
     try:
-        return conv(data[name])
+        return reader(value, where)
+    except ScenarioError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}.{name}: invalid value {data[name]!r} ({exc})") from exc
+        raise ScenarioError(f"{where}: invalid value {value!r} ({exc})") from exc
 
 
-def _boolean(value) -> bool:
+def _list_of(reader, length: int | None = None):
+    """The reader of a JSON list (of ``length`` items, when given) whose
+    items go through ``reader``; it returns a tuple."""
+    def read(data, where):
+        if not isinstance(data, list) or length not in (None, len(data)):
+            count = "" if length is None else f"{length} "
+            raise ScenarioError(f"{where}: expected a list of {count}items, got {data!r}")
+        return tuple(_read(reader, item, f"{where}[{i}]") for i, item in enumerate(data))
+    return read
+
+
+def _model(cls, **fields):
+    """The reader of a record whose table ``fields`` names the fields of the
+    model ``cls``: ``cls(**record)``, through `_built`."""
+    return lambda data, where: _built(cls, where, **_record(data, fields, where))
+
+
+def _public(name: str):
+    """The reader of this module's public function ``name``, looked up when
+    called, so that a traced or patched binding is the one that runs."""
+    return lambda data, where: globals()[name](data, where)
+
+
+def _any(value, where=None):
+    """Any JSON value, as it is."""
+    return value
+
+
+def _boolean(value, where=None) -> bool:
     """A JSON ``true`` or ``false``; anything else, 0 and 1 included, is a
-    TypeError (a `_field` converter)."""
+    TypeError."""
     if not isinstance(value, bool):
         raise TypeError("expected true or false")
     return value
 
 
-def _integer(value) -> int:
+def _integer(value, where=None) -> int:
     """A JSON number with an integral value, as an int; a boolean, a string,
     ``null`` or a number with a fractional part is a TypeError or
-    ValueError (a `_field` converter)."""
+    ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("expected an integer")
     return int(value)
+
+
+def _number(value, where=None) -> float:
+    """A JSON number, as a float; a boolean, a string or ``null`` is a
+    TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
 
 
 def _built(fn, where: str, *args, **kwargs):
@@ -165,10 +226,14 @@ def loop_to_json(loop: Loop) -> dict:
     }
 
 
+_pair, _vector, _matrix, _loop = map(_public, ("complex_from_pair", "vector_from_json",
+                                               "matrix_from_json", "loop_from_json"))
+_LOOP = {"m": (_integer, _REQUIRED), "n_max": (_integer, _REQUIRED), "coeffs": (_any, _REQUIRED)}
+
+
 def loop_from_json(data: dict, where: str = "loop") -> Loop:
-    m = _field(data, "m", where=where, conv=_integer)
-    n_max = _field(data, "n_max", where=where, conv=_integer)
-    rows = _field(data, "coeffs", where=where)
+    loop = _record(data, _LOOP, where)
+    m, n_max, rows = loop["m"], loop["n_max"], loop["coeffs"]
     if not isinstance(rows, list) or len(rows) != 2 * n_max + 1:
         raise ScenarioError(f"{where}.coeffs: expected {2 * n_max + 1} mode rows")
     coeffs = _complex_array(rows, 2, f"{where}.coeffs")
@@ -182,13 +247,11 @@ def boundary_to_json(boundary) -> dict:
             "xi": loop_to_json(boundary.xi), "eta": loop_to_json(boundary.eta)}
 
 
-def boundary_from_json(data: dict, where: str = "boundary"):
-    from .node_model import NodeBoundary
+_BOUNDARY = _model(NodeBoundary, z=(_pair, _REQUIRED), xi=(_loop, _REQUIRED), eta=(_loop, _REQUIRED))
 
-    return _built(NodeBoundary, where,
-                  complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
-                  loop_from_json(_field(data, "xi", where=where), f"{where}.xi"),
-                  loop_from_json(_field(data, "eta", where=where), f"{where}.eta"))
+
+def boundary_from_json(data: dict, where: str = "boundary"):
+    return _BOUNDARY(data, where)
 
 
 def chart_to_json(chart) -> dict:
@@ -198,14 +261,13 @@ def chart_to_json(chart) -> dict:
             "lambda": vector_to_json(chart.lam)}
 
 
-def chart_from_json(data: dict, where: str = "chart"):
-    from .node_model import NodeChart
+_CHART = {"z": (_pair, _REQUIRED), "xi_plus": (_loop, _REQUIRED), "eta_plus": (_loop, _REQUIRED),
+                "lambda": (_vector, _REQUIRED)}
 
-    return _built(NodeChart, where,
-                  complex_from_pair(_field(data, "z", where=where), f"{where}.z"),
-                  loop_from_json(_field(data, "xi_plus", where=where), f"{where}.xi_plus"),
-                  loop_from_json(_field(data, "eta_plus", where=where), f"{where}.eta_plus"),
-                  vector_from_json(_field(data, "lambda", where=where), f"{where}.lambda"))
+
+def chart_from_json(data: dict, where: str = "chart"):
+    chart = _record(data, _CHART, where)
+    return _built(NodeChart, where, chart["z"], chart["xi_plus"], chart["eta_plus"], chart["lambda"])
 
 
 def nodal_config_to_json(cfg) -> dict:
@@ -216,41 +278,13 @@ def nodal_config_to_json(cfg) -> dict:
     }
 
 
-def _int_tuple(data, length: int | None, where: str) -> tuple:
-    """``data`` as a tuple of ``length`` integers (of any length for None);
-    anything else is a ScenarioError naming ``where``."""
-    if isinstance(data, list) and length in (None, len(data)):
-        try:
-            return tuple(_integer(v) for v in data)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    count = "" if length is None else f"{length} "
-    raise ScenarioError(f"{where}: expected a list of {count}integers, got {data!r}")
-
-
-def _list_field(data: dict, key: str, where: str, default=_REQUIRED) -> list:
-    """List field ``key`` of the object ``data``."""
-    value = _field(data, key, default, where)
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}.{key}: expected a list, got {value!r}")
-    return value
+_POINT = _list_of(_integer, 2)  # [component, point id]
+_CONFIG = _model(NodalConfig,
+                 components=(_list_of(_model(Component, genus=(_integer, 0), ghost=(_boolean, False))), _REQUIRED),
+                 nodes=(_list_of(_list_of(_POINT, 2)), ()), marks=(_list_of(_POINT), ()))
 
 
 def nodal_config_from_json(data: dict, where: str = "config"):
     """Nodal configuration from its schema; every malformed field is a
     ScenarioError naming its path."""
-    from .moduli import Component, NodalConfig
-
-    comps = []
-    for i, c in enumerate(_list_field(data, "components", where)):
-        w = f"{where}.components[{i}]"
-        comps.append(_built(Component, w, _field(c, "genus", 0, w, _integer), _field(c, "ghost", False, w, _boolean)))
-    nodes = []
-    for i, pair in enumerate(_list_field(data, "nodes", where, [])):
-        w = f"{where}.nodes[{i}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioError(f"{w}: expected two [component, point] pairs, got {pair!r}")
-        nodes.append(tuple(_int_tuple(p, 2, f"{w}[{j}]") for j, p in enumerate(pair)))
-    marks = tuple(_int_tuple(p, 2, f"{where}.marks[{i}]")
-                  for i, p in enumerate(_list_field(data, "marks", where, [])))
-    return _built(NodalConfig, where, tuple(comps), tuple(nodes), marks)
+    return _CONFIG(data, where)

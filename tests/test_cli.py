@@ -12,7 +12,9 @@ import pytest
 
 from hardyglue.cli import RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = ROOT / "tests" / "golden"
 QUADRATIC_MAP = {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [2], "xp": [0]}]]}
 
 
@@ -334,7 +336,7 @@ class TestErrorPaths:
         ("node-check", {"trials": "x"}, "params.trials"),
         ("index", {"line_bundle": {"d_max": "x"}}, "params.line_bundle.d_max"),
         ("reduce", {**QUADRATIC_MAP, "seeds": 5}, "params.seeds"),
-        ("reduce", {**QUADRATIC_MAP, "dims": [None, 1, 1, 1], "seeds": []}, "params.dims"),
+        ("reduce", {**QUADRATIC_MAP, "dims": [None, 1, 1, 1], "seeds": []}, "params.dims[0]"),
         ("reduce", {**QUADRATIC_MAP, "newton": {"max_iter": "x"}, "seeds": []}, "params.newton.max_iter"),
         ("energy", {"z_seq": {"geometric": {"count": "x"}}, "laurent": {"a": [[1, 0]]}},
          "params.z_seq.geometric.count"),
@@ -400,7 +402,7 @@ class TestErrorPaths:
         ("node-check", {"m": 2 ** 64}, "params"),
         ("node-check", {"n_max": 1e308}, "params"),
         ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": []}, "params"),
-        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": {}}, "params"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": {}}, "params.eps_schedule"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
@@ -1049,7 +1051,7 @@ class TestLayout:
     def test_guard_sees_each_form_of_read(self):
         source = ("from . import node_model, fredholm as fh\n"
                   "from .loops import _l2_rows, sobolev_norm\n"
-                  "from .jsonio import _field\n"
+                  "from .jsonio import _record\n"
                   "import hardyglue.extension as ext\n"
                   "node_model._chart(node_model.node_chart, fh._rank, ext._annulus_defects)\n")
         assert sorted(private_reads(source)) == ["ext._annulus_defects", "fh._rank",
@@ -1113,6 +1115,34 @@ class TestDeterminism:
         assert ra.inputs_digest != rb.inputs_digest
         ra2 = run_scenario(str(a), "moduli-dim", RunOptions())
         assert ra.inputs_digest == ra2.inputs_digest
+
+    def test_digest_is_the_options_line_then_the_text(self):
+        # a golden digest formed from its definition: sha256 of the command
+        # and run options as one canonical JSON line, then the file's text
+        path = SCENARIOS / "hardy_index.json"
+        line = '{"command":"index","seed":7,"sobolev_s":1.5,"tol":1e-10,"truncation":32}'
+        want = hashlib.sha256(f"{line}\n{path.read_text(encoding='utf-8')}".encode("utf-8")).hexdigest()
+        golden = GOLDEN / "scenario_hardy_index.jsonl"
+        assert json.loads(golden.read_text(encoding="utf-8").splitlines()[-1])["inputs_digest"] == want
+
+    @pytest.mark.parametrize("flag", ["--truncation=31", "--sobolev-s=1.25", "--tol=1e-9", "--seed=11"])
+    def test_each_flag_changes_the_digest(self, capsys, flag):
+        def digests(*argv):
+            main(["moduli-dim", str(SCENARIOS / "moduli_table.json"), *argv])
+            main(["verify", "energy", *argv])
+            return [json.loads(line)["inputs_digest"] for line in capsys.readouterr().out.splitlines()
+                    if "inputs_digest" in line]
+
+        plain, flagged = digests(), digests(flag)
+        assert len(plain) == 2 and plain[0] != flagged[0] and plain[1] != flagged[1]
+
+    def test_whitespace_edit_changes_the_digest(self, tmp_path):
+        text = (SCENARIOS / "moduli_table.json").read_text(encoding="utf-8")
+        for name, body in (("a.json", text), ("b.json", text.replace(": ", ":  ", 1))):
+            (tmp_path / name).write_text(body, encoding="utf-8")
+        reports = [run_scenario(str(tmp_path / name), "moduli-dim", RunOptions()) for name in ("a.json", "b.json")]
+        assert reports[0].results == reports[1].results
+        assert reports[0].inputs_digest != reports[1].inputs_digest
 
 
 class TestVerify:
@@ -1305,6 +1335,15 @@ class TestScenarioFields:
                           "wrong_stable": ("fail", 0)}
 
 
+    def test_builtin_table_leaves_user_entries_their_own_index(self, tmp_path, capsys):
+        entry = {"g": 0, "n": 0, "m": 2, "c1d": 3, "expect": 2}
+        code, checks = self.run(tmp_path, capsys, "moduli-dim", {"builtin_table": True, "entries": [entry]})
+        assert code == 0 and len(checks) == 7 and checks[-1]["check"] == "moduli_dim_row0"
+        code, lines, err, _ = run_params(tmp_path, capsys, "moduli-dim",
+                                         {"builtin_table": True, "entries": [{**entry, "g": "x"}]})
+        assert code == 2 and err.startswith("error: params.entries[0].g: ")
+
+
 def contraction(**fields):
     """One torus-pinch contraction record with ``fields`` replaced."""
     config = {"components": [{"genus": 1, "ghost": False}], "marks": []}
@@ -1325,9 +1364,9 @@ def annulus_nodes(**fields):
 
 
 class TestStrictReaders:
-    """Booleans and integers are read strictly: a string, null or a number
-    of the wrong kind exits 2, naming the field's path, instead of reading
-    as a truth value or a truncated integer."""
+    """Booleans, integers and numbers are read strictly: a string, null or
+    a value of the wrong kind exits 2, naming the field's path, instead of
+    reading as a truth value, a truncated integer or a float."""
 
     @pytest.mark.parametrize("value", ["false", "no", None, 0, 1, 1.5, [True]])
     def test_boolean_reader_rejects(self, tmp_path, capsys, value):
@@ -1367,10 +1406,14 @@ class TestStrictReaders:
         ("energy", {**ENERGY_FAMILY, "z_seq": {"geometric": {"count": 34.5}}, "laurent": {"a": [[1, 0]]}},
          "params.z_seq.geometric.count"),
         ("extend-check", annulus_nodes(m=1.5), "params.nodes[0].xi.m"),
-        ("reduce", {**QUADRATIC_MAP, "dims": [1, 1, 1, 1.5], "seeds": [[[0.5, 0]]]}, "params.dims"),
+        ("reduce", {**QUADRATIC_MAP, "dims": [1, 1, 1, 1.5], "seeds": [[[0.5, 0]]]}, "params.dims[3]"),
         ("moduli-dim", contraction(genus="1"), "params.contractions[0].config.components[0].genus"),
         ("moduli-dim", contraction(component=False), "params.contractions[0].cycles[0].component"),
         ("moduli-dim", contraction(expect_genus=1.5), "params.contractions[0].expect_genus"),
+        # numbers: a boolean or a numeric string is not a float
+        ("intersect", {**QUADRATIC_MAP, "seed": [[0.5, 0]], "tol": True}, "params.tol"),
+        ("node-check", {"trials": 1, "z_max": "0.5"}, "params.z_max"),
+        ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": ["0.1"]}, "params.eps_schedule[0]"),
     ])
     def test_every_field_reads_strictly(self, tmp_path, capsys, command, params, path):
         code, lines, err, _ = run_params(tmp_path, capsys, command, params)
@@ -1395,3 +1438,178 @@ class TestExtensionSuite:
         agreement = records[0]
         assert agreement.name == "disk_pair_vs_membership_agreement"
         assert agreement.status == "pass" and agreement.value == agreement.expected == 1000
+
+
+def closure(fn) -> dict:
+    """The free variables of the function ``fn`` by name; {} for anything
+    without a closure."""
+    cells = getattr(fn, "__closure__", None)
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in cells))) if cells else {}
+
+
+def table_fields(*modules) -> dict:
+    """``{id(field): (key, reader)}`` for each ``(reader, default)`` field of
+    every table reachable from the globals of ``modules``: a table is a
+    dict of such pairs, searched through nested tables and the closures of
+    readers."""
+    fields, seen = {}, set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            table = bool(obj) and all(isinstance(v, tuple) and len(v) == 2 for v in obj.values())
+            for key, value in obj.items():
+                if table:
+                    fields[id(value)] = (key, value[0])
+                visit(value[0] if table else value)
+        else:
+            for value in closure(obj).values():
+                visit(value)
+
+    for module in modules:
+        for name, value in vars(module).items():
+            if not name.startswith("__"):
+                visit(value)
+    return fields
+
+
+def read_params(command):
+    from hardyglue import cli
+
+    return lambda params: cli._record(params, cli.FIELDS[command], "params")
+
+
+LOOP_PLUS = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[0, 0]], [[1, 0]]]}
+
+
+def table_reads():
+    """``(path of the root, data, read)`` cases that together reach every
+    field table: the root of a scenario, each file in `scenarios/`, a
+    boundary, an intersection and a chart."""
+    from hardyglue import cli, jsonio
+
+    files = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIOS.glob("*.json"))]
+    return [("scenario", {"id": "x", "command": "index", "params": {}},
+             lambda data: cli._record(data, cli._ROOT, "scenario")),
+            *(("params", scenario["params"], read_params(scenario["command"])) for scenario in files),
+            ("params", {"boundary": {"z": [0, 0], "xi": LOOP_1, "eta": LOOP_1}}, read_params("node-check")),
+            ("params", {**QUADRATIC_MAP, "seed": [[0.5, 0]]}, read_params("intersect")),
+            ("chart", {"z": [0.1, 0], "xi_plus": LOOP_PLUS, "eta_plus": LOOP_PLUS, "lambda": [[0.5, 0]]},
+             lambda data: jsonio.chart_from_json(data, "chart"))]
+
+
+def at_path(data, path: str):
+    """The element of ``data`` at a path suffix such as ``.nodes[0].xi``."""
+    for name, index in re.findall(r"\.(\w+)|\[(\d+)\]", path):
+        data = data[name] if name else data[int(index)]
+    return data
+
+
+class TestFieldTables:
+    """Each record is read through its field table: a key outside it exits
+    2 naming the record's path and its known keys, and every strict field
+    of every table rejects a value of the wrong kind."""
+
+    @pytest.mark.parametrize("command, scenario, message", [
+        ("moduli-dim", {"command": "moduli-dim", "params": {"builtin_table": True}, "comment": "x"},
+         "scenario: unknown field 'comment'; known fields: id, command, params"),
+        ("node-check", {"params": {"trails": 1000, "n_max": 8}},
+         "params: unknown field 'trails'; known fields: boundary, trials, m, n_max, z_max, seed"),
+        ("extend-check", {"params": annulus_nodes(nodes=[{**annulus_nodes()["nodes"][0],
+                                                            "xi": {**LOOP_1, "n_min": 0}}])},
+         "params.nodes[0].xi: unknown field 'n_min'; known fields: m, n_max, coeffs"),
+        ("reduce", {"params": {**QUADRATIC_MAP, "seeds": [],
+                               "components": [[{"c": [1, 0], "u": [2], "xp": [0], "deg": 2}]]}},
+         "params.components[0][0]: unknown field 'deg'; known fields: c, u, xp"),
+        ("moduli-dim", {"params": contraction(name="torus")},
+         "params.contractions[0]: unknown field 'name'; known fields: label, config, cycles, expect_genus, "
+         "expect_stable"),
+        ("moduli-dim", {"params": {"contractions": [{"config": {"components": [{"genus": 1, "name": "torus"}]},
+                                                      "cycles": []}]}},
+         "params.contractions[0].config.components[0]: unknown field 'name'; known fields: genus, ghost"),
+        ("energy", {"params": {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]},
+                               "z_seq": {"geometric": {"start": 0.5, "stop": 1e-9}}}},
+         "params.z_seq.geometric: unknown field 'stop'; known fields: start, ratio, count"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command, scenario, message):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_every_strict_field_rejects_a_wrong_kind(self, monkeypatch):
+        # the tables are walked, so a field added to any of them is probed;
+        # each is probed at the first record that reaches its table
+        from hardyglue import cli, jsonio
+
+        bad_values = {jsonio._boolean: ("x", 1, None), jsonio._integer: ("x", True, None),
+                      jsonio._number: ("x", True, None)}
+
+        def strict(reader):
+            reader = closure(reader).get("conv", reader)  # a range check reads through its conv
+            return next((kind for kind in bad_values if reader is kind), None)
+
+        reached, real, case = {}, jsonio._record, None
+
+        def recording(data, fields, where):
+            for key, field in fields.items():
+                reached.setdefault(id(field), (case, where, key, field[0]))
+            return real(data, fields, where)
+
+        monkeypatch.setattr(jsonio, "_record", recording)
+        monkeypatch.setattr(cli, "_record", recording)
+        for case in table_reads():
+            case[2](json.loads(json.dumps(case[1])))
+        fields = table_fields(jsonio, cli)
+        assert sorted(key for fid, (key, _) in fields.items() if fid not in reached) == []
+        monkeypatch.undo()
+
+        def known(reader):
+            # a nested table, a model, a public reader, a list of known
+            # items, a strict scalar, or one of the structured readers
+            cells = closure(reader)
+            if isinstance(reader, dict) or "fields" in cells or "name" in cells:
+                return True
+            if "length" in cells:
+                return known(cells["reader"])
+            return strict(reader) is not None or reader in (jsonio._any, cli._parse_coeff_rows, cli._constant,
+                                                               cli._cycle, cli._z_seq)
+
+        assert sorted(key for key, reader in fields.values() if not known(reader)) == []
+
+        probed = 0
+        for (root, base, read), where, key, reader in reached.values():
+            item = closure(reader).get("reader") if "length" in closure(reader) else None
+            kind = strict(reader if item is None else item)
+            if kind is None:
+                continue
+            for bad in bad_values[kind]:
+                data = json.loads(json.dumps(base))
+                record = at_path(data, where[len(root):])
+                if item is None:
+                    record[key], path = bad, f"{where}.{key}"
+                else:
+                    record[key], path = [bad, *record.get(key, [])[1:]], f"{where}.{key}[0]"
+                with pytest.raises(ScenarioError) as raised:
+                    read(data)
+                assert str(raised.value).startswith(f"{path}: invalid value {bad!r} ("), str(raised.value)
+            probed += 1
+        assert probed >= 40
+
+    def test_scenarios_and_workload_rounds_run_clean(self, tmp_path, capsys, monkeypatch, cli_output):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            command = json.loads(path.read_text(encoding="utf-8"))["command"]
+            assert cli_output((command, str(path)))[0] == 0, path.name
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        # the smallest pools: make_rounds still writes round 0 of each
+        monkeypatch.setitem(workloads.POOL_ROUNDS, "node-highN", 1)
+        monkeypatch.setitem(workloads.POOL_ROUNDS, "scenario-mix", 0)
+        for workload in ("node-highN", "scenario-mix"):
+            jobs = workloads.make_rounds(workload, 1, str(tmp_path))[0]
+            codes = [main(list(job.argv)) for job in jobs]
+            assert codes == [0] * len(jobs), capsys.readouterr().err
+        capsys.readouterr()
