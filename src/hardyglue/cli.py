@@ -30,7 +30,7 @@ import numpy as np
 
 from . import degeneration, extension, fredholm, jsonio, moduli, node_model
 from .jsonio import (_REQUIRED, ScenarioError, _any, _boolean, _built, _integer, _list_of, _loop, _matrix, _model,
-                     _number, _pair, _record, _vector)
+                     _number, _pair, _record, _string, _vector)
 from .node_model import NodePolynomial
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
@@ -139,14 +139,16 @@ def _constant(data, where: str) -> np.ndarray:
 
 
 def _cycle(data, where: str):
-    """A vanishing cycle: field ``kind`` picks the model whose table reads
-    the other fields."""
+    """A vanishing cycle: field ``kind`` picks the table that reads the
+    record, ``kind`` among its fields, and the model built from the rest."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected an object, got {data!r}")
     kind = data.get("kind")
     if kind not in ("nonseparating", "separating"):
         raise ScenarioError(f"{where}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
-    return _CYCLES[kind]({key: value for key, value in data.items() if key != "kind"}, where)
+    record = _record(data, _CYCLES[kind], where)
+    del record["kind"]
+    return _built(_CYCLE_MODELS[kind], where, **record)
 
 
 def _z_seq(data, where: str) -> tuple:
@@ -154,9 +156,16 @@ def _z_seq(data, where: str) -> tuple:
     if not isinstance(data, dict):
         return tuple(jsonio.vector_from_json(data, where).tolist())
     geo = _record(data, _Z_SEQ, where)["geometric"]
-    if not (0 < geo["ratio"] < 1) or not (0 < geo["start"] < 1):
+    start, ratio, count = geo["start"], geo["ratio"], geo["count"]
+    if not (0 < ratio < 1) or not (0 < start < 1):
         raise ScenarioError(f"{where}: geometric sequence needs start, ratio in (0,1)")
-    return tuple(geo["start"] * geo["ratio"]**k for k in range(geo["count"]))
+    # a count past the fall to 0.0 (1,075 terms at start = ratio = 0.5) fails at its last
+    # pair, read before the tuple is built; past 2**63 steps every power is 0.0
+    term = lambda k: start * ratio ** min(k, 2 ** 63)
+    if count > 1 and term(count - 1) >= term(count - 2):
+        raise ScenarioError(f"{where}: gluing parameter magnitudes must be strictly decreasing; geometric terms "
+                            f"{count - 2} and {count - 1} are {term(count - 2)!r} and {term(count - 1)!r}")
+    return tuple(term(k) for k in range(count))
 
 
 def _graph(params: dict) -> fredholm.GraphPairLocal:
@@ -603,11 +612,12 @@ _NODE = _model(extension.NodeData, kind=(_any, _REQUIRED), xi=(_loop, _REQUIRED)
 _TRIPLE = {"ambient_dim": (_integer, _REQUIRED), "basis_prime": (_matrix, _REQUIRED),
            "basis_dprime": (_matrix, _REQUIRED),
            "expect": ({key: (_integer, _REQUIRED) for key in ("dim_cap", "codim_sum", "index")}, None)}
-_ENTRY = {"label": (_any, None), **{key: (_integer, _REQUIRED) for key in ("g", "n", "m", "c1d", "expect")}}
-_CYCLES = {"nonseparating": _model(degeneration.NonseparatingCycle, component=(_integer, _REQUIRED)),
-           "separating": _model(degeneration.SeparatingCycle, component=(_integer, _REQUIRED),
-                                genus_first=(_integer, _REQUIRED), points_first=(_list_of(_integer), ()))}
-_CONTRACTION = {"label": (_any, None), "config": (jsonio._public("nodal_config_from_json"), _REQUIRED),
+_ENTRY = {"label": (_string, None), **{key: (_integer, _REQUIRED) for key in ("g", "n", "m", "c1d", "expect")}}
+_CYCLE_MODELS = {"nonseparating": degeneration.NonseparatingCycle, "separating": degeneration.SeparatingCycle}
+_CYCLES = {"nonseparating": {"kind": (_any, _REQUIRED), "component": (_integer, _REQUIRED)},
+           "separating": {"kind": (_any, _REQUIRED), "component": (_integer, _REQUIRED),
+                          "genus_first": (_integer, _REQUIRED), "points_first": (_list_of(_integer), ())}}
+_CONTRACTION = {"label": (_string, None), "config": (jsonio._public("nodal_config_from_json"), _REQUIRED),
                 "cycles": (_list_of(_cycle), _REQUIRED), "expect_genus": (_integer, None),
                 "expect_stable": (_boolean, None)}
 _NEWTON = {"max_iter": (_COUNT, 200), "tol": (_SIZE, 1e-12)}
@@ -629,7 +639,7 @@ FIELDS = {
                "eps_schedule": (_list_of(_number), (1e-1, 1e-2, 1e-3, 1e-4)), "energy_tol": (_SIZE, 1e-6),
                "n_max": (_COUNT, None), "expect_pass": (_boolean, True)},
 }
-_ROOT = {"id": (_any, None), "command": (_any, None), "params": (_any, _REQUIRED)}
+_ROOT = {"id": (_string, None), "command": (_any, None), "params": (_any, _REQUIRED)}
 
 
 def _load_scenario(path: str) -> tuple:

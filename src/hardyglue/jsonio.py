@@ -8,10 +8,10 @@ key to ``(reader, default)``: the tables are the schema.  A key outside the
 table, a missing required key, a non-object and a value a reader rejects
 raise `ScenarioError`, a ValueError naming the path of the first bad field
 or element; `_built` gives a model constructor's ValueError, or a
-MemoryError, the path of the record it was built from.  Booleans, integers
-and numbers are read strictly (`_boolean`, `_integer`, `_number`): a
-string, ``null`` or a value of the wrong kind is an error, never a truth
-value, a truncation or a float.
+MemoryError, the path of the record it was built from.  Booleans, integers,
+numbers and strings are read strictly (`_boolean`, `_integer`, `_number`,
+`_string`): ``null`` or a value of the wrong kind is an error, never a
+truth value, a truncation, a float or a text.
 """
 
 from __future__ import annotations
@@ -138,6 +138,13 @@ def _number(value, where=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
     return float(value)
+
+
+def _string(value, where=None) -> str:
+    """A JSON string; anything else, ``null`` included, is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
 
 def _built(fn, where: str, *args, **kwargs):

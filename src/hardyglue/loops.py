@@ -123,12 +123,11 @@ def _sobolev_norms(stack: np.ndarray, s: float) -> np.ndarray:
 
 def _norm_pairs(stack: np.ndarray, s: float, shift=None) -> tuple:
     """The Sobolev norms of the rows of ``stack * 2**shift`` as `_at_scale`
-    pairs.  Each row takes its own ``np.dot`` with the weights, so a row's
-    norm has the bits of that row's norm alone (a stacked matmul rounds
-    differently in the last bit)."""
+    pairs.  ``np.vecdot`` sums each row on its own, by the same BLAS dot
+    as ``np.dot`` of that row with the weights, so a row's norm has the
+    bits of that row's norm alone (a matmul over the stack would not)."""
     weights = _sobolev_weights(stack.shape[1] // 2, s)
-    return _at_scale(lambda rows: np.array([math.sqrt(np.dot(weights, row)) for row in _mode_power(rows)]),
-                     stack, shift)
+    return _at_scale(lambda rows: np.sqrt(np.vecdot(_mode_power(rows), weights)), stack, shift)
 
 
 _SMALL = 2.0 ** -480  # below this a row may hold a subnormal |c|^2
@@ -153,8 +152,9 @@ def _at_scale(plain, stack: np.ndarray, shift=None) -> tuple:
     odd = np.flatnonzero(~((_SMALL <= values) & (values < np.inf)))
     shift = 0 if shift is None else shift[odd]
     exps = np.zeros(len(values), dtype=int)
-    exps[odd] = top = _top_exponents(stack[odd], shift)
-    values[odd] = plain(_ldexp(stack[odd], shift - top.reshape((-1,) + (1,) * (stack.ndim - 1))))
+    rows = np.ascontiguousarray(stack[odd])  # the float views below need a contiguous last axis
+    exps[odd] = top = _top_exponents(rows, shift)
+    values[odd] = plain(_ldexp(rows, shift - top.reshape((-1,) + (1,) * (stack.ndim - 1))))
     return values, exps
 
 
@@ -177,9 +177,9 @@ def _ldexp(x: np.ndarray, e) -> np.ndarray:
 
 def _l2_rows(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a stack, with its rounding: the dot
-    products of the flattened real and imaginary parts."""
+    products of the flattened real and imaginary parts, row by row."""
     flat = stack.reshape(len(stack), -1)
-    return np.sqrt([np.dot(r, r) + np.dot(i, i) for r, i in zip(flat.real, flat.imag)])
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,9 +27,10 @@ order of loop carries it.  numpy's complex power depends on the exponent
 alone, so a power has the same bits in any table.  One table serves both
 transfers of a chart and both defects of a membership test.  The public
 functions are stacks of one over the same kernels (`_transfer`,
-`_chart_side`, `_defect`, `_eval_plus`), and `loops._norm_pairs` takes one
-``np.dot`` per row (scaled only where out of range), so a stacked row gives
-the same bits as the public function on that row.
+`_chart_side`, `_defect`, `_eval_plus`), and `loops._norm_pairs` sums each
+row by itself (one ``np.vecdot``, the BLAS dot of ``np.dot`` row by row;
+scaled only where out of range), so a stacked row gives the same bits as
+the public function on that row.
 
 A chart is formed on stacks once, in `_chart_stack` (one power table, then
 `_chart`), and `_chart_members` adds the membership residuals over the same

@@ -10,13 +10,16 @@ they are set before numpy is first imported, which is why they live here.
 The `term_by_term` fixture is the reference definition of a
 `NodePolynomial`'s values, shared by the node and CLI tests; `uniform_disc`
 is the reference definition of a random disc point, two ``rng.uniform``
-draws per call, which the CLI's batteries must reproduce bit for bit.
+draws per call, which the CLI's batteries must reproduce bit for bit;
+`row_dots` is the reference definition of the row norms in `loops`, one
+``np.dot`` per row, which the stacked kernels must reproduce bit for bit.
 `cli_output` runs one CLI command once per session, for the tests that
 read the same output.
 """
 
 import functools
 import importlib.util
+import math
 import os
 from pathlib import Path
 
@@ -59,6 +62,35 @@ def _uniform_disc(rng, shape, radius=1.0):
 def uniform_disc():
     """`_uniform_disc`, the independent reference of the batteries' draws."""
     return _uniform_disc
+
+
+def _sobolev_by_rows(stack, s):
+    """The Sobolev norms of the rows of a stack (T, 2N+1, m) as
+    `loops._at_scale` pairs, by definition: per row, one ``np.dot`` of the
+    weights ``(1 + |n|)^(2s)`` with the row's sums of ``|c|^2``, then
+    ``math.sqrt``.  `loops._norm_pairs` must reproduce it bit for bit."""
+    from hardyglue.loops import _at_scale
+
+    n_max = stack.shape[1] // 2
+    weights = (1.0 + np.abs(np.arange(-n_max, n_max + 1))) ** (2.0 * s)
+    return _at_scale(lambda rows: np.array([math.sqrt(np.dot(weights, row))
+                                            for row in np.sum(np.abs(rows) ** 2, axis=-1)]), stack)
+
+
+def _l2_by_rows(stack):
+    """The l2 norm of each row of a stack, by definition: per row, the
+    ``np.dot`` of its flattened real part with itself plus that of its
+    imaginary part, then ``math.sqrt``.  `loops._l2_rows` must reproduce it
+    bit for bit."""
+    flat = stack.reshape(len(stack), -1)
+    return np.array([math.sqrt(np.dot(r, r) + np.dot(i, i)) for r, i in zip(flat.real, flat.imag)])
+
+
+@pytest.fixture
+def row_dots():
+    """``(sobolev, l2)``: `_sobolev_by_rows` and `_l2_by_rows`, the
+    independent references of the stacked row norms."""
+    return _sobolev_by_rows, _l2_by_rows
 
 
 _spec = importlib.util.spec_from_file_location("golden", Path(__file__).parent / "golden" / "regen.py")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -1282,6 +1283,30 @@ class TestParameterRanges:
         assert stop.value.code == 2 and captured.out == ""
         assert f"error: argument {flag}: " in captured.err
 
+    def test_geometric_count_is_bounded_before_the_sequence_is_built(self, tmp_path, capsys):
+        # at start = ratio = 0.5 term 1074 is 2**-1075, which rounds to 0.0,
+        # and so is every later term: 1075 terms still decrease, 1076 do not
+        from hardyglue import cli
+        from hardyglue.degeneration import NeckFamily
+
+        def z_seq(count):
+            return cli._z_seq({"geometric": {"start": 0.5, "ratio": 0.5, "count": count}}, "params.z_seq")
+
+        accepted = z_seq(1075)
+        assert accepted == tuple(0.5 * 0.5 ** k for k in range(1075)) and accepted[-2:] == (5e-324, 0.0)
+        assert NeckFamily.from_constant(None, accepted).z_seq[-1] == 0j
+        assert z_seq(1) == (0.5,) and z_seq(0) == ()
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            NeckFamily.from_constant(None, tuple(0.5 * 0.5 ** k for k in range(1076)))
+        for count in (1076, 2_000_000, 10 ** 8, 10 ** 30):
+            start = time.perf_counter()
+            code, lines, err, _ = run_params(tmp_path, capsys, "energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]},
+                                                                          "z_seq": {"geometric": {"count": count}}})
+            assert time.perf_counter() - start < 0.5, count
+            assert code == 2 and lines == []
+            assert err == (f"error: params.z_seq: gluing parameter magnitudes must be strictly decreasing; "
+                           f"geometric terms {count - 2} and {count - 1} are 0.0 and 0.0\n")
+
     def test_common_flags_accept_zero(self, capsys):
         code = main(["extend-check", str(SCENARIOS / "annulus_pair.json"),
                      "--tol=0", "--sobolev-s=0", "--seed=0", "--truncation=0"])
@@ -1532,6 +1557,12 @@ class TestFieldTables:
         ("energy", {"params": {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]},
                                "z_seq": {"geometric": {"start": 0.5, "stop": 1e-9}}}},
          "params.z_seq.geometric: unknown field 'stop'; known fields: start, ratio, count"),
+        ("moduli-dim", {"params": contraction(cycles=[{"kind": "nonseparating", "component": 0, "genus_first": 1}])},
+         "params.contractions[0].cycles[0]: unknown field 'genus_first'; known fields: kind, component"),
+        ("moduli-dim", {"params": contraction(cycles=[{"kind": "separating", "component": 0, "genus_first": 1,
+                                                       "points": []}])},
+         "params.contractions[0].cycles[0]: unknown field 'points'; known fields: kind, component, genus_first, "
+         "points_first"),
     ])
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, scenario, message):
         f = tmp_path / "scenario.json"
@@ -1540,13 +1571,27 @@ class TestFieldTables:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("scenario, path, value", [
+        ({"id": {"a": 1}, "params": {"builtin_table": True}}, "scenario.id", {"a": 1}),
+        ({"id": None, "params": {"builtin_table": True}}, "scenario.id", None),
+        ({"params": {"entries": [{"label": [1, 2], "g": 0, "n": 3, "m": 1, "c1d": 2, "expect": 5}]}},
+         "params.entries[0].label", [1, 2]),
+        ({"params": contraction(label=3)}, "params.contractions[0].label", 3),
+    ])
+    def test_ids_and_labels_are_strings(self, tmp_path, capsys, scenario, path, value):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main(["moduli-dim", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: invalid value {value!r} (expected a string)\n"
+
     def test_every_strict_field_rejects_a_wrong_kind(self, monkeypatch):
         # the tables are walked, so a field added to any of them is probed;
         # each is probed at the first record that reaches its table
         from hardyglue import cli, jsonio
 
         bad_values = {jsonio._boolean: ("x", 1, None), jsonio._integer: ("x", True, None),
-                      jsonio._number: ("x", True, None)}
+                      jsonio._number: ("x", True, None), jsonio._string: (1, ["x"], None)}
 
         def strict(reader):
             reader = closure(reader).get("conv", reader)  # a range check reads through its conv

@@ -114,6 +114,51 @@ class TestSobolevNorm:
         assert sobolev_norm(loop, lo) <= sobolev_norm(loop, hi) * (1 + 1e-12)
 
 
+def _layouts(stack):
+    """The stack C-ordered, column-major, and as its first row broadcast to
+    the stack's shape."""
+    return {"C": stack, "F": np.asfortranarray(stack), "broadcast": np.broadcast_to(stack[:1], stack.shape)}
+
+
+class TestRowBits:
+    """A stacked row norm has the bits of its row alone: `_norm_pairs` and
+    `_l2_rows` against `row_dots`, one ``np.dot`` per row."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n_max", [8, 64, 512])
+    @pytest.mark.parametrize("trials", [1, 3, 100])
+    def test_stacks_match_the_per_row_dots(self, row_dots, trials, n_max, m):
+        from hardyglue.loops import _l2_rows, _norm_pairs
+        sobolev, l2 = row_dots
+        rng = np.random.default_rng(trials * n_max + m)
+        stack = rng.standard_normal((trials, 2 * n_max + 1, m)) + 1j * rng.standard_normal((trials, 2 * n_max + 1, m))
+        stack *= np.exp(rng.uniform(-20, 20, (trials, 1, 1)))
+        for layout, rows in _layouts(stack).items():
+            for s in (0.0, 1.0, 1.5):
+                got, want = _norm_pairs(rows, s), sobolev(rows, s)
+                assert got[1] is None and want[1] is None, layout
+                assert np.array_equal(got[0], want[0]), (layout, s)
+            assert np.array_equal(_l2_rows(rows), l2(rows)), layout
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_taken_again_at_scale_match(self, row_dots, m):
+        # rows near 1e300 overflow the squares and rows near 1e-300 fall
+        # below _SMALL, so _at_scale takes each of them again
+        from hardyglue.loops import _l2_rows, _norm_pairs
+        sobolev, l2 = row_dots
+        rng = np.random.default_rng(m)
+        stack = rng.uniform(-1, 1, (6, 2 * 64 + 1, m)) + 1j * rng.uniform(-1, 1, (6, 2 * 64 + 1, m))
+        stack *= np.array([1.0, 1e300, 1e-300, 1.7e308, 1e-320, 0.0])[:, None, None]
+        for layout, rows in _layouts(stack).items():
+            got, want = _norm_pairs(rows, 1.0), sobolev(rows, 1.0)
+            assert np.array_equal(got[0], want[0]), layout
+            assert np.array_equal(got[1], want[1]), layout  # None where no row was taken again
+            with np.errstate(over="ignore"):
+                assert np.array_equal(_l2_rows(rows), l2(rows)), layout
+        taken = _norm_pairs(stack, 1.0)[1]
+        assert taken[0] == 0 and (taken[1:] != 0).all()  # the zero row too, at exponent -2**20
+
+
 class TestHardyProjection:
     def setup_method(self):
         self.loop = scalar({-1: 1.0, 0: 2.0, 1: 3.0})
