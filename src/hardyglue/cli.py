@@ -354,7 +354,8 @@ def handle_energy(params: dict, opts: RunOptions) -> list:
                     tol=p["energy_tol"], n_max=n_max)
     out = []
     for row, gap in zip(report.rows, degeneration.quadrature_gaps(report)):
-        out.append(check_residual(f"eps{row.eps:g}_quadrature_agreement", gap, 1e-8))
+        out.append(check_residual(f"eps{row.eps:g}_quadrature_agreement", gap,
+                                  degeneration.QUADRATURE_TOL))
         out.append(check_bool(f"eps{row.eps:g}_k_limit_stable", row.stable))
     out.append(check_int("energy_axiom_verdict", int(report.passed), int(p["expect_pass"])))
     return out
@@ -505,7 +506,8 @@ def suite_energy(opts: RunOptions) -> list:
     checks = [check_bool("monomial_family_passes", report.passed)]
     closed_max = max(abs(row.energy - np.pi * row.eps**2) / (np.pi * row.eps**2) for row in report.rows)
     checks.append(check_residual("monomial_k_limit_vs_pi_eps2", closed_max, 1e-8))
-    checks.append(check_residual("quadrature_agreement", float(np.max(degeneration.quadrature_gaps(report))), 1e-8))
+    checks.append(check_residual("quadrature_agreement", float(np.max(degeneration.quadrature_gaps(report))),
+                                 degeneration.QUADRATURE_TOL))
     # fixed neck coefficient a_{-1} = 1: energy concentrates and diverges
     divergent = degeneration.NeckFamily(
         z_seq, tuple(NodePolynomial(np.zeros((0, 1), complex),

@@ -24,6 +24,7 @@ from .moduli import Component, NodalConfig
 from .node_model import NodePolynomial, boundary_traces
 
 __all__ = [
+    "QUADRATURE_TOL",
     "NeckFamily",
     "EnergyRow",
     "EnergyReport",
@@ -57,6 +58,9 @@ def annulus_energy(loop: Loop, r: float, R: float) -> float:
     return float(np.pi * np.sum(terms))
 
 
+QUADRATURE_TOL = 1e-8  # the gap |E - Q| / (1 + |Q|) allowed between closed form and quadrature
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_rad: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
@@ -66,12 +70,52 @@ def _gauss_legendre(n_rad: int) -> tuple:
     return nodes, weights
 
 
-_RADII_PER_BLOCK = 16  # keeps the (P, block * m) derivative grid near 256 KB at N = 64
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(x)))`` over the last axis, without overflow."""
+    top = np.max(x, axis=-1)
+    return top + np.log(np.sum(np.exp(x - top[..., None]), axis=-1))
+
+
+_LOG_RHO = np.geomspace(0.05, 8.0, 48)  # log rho of the Bernstein ellipses the radial bound tries
+_SEMI_AXIS = np.cosh(_LOG_RHO)[:, None]  # (rho + 1/rho) / 2, the largest |Re s| on each ellipse
+_LOG_FACTOR = math.log(64.0 / 15.0) - np.log(np.expm1(2.0 * _LOG_RHO))  # log of (64/15) / (rho^2 - 1)
+_MAX_RADII = 1024  # past this many radii the quadrature reads NaN
+
+
+def _orders(n: np.ndarray, weight: np.ndarray, r: float, R: float) -> tuple:
+    """``(P, k)``: the angle count and the radial node count that provably
+    resolve the quadrature of the live modes ``n`` with ``|a_n|^2`` summed
+    over the components in ``weight`` (`loops._mode_power`) on ``r < |x| < R``.
+
+    On a circle ``|f'|^2`` is a trigonometric polynomial of degree
+    ``max n - min n``, so ``P`` one above it makes the trapezoid mean exact.
+    In ``s`` in [-1, 1] (log-radius ``mid + h s``) the ring integrals are
+    ``F(s) = 2 pi h sum_n n^2 |a_n|^2 e^(2n(mid + h s))``, entire.  On the
+    Bernstein ellipse ``E_rho`` each term is at most its value at ``|s| =
+    (rho + 1/rho)/2``, which sums to ``M(rho)``; ``k`` Gauss-Legendre nodes
+    are exact to degree ``2k - 1``, so their error is at most ``(64/15)
+    M(rho) rho^(-2(k-1)) / (rho^2 - 1)`` (Trefethen, ATAP Thm 19.3, with
+    ``k - 1`` for its ``n``).  ``k`` is the smallest count whose bound, on
+    some ellipse of `_LOG_RHO`, is within ``QUADRATURE_TOL / 100`` of
+    ``I_low = 2 sum_n F_n(0)``, a lower bound on the integral (each term is
+    convex: Hermite-Hadamard).  All of it in log space; ``k`` is inf when no
+    count is proven (a weight past the float range, or none inside it).
+    """
+    lo, hi = math.log(r), math.log(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(n * n * weight) + n * (hi + lo)  # F_n(0) / (2 pi h)
+        head = _LOG_FACTOR + _logsumexp(log_w + (hi - lo) * np.abs(n) * _SEMI_AXIS)
+        log_target = math.log(2.0 * QUADRATURE_TOL / 100.0) + _logsumexp(log_w)
+        degree = float(np.min((head - log_target) / (2.0 * _LOG_RHO)))  # k - 1
+    return int(n.max() - n.min()) + 1, (1 + math.ceil(degree) if math.isfinite(degree) else math.inf)
+
+
+_RADII_PER_BLOCK = 64  # keeps the (P, block * m) derivative grid near 256 KB at N = 64, P <= 2N + 1
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def annulus_energy_quadrature(loop: Loop, r: float, R: float,
-                              n_theta: int | None = None, n_rad: int = 240) -> float:
+                              n_theta: int | None = None, n_rad: int | None = None) -> float:
     """Dirichlet energy by 2D quadrature of ``|f'|^2`` (independent check).
 
     The grid is ``n_rad`` Gauss-Legendre radii in log-radius times
@@ -82,6 +126,15 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
     row are dropped first, so ``rho^(n-1)`` is formed only for live modes.
     The Gauss-Legendre nodes are cached per ``n_rad`` as read-only arrays.
 
+    By default both orders are the ones `_orders` proves from the live
+    modes' ``|a_n|^2`` (never from `annulus_energy`): ``n_theta`` one above
+    the span ``max n - min n`` of the live modes, where the angular mean is
+    exact, and ``n_rad`` the smallest count whose Bernstein-ellipse bound on
+    the radial error is within ``QUADRATURE_TOL / 100`` of the energy,
+    rounded up to a multiple of 8 so that few node sets are built.  Past
+    1024 radii (or with no provable count) the energy reads NaN, and a
+    check of it is inconclusive.
+
     The ring integral stays the trapezoid mean of ``|f'|^2`` over the
     angular samples, which is exact when ``n_theta`` resolves the
     trigonometric polynomial ``|f'|^2`` and aliases when it does not.  A
@@ -91,12 +144,19 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
     """
     if not (0.0 < r < R <= 1.0):
         raise ValueError(f"annulus radii must satisfy 0 < r < R <= 1, got ({r}, {R})")
-    N = loop.n_max
-    P = n_theta if n_theta is not None else max(8 * (N + 1), 8)
-    thetas = 2.0 * np.pi * np.arange(P) / P
     n = loop.modes
     live = (n != 0) & np.any(loop.coeffs != 0, axis=1)
     n = n[live]
+    if not n.size:
+        return 0.0
+    if n_theta is None or n_rad is None:
+        angles, k = _orders(n, _mode_power(loop.coeffs[live]), r, R)
+        if n_rad is None and k > _MAX_RADII:
+            return math.nan
+        n_theta = angles if n_theta is None else n_theta
+        n_rad = -(-k // 8) * 8 if n_rad is None else n_rad
+    P = n_theta
+    thetas = 2.0 * np.pi * np.arange(P) / P
     slope = n[:, None] * loop.coeffs[live]  # n a_n, (modes, m)
     # exp(i(n-1)theta_j), shape (P, modes); built in place, so no second
     # P x modes temporary is held while it is filled
@@ -158,10 +218,14 @@ class NeckFamily:
         if not z_seq:
             raise ValueError("family needs at least one gluing parameter")
         mags = [abs(z) for z in z_seq]
-        if any(mag >= 1.0 for mag in mags):
-            raise ValueError("all gluing parameters must satisfy |z| < 1")
-        if any(b >= a for a, b in zip(mags, mags[1:])):
-            raise ValueError("gluing parameter magnitudes must be strictly decreasing")
+        for k, mag in enumerate(mags):
+            if not mag < 1.0:
+                raise ValueError(f"z_seq[{k}]: gluing parameters must satisfy |z| < 1, got |z| = {mag!r}")
+            if k and not mag < mags[k - 1]:
+                raise ValueError(f"z_seq[{k}]: gluing parameter magnitudes must be strictly decreasing, "
+                                 f"got {mag!r} after {mags[k - 1]!r}")
+        if mags[-1] == 0.0:  # the magnitudes decrease, so only the last can be 0
+            raise ValueError(f"z_seq[{len(mags) - 1}]: gluing parameter is 0; a neck needs 0 < |z| < 1")
         polys = tuple(self.polys)
         if len(polys) != len(z_seq):
             raise ValueError(f"need one Laurent datum per parameter: {len(polys)} != {len(z_seq)}")

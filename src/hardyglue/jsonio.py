@@ -16,6 +16,8 @@ truth value, a truncation, a float or a text.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .loops import Loop
@@ -147,13 +149,18 @@ def _string(value, where=None) -> str:
     return value
 
 
+_ITEM_PATH = re.compile(r"[a-z_]+(\[\d+\])+: ")
+
+
 def _built(fn, where: str, *args, **kwargs):
     """``fn(*args, **kwargs)``, with a ValueError or MemoryError it raises
-    turned into a ScenarioError prefixed by the path ``where``."""
+    turned into a ScenarioError prefixed by the path ``where``; a message
+    that opens with the path of an item (``z_seq[3]: ...``) continues it."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, MemoryError) as exc:
-        raise ScenarioError(f"{where}: {str(exc) or type(exc).__name__}") from exc
+        msg = str(exc) or type(exc).__name__
+        raise ScenarioError(f"{where}{'.' if _ITEM_PATH.match(msg) else ': '}{msg}") from exc
 
 
 def complex_to_pair(z) -> list:

@@ -1294,7 +1294,8 @@ class TestParameterRanges:
 
         accepted = z_seq(1075)
         assert accepted == tuple(0.5 * 0.5 ** k for k in range(1075)) and accepted[-2:] == (5e-324, 0.0)
-        assert NeckFamily.from_constant(None, accepted).z_seq[-1] == 0j
+        with pytest.raises(ValueError, match=r"^z_seq\[1074\]: gluing parameter is 0"):
+            NeckFamily.from_constant(None, accepted)
         assert z_seq(1) == (0.5,) and z_seq(0) == ()
         with pytest.raises(ValueError, match="strictly decreasing"):
             NeckFamily.from_constant(None, tuple(0.5 * 0.5 ** k for k in range(1076)))
@@ -1306,6 +1307,16 @@ class TestParameterRanges:
             assert code == 2 and lines == []
             assert err == (f"error: params.z_seq: gluing parameter magnitudes must be strictly decreasing; "
                            f"geometric terms {count - 2} and {count - 1} are 0.0 and 0.0\n")
+
+    @pytest.mark.parametrize("z_seq, k", [([[0.5, 0], [0, 0]], 1),
+                                          ({"geometric": {"start": 0.5, "ratio": 0.5, "count": 1075}}, 1074)])
+    def test_zero_gluing_parameter_names_its_term(self, tmp_path, capsys, z_seq, k):
+        # only the last term of a decreasing sequence can be 0: 0.0 after
+        # 0.5, or geometric term 1074, which rounds to 0.0 after 5e-324
+        code, lines, err, caught = run_params(tmp_path, capsys, "energy", {**ENERGY_FAMILY, "z_seq": z_seq,
+                                                                           "laurent": {"a": [[1, 0]]}})
+        assert code == 2 and lines == [] and caught == []
+        assert err == f"error: params.z_seq[{k}]: gluing parameter is 0; a neck needs 0 < |z| < 1\n"
 
     def test_common_flags_accept_zero(self, capsys):
         code = main(["extend-check", str(SCENARIOS / "annulus_pair.json"),

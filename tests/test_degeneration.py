@@ -1,14 +1,19 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from hardyglue.cli import check_residual
 from hardyglue.degeneration import (
+    _LOG_RHO,
+    QUADRATURE_TOL,
     NeckFamily,
     NonseparatingCycle,
     SeparatingCycle,
     annulus_energy,
     annulus_energy_quadrature,
+    _orders,
     apply_deformation,
     energy_axiom_check,
     neck_laurent,
@@ -108,6 +113,76 @@ class TestAnnulusEnergy:
         for r, R in ((0.0, 0.5), (0.5, 0.5), (0.7, 0.2), (0.5, 1.5)):
             with pytest.raises(ValueError):
                 annulus_energy(scalar({1: 1.0}), r, R)
+
+
+def gl_log_bound(a, k):
+    """log of the Gauss-Legendre error bound for ``e^(a s)`` on [-1, 1] with
+    k nodes (n = k - 1 in Trefethen, ATAP Thm 19.3), least over `_LOG_RHO`."""
+    return float(np.min(math.log(64 / 15) + abs(a) * np.cosh(_LOG_RHO) - 2 * (k - 1) * _LOG_RHO
+                        - np.log(np.expm1(2 * _LOG_RHO))))
+
+
+class TestQuadratureOrders:
+    """The orders `annulus_energy_quadrature` picks by default, each proven:
+    the angle count by the degree of ``|f'|^2``, the radial count by the
+    Bernstein-ellipse bound."""
+
+    @staticmethod
+    def gap(loop, r, R, **orders):
+        quad = annulus_energy_quadrature(loop, r, R, **orders)
+        return abs(annulus_energy(loop, r, R) - quad) / (1.0 + abs(quad))
+
+    @pytest.mark.parametrize("a", [0.5, 3.2, 20.0, 70.0])
+    def test_bound_holds_at_the_chosen_order(self, a):
+        # mode 1 on e^-a < |x| < 1 has the radial integrand 2 pi h e^(-a) e^(a s):
+        # the chosen k is the least whose bound meets the target relative to
+        # I_low = 2, and Gauss-Legendre at k nodes stays within the bound, up
+        # to a roundoff floor
+        _, k = _orders(np.array([1]), np.array([1.0]), math.exp(-a), 1.0)
+        log_target = math.log(2.0 * QUADRATURE_TOL / 100)
+        assert gl_log_bound(a, k) <= log_target < gl_log_bound(a, k - 1)
+        nodes, weights = np.polynomial.legendre.leggauss(k)
+        exact = 2.0 * math.sinh(a) / a
+        err = abs(math.fsum(weights * np.exp(a * nodes)) - exact)
+        assert err <= math.exp(gl_log_bound(a, k)) + 1e-13 * exact
+
+    def test_bound_counts_k_minus_one(self):
+        # with rho^(-2k) in place of rho^(-2(k-1)), the bound reads below the error
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        err = abs(weights @ np.exp(3.22 * nodes) - 2.0 * math.sinh(3.22) / 3.22)
+        assert math.exp(gl_log_bound(3.22, 9)) < err <= math.exp(gl_log_bound(3.22, 8))
+
+    def test_planted_short_orders_fail(self):
+        # x - 0.5 x^-2: |f'|^2 has degree 3 on a circle
+        loop = Loop.from_modes(1, 2, {1: [1.0], -2: [-0.5]})
+        r, R = 0.01, 0.5
+        assert _orders(np.array([-2, 1]), np.array([0.25, 1.0]), r, R) == (4, 14)
+        assert self.gap(loop, r, R) <= 1e-12
+        assert self.gap(loop, r, R, n_rad=14) <= 1e-12 and self.gap(loop, r, R, n_theta=4) <= 1e-12
+        short_radii = self.gap(loop, r, R, n_rad=14 // 3)
+        short_angles = self.gap(loop, r, R, n_theta=3)
+        assert short_radii == pytest.approx(5.5e-2, rel=0.01)
+        assert short_angles == pytest.approx(7.8e-6, rel=0.01)
+        for gap in (short_radii, short_angles):
+            assert check_residual("quadrature_agreement", gap, QUADRATURE_TOL).status == "fail"
+
+    def test_order_past_the_cap_is_inconclusive(self):
+        # x^60 on (1e-6, 0.9) needs 632 radii; x^100 on (1e-8, 0.9) needs 1395,
+        # past the cap of 1024
+        wide = Loop.from_modes(1, 60, {60: [1.0]})
+        assert _orders(np.array([60]), np.array([1.0]), 1e-6, 0.9) == (1, 632)
+        check = check_residual("quadrature_agreement", self.gap(wide, 1e-6, 0.9), QUADRATURE_TOL)
+        assert check.status == "pass" and check.residual <= 1e-12
+        wider = Loop.from_modes(1, 100, {100: [1.0]})
+        assert _orders(np.array([100]), np.array([1.0]), 1e-8, 0.9) == (1, 1395)
+        assert math.isnan(annulus_energy_quadrature(wider, 1e-8, 0.9))
+        check = check_residual("quadrature_agreement", self.gap(wider, 1e-8, 0.9), QUADRATURE_TOL)
+        assert check.status == "inconclusive" and check.residual is None
+
+    def test_explicit_orders_are_kept(self):
+        # past the cap, an explicit radial count is still used
+        wider = Loop.from_modes(1, 100, {100: [1.0]})
+        assert self.gap(wider, 1e-8, 0.9, n_rad=1400) <= 1e-12
 
 
 class TestNeckLaurent:
@@ -216,6 +291,12 @@ class TestEnergyAxiom:
             NeckFamily.from_constant(coordinate_poly(), (0.25, 0.5))
         with pytest.raises(ValueError, match="one Laurent"):
             NeckFamily((0.5, 0.25), (coordinate_poly(),))
+
+    @pytest.mark.parametrize("z_seq, k", [((0.5, 0.0), 1), ((0.5, 0.25, 0j), 2),
+                                          (tuple(0.5 * 0.5 ** j for j in range(1075)), 1074)])
+    def test_zero_parameter_is_named_by_its_index(self, z_seq, k):
+        with pytest.raises(ValueError, match=rf"^z_seq\[{k}\]: gluing parameter is 0"):
+            NeckFamily.from_constant(coordinate_poly(), z_seq)
 
 
 class TestApplyDeformation:
