@@ -17,12 +17,9 @@ from .extension import annulus_extension_test, disk_extension_test, disk_pair_no
 from .fredholm import (
     GraphPairLocal,
     SubspaceTriple,
-    exactness_check,
-    finite_dim_reduction,
     index_stability_check,
     intersect_newton,
     normal_coordinates,
-    parametrized_index,
     triple_index,
 )
 from .moduli import (

@@ -282,7 +282,7 @@ def handle_index(params: dict, opts: RunOptions) -> list:
         for d in range(bundle["d_max"] + 1):
             built = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, bundle["n_max"])
             idx = fredholm.triple_index(built.triple)
-            rr = moduli.riemann_roch_index(moduli.TargetData(1, 2 * d), 0, "complex")
+            rr = moduli.riemann_roch_index(moduli.TargetData(1, 2 * d), 0)
             out.append(check_int(f"line_bundle_d{d}_index", idx.index, rr))
             out.append(check_int(f"line_bundle_d{d}_codim", idx.codim_sum, 0))
     if not out:
@@ -316,7 +316,7 @@ def handle_moduli_dim(params: dict, opts: RunOptions) -> list:
 
 def handle_reduce(params: dict, opts: RunOptions) -> list:
     p = _record(params, FIELDS["reduce"], "params")
-    reduction = fredholm.finite_dim_reduction(_graph(p))
+    reduction = fredholm.FiniteDimReduction(_graph(p))
     max_iter, tol = p["newton"]["max_iter"], p["newton"]["tol"]
     out = []
     for i, seed in enumerate(p["seeds"]):
@@ -454,7 +454,7 @@ def suite_fredholm(opts: RunOptions) -> list:
     checks.append(check_int("generic_stability_count", stable, 100))
 
     for case_idx, (pm, seeds) in enumerate(fredholm.polynomial_test_set()):
-        reduction = fredholm.finite_dim_reduction(pm.as_graph())
+        reduction = fredholm.FiniteDimReduction(pm.as_graph())
         for seed_idx, seed in enumerate(seeds):
             result = reduction.solve(seed, max_iter=300, tol=1e-12)
             prefix = f"polyset{case_idx}_seed{seed_idx}"
@@ -481,7 +481,7 @@ def suite_index(opts: RunOptions) -> list:
         n = int(rng.integers(0, 7))
         target = moduli.TargetData(int(rng.integers(0, 6)), int(rng.integers(-12, 13)))
         lhs = moduli.moduli_dimension(g, n, target)
-        rhs = moduli.riemann_roch_index(target, g, "complex") + moduli.teichmuller_dim(g, n)
+        rhs = moduli.riemann_roch_index(target, g) + moduli.teichmuller_dim(g, n)
         if lhs != rhs:
             identity_violations += 1
         k = int(rng.integers(0, 5))

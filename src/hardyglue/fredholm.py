@@ -7,8 +7,8 @@ test suite asserts as the Euler identity.  On top of the triples sit the
 graph-form local quadruples ``X'' = {x'=0, xi=0}``,
 ``X' = {x''=0, xi=f(u,x')}`` with the distinguished intersection equation
 ``f(u, 0) = 0``, their finite-dimensional reductions
-``U' = {(u,0,0,f(u,0))}``, ``U'' = {(u,0,0,0)}``, exactness tests for
-morphisms, the ``+ dim Lambda`` parametrized index relation, and a damped
+``U' = {(u,0,0,f(u,0))}``, ``U'' = {(u,0,0,0)}`` with the tangent
+identities that `FiniteDimReduction.tangent_check` measures, and a damped
 Gauss-Newton solver for the intersection equation.
 
 Every rank decision counts the singular values above `RANK_TOL` times the
@@ -40,18 +40,11 @@ __all__ = [
     "GraphPairLocal",
     "PolynomialMap",
     "FiniteDimReduction",
-    "finite_dim_reduction",
     "TangentCheck",
     "NewtonResult",
     "intersect_newton",
-    "exactness_check",
-    "parametrized_index",
-    "lambda_product_triple",
     "polynomial_test_set",
-    "nullspace",
     "orthonormal_range",
-    "subspace_intersection",
-    "matrix_rank",
 ]
 
 RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular value
@@ -77,17 +70,6 @@ def _rank_of(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_TOL * s[:1]))
 
 
-def matrix_rank(M: np.ndarray) -> int:
-    """Rank by singular-value thresholding relative to the largest value."""
-    return _rank_of(np.linalg.svd(M, compute_uv=False))
-
-
-def nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel, columns of shape (n_cols, nullity)."""
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    return vh[_rank_of(s):].conj().T
-
-
 def orthonormal_range(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span."""
     u, s, _ = np.linalg.svd(M, full_matrices=False)
@@ -102,11 +84,6 @@ def _cap_and_outer(B1: np.ndarray, B2: np.ndarray) -> tuple:
     u, s, vh = np.linalg.svd(np.hstack([B1, -B2]), full_matrices=True)
     rank = _rank_of(s)
     return orthonormal_range(B1 @ vh[rank:, :B1.shape[1]].conj().T), u[:, rank:]
-
-
-def subspace_intersection(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ``span(B1) ∩ span(B2)`` (see `_cap_and_outer`)."""
-    return _cap_and_outer(B1, B2)[0]
 
 
 @dataclass(frozen=True)
@@ -344,51 +321,6 @@ def normal_coordinates(t: SubspaceTriple) -> NormalSplitting:
     return split
 
 
-def exactness_check(dh: np.ndarray, source: SubspaceTriple, target: SubspaceTriple) -> bool:
-    """Exactness of a linear morphism between triples.
-
-    True iff ``dh`` maps the intersection block of the source bijectively
-    onto the intersection block of the target and the induced map between
-    the sum-quotients (computed on the orthogonal complements) is
-    bijective.  Both conditions are rank decisions, hence invariant under
-    change of basis of the four subspaces.
-    """
-    dh = np.asarray(dh, dtype=complex)
-    if dh.shape != (target.ambient_dim, source.ambient_dim):
-        raise ValueError(f"dh has shape {dh.shape}, expected "
-                         f"({target.ambient_dim}, {source.ambient_dim})")
-    ns, nt = normal_coordinates(source), normal_coordinates(target)
-    for a, b in ((ns.cap, nt.cap), (ns.outer, nt.outer)):
-        if a.shape[1] != b.shape[1] or a.shape[1] and matrix_rank(b.conj().T @ dh @ a) != a.shape[1]:
-            return False
-    return True
-
-
-def parametrized_index(base_triple_index: int, dim_lambda: int) -> int:
-    """Index of a triple swept over a dim_lambda-parameter family with
-    submersive projections: the base index plus dim_lambda."""
-    if dim_lambda < 0:
-        raise ValueError("parameter dimension must be nonnegative")
-    return int(base_triple_index) + int(dim_lambda)
-
-
-def lambda_product_triple(t: SubspaceTriple, dim_lambda: int) -> SubspaceTriple:
-    """Explicit product triple over a parameter space: the Lambda directions
-    are adjoined to the ambient space and to both subspaces."""
-    if dim_lambda < 0:
-        raise ValueError("parameter dimension must be nonnegative")
-    L = dim_lambda
-    N = t.ambient_dim
-    eye = np.eye(L, dtype=complex)
-
-    def extend(basis: np.ndarray) -> np.ndarray:
-        top = np.hstack([eye, np.zeros((L, basis.shape[1]), dtype=complex)])
-        bottom = np.hstack([np.zeros((N, L), dtype=complex), basis])
-        return np.vstack([top, bottom])
-
-    return SubspaceTriple(N + L, extend(t.basis_prime), extend(t.basis_dprime))
-
-
 # ---------------------------------------------------------------------------
 # graph-form local quadruples
 
@@ -429,14 +361,6 @@ class GraphPairLocal:
             if dnorm > 1e-8:
                 raise ValueError(f"graph map must satisfy df(0,0)=0, got |df(0,0)|={dnorm:.3e} "
                                  "(use allow_nonflat=True for unstraightened data)")
-
-    @property
-    def d_u(self) -> int:
-        return self.dims[0]
-
-    @property
-    def d_xi(self) -> int:
-        return self.dims[3]
 
     def evaluate(self, u, xprime) -> np.ndarray:
         val = np.asarray(self.f(np.asarray(u, dtype=complex), np.asarray(xprime, dtype=complex)),
@@ -596,12 +520,6 @@ class TangentCheck:
     quotient_reduced: int
     quotient_full: int
 
-    @property
-    def ok(self) -> bool:
-        return (self.dim_cap_reduced == self.dim_cap_full
-                and self.quotient_reduced == self.quotient_full
-                and self.subspace_gap <= 1e-6)
-
 
 @dataclass(frozen=True)
 class FiniteDimReduction:
@@ -619,32 +537,6 @@ class FiniteDimReduction:
     @property
     def dims(self) -> tuple:
         return self.graph.dims
-
-    def _split(self, point) -> tuple:
-        du, dxp, dxd, dxi = self.dims
-        point = np.asarray(point, dtype=complex).reshape(-1)
-        if point.shape != (du + dxp + dxd + dxi,):
-            raise ValueError(f"point has shape {point.shape}, expected ({du + dxp + dxd + dxi},)")
-        return (point[:du], point[du:du + dxp], point[du + dxp:du + dxp + dxd],
-                point[du + dxp + dxd:])
-
-    def contains_U(self, point, tol: float = 1e-9) -> bool:
-        u, xp, xd, xi = self._split(point)
-        scale = 1.0 + float(np.linalg.norm(np.concatenate([u, xi])))
-        return bool(np.linalg.norm(xp) <= tol * scale and np.linalg.norm(xd) <= tol * scale)
-
-    def contains_Uprime(self, point, tol: float = 1e-9) -> bool:
-        u, xp, xd, xi = self._split(point)
-        if not self.contains_U(point, tol):
-            return False
-        target = self.graph.evaluate(u, np.zeros(self.dims[1], dtype=complex))
-        scale = 1.0 + float(np.linalg.norm(u))
-        return bool(np.linalg.norm(xi - target) <= tol * scale)
-
-    def contains_Udprime(self, point, tol: float = 1e-9) -> bool:
-        u, xp, xd, xi = self._split(point)
-        scale = 1.0 + float(np.linalg.norm(u))
-        return bool(self.contains_U(point, tol) and np.linalg.norm(xi) <= tol * scale)
 
     def solve(self, seed, max_iter: int = 100, tol: float = 1e-12) -> NewtonResult:
         return intersect_newton(self.graph, seed, max_iter=max_iter, tol=tol)
@@ -694,11 +586,6 @@ class FiniteDimReduction:
             gap = 1.0
         return TangentCheck(cap_reduced.shape[1], cap_full.shape[1], gap,
                             outer_reduced.shape[1] - dxp - dxd, outer_full.shape[1])
-
-
-def finite_dim_reduction(g: GraphPairLocal) -> FiniteDimReduction:
-    """Finite-dimensional reduction descriptor of a graph-form quadruple."""
-    return FiniteDimReduction(g)
 
 
 def polynomial_test_set() -> list:

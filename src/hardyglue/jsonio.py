@@ -1,7 +1,9 @@
-"""JSON schemas for loops, node data, nodal configurations, and matrices.
+"""JSON readers for loops, node boundaries, nodal configurations, vectors
+and matrices.
 
-Complex numbers are serialized as ``[re, im]`` pairs throughout; matrices
-are row-major nested lists of pairs.
+Complex numbers are written as ``[re, im]`` pairs throughout; matrices
+are row-major nested lists of pairs.  The package only reads scenarios;
+the writers that build them for the tests live in ``tests/conftest.py``.
 
 Every record is read by `_record` through its field table, which maps each
 key to ``(reader, default)``: the tables are the schema.  A key outside the
@@ -22,23 +24,15 @@ import numpy as np
 
 from .loops import Loop
 from .moduli import Component, NodalConfig
-from .node_model import NodeBoundary, NodeChart
+from .node_model import NodeBoundary
 
 __all__ = [
     "ScenarioError",
-    "complex_to_pair",
     "complex_from_pair",
-    "vector_to_json",
     "vector_from_json",
-    "matrix_to_json",
     "matrix_from_json",
-    "loop_to_json",
     "loop_from_json",
-    "boundary_to_json",
     "boundary_from_json",
-    "chart_to_json",
-    "chart_from_json",
-    "nodal_config_to_json",
     "nodal_config_from_json",
 ]
 
@@ -163,11 +157,6 @@ def _built(fn, where: str, *args, **kwargs):
         raise ScenarioError(f"{where}{'.' if _ITEM_PATH.match(msg) else ': '}{msg}") from exc
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def complex_from_pair(pair, where: str = "value") -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ScenarioError(f"{where}: expected [re, im] pair, got {pair!r}")
@@ -214,30 +203,12 @@ def _walk_pairs(data, ndim: int, where: str) -> np.ndarray:
     return np.array(parts, dtype=complex)
 
 
-def vector_to_json(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
-
-
 def vector_from_json(data, where: str = "vector") -> np.ndarray:
     return _complex_array(data, 1, where)
 
 
-def matrix_to_json(mat) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return [vector_to_json(row) for row in mat]
-
-
 def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
     return _complex_array(data, 2, where)
-
-
-def loop_to_json(loop: Loop) -> dict:
-    """Loop schema: modes listed from -n_max to n_max."""
-    return {
-        "m": loop.m,
-        "n_max": loop.n_max,
-        "coeffs": [vector_to_json(row) for row in loop.coeffs],
-    }
 
 
 _pair, _vector, _matrix, _loop = map(_public, ("complex_from_pair", "vector_from_json",
@@ -256,40 +227,11 @@ def loop_from_json(data: dict, where: str = "loop") -> Loop:
     return _built(Loop, where, m, n_max, coeffs)
 
 
-def boundary_to_json(boundary) -> dict:
-    return {"z": complex_to_pair(boundary.z),
-            "xi": loop_to_json(boundary.xi), "eta": loop_to_json(boundary.eta)}
-
-
 _BOUNDARY = _model(NodeBoundary, z=(_pair, _REQUIRED), xi=(_loop, _REQUIRED), eta=(_loop, _REQUIRED))
 
 
 def boundary_from_json(data: dict, where: str = "boundary"):
     return _BOUNDARY(data, where)
-
-
-def chart_to_json(chart) -> dict:
-    return {"z": complex_to_pair(chart.z),
-            "xi_plus": loop_to_json(chart.xi_plus),
-            "eta_plus": loop_to_json(chart.eta_plus),
-            "lambda": vector_to_json(chart.lam)}
-
-
-_CHART = {"z": (_pair, _REQUIRED), "xi_plus": (_loop, _REQUIRED), "eta_plus": (_loop, _REQUIRED),
-                "lambda": (_vector, _REQUIRED)}
-
-
-def chart_from_json(data: dict, where: str = "chart"):
-    chart = _record(data, _CHART, where)
-    return _built(NodeChart, where, chart["z"], chart["xi_plus"], chart["eta_plus"], chart["lambda"])
-
-
-def nodal_config_to_json(cfg) -> dict:
-    return {
-        "components": [{"genus": c.genus, "ghost": c.ghost} for c in cfg.components],
-        "nodes": [[[ci, pid] for ci, pid in pair] for pair in cfg.nodes],
-        "marks": [[ci, pid] for ci, pid in cfg.marks],
-    }
 
 
 _POINT = _list_of(_integer, 2)  # [component, point id]

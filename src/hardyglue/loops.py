@@ -8,9 +8,9 @@ off the unit circle is a truncated Laurent sum, and a winding number is
 the count of zeros of ``x^N f(x)`` inside the unit disk minus N, checked
 against the argument increments on an adaptively refined sample grid.
 
-Pointwise operations (sampling, products, winding) use a grid of
-``8*(n_max+1)`` points so that products of two loops of order n_max are
-alias-free up to order 2*n_max.
+Pointwise reads (the winding number's argument count, the extension
+tests' sup norm) sample a loop of order n_max on a grid of
+``8*(n_max+1)`` points, `default_grid_size`, through `_samples`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ __all__ = [
     "hardy_project",
     "laurent_eval",
     "winding_number",
-    "sample_values",
-    "loop_from_samples",
-    "multiply_loops",
     "default_grid_size",
 ]
 
@@ -102,7 +99,8 @@ class Loop:
 
 
 def default_grid_size(n_max: int) -> int:
-    """Uniform sampling grid size; alias-free for products up to order 2*n_max."""
+    """Uniform sampling grid size for a loop of order ``n_max``, past the
+    ``2*n_max + 1`` points that resolve it."""
     return 8 * (n_max + 1)
 
 
@@ -262,21 +260,10 @@ def laurent_eval(loop: Loop, point: complex, r_in: float = 0.0, r_out: float = 1
     return powers @ loop.coeffs
 
 
-def sample_values(loop: Loop, n_points: int | None = None) -> np.ndarray:
-    """Sample the loop at ``n_points`` uniform angles (FFT synthesis).
-
-    Returns an array of shape ``(n_points, m)`` with values at
-    ``theta_j = 2*pi*j/n_points``.  Requires ``n_points >= 2*n_max+1``.
-    """
-    P = default_grid_size(loop.n_max) if n_points is None else int(n_points)
-    if P < 2 * loop.n_max + 1:
-        raise ValueError(f"need at least {2 * loop.n_max + 1} samples, got {P}")
-    return _samples(loop.coeffs[None], P)[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _samples(stack: np.ndarray, P: int) -> np.ndarray:
-    """`sample_values` of each row of a stack (T, 2N+1, m), shape (T, P, m).
+    """Each row of a stack (T, 2N+1, m) sampled at ``P >= 2N+1`` uniform
+    angles ``theta_j = 2*pi*j/P`` (FFT synthesis), shape (T, P, m).
 
     The scale rule of `_at_scale`: a row whose samples do not all read
     finite is synthesised again divided, exactly, by the power of two at
@@ -291,29 +278,6 @@ def _samples(stack: np.ndarray, P: int) -> np.ndarray:
         top = _top_exponents(spread[odd])[:, None, None]
         out[odd] = _ldexp(np.fft.ifft(_ldexp(spread[odd], -top), axis=1) * P, top)
     return out
-
-
-def loop_from_samples(values: np.ndarray, n_max: int) -> Loop:
-    """Fit a loop of order ``n_max`` from uniform samples (exact if alias-free)."""
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None]
-    P, m = values.shape
-    if P < 2 * n_max + 1:
-        raise ValueError(f"need at least {2 * n_max + 1} samples to fit order {n_max}, got {P}")
-    spectrum = np.fft.fft(values, axis=0) / P
-    return Loop(m, n_max, spectrum[np.arange(-n_max, n_max + 1) % P])
-
-
-def multiply_loops(a: Loop, b: Loop) -> Loop:
-    """Pointwise product of two scalar loops, re-fit to order ``a.n_max + b.n_max``."""
-    if a.m != 1 or b.m != 1:
-        raise ValueError("pointwise products are defined for scalar loops (m=1)")
-    order = a.n_max + b.n_max
-    P = default_grid_size(order)
-    va = sample_values(a, P)
-    vb = sample_values(b, P)
-    return loop_from_samples(va * vb, order)
 
 
 def winding_number(loop: Loop, tol: float = 1e-9) -> int:

@@ -153,15 +153,9 @@ def moduli_dimension(g: int, n: int, target: TargetData) -> int:
     return (g - 1) * (3 - target.m) + target.c1d + n
 
 
-def riemann_roch_index(target: TargetData, g: int, field: str = "complex") -> int:
-    """Riemann-Roch index of the linearized operator: m(1-g) + <c1, d>
-    over C, twice that over R."""
-    complex_index = target.m * (1 - g) + target.c1d
-    if field == "complex":
-        return complex_index
-    if field == "real":
-        return 2 * complex_index
-    raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+def riemann_roch_index(target: TargetData, g: int) -> int:
+    """Complex Riemann-Roch index of the linearized operator: m(1-g) + <c1, d>."""
+    return target.m * (1 - g) + target.c1d
 
 
 @dataclass(frozen=True)

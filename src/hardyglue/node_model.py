@@ -64,7 +64,6 @@ __all__ = [
     "node_chart_inverse",
     "evaluate_H",
     "eval_plus",
-    "holomorphicity_residual",
     "node_battery_residuals",
     "h_grid",
     "h_reproduction_gaps",
@@ -80,7 +79,7 @@ _DEFECT_SAFE = 2.0 ** 1022
 
 def _check_gluing(z: complex) -> None:
     """The fiber ``N_z`` is defined for ``|z| < 1``."""
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"gluing parameter must satisfy |z| < 1, got |z|={abs(z):.6g}")
 
 
@@ -339,7 +338,7 @@ def transfer_Tz(z: complex, plus_loop: Loop) -> Loop:
     |z| <= 1.
     """
     z = complex(z)
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise ValueError(f"transfer operator requires |z| <= 1, got |z|={abs(z):.6g}")
     N = plus_loop.n_max
     if np.any(plus_loop.coeffs[: N + 1] != 0):
@@ -432,32 +431,6 @@ def evaluate_H(family, x: complex, y: complex, t=None) -> np.ndarray:
     if not isinstance(chart, NodeChart):
         raise ValueError("family must return a NodeChart")
     return eval_plus(chart.xi_plus, x) + eval_plus(chart.eta_plus, y) + chart.lam
-
-
-def holomorphicity_residual(h_fun, xs, ys, step: float = 1e-3) -> float:
-    """Numerical Cauchy-Riemann check of a two-variable map.
-
-    Evaluates centered-finite-difference Wirtinger derivatives d/d(conj x),
-    d/d(conj y) of ``h_fun(x, y)`` on the grid ``xs x ys`` and returns the
-    maximum modulus.  For a holomorphic family this is O(step^2); a value of
-    order 1 flags genuine anti-holomorphic dependence.
-    """
-    h = float(step)
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    worst = 0.0
-    for x in np.asarray(xs, dtype=complex):
-        for y in np.asarray(ys, dtype=complex):
-            dx_bar = (
-                np.asarray(h_fun(x + h, y)) - np.asarray(h_fun(x - h, y))
-                + 1j * (np.asarray(h_fun(x + 1j * h, y)) - np.asarray(h_fun(x - 1j * h, y)))
-            ) / (4.0 * h)
-            dy_bar = (
-                np.asarray(h_fun(x, y + h)) - np.asarray(h_fun(x, y - h))
-                + 1j * (np.asarray(h_fun(x, y + 1j * h)) - np.asarray(h_fun(x, y - 1j * h)))
-            ) / (4.0 * h)
-            worst = max(worst, float(np.max(np.abs(dx_bar))), float(np.max(np.abs(dy_bar))))
-    return worst
 
 
 def node_battery_residuals(charts: tuple, traces: tuple, n_max: int,

@@ -14,7 +14,9 @@ draws per call, which the CLI's batteries must reproduce bit for bit;
 `row_dots` is the reference definition of the row norms in `loops`, one
 ``np.dot`` per row, which the stacked kernels must reproduce bit for bit.
 `cli_output` runs one CLI command once per session, for the tests that
-read the same output.
+read the same output.  The JSON writers (`loop_to_json` and the others,
+imported as ``from conftest import ...``) build scenario data in the schema
+that `hardyglue.jsonio` reads; the package itself only reads it.
 """
 
 import functools
@@ -28,6 +30,42 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (numpy reads the variables above on import)
 import pytest  # noqa: E402
+
+
+def complex_to_pair(z) -> list:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def vector_to_json(v) -> list:
+    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+
+
+def matrix_to_json(mat) -> list:
+    mat = np.asarray(mat, dtype=complex)
+    return [vector_to_json(row) for row in mat]
+
+
+def loop_to_json(loop) -> dict:
+    """Loop schema: modes listed from -n_max to n_max."""
+    return {
+        "m": loop.m,
+        "n_max": loop.n_max,
+        "coeffs": [vector_to_json(row) for row in loop.coeffs],
+    }
+
+
+def boundary_to_json(boundary) -> dict:
+    return {"z": complex_to_pair(boundary.z),
+            "xi": loop_to_json(boundary.xi), "eta": loop_to_json(boundary.eta)}
+
+
+def nodal_config_to_json(cfg) -> dict:
+    return {
+        "components": [{"genus": c.genus, "ghost": c.ghost} for c in cfg.components],
+        "nodes": [[[ci, pid] for ci, pid in pair] for pair in cfg.nodes],
+        "marks": [[ci, pid] for ci, pid in cfg.marks],
+    }
 
 
 def _term_by_term(poly, x, y):

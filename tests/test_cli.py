@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import io
@@ -77,6 +78,7 @@ def annulus_defect_oracle(delta, xi, eta, s=1.5):
 ENERGY_FAMILY = {"z_seq": {"geometric": {"start": 0.5, "ratio": 0.5, "count": 34}},
                  "eps_schedule": [0.1, 0.01, 0.001, 0.0001]}
 LOOP_1 = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0, 0]]]}
+LOOP_MODE_1 = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[1, 0]], [[0.5, 0]]]}
 LOOP_2 = {"m": 1, "n_max": 2, "coeffs": [[[0, 0]], [[0, 0]], [[1, 0]], [[0, 0]], [[0, 0]]]}
 
 
@@ -119,7 +121,7 @@ class TestScenarioFiles:
     def test_thin_annulus_at_high_order_passes(self, tmp_path, capsys):
         # delta^(-n/2) overflows at delta = 1e-6, n = 110; a clean member
         # pair must still pass with strict-JSON output.
-        from hardyglue.jsonio import loop_to_json
+        from conftest import loop_to_json
         from hardyglue.loops import Loop
         xi = Loop.from_modes(1, 110, {0: [0.5], 1: [0.4]})
         eta = Loop.from_modes(1, 110, {0: [0.5], -1: [0.4e-6]})
@@ -142,7 +144,7 @@ class TestScenarioFiles:
         (1e-4, 1e-300, 201.0**1.5 * 1e100),
     ])
     def test_annulus_weight_past_float_range_fails_finite(self, tmp_path, capsys, delta, low, expected):
-        from hardyglue.jsonio import loop_to_json
+        from conftest import loop_to_json
         from hardyglue.loops import Loop
         xi = Loop.from_modes(1, 200, {-200: [low]})
         f = tmp_path / "annulus.json"
@@ -161,7 +163,7 @@ class TestScenarioFiles:
     def test_annulus_weighted_sum_past_float_range_warns_nothing(self, tmp_path, capsys):
         # delta 1e-3 at order 110: the on-core defect entries reach 1e165, so
         # each square is a float and their weighted sum is not
-        from hardyglue.jsonio import loop_to_json
+        from conftest import loop_to_json
         from hardyglue.loops import Loop
         rng = np.random.default_rng(0)
         xi, eta = (Loop(1, 110, rng.uniform(-0.7, 0.7, (221, 1, 2)) @ [1, 1j]) for _ in range(2))
@@ -214,7 +216,7 @@ class TestScenarioFiles:
         assert any(c["check"] == "torus-pinch_genus_preserved" for c in checks)
 
     def test_explicit_boundary_membership(self, tmp_path, capsys):
-        from hardyglue.jsonio import boundary_to_json
+        from conftest import boundary_to_json
         from hardyglue.loops import Loop
         from hardyglue.node_model import NodeBoundary
         b = NodeBoundary(0.25, Loop.from_modes(1, 2, {1: [1.0]}),
@@ -229,7 +231,7 @@ class TestScenarioFiles:
     def test_huge_boundary_residual_is_finite(self, tmp_path, capsys):
         # |xi_0|^2 overflows; the membership residual must stay a number,
         # and the overflow that the rescale handles is not reported
-        from hardyglue.jsonio import boundary_to_json
+        from conftest import boundary_to_json
         from hardyglue.loops import Loop
         from hardyglue.node_model import NodeBoundary
         b = NodeBoundary(0.5, Loop.from_modes(1, 1, {0: [1e200]}), Loop.zeros(1, 1))
@@ -858,7 +860,7 @@ class TestStackedFredholmSuite:
                 stable += 1
         checks.append(check_int("generic_stability_count", stable, 100))
         for case_idx, (pm, seeds) in enumerate(fredholm.polynomial_test_set()):
-            reduction = fredholm.finite_dim_reduction(pm.as_graph())
+            reduction = fredholm.FiniteDimReduction(pm.as_graph())
             for seed_idx, seed in enumerate(seeds):
                 result = reduction.solve(seed, max_iter=300, tol=1e-12)
                 prefix = f"polyset{case_idx}_seed{seed_idx}"
@@ -1018,8 +1020,6 @@ def private_reads(source: str) -> list:
     """The underscore-prefixed names of the compute modules that ``source``
     reads, by ``from ... import`` or by attribute access on a name bound to
     one of those modules; `jsonio` is not among them."""
-    import ast
-
     modules = {"node_model", "extension", "loops", "degeneration", "fredholm", "moduli"}
     tree = ast.parse(source)
     bound, found = set(), []
@@ -1040,9 +1040,96 @@ def private_reads(source: str) -> list:
     return found
 
 
+def package_sources() -> dict:
+    """``{module name: source}`` of every module of the package."""
+    from hardyglue import cli
+
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+
+
+def _all_names(tree) -> list:
+    """The names a module lists in ``__all__``."""
+    return [elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for elt in stmt.value.elts]
+
+
+def unreached_definitions(sources: dict) -> list:
+    """``module.name`` of each top-level public ``def`` or ``class`` in
+    ``sources`` that ``__init__`` does not re-export and that no module reads
+    outside the definition's own body.  A read is a ``Name``, an
+    ``Attribute``, an import alias, or a string literal outside ``__all__``
+    (the ``jsonio._public("...")`` lookups)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def reads(stmt) -> set:
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            return set()
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+        return found
+
+    statements = [(stmt, reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [f"{module}.{stmt.name}" for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+            and stmt.name not in exported
+            and not any(stmt.name in names for other, names in statements if other is not stmt)]
+
+
+def undefined_exports(sources: dict) -> list:
+    """``module.name`` of each name in a module's ``__all__`` that the
+    module does not bind at top level (by ``def``, ``class``, assignment or
+    import)."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        bound = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(stmt.name)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    bound.update(node.id for node in ast.walk(target) if isinstance(node, ast.Name))
+        found += [f"{module}.{name}" for name in _all_names(tree) if name not in bound]
+    return found
+
+
 class TestLayout:
     """The CLI draws, calls the public functions of the compute modules and
-    reports; every relation pass lives next to its relation."""
+    reports; every relation pass lives next to its relation, and every
+    public function is reached from the package or goes."""
+
+    def test_every_public_definition_is_read_or_exported(self):
+        assert unreached_definitions(package_sources()) == []
+
+    def test_every_name_in_all_is_defined(self):
+        assert undefined_exports(package_sources()) == []
+
+    def test_planted_unread_function_fails_the_guard(self):
+        # read only by its own body, by ``__all__`` and by a docstring: unreached
+        sources = package_sources()
+        sources["loops"] = sources["loops"].replace('__all__ = [\n', '__all__ = [\n    "planted",\n', 1) + (
+            '\n\ndef planted(n):\n    """planted"""\n    return planted(n - 1) if n else 0\n')
+        assert unreached_definitions(sources) == ["loops.planted"]
+        # one read from another module, or the string lookup, reaches it
+        for read in ("planted(3)", '_public("planted")'):
+            reached = {**sources, "cli": sources["cli"] + f"\n_PLANTED = {read}\n"}
+            assert unreached_definitions(reached) == []
+        # a name listed in ``__all__`` but never bound fails the second rule
+        del_def = sources["loops"].rsplit("\n\ndef planted", 1)[0]
+        assert undefined_exports({**sources, "loops": del_def}) == ["loops.planted"]
 
     def test_cli_reads_no_private_name_of_the_compute_modules(self):
         from hardyglue import cli
@@ -1318,6 +1405,18 @@ class TestParameterRanges:
         assert code == 2 and lines == [] and caught == []
         assert err == f"error: params.z_seq[{k}]: gluing parameter is 0; a neck needs 0 < |z| < 1\n"
 
+    @pytest.mark.parametrize("command, params, where", [
+        ("node-check", {"boundary": {"z": [math.nan, 0], "xi": LOOP_MODE_1, "eta": LOOP_MODE_1}}, "params.boundary"),
+        ("extend-check", {"nodes": [{"kind": "disk_pair", "z": [math.nan, 0], "xi": LOOP_MODE_1,
+                                     "eta": LOOP_MODE_1}]}, "params.nodes[0]"),
+    ])
+    def test_nan_gluing_parameter_names_its_record(self, tmp_path, capsys, command, params, where):
+        # json reads NaN, and |z| >= 1 is False for it: the range test is
+        # "not |z| < 1", or the NaN defect of mode 1 ends in a traceback
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert code == 2 and lines == [] and caught == []
+        assert err == f"error: {where}: gluing parameter must satisfy |z| < 1, got |z|=nan\n"
+
     def test_common_flags_accept_zero(self, capsys):
         code = main(["extend-check", str(SCENARIOS / "annulus_pair.json"),
                      "--tol=0", "--sobolev-s=0", "--seed=0", "--truncation=0"])
@@ -1517,23 +1616,18 @@ def read_params(command):
     return lambda params: cli._record(params, cli.FIELDS[command], "params")
 
 
-LOOP_PLUS = {"m": 1, "n_max": 1, "coeffs": [[[0, 0]], [[0, 0]], [[1, 0]]]}
-
-
 def table_reads():
     """``(path of the root, data, read)`` cases that together reach every
     field table: the root of a scenario, each file in `scenarios/`, a
-    boundary, an intersection and a chart."""
-    from hardyglue import cli, jsonio
+    boundary and an intersection."""
+    from hardyglue import cli
 
     files = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIOS.glob("*.json"))]
     return [("scenario", {"id": "x", "command": "index", "params": {}},
              lambda data: cli._record(data, cli._ROOT, "scenario")),
             *(("params", scenario["params"], read_params(scenario["command"])) for scenario in files),
             ("params", {"boundary": {"z": [0, 0], "xi": LOOP_1, "eta": LOOP_1}}, read_params("node-check")),
-            ("params", {**QUADRATIC_MAP, "seed": [[0.5, 0]]}, read_params("intersect")),
-            ("chart", {"z": [0.1, 0], "xi_plus": LOOP_PLUS, "eta_plus": LOOP_PLUS, "lambda": [[0.5, 0]]},
-             lambda data: jsonio.chart_from_json(data, "chart"))]
+            ("params", {**QUADRATIC_MAP, "seed": [[0.5, 0]]}, read_params("intersect"))]
 
 
 def at_path(data, path: str):

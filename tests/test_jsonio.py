@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import boundary_to_json, matrix_to_json, nodal_config_to_json
 from hardyglue.jsonio import (
     _complex_array,
     boundary_from_json,
-    boundary_to_json,
-    chart_from_json,
-    chart_to_json,
     loop_from_json,
     matrix_from_json,
-    matrix_to_json,
     nodal_config_from_json,
-    nodal_config_to_json,
     vector_from_json,
 )
 from hardyglue.loops import Loop
 from hardyglue.moduli import Component, NodalConfig
-from hardyglue.node_model import NodeBoundary, NodeChart, node_chart
+from hardyglue.node_model import NodeBoundary
 
 
 def test_matrix_roundtrip():
@@ -39,17 +35,6 @@ def test_boundary_roundtrip():
     assert np.array_equal(back.eta.coeffs, b.eta.coeffs)
 
 
-def test_chart_roundtrip_uses_lambda_key():
-    chart = NodeChart(0.1j, Loop.from_modes(2, 3, {2: [1.0, 0.5]}),
-                      Loop.zeros(2, 3), np.array([1.0 + 0j, -2.0 + 0j]))
-    data = chart_to_json(chart)
-    assert "lambda" in data
-    back = chart_from_json(data)
-    assert back.z == chart.z
-    assert np.array_equal(back.lam, chart.lam)
-    assert np.array_equal(node_chart(back).xi.coeffs, node_chart(chart).xi.coeffs)
-
-
 def test_nodal_config_roundtrip():
     cfg = NodalConfig((Component(1), Component(0, ghost=True)),
                       nodes=(((0, 0), (1, 0)),), marks=((1, 1), (1, 2), (1, 3)))
@@ -60,8 +45,6 @@ def test_nodal_config_roundtrip():
 def test_missing_fields_raise():
     with pytest.raises(ValueError, match="missing"):
         boundary_from_json({"z": [0, 0]})
-    with pytest.raises(ValueError, match="missing"):
-        chart_from_json({"z": [0, 0]})
     with pytest.raises(ValueError, match="components"):
         nodal_config_from_json({})
 
@@ -78,11 +61,11 @@ def test_loop_fields_name_their_path(data, message):
         loop_from_json(data)
 
 
-def test_boundary_and_chart_need_objects():
+def test_boundary_and_its_loops_need_objects():
     with pytest.raises(ValueError, match=r"^boundary: expected an object, got 7$"):
         boundary_from_json(7)
-    with pytest.raises(ValueError, match=r"^chart\.xi_plus: expected an object, got \[\]$"):
-        chart_from_json({"z": [0, 0], "xi_plus": [], "eta_plus": {}, "lambda": []})
+    with pytest.raises(ValueError, match=r"^boundary\.xi: expected an object, got \[\]$"):
+        boundary_from_json({"z": [0, 0], "xi": [], "eta": {}})
 
 
 # Elements numpy reads as one numeric array (ints up to uint64, bools,

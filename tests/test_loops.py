@@ -3,15 +3,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hardyglue.jsonio import loop_from_json, loop_to_json
+from conftest import loop_to_json
+from hardyglue.jsonio import loop_from_json
 from hardyglue.loops import (
     Loop,
+    _samples,
     default_grid_size,
     hardy_project,
     laurent_eval,
-    loop_from_samples,
-    multiply_loops,
-    sample_values,
     _sobolev_norms,
     sobolev_norm,
     winding_number,
@@ -274,37 +273,39 @@ class TestWinding:
         b = scalar({1: 1.0, 2: 0.25})     # winding 1
         c = scalar({-2: 1.5})             # winding -2
         for lhs, rhs in ((a, b), (b, c), (a, c)):
-            prod = multiply_loops(lhs, rhs)
+            # the product's modes -(N1+N2)..N1+N2 are the convolution of the coefficients
+            prod = Loop(1, lhs.n_max + rhs.n_max, np.convolve(lhs.coeffs[:, 0], rhs.coeffs[:, 0])[:, None])
             assert winding_number(prod) == winding_number(lhs) + winding_number(rhs)
+
+
+def samples(loop: Loop) -> np.ndarray:
+    """The loop's values on the `default_grid_size` grid, shape (P, m)."""
+    return _samples(loop.coeffs[None], default_grid_size(loop.n_max))[0]
 
 
 class TestSamplingRoundtrip:
     def test_fit_inverts_sampling(self):
         rng = np.random.default_rng(5)
         loop = Loop(2, 6, rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2)))
-        refit = loop_from_samples(sample_values(loop), loop.n_max)
-        assert np.max(np.abs(refit.coeffs - loop.coeffs)) < 1e-13
-
-    def test_undersampling_rejected(self):
-        with pytest.raises(ValueError):
-            sample_values(scalar({1: 1.0}, n_max=8), 5)
+        P = default_grid_size(loop.n_max)
+        refit = (np.fft.fft(samples(loop), axis=0) / P)[loop.modes % P]
+        assert np.max(np.abs(refit - loop.coeffs)) < 1e-13
 
     def test_sampled_at_scale_near_the_float_maximum(self):
         # 1.7e308 e^{-i theta}: every sample is finite, and the winding -1;
         # the plain synthesis overflows in 4 of the 16 samples
         loop = Loop(1, 1, [[1.7e308], [0], [0]])
         theta = 2 * np.pi * np.arange(16) / 16
-        vals = sample_values(loop)[:, 0]
+        vals = samples(loop)[:, 0]
         assert np.isfinite(vals).all()
         assert vals == pytest.approx(1.7e308 * np.exp(-1j * theta), rel=1e-15, abs=1e293)
         assert winding_number(loop) == -1
         # power-of-two multiples sample to the same bits, scaled
         small = loop.with_coeffs(2.0 ** -600 * loop.coeffs)
-        assert np.array_equal(sample_values(small)[:, 0] * 2.0 ** 600, vals)
+        assert np.array_equal(samples(small)[:, 0] * 2.0 ** 600, vals)
         assert winding_number(small) == -1
 
     def test_only_rows_past_the_float_range_sampled_again(self):
-        from hardyglue.loops import _samples
         rng = np.random.default_rng(8)
         stack = 1e300 * (rng.standard_normal((4, 9, 2)) + 1j * rng.standard_normal((4, 9, 2)))
         stack[2] = 0.0

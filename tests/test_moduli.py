@@ -146,16 +146,11 @@ class TestDimensionFormulas:
 
     def test_riemann_roch_sphere_degree_two(self):
         t = TargetData(1, 2)
-        assert riemann_roch_index(t, 0, "complex") == 3
-        assert riemann_roch_index(t, 0, "real") == 6
+        assert riemann_roch_index(t, 0) == 3
 
     def test_riemann_roch_torus(self):
         for m in range(5):
-            assert riemann_roch_index(TargetData(m, 0), 1, "complex") == 0
-
-    def test_riemann_roch_field_validation(self):
-        with pytest.raises(ValueError):
-            riemann_roch_index(TargetData(1, 0), 0, "quaternionic")
+            assert riemann_roch_index(TargetData(m, 0), 1) == 0
 
     def test_frozen_identity_moduli_rr_teichmuller(self):
         # frozen from the pre-build symbolic oracle: the offset polynomial
@@ -166,7 +161,7 @@ class TestDimensionFormulas:
             n = int(rng.integers(0, 9))
             target = TargetData(int(rng.integers(0, 7)), int(rng.integers(-15, 16)))
             assert (moduli_dimension(g, n, target)
-                    == riemann_roch_index(target, g, "complex") + teichmuller_dim(g, n))
+                    == riemann_roch_index(target, g) + teichmuller_dim(g, n))
 
     def test_teichmuller_values(self):
         assert teichmuller_dim(2, 0) == 3
@@ -227,7 +222,7 @@ class TestHardyTriples:
         built = hardy_triple_for_line_bundle(4, 16)
         idx = triple_index(built.triple)
         assert idx.index == 5
-        assert idx.index == riemann_roch_index(TargetData(1, 4), 0, "complex")
+        assert idx.index == riemann_roch_index(TargetData(1, 4), 0)
         # brute-force basis count: polynomials of degree <= 4
         assert idx.dim_cap == len(range(0, 5))
 

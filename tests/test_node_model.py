@@ -10,7 +10,6 @@ from hardyglue.node_model import (
     boundary_traces,
     eval_plus,
     evaluate_H,
-    holomorphicity_residual,
     membership_defect,
     node_chart,
     node_chart_inverse,
@@ -170,6 +169,14 @@ class TestTransferOperator:
         # i^2 = -1
         out = transfer_Tz(1j, plus_loop({2: 1.0}))
         assert out.mode(-2)[0] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("z", [1.5, complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_rejects_a_parameter_off_the_closed_disk(self, z):
+        # a NaN modulus is off the disk too: the test is not |z| <= 1
+        with pytest.raises(ValueError, match=r"requires \|z\| <= 1"):
+            transfer_Tz(z, plus_loop({1: 1.0}))
+        with pytest.raises(ValueError, match=r"must satisfy \|z\| < 1"):
+            NodeBoundary(z, scalar({1: 1.0}), scalar({-1: 1.0}))
 
     def test_rejects_nonpositive_support(self):
         with pytest.raises(ValueError):
@@ -375,32 +382,6 @@ class TestEvaluateH:
             x = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             short, long = (Loop.from_modes(m, n, dict(enumerate(rows, start=1))) for n in (8, 13))
             np.testing.assert_array_equal(eval_plus(short, x), eval_plus(long, x))
-
-
-class TestHolomorphicityResidual:
-    grid = np.linspace(-0.4, 0.4, 5)
-
-    def test_polynomial_family_small(self):
-        res = holomorphicity_residual(lambda x, y: np.array([x + y**2 + 1.0]),
-                                      self.grid, self.grid, step=1e-3)
-        assert res <= 1e-5
-
-    def test_antiholomorphic_detected(self):
-        res = holomorphicity_residual(lambda x, y: np.array([np.conj(x)]),
-                                      self.grid, self.grid, step=1e-3)
-        assert res == pytest.approx(1.0, rel=1e-6)
-
-    def test_constant_family(self):
-        res = holomorphicity_residual(lambda x, y: np.array([2.0 + 0j]),
-                                      self.grid, self.grid, step=1e-3)
-        assert res == 0.0
-
-    def test_quadratic_step_scaling(self):
-        # truncation error of the centered stencil is O(h^2) on analytic maps
-        h_fun = lambda x, y: np.array([np.exp(x) * np.cos(y)])
-        coarse = holomorphicity_residual(h_fun, self.grid, self.grid, step=1e-2)
-        fine = holomorphicity_residual(h_fun, self.grid, self.grid, step=1e-3)
-        assert coarse / fine == pytest.approx(100.0, rel=0.2)
 
 
 class TestDefectStructure:
