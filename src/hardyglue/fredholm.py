@@ -1,10 +1,12 @@
 """Fredholm triples and quadruples in finite dimensions.
 
 A triple is an ambient space ``C^N`` with two subspaces given by full-rank
-basis matrices.  In finite dimensions every triple is Fredholm; its index
-``dim(E' ∩ E'') - dim(E/(E'+E''))`` always equals ``p + q - N``, which the
-test suite asserts as the Euler identity.  On top of the triples sit the
-graph-form local quadruples ``X'' = {x'=0, xi=0}``,
+basis matrices, kept in float64 when every entry is real (the Hardy triples
+of `moduli`, whose SVDs then run in LAPACK's real routines) and in
+complex128 otherwise.  In finite dimensions every triple is Fredholm; its
+index ``dim(E' ∩ E'') - dim(E/(E'+E''))`` always equals ``p + q - N``,
+which the test suite asserts as the Euler identity.  On top of the
+triples sit the graph-form local quadruples ``X'' = {x'=0, xi=0}``,
 ``X' = {x''=0, xi=f(u,x')}`` with the distinguished intersection equation
 ``f(u, 0) = 0``, their finite-dimensional reductions
 ``U' = {(u,0,0,f(u,0))}``, ``U'' = {(u,0,0,0)}`` with the tangent
@@ -51,8 +53,13 @@ RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular valu
 
 
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
-    """A complex copy of ``mat`` with ``n_rows`` rows and finite entries."""
+    """A copy of ``mat`` with ``n_rows`` rows and finite entries, float64
+    when every imaginary part is zero and complex128 otherwise."""
     m = np.array(mat, dtype=complex)
+    if not m.imag.any():
+        m = m.real.copy()
+    if m.ndim not in (1, 2):
+        raise ValueError(f"{name}: expected a 1-D or 2-D array, got {m.ndim}-D shape {m.shape}")
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
@@ -88,9 +95,11 @@ def _cap_and_outer(B1: np.ndarray, B2: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class SubspaceTriple:
-    """Ambient dimension plus two full-column-rank subspace bases, and
-    ``spectra``: the singular values (descending, read-only) of ``[B' | B'']``,
-    ``B'`` and ``B''``, taken once; a side without columns takes no SVD."""
+    """Ambient dimension plus two full-column-rank subspace bases, 1-D or
+    2-D, each copied as float64 when all its imaginary parts are zero and
+    as complex128 otherwise, and ``spectra``: the singular values
+    (descending, read-only) of ``[B' | B'']``, ``B'`` and ``B''``, taken
+    once; a side without columns takes no SVD."""
 
     ambient_dim: int
     basis_prime: np.ndarray

@@ -15,6 +15,7 @@ from hardyglue.fredholm import (
     polynomial_test_set,
     triple_index,
 )
+from hardyglue.moduli import hardy_sphere_triple, hardy_triple_for_line_bundle
 
 
 def eye_cols(n, cols):
@@ -210,6 +211,90 @@ class TestBasisInput:
         bases[side][0, 0] = bad
         with pytest.raises(ValueError, match=rf"^{side}: entries must be finite"):
             SubspaceTriple(2, **bases)
+
+    @pytest.mark.parametrize("n, bp, bq, side", [
+        (1, 1.0, np.zeros((1, 0)), "basis_prime"),
+        (3, np.ones((3, 2, 2)), np.eye(3), "basis_prime"),
+        (3, np.eye(3), np.ones((3, 2, 2)), "basis_dprime"),
+    ], ids=["0-D", "3-D prime", "3-D dprime"])
+    def test_basis_must_be_1d_or_2d(self, n, bp, bq, side):
+        with pytest.raises(ValueError, match=rf"^{side}: expected a 1-D or 2-D array, got \d-D"):
+            SubspaceTriple(n, bp, bq)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[None], [0]], r"^basis_prime: entries must be finite \(no NaN/Inf\)$"),
+        ([["a"], [0]], r"^complex\(\) arg is a malformed string$"),
+        ([[1, 0], [0]], r"^setting an array element with a sequence"),
+    ], ids=["None", "string", "ragged"])
+    def test_unconvertible_entries_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SubspaceTriple(2, bad, [[0], [1]])
+
+
+def phase_twin(t, rng):
+    """A triple spanning the subspaces of ``t``: each basis times
+    ``diag(exp(1j theta_j))`` with phases drawn from ``rng``."""
+    return SubspaceTriple(t.ambient_dim, *(b * np.exp(1j * rng.uniform(0.0, 2 * np.pi, b.shape[1]))
+                                           for b in (t.basis_prime, t.basis_dprime)))
+
+
+REAL_TRIPLES = ([(f"line bundle d={d}", lambda d=d: hardy_triple_for_line_bundle(2 * d, 64).triple)
+                 for d in range(11)]
+                + [(f"sphere m={m}", lambda m=m: hardy_sphere_triple(m, 32)) for m in (1, 2, 3)])
+
+
+class TestRealBases:
+    # a basis is stored real when every imaginary part is zero; a complex
+    # twin with unitary column phases spans the same subspaces, so every
+    # decision must match it
+    @pytest.mark.parametrize("build", [b for _, b in REAL_TRIPLES], ids=[n for n, _ in REAL_TRIPLES])
+    def test_real_triple_decides_as_its_complex_twin(self, build):
+        t = build()
+        twin = phase_twin(t, np.random.default_rng(23))
+        assert {t.basis_prime.dtype, t.basis_dprime.dtype} == {np.dtype(np.float64)}
+        assert {twin.basis_prime.dtype, twin.basis_dprime.dtype} == {np.dtype(np.complex128)}
+        assert triple_index(t) == triple_index(twin)
+        for s, s_twin in zip(t.spectra, twin.spectra):
+            assert s.shape == s_twin.shape
+            assert np.max(np.abs(s - s_twin), initial=0.0) <= 1e-13 * s[0]
+        assert (index_stability_check(t, 1e-6).verdict
+                == index_stability_check(twin, 1e-6).verdict)
+        assert normal_coordinates(t).dims == normal_coordinates(twin).dims
+
+    @pytest.mark.parametrize("basis, dtype", [
+        (np.array([[1.0], [0.0]]), np.float64),
+        (np.array([[1], [0]]), np.float64),
+        (np.array([[1 + 0j], [0j]]), np.float64),
+        (np.array([[complex(1.0, -0.0)], [complex(0.0, -0.0)]]), np.float64),
+        ([[1 + 0j], [2]], np.float64),
+        (np.array([[1.0], [1e-300j]]), np.complex128),
+        ([[1], [-1j]], np.complex128),
+    ], ids=["float", "int", "zero imag", "-0.0 imag", "list", "tiny imag", "list imag"])
+    def test_dtype_follows_the_imaginary_parts(self, basis, dtype):
+        t = SubspaceTriple(2, basis, np.zeros((2, 0)))
+        assert t.basis_prime.dtype == dtype and t.basis_prime.flags.c_contiguous
+        np.testing.assert_array_equal(t.basis_prime, np.array(basis, dtype=complex))
+
+    def test_svd_dtypes(self, monkeypatch):
+        # the Hardy triples of `verify index` take only real SVDs, the random
+        # triples of `verify fredholm` complex ones
+        from hardyglue import cli
+        import hardyglue.fredholm as fredholm
+        svd = fredholm.np.linalg.svd
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append((a.dtype, a.size))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(fredholm.np.linalg, "svd", recording)
+        for build in (b for _, b in REAL_TRIPLES):
+            build()
+        assert cli.main(["verify", "index"]) == 0
+        assert len(seen) > 0 and {dtype for dtype, _ in seen} == {np.dtype(np.float64)}
+        seen.clear()
+        assert cli.main(["verify", "fredholm"]) == 0
+        assert {dtype for dtype, size in seen if size} == {np.dtype(np.complex128)}
 
 
 class TestBasisRank:

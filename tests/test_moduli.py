@@ -255,4 +255,4 @@ class TestHardyTriples:
                 for j, n in enumerate(modes):
                     for comp in range(m):
                         ref[(n + n_max) * m + comp, j * m + comp] = 1.0
-                assert basis.dtype == complex and np.array_equal(basis, ref)
+                assert basis.dtype == np.float64 and np.array_equal(basis, ref)
