@@ -25,6 +25,7 @@ Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -361,13 +362,13 @@ class GraphPairLocal:
         object.__setattr__(self, "dims", dims)
         u0 = np.zeros(dims[0], dtype=complex)
         xp0 = np.zeros(dims[1], dtype=complex)
-        f0 = self.evaluate(u0, xp0)
-        if np.linalg.norm(f0) > 1e-12:
-            raise ValueError(f"graph map must satisfy f(0,0)=0, got |f(0,0)|={np.linalg.norm(f0):.3e}")
+        fnorm = np.linalg.norm(self.evaluate(u0, xp0))
+        if not fnorm <= 1e-12:
+            raise ValueError(f"graph map must satisfy f(0,0)=0, got |f(0,0)|={fnorm:.3e}")
         if not self.allow_nonflat:
             ju, jxp = self.jacobian(u0, xp0)
-            dnorm = max(np.linalg.norm(ju), np.linalg.norm(jxp)) if (ju.size or jxp.size) else 0.0
-            if dnorm > 1e-8:
+            dnorm = np.maximum(np.linalg.norm(ju), np.linalg.norm(jxp))
+            if not dnorm <= 1e-8:
                 raise ValueError(f"graph map must satisfy df(0,0)=0, got |df(0,0)|={dnorm:.3e} "
                                  "(use allow_nonflat=True for unstraightened data)")
 
@@ -398,25 +399,71 @@ class GraphPairLocal:
         return full[:, :du], full[:, du:]
 
 
+def _power(v: complex, p: int) -> complex:
+    """``v ** p`` for an exponent ``p >= 1``, with the bits that numpy's
+    complex128 power gives in a `_product`.  Below exponent 100 Python's
+    power runs numpy's repeated squaring; it differs only in the signs of
+    zeros and in a part next to a NaN, which a `_product` and the sums from
+    ``0j`` do not show, and it raises an OverflowError where numpy returns
+    an infinite part.  From 100 up numpy calls libm's ``cpow``.  Both take
+    numpy's power."""
+    if p < 100:
+        try:
+            return v ** p
+        except OverflowError:
+            pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.complex128(v) ** p)
+
+
+def _product(vals: list, factors: tuple) -> complex:
+    """``1.0 + 0j`` times `_power` of ``vals[k]`` to ``p`` for each factor
+    ``(k, p)`` in turn.  The product by ``1.0 + 0j`` stays: it can flip the
+    sign of a zero, and it turns an infinite power's other part to NaN."""
+    out = 1.0 + 0j
+    for k, p in factors:
+        out *= _power(vals[k], p)
+    return out
+
+
+def _lowered(factors: tuple, k: int) -> tuple:
+    """``factors`` with the exponent of coordinate ``k`` lowered by one, and
+    dropped when that leaves 0."""
+    return tuple((j, p - 1 if j == k else p) for j, p in factors if j != k or p > 1)
+
+
 @dataclass(frozen=True)
 class PolynomialMap:
     """Polynomial graph map with exact Jacobians.
 
     ``terms[i]`` lists the monomials of the i-th output component as
-    ``(coeff, u_exponents, xprime_exponents)``, the exponents nonnegative
-    integers.  Usable directly as the ``f``/``jac`` pair of a
-    `GraphPairLocal` via :meth:`as_graph`.
+    ``(coeff, u_exponents, xprime_exponents)``, the coefficients finite and
+    the exponents nonnegative integers.  Usable directly as the ``f``/``jac``
+    pair of a `GraphPairLocal` via :meth:`as_graph`.
+
+    The map is compiled once.  ``monomials[i]`` holds the terms of
+    component i as ``(coeff, u_factors, xp_factors)``, the nonzero exponents
+    as ``(coordinate, exponent)`` pairs over the coordinates of ``(u, x')``;
+    ``partials[i]`` holds their nonzero partial derivatives as
+    ``(coordinate, coeff * exponent, u_factors, xp_factors)``, that exponent
+    lowered by one.  Values and Jacobians are sums from ``0j``, in term
+    order, of ``coeff * mu * mx`` on Python complex scalars, ``mu`` and
+    ``mx`` each a `_product`: the bits of the same sums over numpy
+    complex128 scalars.  An overflow gives an infinite or NaN value and no
+    warning.
     """
 
     dims: tuple
     terms: tuple
+    monomials: tuple = field(init=False, compare=False, repr=False)
+    partials: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        norm_terms = []
+        norm_terms, monomials, partials = [], [], []
         for i, comp in enumerate(self.terms):
-            rows = []
+            rows, values, slopes = [], [], []
             for j, (coeff, u_pows, xp_pows) in enumerate(comp):
                 u_pows = tuple(int(p) for p in u_pows)
                 xp_pows = tuple(int(p) for p in xp_pows)
@@ -425,45 +472,54 @@ class PolynomialMap:
                 if min(u_pows + xp_pows, default=0) < 0:
                     raise ValueError(f"term {j} of component {i} has a negative exponent: "
                                      f"u {list(u_pows)}, xp {list(xp_pows)}")
-                rows.append((complex(coeff), u_pows, xp_pows))
+                coeff = complex(coeff)
+                if not cmath.isfinite(coeff):
+                    raise ValueError(f"components[{i}][{j}]: coefficient must be finite (no NaN/Inf), got {coeff}")
+                rows.append((coeff, u_pows, xp_pows))
+                u_f = tuple((k, p) for k, p in enumerate(u_pows) if p)
+                xp_f = tuple((dims[0] + k, p) for k, p in enumerate(xp_pows) if p)
+                values.append((coeff, u_f, xp_f))
+                slopes += [(k, coeff * p, _lowered(u_f, k), xp_f) for k, p in u_f]
+                slopes += [(k, coeff * p, u_f, _lowered(xp_f, k)) for k, p in xp_f]
             norm_terms.append(tuple(rows))
+            monomials.append(tuple(values))
+            partials.append(tuple(slopes))
         if len(norm_terms) != dims[3]:
             raise ValueError(f"need {dims[3]} components, got {len(norm_terms)}")
         object.__setattr__(self, "terms", tuple(norm_terms))
+        object.__setattr__(self, "monomials", tuple(monomials))
+        object.__setattr__(self, "partials", tuple(partials))
 
-    @staticmethod
-    def _monomial(vals: np.ndarray, pows: tuple) -> complex:
-        out = 1.0 + 0j
-        for v, p in zip(vals, pows):
-            if p:
-                out *= v**p
-        return out
+    def _point(self, u, xprime) -> list:
+        """The coordinates of ``(u, x')`` as one list of Python complex scalars."""
+        u = np.asarray(u, dtype=complex).tolist()
+        xp = np.asarray(xprime, dtype=complex).tolist()
+        if len(u) != self.dims[0] or len(xp) != self.dims[1]:
+            raise ValueError(f"point has {len(u)} u and {len(xp)} x' coordinates, "
+                             f"expected {self.dims[0]} and {self.dims[1]}")
+        return u + xp
 
     def __call__(self, u, xprime) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        xp = np.asarray(xprime, dtype=complex)
-        out = np.zeros(self.dims[3], dtype=complex)
-        for i, comp in enumerate(self.terms):
-            for coeff, u_pows, xp_pows in comp:
-                out[i] += coeff * self._monomial(u, u_pows) * self._monomial(xp, xp_pows)
-        return out
+        vals = self._point(u, xprime)
+        out = []
+        for comp in self.monomials:
+            acc = 0j
+            for coeff, u_f, xp_f in comp:
+                acc += coeff * _product(vals, u_f) * _product(vals, xp_f)
+            out.append(acc)
+        return np.array(out, dtype=complex)
 
     def jacobian(self, u, xprime) -> tuple:
-        u = np.asarray(u, dtype=complex)
-        xp = np.asarray(xprime, dtype=complex)
-        ju = np.zeros((self.dims[3], self.dims[0]), dtype=complex)
-        jxp = np.zeros((self.dims[3], self.dims[1]), dtype=complex)
-        for i, comp in enumerate(self.terms):
-            for coeff, u_pows, xp_pows in comp:
-                for k in range(self.dims[0]):
-                    if u_pows[k]:
-                        dropped = tuple(p - 1 if j == k else p for j, p in enumerate(u_pows))
-                        ju[i, k] += coeff * u_pows[k] * self._monomial(u, dropped) * self._monomial(xp, xp_pows)
-                for k in range(self.dims[1]):
-                    if xp_pows[k]:
-                        dropped = tuple(p - 1 if j == k else p for j, p in enumerate(xp_pows))
-                        jxp[i, k] += coeff * xp_pows[k] * self._monomial(u, u_pows) * self._monomial(xp, dropped)
-        return ju, jxp
+        vals = self._point(u, xprime)
+        rows = []
+        for comp in self.partials:
+            row = [0j] * len(vals)
+            for k, slope, u_f, xp_f in comp:
+                row[k] += slope * _product(vals, u_f) * _product(vals, xp_f)
+            rows.append(row)
+        full = np.array(rows, dtype=complex).reshape(self.dims[3], len(vals))
+        du = self.dims[0]
+        return full[:, :du].copy(), full[:, du:].copy()
 
     def as_graph(self, allow_nonflat: bool = False) -> GraphPairLocal:
         return GraphPairLocal(self.dims, self, jac=self.jacobian, allow_nonflat=allow_nonflat)
@@ -478,46 +534,53 @@ class NewtonResult:
 
 
 def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 1e-12) -> NewtonResult:
-    """Solve ``f(u, 0) = 0`` by damped Gauss-Newton.
+    """Solve ``f(u, 0) = 0`` by damped Gauss-Newton from a finite ``seed``
+    of ``d_u`` entries; a seed of another shape or with a NaN or infinite
+    entry is a ValueError.
 
     Uses Levenberg damping on the normal equations so the generic
     degeneracy ``df(0,0) = 0`` at the root does not break the step; double
     roots converge linearly, simple roots quadratically once the damping
-    has wound down.
+    has wound down.  An iterate, residual or step past the float range
+    rejects the step or leaves the result unconverged, without a warning.
     """
     u = np.asarray(seed, dtype=complex).reshape(-1)
     if u.shape != (g.dims[0],):
         raise ValueError(f"seed has shape {u.shape}, expected ({g.dims[0]},)")
+    if not np.isfinite(u).all():
+        raise ValueError("seed entries must be finite (no NaN/Inf)")
     xp0 = np.zeros(g.dims[1], dtype=complex)
-    r = g.evaluate(u, xp0)
-    rnorm = float(np.linalg.norm(r))
-    mu = 1e-3
-    for it in range(max_iter):
-        if rnorm <= tol:
-            return NewtonResult(True, u, rnorm, it)
-        ju, _ = g.jacobian(u, xp0)
-        gram = ju.conj().T @ ju
-        rhs = -(ju.conj().T @ r)
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(gram + mu * np.eye(g.dims[0]), rhs)
-            except np.linalg.LinAlgError:
+    eye = np.eye(g.dims[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = g.evaluate(u, xp0)
+        rnorm = float(np.linalg.norm(r))
+        mu = 1e-3
+        for it in range(max_iter):
+            if rnorm <= tol:
+                return NewtonResult(True, u, rnorm, it)
+            ju, _ = g.jacobian(u, xp0)
+            gram = ju.conj().T @ ju
+            rhs = -(ju.conj().T @ r)
+            accepted = False
+            for _ in range(40):
+                try:
+                    step = np.linalg.solve(gram + mu * eye, rhs)
+                except np.linalg.LinAlgError:
+                    mu *= 10.0
+                    continue
+                cand = u + step
+                rc = g.evaluate(cand, xp0)
+                rcnorm = float(np.linalg.norm(rc))
+                if rcnorm < rnorm:
+                    u, r, rnorm = cand, rc, rcnorm
+                    mu = max(mu / 3.0, 1e-14)
+                    accepted = True
+                    break
                 mu *= 10.0
-                continue
-            cand = u + step
-            rc = g.evaluate(cand, xp0)
-            rcnorm = float(np.linalg.norm(rc))
-            if rcnorm < rnorm:
-                u, r, rnorm = cand, rc, rcnorm
-                mu = max(mu / 3.0, 1e-14)
-                accepted = True
-                break
-            mu *= 10.0
-            if mu > 1e14:
-                break
-        if not accepted:
-            return NewtonResult(rnorm <= tol, u, rnorm, it + 1)
+                if mu > 1e14:
+                    break
+            if not accepted:
+                return NewtonResult(rnorm <= tol, u, rnorm, it + 1)
     return NewtonResult(rnorm <= tol, u, rnorm, max_iter)
 
 

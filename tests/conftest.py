@@ -12,7 +12,10 @@ The `term_by_term` fixture is the reference definition of a
 is the reference definition of a random disc point, two ``rng.uniform``
 draws per call, which the CLI's batteries must reproduce bit for bit;
 `row_dots` is the reference definition of the row norms in `loops`, one
-``np.dot`` per row, which the stacked kernels must reproduce bit for bit.
+``np.dot`` per row, which the stacked kernels must reproduce bit for bit;
+`polynomial_by_terms` is the reference definition of a `PolynomialMap`'s
+values and Jacobians, numpy-scalar monomials term by term, which the
+compiled map must reproduce bit for bit.
 `cli_output` runs one CLI command once per session, for the tests that
 read the same output.  The JSON writers (`loop_to_json` and the others,
 imported as ``from conftest import ...``) build scenario data in the schema
@@ -129,6 +132,51 @@ def row_dots():
     """``(sobolev, l2)``: `_sobolev_by_rows` and `_l2_by_rows`, the
     independent references of the stacked row norms."""
     return _sobolev_by_rows, _l2_by_rows
+
+
+def _monomial(vals, pows):
+    """The product from ``1.0 + 0j`` of the powers ``v ** p``, nonzero ``p``
+    only, of the numpy scalars ``vals``."""
+    out = 1.0 + 0j
+    for v, p in zip(vals, pows):
+        if p:
+            out *= v**p
+    return out
+
+
+def _polynomial_by_terms(pm, u, xprime):
+    """``(f, df/du, df/dxprime)`` of the map ``pm`` at ``(u, xprime)``, by
+    definition: each term's ``coeff * mu * mx`` added to a complex128 zero
+    in term order, ``mu`` and ``mx`` the products from ``1.0 + 0j`` of the
+    numpy-scalar powers ``v ** p`` of the u and x' coordinates, and each
+    partial ``coeff * p`` times the term with that exponent lowered by one.
+    An overflow gives inf or NaN, without a warning."""
+    u = np.asarray(u, dtype=complex)
+    xp = np.asarray(xprime, dtype=complex)
+    d_u, d_xp, _, d_xi = pm.dims
+    out = np.zeros(d_xi, dtype=complex)
+    ju = np.zeros((d_xi, d_u), dtype=complex)
+    jxp = np.zeros((d_xi, d_xp), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, comp in enumerate(pm.terms):
+            for coeff, u_pows, xp_pows in comp:
+                out[i] += coeff * _monomial(u, u_pows) * _monomial(xp, xp_pows)
+                for k in range(d_u):
+                    if u_pows[k]:
+                        dropped = tuple(p - 1 if j == k else p for j, p in enumerate(u_pows))
+                        ju[i, k] += coeff * u_pows[k] * _monomial(u, dropped) * _monomial(xp, xp_pows)
+                for k in range(d_xp):
+                    if xp_pows[k]:
+                        dropped = tuple(p - 1 if j == k else p for j, p in enumerate(xp_pows))
+                        jxp[i, k] += coeff * xp_pows[k] * _monomial(u, u_pows) * _monomial(xp, dropped)
+    return out, ju, jxp
+
+
+@pytest.fixture
+def polynomial_by_terms():
+    """`_polynomial_by_terms`, the independent reference of a polynomial
+    map's values and Jacobians."""
+    return _polynomial_by_terms
 
 
 _spec = importlib.util.spec_from_file_location("golden", Path(__file__).parent / "golden" / "regen.py")

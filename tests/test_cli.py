@@ -264,6 +264,25 @@ class TestScenarioFiles:
         assert code == 0
         assert any(c["check"] == "newton_converged" and c["value"] == 1 for c in checks)
 
+    @pytest.mark.parametrize("command, params, checks", [
+        # |df| = 1e308 |u|: the normal equations square it past the float range
+        ("reduce", {"dims": [2, 1, 1, 1], "components": [[{"c": [1e308, 0], "u": [1, 1], "xp": [0]},
+                                                          {"c": [1, 0], "u": [0, 0], "xp": [2]}]],
+                    "seeds": [[[0.4, 0], [0.05, 0]], [[0.03, 0], [-0.5, 0.1]]]},
+         [{"check": f"seed{i}_newton_residual", "status": "inconclusive", "tol": 1e-12} for i in range(2)]),
+        # the seed's square, 1e400, is past the float range
+        ("intersect", {**QUADRATIC_MAP, "seed": [[1e200, 0]]},
+         [{"check": "newton_converged", "expected": 1, "status": "fail", "tol": 0.0, "value": 0},
+          {"check": "newton_residual", "status": "inconclusive", "tol": 1e-12}]),
+    ])
+    def test_newton_past_float_range_warns_nothing(self, tmp_path, capsys, command, params, checks):
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert caught == [] and err == ""
+        assert code == 1
+        assert [{k: v for k, v in c.items() if k != "scenario"} for c in lines[:-1]] == checks
+        failures = sum(c["status"] == "fail" for c in checks)
+        assert (lines[-1]["failures"], lines[-1]["inconclusive"]) == (failures, len(checks) - failures)
+
 
 class TestErrorPaths:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
@@ -406,6 +425,13 @@ class TestErrorPaths:
         ("node-check", {"n_max": 1e308}, "params"),
         ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": []}, "params"),
         ("energy", {**ENERGY_FAMILY, "laurent": {"a": [[1, 0]]}, "eps_schedule": {}}, "params.eps_schedule"),
+        # a coefficient or a Newton seed that is not finite
+        ("reduce", {"dims": [1, 1, 1, 1], "components": [[{"c": [1, 0], "u": [2], "xp": [0]},
+                                                          {"c": [math.nan, 0], "u": [3], "xp": [0]}]],
+                    "seeds": [[[0.5, 0]]]}, "params.components[0][1]"),
+        ("intersect", {**QUADRATIC_MAP, "seed": [[math.inf, 0]]}, "params.seed"),
+        ("reduce", {**QUADRATIC_MAP, "seeds": [[[0.5, 0]], [[0, -math.inf]]]}, "params.seeds[1]"),
+        ("reduce", {**QUADRATIC_MAP, "seeds": [[[math.nan, 0]]]}, "params.seeds[0]"),
     ])
     def test_malformed_numeric_data_exits_2(self, tmp_path, capsys, command, params, path):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
@@ -1188,7 +1214,7 @@ class TestDeterminism:
         assert main(["verify", "energy", "--seed", "3", "--tol", "1e-9"]) == 0
         capsys.readouterr()
         assert run_all() == first
-        assert len(first) == 7
+        assert len(first) == 8
         assert _build_parser() is _build_parser()
 
     def test_digest_tracks_inputs(self, tmp_path):

@@ -1,3 +1,8 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -399,6 +404,20 @@ class TestGraphPairLocal:
         assert np.max(np.abs(ju_fd - ju_ex)) <= 1e-8
         assert np.max(np.abs(jxp_fd - jxp_ex)) <= 1e-8
 
+    def test_nan_origin_rejected(self):
+        with pytest.raises(ValueError, match="f\\(0,0\\)=0, got \\|f\\(0,0\\)\\|=nan"):
+            GraphPairLocal((1, 0, 0, 1), lambda u, xp: u + math.nan)
+
+    @pytest.mark.parametrize("jac", [lambda u, xp: ([[math.nan]], [[0.0]]), lambda u, xp: ([[0.0]], [[math.nan]])])
+    def test_nan_slope_at_origin_rejected(self, jac):
+        with pytest.raises(ValueError, match="df\\(0,0\\)=0, got \\|df\\(0,0\\)\\|=nan"):
+            GraphPairLocal((1, 1, 0, 1), lambda u, xp: u * xp, jac=jac)
+
+    @pytest.mark.parametrize("coeff", [math.nan, complex(0, math.inf), -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match=r"^components\[1\]\[0\]: coefficient must be finite"):
+            PolynomialMap((1, 0, 0, 2), [[(1.0, (2,), ())], [(coeff, (2,), ())]])
+
 
 def sympy_tangent_oracle(exprs, u_syms, at_point):
     """Symbolic kernel dimension of df/du at a point."""
@@ -495,6 +514,106 @@ class TestNewton:
         pm = PolynomialMap((2, 0, 0, 1), [[(1.0, (1, 1), ())]])
         with pytest.raises(ValueError):
             intersect_newton(pm.as_graph(), np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("seed", [[math.inf], [complex(0.5, math.nan)], [-math.inf * 1j]])
+    def test_non_finite_seed_rejected(self, seed):
+        pm = PolynomialMap((1, 1, 1, 1), [[(1.0, (2,), (0,))]])
+        with pytest.raises(ValueError, match="seed entries must be finite"):
+            intersect_newton(pm.as_graph(), np.array(seed, dtype=complex))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def same_bits(got, want) -> bool:
+    """Equal complex arrays, bit for bit: the same float64 bits in every
+    real and imaginary part (the signs of zeros included), NaN matching
+    any NaN."""
+    g, w = (np.atleast_1d(np.asarray(a, dtype=complex)).view(float) for a in (got, want))
+    return g.shape == w.shape and bool(((g.view(np.uint64) == w.view(np.uint64)) | (np.isnan(g) & np.isnan(w))).all())
+
+
+def perfbench_maps(count: int, seed: int) -> list:
+    """``(PolynomialMap, seeds)`` for ``count`` draws of the
+    benchmark's polynomial map families (`perfbench/workloads.py`), each
+    with two seeds of its Newton solves."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # its dataclass looks itself up in sys.modules
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(count):
+        params = workloads._polynomial_map(rng)
+        terms = [[(complex(*t["c"]), t["u"], t["xp"]) for t in comp] for comp in params["components"]]
+        seeds = [np.array([complex(*z) for z in workloads._seed_vector(rng, params["dims"][0])]) for _ in range(2)]
+        maps.append((PolynomialMap(params["dims"], terms), seeds))
+    return maps
+
+
+SPECIAL = (0.0, -0.0, 1e-200, -1e-170, 1e154, 1e200, -1e300, math.inf, math.nan)
+
+
+class TestCompiledPolynomialMap:
+    """The compiled map on Python scalars against `polynomial_by_terms`,
+    the numpy-scalar definition, bit for bit: values, Jacobians and the
+    Newton solves that run on them."""
+
+    @staticmethod
+    def assert_same_map(pm, polynomial_by_terms, u, xp):
+        want = polynomial_by_terms(pm, u, xp)
+        got = (pm(u, xp), *pm.jacobian(u, xp))
+        for name, g, w in zip(("f", "df/du", "df/dxp"), got, want):
+            assert same_bits(g, w), (name, pm.terms, u, xp, g, w)
+
+    @staticmethod
+    def assert_same_solve(pm, polynomial_by_terms, seed, max_iter=300):
+        reference = GraphPairLocal(pm.dims, lambda u, xp: polynomial_by_terms(pm, u, xp)[0],
+                                   jac=lambda u, xp: polynomial_by_terms(pm, u, xp)[1:], allow_nonflat=True)
+        got = intersect_newton(pm.as_graph(allow_nonflat=True), seed, max_iter=max_iter)
+        want = intersect_newton(reference, seed, max_iter=max_iter)
+        assert same_bits(got.u, want.u) and same_bits(got.residual, want.residual), (pm.terms, seed, got, want)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_perfbench_families(self, polynomial_by_terms):
+        maps = perfbench_maps(40, seed=24)
+        assert len({(pm.dims, len(pm.terms[0])) for pm, _ in maps}) == 5  # every family drawn
+        rng = np.random.default_rng(5)
+        for pm, seeds in maps:
+            for seed in seeds:
+                self.assert_same_map(pm, polynomial_by_terms, seed, rng.standard_normal(pm.dims[1]) + 0.5j)
+                self.assert_same_solve(pm, polynomial_by_terms, seed)
+
+    def test_shipped_test_set(self, polynomial_by_terms):
+        for pm, seeds in polynomial_test_set():
+            for seed in seeds:
+                self.assert_same_map(pm, polynomial_by_terms, seed, np.full(pm.dims[1], 0.3 - 0.2j))
+                self.assert_same_solve(pm, polynomial_by_terms, seed)
+
+    @pytest.mark.parametrize("p", [*range(1, 13), 99, 100, 101, 400])
+    def test_exponents(self, p, polynomial_by_terms):
+        rng = np.random.default_rng(p)
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        pm = PolynomialMap((2, 1, 1, 2), [[(coeffs[0], (p, 0), (0,)), (coeffs[1], (1, p), (1,))],
+                                          [(coeffs[2], (0, 0), (p,)), (coeffs[3], (p, 2), (p,))]])
+        points = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+        points *= np.exp(rng.uniform(-2.0, 2.0, (60, 1)))  # moduli near 1: few powers under- or overflow
+        points.real[:20], points.imag[:20] = rng.choice(SPECIAL, (2, 20, 3))
+        for point in points:
+            self.assert_same_map(pm, polynomial_by_terms, point[:2], point[2:])
+        for seed in points[20:25, :2]:
+            self.assert_same_solve(pm, polynomial_by_terms, seed, max_iter=30)
+
+    @pytest.mark.parametrize("coeff, seed", [(1e308, [0.4, 0.05]), (1e308, [0.03, -0.5 + 0.1j]),
+                                             (1.0, [1e200, 0.0]), (1.0, [1e200j, -1e-200]),
+                                             (1e-300, [1e150, 1e150]), (-1e200, [1e100, 3.0])])
+    def test_overflow(self, coeff, seed, polynomial_by_terms):
+        # pytest makes a RuntimeWarning an error, so this also asserts that none is printed
+        pm = PolynomialMap((2, 1, 1, 2), [[(coeff, (1, 1), (0,)), (1.0, (0, 0), (2,))],
+                                          [(coeff, (3, 0), (0,)), (2.0 - 1j, (0, 2), (0,))]])
+        seed = np.array(seed, dtype=complex)
+        for xp in (0.0, 1e200, -1e155j):
+            self.assert_same_map(pm, polynomial_by_terms, seed, [xp])
+        self.assert_same_solve(pm, polynomial_by_terms, seed)
 
 
 class TestSubspaceHelpers:
