@@ -280,8 +280,8 @@ def handle_index(params: dict, opts: RunOptions) -> list:
     bundle = p["line_bundle"]
     if bundle is not None:
         for d in range(bundle["d_max"] + 1):
-            built = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, bundle["n_max"])
-            idx = fredholm.triple_index(built.triple)
+            triple = _built(moduli.hardy_triple_for_line_bundle, "params.line_bundle", 2 * d, bundle["n_max"])
+            idx = fredholm.triple_index(triple)
             rr = moduli.riemann_roch_index(moduli.TargetData(1, 2 * d), 0)
             out.append(check_int(f"line_bundle_d{d}_index", idx.index, rr))
             out.append(check_int(f"line_bundle_d{d}_codim", idx.codim_sum, 0))
@@ -528,10 +528,9 @@ def _suite_genus_invariance(opts: RunOptions, max_components: int = 3, max_nodes
         base = moduli.arithmetic_genus(cfg)
         contractions = [degeneration.NonseparatingCycle(i)
                         for i, comp in enumerate(cfg.components) if comp.genus >= 1]
-        points_on_0 = frozenset(pid for pair in cfg.nodes for ci, pid in pair if ci == 0)
         contractions += [degeneration.SeparatingCycle(0, g_first, keep)
                          for g_first in range(cfg.components[0].genus + 1)
-                         for keep in (frozenset(), points_on_0)]
+                         for keep in (frozenset(), cfg.points[0])]
         for cycle in contractions:
             cases += 1
             if moduli.arithmetic_genus(degeneration.apply_deformation(cfg, [cycle])) != base:

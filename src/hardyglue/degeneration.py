@@ -351,20 +351,14 @@ class SeparatingCycle:
 
 
 def _fresh_ids(cfg: NodalConfig, component: int, count: int) -> list:
-    used = {pid for pair in cfg.nodes for ci, pid in pair if ci == component}
-    used |= {pid for ci, pid in cfg.marks if ci == component}
-    out, candidate = [], 0
-    while len(out) < count:
-        if candidate not in used:
-            out.append(candidate)
-        candidate += 1
-    return out
+    """The ``count`` smallest nonnegative ids not in ``cfg.points[component]``;
+    the first ``len(used) + count`` integers hold that many."""
+    used = cfg.points[component]
+    return [pid for pid in range(len(used) + count) if pid not in used][:count]
 
 
 def _contract_nonseparating(cfg: NodalConfig, cyc: NonseparatingCycle) -> NodalConfig:
     i = cyc.component
-    if not (0 <= i < len(cfg.components)):
-        raise ValueError(f"component index {i} out of range")
     comp = cfg.components[i]
     if comp.genus == 0:
         raise ValueError("nonseparating contraction needs a component of genus >= 1")
@@ -377,8 +371,6 @@ def _contract_nonseparating(cfg: NodalConfig, cyc: NonseparatingCycle) -> NodalC
 
 def _contract_separating(cfg: NodalConfig, cyc: SeparatingCycle) -> NodalConfig:
     i = cyc.component
-    if not (0 <= i < len(cfg.components)):
-        raise ValueError(f"component index {i} out of range")
     comp = cfg.components[i]
     if not (0 <= cyc.genus_first <= comp.genus):
         raise ValueError(f"genus split {cyc.genus_first} outside 0..{comp.genus}")
@@ -401,13 +393,18 @@ def _contract_separating(cfg: NodalConfig, cyc: SeparatingCycle) -> NodalConfig:
 
 def apply_deformation(cfg_src: NodalConfig, cycles) -> NodalConfig:
     """Contract vanishing cycles in order, returning the degenerated
-    configuration; the arithmetic genus is preserved by each step."""
+    configuration; the arithmetic genus is preserved by each step.  A
+    cycle of unknown type, then a component index out of range, is a
+    ValueError before the contraction's own checks."""
     cfg = cfg_src
     for cyc in cycles:
         if isinstance(cyc, NonseparatingCycle):
-            cfg = _contract_nonseparating(cfg, cyc)
+            contract = _contract_nonseparating
         elif isinstance(cyc, SeparatingCycle):
-            cfg = _contract_separating(cfg, cyc)
+            contract = _contract_separating
         else:
             raise ValueError(f"unknown cycle type {type(cyc).__name__}")
+        if not (0 <= cyc.component < len(cfg.components)):
+            raise ValueError(f"component index {cyc.component} out of range")
+        cfg = contract(cfg, cyc)
     return cfg

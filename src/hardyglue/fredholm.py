@@ -32,6 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .loops import _ldexp, _top_exponents
+
 __all__ = [
     "SubspaceTriple",
     "TripleIndex",
@@ -522,7 +524,15 @@ class PolynomialMap:
         return full[:, :du].copy(), full[:, du:].copy()
 
     def as_graph(self, allow_nonflat: bool = False) -> GraphPairLocal:
-        return GraphPairLocal(self.dims, self, jac=self.jacobian, allow_nonflat=allow_nonflat)
+        """The map as a `GraphPairLocal`.  Its flatness is checked on the
+        map's degree-1 part, whose Jacobian at the origin is the map's: there
+        a partial whose ``coeff * exponent`` overflows reads ``inf * 0 = NaN``."""
+        graph = GraphPairLocal(self.dims, self, jac=self.jacobian, allow_nonflat=True)
+        linear = [[(c, u, xp) for c, u, xp in comp if sum(u) + sum(xp) == 1] for comp in self.terms]
+        if any(linear) and not allow_nonflat:  # with no degree-1 term df(0,0) is 0
+            linear = PolynomialMap(self.dims, linear)
+            GraphPairLocal(self.dims, linear, jac=linear.jacobian)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -541,8 +551,11 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
     Uses Levenberg damping on the normal equations so the generic
     degeneracy ``df(0,0) = 0`` at the root does not break the step; double
     roots converge linearly, simple roots quadratically once the damping
-    has wound down.  An iterate, residual or step past the float range
-    rejects the step or leaves the result unconverged, without a warning.
+    has wound down.  A Jacobian or residual past ``2**500`` is divided by
+    its top power of two (`_top_power`) and the damping by the square of
+    the Jacobian's, so the normal equations stay in range.  An iterate,
+    residual or step past the float range rejects the step or leaves the
+    result unconverged, without a warning.
     """
     u = np.asarray(seed, dtype=complex).reshape(-1)
     if u.shape != (g.dims[0],):
@@ -559,16 +572,18 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
             if rnorm <= tol:
                 return NewtonResult(True, u, rnorm, it)
             ju, _ = g.jacobian(u, xp0)
+            a, b = _top_power(ju), 0 if rnorm < 2.0 ** 500 else _top_power(r)  # |r| bounds its parts
+            ju = _ldexp(np.ascontiguousarray(ju), -a) if a else ju
             gram = ju.conj().T @ ju
-            rhs = -(ju.conj().T @ r)
+            rhs = -(ju.conj().T @ (_ldexp(np.ascontiguousarray(r), -b) if b else r))
             accepted = False
             for _ in range(40):
                 try:
-                    step = np.linalg.solve(gram + mu * eye, rhs)
+                    step = np.linalg.solve(gram + math.ldexp(mu, -2 * a) * eye, rhs)
                 except np.linalg.LinAlgError:
                     mu *= 10.0
                     continue
-                cand = u + step
+                cand = u + (_ldexp(step, b - a) if a != b else step)
                 rc = g.evaluate(cand, xp0)
                 rcnorm = float(np.linalg.norm(rc))
                 if rcnorm < rnorm:
@@ -582,6 +597,16 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
             if not accepted:
                 return NewtonResult(rnorm <= tol, u, rnorm, it + 1)
     return NewtonResult(rnorm <= tol, u, rnorm, max_iter)
+
+
+def _top_power(x: np.ndarray) -> int:
+    """The exponent of the largest real or imaginary part of ``x``
+    (`loops._top_exponents`) where it is past 500, else 0; no exponent is
+    taken while the sum of ``|x|^2`` is below ``2**1000``."""
+    if np.vdot(x, x).real < 2.0 ** 1000:
+        return 0
+    e = int(_top_exponents(np.ascontiguousarray(x)[None])[0])
+    return e if e > 500 else 0
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ the count of zeros of ``x^N f(x)`` inside the unit disk minus N, checked
 against the argument increments on an adaptively refined sample grid.
 
 Pointwise reads (the winding number's argument count, the extension
-tests' sup norm) sample a loop of order n_max on a grid of
-``8*(n_max+1)`` points, `default_grid_size`, through `_samples`.
+tests' sup norm) sample on ``8*(n_max+1)`` points, `default_grid_size`,
+by plain FFT synthesis (`_samples`); each caller keeps it in range.
 """
 
 from __future__ import annotations
@@ -260,24 +260,16 @@ def laurent_eval(loop: Loop, point: complex, r_in: float = 0.0, r_out: float = 1
     return powers @ loop.coeffs
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _samples(stack: np.ndarray, P: int) -> np.ndarray:
     """Each row of a stack (T, 2N+1, m) sampled at ``P >= 2N+1`` uniform
     angles ``theta_j = 2*pi*j/P`` (FFT synthesis), shape (T, P, m).
 
-    The scale rule of `_at_scale`: a row whose samples do not all read
-    finite is synthesised again divided, exactly, by the power of two at
-    its largest part (`_top_exponents`) and multiplied back, so that only a
-    sample past the float range reads inf.  The other rows are taken as
-    they stand."""
+    A sample past the float range reads inf or NaN; the callers scale
+    (`winding_number` by its top power of two, the sup in
+    `extension.vprime_membership` through `_at_scale`)."""
     spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
     spread[:, np.arange(-(stack.shape[1] // 2), stack.shape[1] // 2 + 1) % P] = stack
-    out = np.fft.ifft(spread, axis=1) * P
-    odd = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
-    if odd.size:
-        top = _top_exponents(spread[odd])[:, None, None]
-        out[odd] = _ldexp(np.fft.ifft(_ldexp(spread[odd], -top), axis=1) * P, top)
-    return out
+    return np.fft.ifft(spread, axis=1) * P
 
 
 def winding_number(loop: Loop, tol: float = 1e-9) -> int:

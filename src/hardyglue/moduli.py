@@ -21,7 +21,6 @@ __all__ = [
     "NodalConfig",
     "TargetData",
     "IsotropyGroup",
-    "LineBundleTriple",
     "arithmetic_genus",
     "special_point_count",
     "is_stable_map",
@@ -52,12 +51,15 @@ class NodalConfig:
     ``nodes`` are unordered pairs of (component index, point id); ``marks``
     are single (component index, point id) entries.  Point ids must be
     distinct per component across nodes and marks, and the dual graph
-    (components as vertices, nodes as edges) must be connected.
+    (components as vertices, nodes as edges) must be connected; one pass
+    checks both (union-find).  ``points[i]``, derived and not settable, is
+    the frozenset of point ids on component i, node endpoints and marks.
     """
 
     components: tuple
     nodes: tuple = field(default_factory=tuple)
     marks: tuple = field(default_factory=tuple)
+    points: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(c if isinstance(c, Component) else Component(*c) for c in self.components)
@@ -68,38 +70,32 @@ class NodalConfig:
         marks = tuple((int(ci), int(pid)) for ci, pid in self.marks)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "marks", marks)
-        seen = set()
+        points = [set() for _ in comps]
+        parent = list(range(len(comps)))  # union-find: a root is its own parent
+
+        def place(ci: int, pid: int):
+            if not (0 <= ci < len(comps)):
+                raise ValueError(f"component index {ci} out of range")
+            if pid in points[ci]:
+                raise ValueError(f"point id {pid} on component {ci} used twice")
+            points[ci].add(pid)
+
         for pair in nodes:
             if len(pair) != 2:
                 raise ValueError(f"node must pair two points, got {pair}")
-            for ci, pid in pair:
-                self._check_point(ci, pid, seen)
+            (ci, pid_i), (cj, pid_j) = pair
+            place(ci, pid_i)
+            place(cj, pid_j)
+            while parent[ci] != ci:
+                ci = parent[ci]
+            while parent[cj] != cj:
+                cj = parent[cj]
+            parent[ci] = cj  # a no-op where the two roots agree
         for ci, pid in marks:
-            self._check_point(ci, pid, seen)
-        if not self._connected():
+            place(ci, pid)
+        if sum(ci == root for ci, root in enumerate(parent)) != 1:
             raise ValueError("dual graph of the configuration is not connected")
-
-    def _check_point(self, ci: int, pid: int, seen: set):
-        if not (0 <= ci < len(self.components)):
-            raise ValueError(f"component index {ci} out of range")
-        key = (ci, pid)
-        if key in seen:
-            raise ValueError(f"point id {pid} on component {ci} used twice")
-        seen.add(key)
-
-    def _connected(self) -> bool:
-        n = len(self.components)
-        adj = {i: set() for i in range(n)}
-        for (ci, _), (cj, _) in self.nodes:
-            adj[ci].add(cj)
-            adj[cj].add(ci)
-        stack, visited = [0], {0}
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in visited:
-                    visited.add(nb)
-                    stack.append(nb)
-        return len(visited) == n
+        object.__setattr__(self, "points", tuple(map(frozenset, points)))
 
     @property
     def n_nodes(self) -> int:
@@ -121,11 +117,8 @@ class TargetData:
 
 def special_point_count(cfg: NodalConfig, component: int) -> int:
     """Marks plus node endpoints carried by one component (a self-node
-    contributes two)."""
-    count = sum(1 for ci, _ in cfg.marks if ci == component)
-    for pair in cfg.nodes:
-        count += sum(1 for ci, _ in pair if ci == component)
-    return count
+    contributes two), ``cfg.points[component]``."""
+    return len(cfg.points[component])
 
 
 def arithmetic_genus(cfg: NodalConfig) -> int:
@@ -194,34 +187,27 @@ def core_slice_dims(g: int, n: int, k: int, target: TargetData) -> tuple:
     return dim_core, dim_x0
 
 
-@dataclass(frozen=True)
-class LineBundleTriple:
-    triple: SubspaceTriple
-    expected_index: int
-
-
 def _mode_columns(n_max: int, modes) -> np.ndarray:
     """The 0/1 columns of the Laurent modes ``modes`` among -n_max..n_max."""
     return np.eye(2 * n_max + 1, dtype=complex)[:, np.add(modes, n_max)]
 
 
-def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> LineBundleTriple:
+def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> SubspaceTriple:
     """Hardy triple of a degree-``deg2d`` twisted bundle on the sphere.
 
     Ambient space: Laurent modes -n_max..n_max.  One side spans the modes
     extending over the inner disk (n >= 0); the other spans the modes of a
     twisted section extending over the outer disk (n <= deg2d).  They meet
-    in the polynomials of degree <= deg2d, so the index is deg2d + 1,
+    in the polynomials of degree <= deg2d, so the index is deg2d + 1, the
+    Riemann-Roch count ``riemann_roch_index(TargetData(1, deg2d), 0)``,
     independent of the truncation as long as n_max > deg2d.
     """
     if deg2d < 0:
         raise ValueError(f"twist degree must be nonnegative, got {deg2d}")
     if n_max <= deg2d:
         raise ValueError(f"truncation {n_max} must exceed the twist degree {deg2d}")
-    inner = _mode_columns(n_max, range(0, n_max + 1))
-    outer = _mode_columns(n_max, range(-n_max, deg2d + 1))
-    triple = SubspaceTriple(2 * n_max + 1, inner, outer)
-    return LineBundleTriple(triple, deg2d + 1)
+    return SubspaceTriple(2 * n_max + 1, _mode_columns(n_max, range(0, n_max + 1)),
+                          _mode_columns(n_max, range(-n_max, deg2d + 1)))
 
 
 def hardy_sphere_triple(m: int, n_max: int) -> SubspaceTriple:

@@ -15,7 +15,10 @@ draws per call, which the CLI's batteries must reproduce bit for bit;
 ``np.dot`` per row, which the stacked kernels must reproduce bit for bit;
 `polynomial_by_terms` is the reference definition of a `PolynomialMap`'s
 values and Jacobians, numpy-scalar monomials term by term, which the
-compiled map must reproduce bit for bit.
+compiled map must reproduce bit for bit; `point_walk` is the reference
+definition of a `NodalConfig`'s point ids per component, the walk over its
+nodes and marks that `NodalConfig.points` replaced, and
+`random_nodal_config` draws the configurations it is checked on.
 `cli_output` runs one CLI command once per session, for the tests that
 read the same output.  The JSON writers (`loop_to_json` and the others,
 imported as ``from conftest import ...``) build scenario data in the schema
@@ -177,6 +180,42 @@ def polynomial_by_terms():
     """`_polynomial_by_terms`, the independent reference of a polynomial
     map's values and Jacobians."""
     return _polynomial_by_terms
+
+
+def _point_walk(cfg) -> list:
+    """The point ids on each component of a configuration, by definition:
+    per component, a list of the ids of the node endpoints on it, node by
+    node, then of the marks on it (a repeated id would show twice).  The
+    length of a list is the component's special point count."""
+    return [[pid for pair in cfg.nodes for ci, pid in pair if ci == i]
+            + [pid for ci, pid in cfg.marks if ci == i] for i in range(len(cfg.components))]
+
+
+@pytest.fixture
+def point_walk():
+    """`_point_walk`, the independent reference of ``NodalConfig.points``."""
+    return _point_walk
+
+
+def random_nodal_config(rng):
+    """A connected `NodalConfig` of 1-4 components with genera 0-2 and
+    random ghost flags: a random spanning tree, 0-2 extra nodes (self-nodes
+    among them) and 0-3 marks, each point id drawn without repeats from
+    -3..11 on its component."""
+    from hardyglue.moduli import Component, NodalConfig
+
+    n_comp = int(rng.integers(1, 5))
+    comps = tuple(Component(int(rng.integers(0, 3)), bool(rng.integers(0, 2))) for _ in range(n_comp))
+    free = [list(rng.permutation(np.arange(-3, 12))) for _ in range(n_comp)]
+
+    def point(i):
+        return (i, int(free[i].pop()))
+
+    edges = [(int(rng.integers(0, j)), j) for j in range(1, n_comp)]
+    edges += [tuple(int(v) for v in rng.integers(0, n_comp, 2)) for _ in range(int(rng.integers(0, 3)))]
+    nodes = tuple((point(i), point(j)) for i, j in edges)
+    marks = tuple(point(int(rng.integers(0, n_comp))) for _ in range(int(rng.integers(0, 4))))
+    return NodalConfig(comps, nodes, marks)
 
 
 _spec = importlib.util.spec_from_file_location("golden", Path(__file__).parent / "golden" / "regen.py")

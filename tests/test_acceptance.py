@@ -16,7 +16,8 @@ import pytest
 from hardyglue import cli
 from hardyglue.cli import RunOptions
 from hardyglue.loops import Loop, sobolev_norm
-from hardyglue.moduli import hardy_triple_for_line_bundle
+from hardyglue.fredholm import triple_index
+from hardyglue.moduli import TargetData, hardy_triple_for_line_bundle, riemann_roch_index
 from hardyglue.node_model import h_reproduction_gaps, transfer_Tz
 
 
@@ -57,7 +58,8 @@ def test_criterion_2_twisted_riemann_roch(index_suite):
     bundles = named(records, "line_bundle_d")
     expected = [v for d in range(11) for v in (2 * d + 1, 0)]
     ok = all_pass(bundles) and [r.expected for r in bundles] == expected
-    ok = ok and all(hardy_triple_for_line_bundle(2 * d, 64).expected_index == 2 * d + 1 for d in range(11))
+    ok = ok and all(triple_index(hardy_triple_for_line_bundle(2 * d, 64)).index
+                    == riemann_roch_index(TargetData(1, 2 * d), 0) for d in range(11))
     report(2, ok and elapsed < 1.0,
            f"twisted-bundle indices 2d+1 match Riemann-Roch for d=0..10 in {elapsed:.3f}s")
 

@@ -265,7 +265,9 @@ class TestScenarioFiles:
         assert any(c["check"] == "newton_converged" and c["value"] == 1 for c in checks)
 
     @pytest.mark.parametrize("command, params, checks", [
-        # |df| = 1e308 |u|: the normal equations square it past the float range
+        # f = 2e306 at the seed: its norm, a root sum of squares, reads inf; and
+        # J = 1e308 (u2, u1) is rank 1, so the scaled normal equations, whose
+        # damping is divided by 4^1023, are singular
         ("reduce", {"dims": [2, 1, 1, 1], "components": [[{"c": [1e308, 0], "u": [1, 1], "xp": [0]},
                                                           {"c": [1, 0], "u": [0, 0], "xp": [2]}]],
                     "seeds": [[[0.4, 0], [0.05, 0]], [[0.03, 0], [-0.5, 0.1]]]},
@@ -274,6 +276,11 @@ class TestScenarioFiles:
         ("intersect", {**QUADRATIC_MAP, "seed": [[1e200, 0]]},
          [{"check": "newton_converged", "expected": 1, "status": "fail", "tol": 0.0, "value": 0},
           {"check": "newton_residual", "status": "inconclusive", "tol": 1e-12}]),
+        # f = 1e308 u^2 is flat although its partial 2e308 u reads inf * 0 at
+        # the origin; scenarios/reduce_quadratic.json with "c": [1e308, 0]
+        ("reduce", {"dims": [1, 1, 1, 1], "components": [[{"c": [1e308, 0], "u": [2], "xp": [0]}]],
+                    "seeds": [[[0.5, 0]], [[-0.35, 0.2]]], "newton": {"max_iter": 300, "tol": 1e-12}},
+         [{"check": f"seed{i}_newton_residual", "status": "inconclusive", "tol": 1e-12} for i in range(2)]),
     ])
     def test_newton_past_float_range_warns_nothing(self, tmp_path, capsys, command, params, checks):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
@@ -282,6 +289,25 @@ class TestScenarioFiles:
         assert [{k: v for k, v in c.items() if k != "scenario"} for c in lines[:-1]] == checks
         failures = sum(c["status"] == "fail" for c in checks)
         assert (lines[-1]["failures"], lines[-1]["inconclusive"]) == (failures, len(checks) - failures)
+
+
+    @pytest.mark.parametrize("command", ["intersect", "reduce"])
+    def test_newton_normal_equations_past_the_float_range(self, tmp_path, capsys, command):
+        # |df/du| = 1e308 squares past the float range in the normal
+        # equations; scaled by powers of two, Newton lands on the simple
+        # root u = 0 (the reduction's tangent checks are another matter)
+        params = {"dims": [1, 1, 1, 1], "allow_nonflat": True,
+                  "components": [[{"c": [1e308, 0], "u": [1], "xp": [0]},
+                                  {"c": [-1e308, 1e308], "u": [0], "xp": [1]},
+                                  {"c": [1, 0], "u": [2], "xp": [0]}]]}
+        params.update({"seed": [[1e-300, 0]]} if command == "intersect" else {"seeds": [[[1e-300, 0]]]})
+        code, lines, err, caught = run_params(tmp_path, capsys, command, params)
+        assert caught == [] and err == ""
+        by_name = {c["check"]: c for c in lines[:-1]}
+        residual = by_name["newton_residual" if command == "intersect" else "seed0_newton_residual"]
+        assert residual["status"] == "pass" and residual["residual"] == 0.0
+        if command == "intersect":
+            assert code == 0 and by_name["newton_converged"]["value"] == 1
 
 
 class TestErrorPaths:

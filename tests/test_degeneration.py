@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_nodal_config
 from hardyglue.cli import check_residual
 from hardyglue.degeneration import (
     _LOG_RHO,
@@ -375,3 +376,35 @@ class TestApplyDeformation:
             assert arithmetic_genus(out) == base
             for i in range(len(out.components)):
                 special_point_count(out, i)  # ids stay consistent
+
+    def test_contraction_points_match_the_walk(self, point_walk):
+        # each contraction joins at the two smallest ids free on the
+        # component (a reused id would be rejected as used twice), and the
+        # output's points are those of the walk
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            cfg = random_nodal_config(rng)
+            for _ in range(2):
+                i = int(rng.integers(0, len(cfg.components)))
+                on_i = point_walk(cfg)[i]
+                fresh = [pid for pid in range(len(on_i) + 2) if pid not in on_i][:2]
+                if cfg.components[i].genus and rng.uniform() < 0.5:
+                    out = apply_deformation(cfg, [NonseparatingCycle(i)])
+                    assert out.nodes[-1] == ((i, fresh[0]), (i, fresh[1]))
+                else:
+                    keep = frozenset(pid for pid in on_i if rng.uniform() < 0.5)
+                    g_first = int(rng.integers(0, cfg.components[i].genus + 1))
+                    out = apply_deformation(cfg, [SeparatingCycle(i, g_first, keep)])
+                    assert out.nodes[-1] == ((i, fresh[0]), (len(cfg.components), fresh[1]))
+                walk = point_walk(out)
+                assert out.points == tuple(frozenset(ids) for ids in walk)
+                assert [special_point_count(out, j) for j in range(len(walk))] == [len(ids) for ids in walk]
+                cfg = out
+
+    def test_range_checked_after_the_cycle_type(self):
+        cfg = NodalConfig((Component(1),))
+        with pytest.raises(ValueError, match="unknown cycle type"):
+            apply_deformation(cfg, [NonseparatingCycle(0), "handle"])
+        for cycle in (NonseparatingCycle(1), SeparatingCycle(-1, 0), SeparatingCycle(3, 5)):
+            with pytest.raises(ValueError, match=f"component index {cycle.component} out of range"):
+                apply_deformation(cfg, [cycle])

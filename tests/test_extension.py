@@ -8,7 +8,7 @@ from hardyglue.extension import (
     disk_pair_node_test,
     vprime_membership,
 )
-from hardyglue.loops import Loop
+from hardyglue.loops import Loop, default_grid_size
 from hardyglue.node_model import NodeBoundary, node_membership
 
 
@@ -163,6 +163,30 @@ class TestVPrime:
         assert not report.member
         assert report.nodes[0].ball_sup == pytest.approx(1.2)
         assert report.nodes[0].extends  # condition (b) itself holds
+
+    def test_ball_sup_at_scale_near_the_float_maximum(self):
+        # 1.7e308 e^{-i theta}: 4 of its 16 plain samples overflow, and every
+        # |sample|^2 does; the sup is taken at scale, and power-of-two
+        # multiples give the same bits, scaled
+        big = Loop(1, 1, [[1.7e308], [0], [0]])
+        sup = vprime_membership([NodeData("disk_pair", big, big)]).nodes[0].ball_sup
+        assert sup == pytest.approx(1.7e308, rel=1e-15)
+        small = big.with_coeffs(2.0 ** -600 * big.coeffs)
+        assert vprime_membership([NodeData("disk_pair", small, small)]).nodes[0].ball_sup * 2.0 ** 600 == sup
+
+    def test_ball_sup_rows_past_the_float_range_taken_at_scale(self):
+        # node 0 is sampled as it stands, bit for bit; in node 1 the eta row,
+        # 1.7e308 e^{-3i theta} alone, overflows its plain synthesis
+        rng = np.random.default_rng(8)
+        xi = Loop(2, 4, 1e150 * (rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))))
+        eta = Loop.from_modes(2, 4, {-3: [1.7e308, 0.0]})
+        report = vprime_membership([NodeData("disk_pair", xi, xi), NodeData("disk_pair", xi, eta)])
+        P = default_grid_size(4)
+        spread = np.zeros((P, 2), dtype=complex)
+        spread[np.arange(-4, 5) % P] = xi.coeffs
+        plain = np.sqrt(np.sum(np.abs(np.fft.ifft(spread, axis=0) * P) ** 2, axis=1)).max()
+        assert report.nodes[0].ball_sup == plain
+        assert report.nodes[1].ball_sup == pytest.approx(1.7e308, rel=1e-14)
 
     def test_ball_check_disabled(self):
         big = scalar({0: 1.2})

@@ -243,7 +243,7 @@ def phase_twin(t, rng):
                                            for b in (t.basis_prime, t.basis_dprime)))
 
 
-REAL_TRIPLES = ([(f"line bundle d={d}", lambda d=d: hardy_triple_for_line_bundle(2 * d, 64).triple)
+REAL_TRIPLES = ([(f"line bundle d={d}", lambda d=d: hardy_triple_for_line_bundle(2 * d, 64))
                  for d in range(11)]
                 + [(f"sphere m={m}", lambda m=m: hardy_sphere_triple(m, 32)) for m in (1, 2, 3)])
 
@@ -413,6 +413,42 @@ class TestGraphPairLocal:
         with pytest.raises(ValueError, match="df\\(0,0\\)=0, got \\|df\\(0,0\\)\\|=nan"):
             GraphPairLocal((1, 1, 0, 1), lambda u, xp: u * xp, jac=jac)
 
+    def test_polynomial_flatness_read_from_degree_one_terms(self):
+        # f = 1e308 u^2: the evaluated partial 2e308 u reads inf * 0 = NaN at 0
+        pm = PolynomialMap((1, 1, 1, 1), [[(1e308, (2,), (0,))]])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(pm.jacobian([0j], [0j])[0]).all()
+        with pytest.raises(ValueError, match="df\\(0,0\\)=0, got \\|df\\(0,0\\)\\|=nan"):
+            GraphPairLocal(pm.dims, pm, jac=pm.jacobian)
+        assert pm.as_graph().dims == (1, 1, 1, 1)
+        # a degree-1 term is read, with the graph's message; f(0,0) is checked first
+        nonflat = PolynomialMap((1, 1, 1, 1), [[(1e308, (2,), (0,)), (0.5, (0,), (1,))]])
+        with pytest.raises(ValueError, match=r"^graph map must satisfy df\(0,0\)=0, got \|df\(0,0\)\|=5\.000e-01 "):
+            nonflat.as_graph()
+        assert nonflat.as_graph(allow_nonflat=True).dims == (1, 1, 1, 1)
+        with pytest.raises(ValueError, match="f\\(0,0\\)=0"):
+            PolynomialMap((1, 1, 1, 1), [[(1.0, (0,), (0,)), (1.0, (1,), (0,))]]).as_graph()
+
+    def test_polynomial_flatness_matches_the_evaluated_check(self):
+        # on maps whose partials stay finite at 0, the degree-1 terms and the
+        # evaluated Jacobian give the same verdict and message
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            d_u, d_xp, d_xi = (int(v) for v in rng.integers(1, 3, 3))
+            terms = [[(complex(*(rng.standard_normal(2) * 10.0 ** rng.integers(-10, 3))),
+                       tuple(int(p) for p in rng.integers(0, 3, d_u)), tuple(int(p) for p in rng.integers(0, 2, d_xp)))
+                      for _ in range(int(rng.integers(1, 4)))] for _ in range(d_xi)]
+            terms = [[t for t in comp if sum(t[1]) + sum(t[2])] for comp in terms]  # f(0,0) = 0
+            pm = PolynomialMap((d_u, d_xp, 0, d_xi), terms)
+            verdicts = []
+            for build in (pm.as_graph, lambda: GraphPairLocal(pm.dims, pm, jac=pm.jacobian)):
+                try:
+                    build()
+                    verdicts.append(None)
+                except ValueError as exc:
+                    verdicts.append(str(exc))
+            assert verdicts[0] == verdicts[1], pm.terms
+
     @pytest.mark.parametrize("coeff", [math.nan, complex(0, math.inf), -math.inf])
     def test_non_finite_coefficient_rejected(self, coeff):
         with pytest.raises(ValueError, match=r"^components\[1\]\[0\]: coefficient must be finite"):
@@ -514,6 +550,15 @@ class TestNewton:
         pm = PolynomialMap((2, 0, 0, 1), [[(1.0, (1, 1), ())]])
         with pytest.raises(ValueError):
             intersect_newton(pm.as_graph(), np.array([1.0 + 0j]))
+
+    def test_normal_equations_scaled_past_the_float_range(self):
+        # f = 1e308 u + (-1 + i) 1e308 x' + u^2 from u = 1e-300: J^H J reads
+        # inf unscaled; divided by 2^1024, two steps land on u = 0
+        pm = PolynomialMap((1, 1, 1, 1), [[(1e308, (1,), (0,)), (complex(-1e308, 1e308), (0,), (1,)),
+                                           (1.0, (2,), (0,))]])
+        res = intersect_newton(pm.as_graph(allow_nonflat=True), np.array([1e-300 + 0j]))
+        assert res.converged and (res.residual, res.iterations) == (0.0, 2)
+        assert res.u.tolist() == [0j]
 
     @pytest.mark.parametrize("seed", [[math.inf], [complex(0.5, math.nan)], [-math.inf * 1j]])
     def test_non_finite_seed_rejected(self, seed):

@@ -21,14 +21,6 @@ def scalar(entries, n_max=8):
     return Loop.from_modes(1, n_max, {n: [v] for n, v in entries.items()})
 
 
-def _spread(stack, P):
-    """The stack (T, 2N+1, m) placed on the FFT grid of P points."""
-    spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
-    for j in range(stack.shape[1]):
-        spread[:, (j - stack.shape[1] // 2) % P] = stack[:, j]
-    return spread
-
-
 def horner_oracle(coeffs_low_to_high, x):
     """Polynomial evaluation oracle, independent of the vectorized path."""
     acc = 0j
@@ -268,6 +260,15 @@ class TestWinding:
         with pytest.raises(ValueError, match="circle"):
             winding_number(scalar({0: 1.0, 1: -np.exp(0.3j)}))
 
+    def test_counted_at_scale_near_the_float_maximum(self):
+        # 1.7e308 e^{-i theta}: the plain synthesis overflows in 4 of the 16
+        # samples, so the loop is sampled divided by its top power of two
+        loop = Loop(1, 1, [[1.7e308], [0], [0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(_samples(loop.coeffs[None], 16)).sum() == 12
+        assert winding_number(loop) == -1
+        assert winding_number(loop.with_coeffs(2.0 ** -600 * loop.coeffs)) == -1
+
     def test_additive_under_products(self):
         a = scalar({0: 2.0, 1: 1.0})      # winding 0
         b = scalar({1: 1.0, 2: 0.25})     # winding 1
@@ -290,34 +291,6 @@ class TestSamplingRoundtrip:
         P = default_grid_size(loop.n_max)
         refit = (np.fft.fft(samples(loop), axis=0) / P)[loop.modes % P]
         assert np.max(np.abs(refit - loop.coeffs)) < 1e-13
-
-    def test_sampled_at_scale_near_the_float_maximum(self):
-        # 1.7e308 e^{-i theta}: every sample is finite, and the winding -1;
-        # the plain synthesis overflows in 4 of the 16 samples
-        loop = Loop(1, 1, [[1.7e308], [0], [0]])
-        theta = 2 * np.pi * np.arange(16) / 16
-        vals = samples(loop)[:, 0]
-        assert np.isfinite(vals).all()
-        assert vals == pytest.approx(1.7e308 * np.exp(-1j * theta), rel=1e-15, abs=1e293)
-        assert winding_number(loop) == -1
-        # power-of-two multiples sample to the same bits, scaled
-        small = loop.with_coeffs(2.0 ** -600 * loop.coeffs)
-        assert np.array_equal(samples(small)[:, 0] * 2.0 ** 600, vals)
-        assert winding_number(small) == -1
-
-    def test_only_rows_past_the_float_range_sampled_again(self):
-        rng = np.random.default_rng(8)
-        stack = 1e300 * (rng.standard_normal((4, 9, 2)) + 1j * rng.standard_normal((4, 9, 2)))
-        stack[2] = 0.0
-        stack[2, 1, 0] = 1.7e308  # mode -3 alone: finite samples whose plain synthesis overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = np.fft.ifft(_spread(stack, 64), axis=1) * 64
-        assert np.isfinite(plain).all(axis=(1, 2)).tolist() == [True, True, False, True]
-        got = _samples(stack, 64)
-        assert np.array_equal(got[[0, 1, 3]], plain[[0, 1, 3]])
-        theta = 2 * np.pi * np.arange(64) / 64
-        assert got[2, :, 0] == pytest.approx(1.7e308 * np.exp(-3j * theta), rel=1e-14, abs=1e294)
-        assert not got[2, :, 1].any()
 
 
 class TestLoopValidation:

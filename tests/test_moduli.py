@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_nodal_config
 from hardyglue.fredholm import triple_index
 from hardyglue.moduli import (
     Component,
@@ -44,6 +47,45 @@ class TestNodalConfig:
     def test_self_node_counts_two_special_points(self):
         cfg = NodalConfig((Component(1),), nodes=(((0, 0), (0, 1)),))
         assert special_point_count(cfg, 0) == 2
+
+    @pytest.mark.parametrize("n_comp, nodes, marks, message", [
+        # nodes in order, each checked for two points before its points are;
+        # then the marks; a disconnected graph only after every point passes
+        (2, (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 2))), (),
+         "node must pair two points, got ((0, 0), (1, 0), (1, 1))"),
+        (2, (((0, 0), (1, 0)), ((0, 0), (1, 1), (1, 2))), (),
+         "node must pair two points, got ((0, 0), (1, 1), (1, 2))"),
+        (2, (), ((5, 0),), "component index 5 out of range"),
+        (3, (((0, 0), (5, 0)),), (), "component index 5 out of range"),
+        (2, (), ((1, 0), (1, 0)), "point id 0 on component 1 used twice"),
+        (1, (((0, 0), (0, 0)),), ((3, 0),), "point id 0 on component 0 used twice"),
+        (1, (((0, 0), (2, 0)),), ((0, 0),), "component index 2 out of range"),
+        (2, (((-1, 0), (1, 0)),), (), "component index -1 out of range"),
+    ])
+    def test_first_error_of_a_doubly_malformed_config(self, n_comp, nodes, marks, message):
+        with pytest.raises(ValueError) as err:
+            NodalConfig(tuple(Component(0) for _ in range(n_comp)), nodes, marks)
+        assert str(err.value) == message
+
+    def test_points_match_the_walk(self, point_walk):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            cfg = random_nodal_config(rng)
+            walk = point_walk(cfg)
+            assert cfg.points == tuple(frozenset(ids) for ids in walk)
+            assert [special_point_count(cfg, i) for i in range(len(walk))] == [len(ids) for ids in walk]
+
+    def test_points_derived_not_settable(self):
+        cfg = NodalConfig((Component(1), Component(0)), nodes=(((0, 4), (1, 0)), ((0, -2), (0, 7))),
+                          marks=((1, 3),))
+        assert cfg.points == (frozenset({4, -2, 7}), frozenset({0, 3}))
+        with pytest.raises(TypeError):
+            NodalConfig((Component(0),), points=(frozenset(),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.points = ()
+        # equality, hashing and the repr read components, nodes and marks only
+        twin = NodalConfig(cfg.components, cfg.nodes, cfg.marks)
+        assert twin == cfg and hash(twin) == hash(cfg) and "points" not in repr(cfg)
 
 
 class TestArithmeticGenus:
@@ -214,24 +256,22 @@ class TestIsotropy:
 
 class TestHardyTriples:
     def test_constants_only(self):
-        built = hardy_triple_for_line_bundle(0, 8)
-        assert triple_index(built.triple) == (1, 0, 1)
-        assert built.expected_index == 1
+        idx = triple_index(hardy_triple_for_line_bundle(0, 8))
+        assert idx == (1, 0, 1)
+        assert idx.index == riemann_roch_index(TargetData(1, 0), 0)
 
     def test_degree_two_twist(self):
-        built = hardy_triple_for_line_bundle(4, 16)
-        idx = triple_index(built.triple)
+        idx = triple_index(hardy_triple_for_line_bundle(4, 16))
         assert idx.index == 5
         assert idx.index == riemann_roch_index(TargetData(1, 4), 0)
         # brute-force basis count: polynomials of degree <= 4
         assert idx.dim_cap == len(range(0, 5))
 
     def test_degree_ten(self):
-        built = hardy_triple_for_line_bundle(10, 32)
-        assert triple_index(built.triple).index == 11
+        assert triple_index(hardy_triple_for_line_bundle(10, 32)).index == 11
 
     def test_truncation_independence(self):
-        values = {triple_index(hardy_triple_for_line_bundle(4, N).triple) for N in range(5, 13)}
+        values = {triple_index(hardy_triple_for_line_bundle(4, N)) for N in range(5, 13)}
         assert values == {(5, 0, 5)}
 
     def test_truncation_too_small_rejected(self):
