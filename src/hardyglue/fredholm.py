@@ -1,11 +1,10 @@
 """Fredholm triples and quadruples in finite dimensions.
 
 A triple is an ambient space ``C^N`` with two subspaces given by full-rank
-basis matrices, kept in float64 when every entry is real (the Hardy triples
-of `moduli`, whose SVDs then run in LAPACK's real routines) and in
-complex128 otherwise.  In finite dimensions every triple is Fredholm; its
-index ``dim(E' ∩ E'') - dim(E/(E'+E''))`` always equals ``p + q - N``,
-which the test suite asserts as the Euler identity.  On top of the
+basis matrices, kept in float64 when every entry is real and in complex128
+otherwise.  In finite dimensions every triple is Fredholm; its index
+``dim(E' ∩ E'') - dim(E/(E'+E''))`` always equals ``p + q - N``, which the
+test suite asserts as the Euler identity.  On top of the
 triples sit the graph-form local quadruples ``X'' = {x'=0, xi=0}``,
 ``X' = {x''=0, xi=f(u,x')}`` with the distinguished intersection equation
 ``f(u, 0) = 0``, their finite-dimensional reductions
@@ -18,7 +17,12 @@ largest of one spectrum (`_rank_of`), relative to the largest singular
 value of ``[B' | B'']``, so results do not depend on the bases while their
 scales differ by less than ``1/RANK_TOL``.  A `SubspaceTriple` takes its
 three spectra once; `triple_index` and `index_stability_check` read them.
-Each pair of subspaces is decided by one SVD (`_cap_and_outer`).
+A basis whose columns have at most one nonzero entry each (a coordinate
+basis, such as the 0/1 mode columns of the Hardy triples of `moduli`) has
+them in closed form: ``B B^H`` is then diagonal, so its singular values are
+its row norms, padded with zeros, and ``[B' | B'']`` is a coordinate basis
+when both sides are.  Every other spectrum is LAPACK's (`_spectrum`).  Each pair of
+subspaces is decided by one SVD (`_cap_and_outer`).
 `index_stability_check` proves a triple stable from its three spectra
 (Weyl's inequality) and draws perturbed triples only where that fails.
 """
@@ -32,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .loops import _ldexp, _top_exponents
+from .loops import _at_scale, _l2_rows, _ldexp, _top_exponents
 
 __all__ = [
     "SubspaceTriple",
@@ -58,9 +62,12 @@ RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular valu
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
     """A copy of ``mat`` with ``n_rows`` rows and finite entries, float64
     when every imaginary part is zero and complex128 otherwise."""
-    m = np.array(mat, dtype=complex)
-    if not m.imag.any():
-        m = m.real.copy()
+    if isinstance(mat, np.ndarray) and mat.dtype == np.float64:
+        m = np.array(mat, order="C")
+    else:
+        m = np.array(mat, dtype=complex)
+        if not m.imag.any():
+            m = m.real.copy()
     if m.ndim not in (1, 2):
         raise ValueError(f"{name}: expected a 1-D or 2-D array, got {m.ndim}-D shape {m.shape}")
     if m.ndim == 1:
@@ -78,6 +85,40 @@ def _rank_of(s: np.ndarray) -> int:
     """Number of singular values ``s`` (descending) above `RANK_TOL` times
     the largest; 0 for an empty or zero matrix."""
     return int(np.count_nonzero(s > RANK_TOL * s[:1]))
+
+
+def _coordinate_rows(b: np.ndarray):
+    """The norms of the rows of ``b``, taken at scale (`loops._at_scale`),
+    when each column of ``b`` has at most one nonzero entry; None for any
+    other ``b``.  The total count rules most dense bases out first."""
+    nnz = np.count_nonzero(b)
+    if nnz > b.shape[1]:
+        return None
+    norms = np.zeros(b.shape[0])
+    if nnz:
+        mask = b != 0
+        at = mask.argmax(axis=0)  # the row of each column's first nonzero entry
+        hit = mask[at, np.arange(b.shape[1])]  # the nonzero columns
+        if np.count_nonzero(hit) < nnz:
+            return None
+        at = at[hit]  # rows with an entry only: a zero row would take the rescue
+        norms[at] = _ldexp(*_at_scale(_l2_rows, b[at]))
+    return norms
+
+
+def _spectrum(bases: tuple, rows) -> np.ndarray:
+    """The singular values, descending, of ``M = [bases[0] | ...]``, N x k,
+    given each basis's `_coordinate_rows` in ``rows``.
+
+    When none is None every column of ``M`` has at most one nonzero entry,
+    so ``M M^H`` is diagonal and holds the squared row norms, summed over
+    the bases (Golub & Van Loan, *Matrix Computations*, 2.4): the singular
+    values are the row norms, the largest ``min(N, k)`` of them, in closed
+    form.  Any other ``M`` takes LAPACK's SVD."""
+    if any(r is None for r in rows):
+        return np.linalg.svd(bases[0] if len(bases) == 1 else np.hstack(bases), compute_uv=False)
+    norms = rows[0] if len(rows) == 1 else np.hypot(*rows)
+    return -np.sort(-norms)[:sum(b.shape[1] for b in bases)]  # descending
 
 
 def orthonormal_range(M: np.ndarray) -> np.ndarray:
@@ -102,7 +143,10 @@ class SubspaceTriple:
     2-D, each copied as float64 when all its imaginary parts are zero and
     as complex128 otherwise, and ``spectra``: the singular values
     (descending, read-only) of ``[B' | B'']``, ``B'`` and ``B''``, taken
-    once; a side without columns takes no SVD."""
+    once.  A coordinate basis (at most one nonzero entry a column; a side
+    without columns is one) takes no SVD: its singular values are its row
+    norms, taken at scale, and ``[B' | B'']`` takes none when both sides
+    are coordinate bases.  The other spectra are LAPACK's bytes."""
 
     ambient_dim: int
     basis_prime: np.ndarray
@@ -114,15 +158,16 @@ class SubspaceTriple:
             raise ValueError(f"ambient dimension must be positive, got {self.ambient_dim}")
         bp = _as_basis(self.basis_prime, self.ambient_dim, "basis_prime")
         bq = _as_basis(self.basis_dprime, self.ambient_dim, "basis_dprime")
-        sides = []
+        sides, rows = [], []
         for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
-            s = np.linalg.svd(b, compute_uv=False) if b.shape[1] else np.zeros(0)
+            rows.append(_coordinate_rows(b))
+            s = _spectrum((b,), (rows[-1],))
             rank = _rank_of(s)
             if rank < b.shape[1]:
                 raise ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
                                  f"at RANK_TOL {RANK_TOL:g}")
             sides.append(s)
-        spectra = (np.linalg.svd(np.hstack([bp, bq]), compute_uv=False), *sides)
+        spectra = (_spectrum((bp, bq), rows), *sides)
         for a in (bp, bq, *spectra):
             a.flags.writeable = False
         object.__setattr__(self, "basis_prime", bp)

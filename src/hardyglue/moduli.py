@@ -187,9 +187,11 @@ def core_slice_dims(g: int, n: int, k: int, target: TargetData) -> tuple:
     return dim_core, dim_x0
 
 
-def _mode_columns(n_max: int, modes) -> np.ndarray:
-    """The 0/1 columns of the Laurent modes ``modes`` among -n_max..n_max."""
-    return np.eye(2 * n_max + 1, dtype=complex)[:, np.add(modes, n_max)]
+def _mode_columns(n_max: int, lo: int, hi: int, m: int = 1) -> np.ndarray:
+    """The float64 0/1 columns of the Laurent modes lo..hi among
+    -n_max..n_max, each mode a copy of C^m: a shifted identity, the
+    ``np.kron`` of the m = 1 columns with ``np.eye(m)``."""
+    return np.eye((2 * n_max + 1) * m, (hi - lo + 1) * m, -(lo + n_max) * m)
 
 
 def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> SubspaceTriple:
@@ -206,8 +208,7 @@ def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> SubspaceTriple:
         raise ValueError(f"twist degree must be nonnegative, got {deg2d}")
     if n_max <= deg2d:
         raise ValueError(f"truncation {n_max} must exceed the twist degree {deg2d}")
-    return SubspaceTriple(2 * n_max + 1, _mode_columns(n_max, range(0, n_max + 1)),
-                          _mode_columns(n_max, range(-n_max, deg2d + 1)))
+    return SubspaceTriple(2 * n_max + 1, _mode_columns(n_max, 0, n_max), _mode_columns(n_max, -n_max, deg2d))
 
 
 def hardy_sphere_triple(m: int, n_max: int) -> SubspaceTriple:
@@ -215,6 +216,4 @@ def hardy_sphere_triple(m: int, n_max: int) -> SubspaceTriple:
     nonpositive modes; they meet exactly in the constants."""
     if m < 1:
         raise ValueError(f"target dimension must be positive, got {m}")
-    plus_const, minus_const = (np.kron(_mode_columns(n_max, modes), np.eye(m))
-                               for modes in (range(0, n_max + 1), range(-n_max, 1)))
-    return SubspaceTriple((2 * n_max + 1) * m, plus_const, minus_const)
+    return SubspaceTriple((2 * n_max + 1) * m, _mode_columns(n_max, 0, n_max, m), _mode_columns(n_max, -n_max, 0, m))

@@ -1060,12 +1060,17 @@ class TestStackedFredholmSuite:
         # Each of the five tangent checks makes 5: per pair one SVD of the
         # stacked bases and one of the cap, plus the gap.  The two ranks of
         # the sums (7 a check before) went: the SVD that finds the kernel
-        # also gives them
+        # also gives them.
+        # A basis whose columns have at most one nonzero entry each takes
+        # its spectrum in closed form, and [B' | B''] does when both sides
+        # do.  At seed 7 that drops 192 of the Euler triples' SVDs: the 84
+        # triples with N = 1, whose sides are 1 x 1 or empty (163), and the
+        # 29 with no column on either side (their [B' | B''], 29)
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         verify_suite("fredholm")
-        assert len(calls) == 2644 + 100 * 3
+        assert len(calls) == 2644 - (163 + 29) + 100 * 3
 
 
 def private_reads(source: str) -> list:

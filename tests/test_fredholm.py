@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hardyglue import fredholm
 from hardyglue.fredholm import (
     RANK_TOL,
     GraphPairLocal,
@@ -85,13 +88,23 @@ class TestTripleIndex:
                 continue
             assert tuple(triple_index(t)) == sympy_triple_oracle(bp, bq, n)
 
-    @pytest.mark.parametrize("p, q", [(2, 1), (0, 3), (0, 0)])
-    def test_spectra_are_the_three_svds(self, p, q):
+    @pytest.mark.parametrize("p, q, mixed", [(2, 1, False), (0, 3, False), (0, 0, False), (2, 1, True)],
+                             ids=["2-1", "0-3", "0-0", "2-1-mixed"])
+    def test_spectra_are_the_three_svds(self, p, q, mixed):
+        # a mixed triple: B' has one nonzero entry a column and takes its
+        # spectrum in closed form, B'' is dense, so [B' | B''] keeps LAPACK's
+        # bytes
         rng = np.random.default_rng(4)
         t = random_triple(rng, 4, p, q)
+        if mixed:
+            t = SubspaceTriple(4, [[2j, 0], [0, 0], [0, -3.5], [0, 0]], t.basis_dprime)
         svd = [np.linalg.svd(b, compute_uv=False)
                for b in (np.hstack([t.basis_prime, t.basis_dprime]), t.basis_prime, t.basis_dprime)]
-        assert [s.tobytes() for s in t.spectra] == [s.tobytes() for s in svd]
+        lapack = [0, 2] if mixed else [0, 1, 2]
+        assert [t.spectra[i].tobytes() for i in lapack] == [svd[i].tobytes() for i in lapack]
+        if mixed:
+            assert t.spectra[1].tolist() == [3.5, 2.0]
+            assert np.max(np.abs(t.spectra[1] - svd[1])) <= 8 * np.finfo(float).eps * svd[1][0]
         assert all(s.dtype == np.float64 and not s.flags.writeable for s in t.spectra)
         with pytest.raises(ValueError, match="read-only"):
             t.spectra[0][:] = 0.0
@@ -281,10 +294,10 @@ class TestRealBases:
         np.testing.assert_array_equal(t.basis_prime, np.array(basis, dtype=complex))
 
     def test_svd_dtypes(self, monkeypatch):
-        # the Hardy triples of `verify index` take only real SVDs, the random
-        # triples of `verify fredholm` complex ones
+        # the Hardy triples of `verify index` are spans of 0/1 mode columns
+        # and take their spectra in closed form, no SVD at all; the random
+        # triples of `verify fredholm` take complex ones
         from hardyglue import cli
-        import hardyglue.fredholm as fredholm
         svd = fredholm.np.linalg.svd
         seen = []
 
@@ -296,10 +309,75 @@ class TestRealBases:
         for build in (b for _, b in REAL_TRIPLES):
             build()
         assert cli.main(["verify", "index"]) == 0
-        assert len(seen) > 0 and {dtype for dtype, _ in seen} == {np.dtype(np.float64)}
-        seen.clear()
+        assert seen == []
         assert cli.main(["verify", "fredholm"]) == 0
         assert {dtype for dtype, size in seen if size} == {np.dtype(np.complex128)}
+
+
+@st.composite
+def coordinate_bases(draw, spread=1200):
+    """``(N, B', B'')``, two N x k bases whose columns have at most one
+    nonzero entry each: per column a row drawn with repeats, or a zero
+    column, and an entry (real, or complex for the whole basis) of size
+    about 2^e, e in [-600, 600] and within ``spread`` of the basis's
+    smallest; N = 1 gives the 1 x k bases."""
+    n = draw(st.integers(1, 6))
+    mantissa = st.floats(-2.0, 2.0)
+    bases = []
+    for _ in range(2):
+        cplx = draw(st.booleans())
+        lo = draw(st.integers(-600, 600))
+        columns = draw(st.lists(st.one_of(st.none(), st.tuples(
+            st.integers(0, n - 1), mantissa, mantissa, st.integers(lo, min(lo + spread, 600)))), max_size=n + 2))
+        b = np.zeros((n, len(columns)), complex if cplx else float)
+        for j, entry in enumerate(columns):
+            if entry is not None:
+                row, re, im, e = entry
+                b[row, j] = math.ldexp(re, e) + (1j * math.ldexp(im, e) if cplx else 0.0)
+        bases.append(b)
+    return n, *bases
+
+
+def lapack_rank(s):
+    return int(np.count_nonzero(s > RANK_TOL * s[:1]))
+
+
+class TestCoordinateSpectra:
+    # a basis whose columns have at most one nonzero entry each takes its
+    # spectrum in closed form, the sorted row norms; LAPACK is the oracle
+    @settings(max_examples=200, deadline=None)
+    @given(coordinate_bases())
+    def test_closed_form_matches_lapack(self, drawn):
+        n, bp, bq = drawn
+        rows = [fredholm._coordinate_rows(b) for b in (bp, bq)]
+        assert all(r is not None for r in rows)
+        for got, b in ((fredholm._spectrum((bp, bq), rows), np.hstack([bp, bq])),
+                       (fredholm._spectrum((bp,), rows[:1]), bp), (fredholm._spectrum((bq,), rows[1:]), bq)):
+            want = np.linalg.svd(b, compute_uv=False)
+            assert got.shape == want.shape and np.all(got[:-1] >= got[1:])
+            assert np.max(np.abs(got - want), initial=0.0) <= 8 * np.finfo(float).eps * want[:1].max(initial=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(coordinate_bases(), coordinate_bases(spread=20)))
+    def test_triple_decides_as_lapack(self, drawn):
+        n, bp, bq = drawn
+        for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
+            rank = lapack_rank(np.linalg.svd(b, compute_uv=False))
+            if rank < b.shape[1]:
+                with pytest.raises(ValueError, match=rf"^{name} is rank deficient: rank {rank} < {b.shape[1]} "
+                                                     rf"columns at RANK_TOL {RANK_TOL:g}$"):
+                    SubspaceTriple(n, bp, bq)
+                return
+        t = SubspaceTriple(n, bp, bq)
+        assert all(s.dtype == np.float64 and not s.flags.writeable for s in t.spectra)
+        rank = lapack_rank(np.linalg.svd(np.hstack([bp, bq]), compute_uv=False))
+        assert triple_index(t) == (t.p + t.q - rank, n - rank, t.p + t.q - n)
+
+    @pytest.mark.parametrize("basis", [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 0.0]]),
+                                       np.array([[1j, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])],
+                             ids=["more entries than columns", "beside a zero column", "complex"])
+    def test_two_entries_in_a_column_take_lapack(self, basis):
+        assert fredholm._coordinate_rows(basis) is None
 
 
 class TestBasisRank:
