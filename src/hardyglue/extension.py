@@ -120,7 +120,7 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
         exp[low] = np.floor(log_core) + 1
         mant[low] = np.exp2(log_core - exp[low])
     return node_model._membership_residuals(node_model._power_table(delta, xi, eta), xi, eta, s,
-                                            2.0 * mant[:, :, None], 1 - exp[:, :, None])
+                                            2.0 * mant[:, :, None], 1 - exp[:, :, None])[0]
 
 
 def disk_pair_residuals(charted: np.ndarray, charts: tuple, pairs: np.ndarray,
@@ -141,7 +141,7 @@ def disk_pair_residuals(charted: np.ndarray, charts: tuple, pairs: np.ndarray,
     exact = (~xi[:, :n_max].any(axis=(1, 2)) & ~eta[:, :n_max].any(axis=(1, 2))
              & (xi[:, n_max] == eta[:, n_max]).all(axis=1))
     table = node_model._power_table(np.zeros(len(charted)), xi, eta)
-    return node_model._membership_residuals(table, xi, eta, s), exact
+    return node_model._membership_residuals(table, xi, eta, s)[0], exact
 
 
 def annulus_pair_residuals(delta: np.ndarray, laurent: np.ndarray,

@@ -190,8 +190,20 @@ def _sobolev_weights(n_max: int, s: float) -> np.ndarray:
 
 def _mode_power(coeffs: np.ndarray) -> np.ndarray:
     """Sums of |c|^2 over the last axis, inf past the float range (the
-    callers silence the overflow)."""
-    return np.sum(np.abs(coeffs) ** 2, axis=-1)
+    callers silence the overflow).
+
+    Below 8 terms the columns are added left to right, one ufunc add each,
+    which is numpy's pairwise sum of so few terms bit for bit, without a
+    reduction's overhead on every row; from 8 terms on, ``np.sum`` itself.
+    The adds keep the stack's layout, so a column-major stack's sums are
+    column-major too and each row's dot in `_norm_pairs` keeps its stride."""
+    power = np.abs(coeffs) ** 2
+    if power.shape[-1] >= 8:
+        return np.sum(power, axis=-1)
+    total = power[..., 0]
+    for k in range(1, power.shape[-1]):
+        total = total + power[..., k]
+    return total
 
 
 def _relative(parts, refs, s: float | None = None) -> np.ndarray:

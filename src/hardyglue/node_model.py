@@ -24,7 +24,12 @@ highest positive mode that is nonzero in any of the stacks it is given.
 further down stay zero, as ``c_n`` is zero there), and `_eval_plus` sums
 those same products, so a power series is summed at its live width whatever
 order of loop carries it.  numpy's complex power depends on the exponent
-alone, so a power has the same bits in any table.  One table serves both
+alone, so a power has the same bits in any table.  The table takes numpy's
+two paths itself: ``z ** n`` for n < 100, where numpy multiplies by binary
+exponentiation, and ``exp(n * log(z))`` for n >= 100, where numpy calls the
+C library's ``cpow`` and so forms the same ``cexp(n * clog(z))`` once per
+entry; the table takes one ``log`` per gluing parameter, and the rows of
+``z = 0`` are set to numpy's exact zeros.  One table serves both
 transfers of a chart and both defects of a membership test.  The public
 functions are stacks of one over the same kernels (`_transfer`,
 `_chart_side`, `_defect`, `_eval_plus`), and `loops._norm_pairs` sums each
@@ -75,6 +80,9 @@ DEFAULT_SOBOLEV_S = 1.5
 # Below this norm of both loops, each part of a defect entry, at most 1 + sqrt(2)
 # times the largest part of the pair as |z| < 1, is in the float range.
 _DEFECT_SAFE = 2.0 ** 1022
+
+# The least exponent numpy's complex power hands to the C library's cpow.
+_EXP_LOG_FROM = 100
 
 
 def _check_gluing(z: complex) -> None:
@@ -219,6 +227,16 @@ def _power_table(z, *stacks) -> np.ndarray:
     stacks (each (T, 2N+1, m)); the table serves `_transfer` on any of them.
     A row is ``z ** arange(K, 0, -1)``: the last K entries of the full
     table ``z ** arange(N, 0, -1)``, bit for bit.
+
+    numpy's complex power takes an integer exponent n below `_EXP_LOG_FROM`
+    by binary exponentiation, and from there on calls the C library's
+    ``cpow``, which is ``cexp(n * clog(z))``.  So the columns n < 100 are
+    numpy's power, and the columns n >= 100 are ``exp(n * log(z))`` with
+    one ``log`` per gluing parameter: the same operations, so the same bits,
+    where ``cpow`` takes one ``clog`` per entry.  numpy gives ``0^n`` as an
+    exact zero, where ``log(0)`` is -inf and exp-log would give a -0
+    imaginary part, so the rows of ``z = 0`` take the log of 1 and are
+    then set to zero.
     """
     n_max, m = stacks[0].shape[1] // 2, stacks[0].shape[2]
     width = 0
@@ -226,7 +244,16 @@ def _power_table(z, *stacks) -> np.ndarray:
         live = c[:, n_max + 1:].reshape(len(c), -1).any(axis=0).nonzero()[0]
         if live.size:
             width = max(width, int(live[-1]) // m + 1)
-    return np.asarray(z, dtype=complex)[:, None] ** np.arange(width, 0, -1)
+    z = np.asarray(z, dtype=complex)
+    n = np.arange(width, 0, -1)
+    high = width - _EXP_LOG_FROM + 1  # the columns n = K.._EXP_LOG_FROM
+    if high <= 0:
+        return z[:, None] ** n
+    nonzero = z.all()
+    top = np.exp(n[:high] * np.log(z if nonzero else np.where(z == 0, 1.0, z))[:, None])
+    if not nonzero:
+        top[z == 0] = 0.0
+    return np.concatenate((top, z[:, None] ** n[high:]), axis=1)
 
 
 def _transfer(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -268,10 +295,11 @@ def _chart_stack(z, xi_plus, eta_plus, lam) -> tuple:
 
 
 def _chart_members(z, xi_plus, eta_plus, lam, s: float) -> tuple:
-    """`_chart_stack` and the `node_membership` residuals of its pairs over the
-    same table: ``(table, xi, eta, residuals)``; on a polynomial, its traces."""
+    """`_chart_stack` and the `_membership_residuals` of its pairs over the
+    same table: ``(table, xi, eta, residuals, refs)``; on a polynomial, its
+    traces."""
     table, xi, eta = _chart_stack(z, xi_plus, eta_plus, lam)
-    return table, xi, eta, _membership_residuals(table, xi, eta, s)
+    return (table, xi, eta, *_membership_residuals(table, xi, eta, s))
 
 
 def _defect(table, xi, eta) -> tuple:
@@ -285,18 +313,20 @@ def _defect(table, xi, eta) -> tuple:
     return dxi, deta
 
 
-def _membership_residuals(table, xi, eta, s: float, mant=None, shift=None) -> np.ndarray:
+def _membership_residuals(table, xi, eta, s: float, mant=None, shift=None) -> tuple:
     """Stacked `node_membership` residuals, shape (T,), of the defect over
-    ``mant * 2**-shift`` where given (the annulus test's core weights).  A
-    row whose loops reach `_DEFECT_SAFE` takes the defect of the pair over
-    4, exactly, so that no defect entry passes the float range."""
+    ``mant * 2**-shift`` where given (the annulus test's core weights), and
+    the `_norm_pairs` of ``xi`` and ``eta`` they were taken against:
+    ``(residuals, refs)``.  A row whose loops reach `_DEFECT_SAFE` takes
+    the defect of the pair over 4, exactly, so that no defect entry passes
+    the float range."""
     refs = [_norm_pairs(c, s) for c in (xi, eta)]
     top = np.maximum(*(_ldexp(v, e) for v, e in refs))
     if max(top.tolist(), default=0.0) >= _DEFECT_SAFE:  # Python's max is the cheaper at T = 1
         quarter = np.where(top >= _DEFECT_SAFE, -2, 0)[:, None, None]
         xi, eta, shift = _ldexp(xi, quarter), _ldexp(eta, quarter), (0 if shift is None else shift) - quarter
     parts = [d if mant is None else d / mant for d in _defect(table, xi, eta)]
-    return _relative([_norm_pairs(d, s, shift) for d in parts], refs)
+    return _relative([_norm_pairs(d, s, shift) for d in parts], refs), refs
 
 
 def _check_members(residuals, tol: float) -> None:
@@ -383,7 +413,8 @@ def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBO
         residual = float(_relative(*[[(np.array([n]), None) for n in g] for g in (parts, refs)])[0])
     else:
         xi, eta = b.xi.coeffs[None], b.eta.coeffs[None]
-        residual = float(_membership_residuals(_power_table([b.z], xi, eta), xi, eta, s)[0])
+        residuals, _ = _membership_residuals(_power_table([b.z], xi, eta), xi, eta, s)
+        residual = float(residuals[0])
     return MembershipResult(residual <= tol, residual)
 
 
@@ -449,17 +480,18 @@ def node_battery_residuals(charts: tuple, traces: tuple, n_max: int,
     outside = gluing[np.abs(gluing) >= 1.0]
     if outside.size:
         _check_gluing(complex(outside[0]))
-    traced = _chart_members(z_trace, _plus_stack(a, n_max), _plus_stack(b, n_max), c, s)[-1]
+    traced = _chart_members(z_trace, _plus_stack(a, n_max), _plus_stack(b, n_max), c, s)[3]
     plus = (_plus_stack(xi_rows, n_max), _plus_stack(eta_rows, n_max))
-    table, xi, eta, member = _chart_members(z, *plus, lam, s)
+    table, xi, eta, member, refs = _chart_members(z, *plus, lam, s)
     back = _chart_inverse(xi, eta, member, 1e-8)  # shares z with the chart
     num = np.hypot(_l2_rows(plus[0] - back[0]), _l2_rows(plus[1] - back[1]))
     roundtrip = np.hypot(num, _l2_rows(lam - back[2])) / (1.0 + _l2_rows(plus[0]) + _l2_rows(plus[1]))
     del plus
     xi_back, eta_back = _chart(table, *back)
     del back
-    boundary = _relative((np.subtract(xi, xi_back, out=xi_back),
-                          np.subtract(eta, eta_back, out=eta_back)), (xi, eta), s)
+    # over the norms of xi and eta that the chart membership pass took
+    boundary = _relative([_norm_pairs(np.subtract(first, again, out=again), s)
+                          for first, again in ((xi, xi_back), (eta, eta_back))], refs)
     return member, roundtrip, boundary, traced
 
 
@@ -490,9 +522,9 @@ def h_reproduction_gaps(poly: NodePolynomial) -> np.ndarray:
     xs, ys, z = h_grid()
     refs = poly(xs, ys)
     width = max(poly.deg_x, poly.deg_y)
-    # a broadcast row makes the chart's copies column-major, where sums over m run faster
+    # one row broadcast to the grid's points, so the positive parts are not built per point
     plus = [np.broadcast_to(_plus_stack(v[None], width), (len(z), 2 * width + 1, poly.m)) for v in (poly.a, poly.b)]
-    _, xi, eta, member = _chart_members(z, *plus, np.broadcast_to(poly.c, z.shape + (poly.m,)), DEFAULT_SOBOLEV_S)
+    _, xi, eta, member, _ = _chart_members(z, *plus, np.broadcast_to(poly.c, z.shape + (poly.m,)), DEFAULT_SOBOLEV_S)
     xi_plus, eta_plus, lam = _chart_inverse(xi, eta, member, 1e-8)
     hvals = _eval_plus(xs, xi_plus) + _eval_plus(ys, eta_plus) + lam
     return np.max(np.abs(hvals - refs), axis=1) / (1.0 + np.max(np.abs(refs), axis=1))

@@ -716,6 +716,23 @@ class TestStackedNodeBattery:
         assert [r.residual for r in records] == [worst[0], worst[1], worst[3], worst[2], max(gaps)]
         assert made.random() == rng.random()
 
+    def test_norms_taken_once_per_block(self, monkeypatch):
+        # the trace and chart membership passes take 4 norm pairs each (xi,
+        # eta and their two defects); the boundary roundtrip takes 2, of its
+        # differences, and reads the references of xi and eta from the
+        # chart pass: 10 a block, where a second pass over xi and eta made 12
+        from hardyglue import loops, node_model
+        from hardyglue.cli import _node_random_battery
+
+        calls = []
+        real = loops._norm_pairs
+        for module in (loops, node_model):
+            monkeypatch.setattr(module, "_norm_pairs", lambda *args: calls.append(args) or real(*args))
+        blocks = record_results(monkeypatch, node_model, "node_battery_residuals")
+        monkeypatch.setattr(node_model, "h_reproduction_gaps", lambda poly: np.zeros(1))
+        _node_random_battery(RunOptions(), 100, 2, 64, 0.9, 5)
+        assert len(blocks) == 7 and len(calls) == 10 * len(blocks)  # 16 trials a block at N = 64, m = 2
+
 
 class TestStackedExtensionSuite:
     """`suite_extension` checks its trials as stacks; its records must equal
@@ -1245,7 +1262,7 @@ class TestDeterminism:
         assert main(["verify", "energy", "--seed", "3", "--tol", "1e-9"]) == 0
         capsys.readouterr()
         assert run_all() == first
-        assert len(first) == 8
+        assert len(first) == 10
         assert _build_parser() is _build_parser()
 
     def test_digest_tracks_inputs(self, tmp_path):

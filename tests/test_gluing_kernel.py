@@ -6,7 +6,7 @@ form gives each row the bits of the public functions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyglue.extension import annulus_extension_test
@@ -178,7 +178,7 @@ class TestStackedKernelsMatchPublicFunctions:
         chart_xi, chart_eta = _chart(table, xi_plus, eta_plus, lam)
         table = _power_table(z, xi, eta)
         dxi, deta = _defect(table, xi, eta)
-        residuals = _membership_residuals(table, xi, eta, 1.5)
+        residuals = _membership_residuals(table, xi, eta, 1.5)[0]
         norms = _sobolev_norms(xi, 1.5)
         for t in range(rows):
             plus = Loop(m, n_max, xi_plus[t])
@@ -203,10 +203,43 @@ class TestStackedKernelsMatchPublicFunctions:
         table = _power_table(z, xi_plus, eta_plus)
         xi, eta = _chart(table, xi_plus, eta_plus, disc(rng, (rows, m)))
         xi[3, n_max - 2] += 1e-6  # row 3 leaves the node: residual ~1e-7 > 1e-8
-        residuals = _membership_residuals(table, xi, eta, 1.5)
+        residuals = _membership_residuals(table, xi, eta, 1.5)[0]
         assert np.all(np.delete(residuals, 3) <= 1e-12) and residuals[3] > 1e-8
         with pytest.raises(ValueError, match="not a node member") as stacked:
             _chart_inverse(xi, eta, residuals, 1e-8)
         with pytest.raises(ValueError) as scalar:
             node_chart_inverse(NodeBoundary(z[3], Loop(m, n_max, xi[3]), Loop(m, n_max, eta[3])), tol=1e-8)
         assert str(stacked.value) == str(scalar.value)
+
+
+angles = st.floats(min_value=0.0, max_value=2 * np.pi)
+# gluing parameters on the closed disc: its interior, its edge, moduli down
+# to the subnormals, and zero parts of either sign, zero itself included
+disc_points = st.one_of(
+    st.builds(lambda r, t: r * np.exp(1j * t), st.floats(min_value=0.0, max_value=1.0), angles),
+    st.builds(lambda t: np.exp(1j * t), angles),
+    st.builds(lambda e, t: 10.0**e * np.exp(1j * t), st.floats(min_value=-320.0, max_value=0.0), angles),
+    st.builds(lambda x, zero, swap: complex(zero, x) if swap else complex(x, zero),
+              st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([0.0, -0.0]), st.booleans()),
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1 + 0j, 1j, -1j,
+                     5e-324 + 0j, complex(-0.0, 5e-324), complex(2.5e-310, -2.5e-310), 1e-300 + 0j,
+                     complex(-1e-300, 1e-300), complex(1 - 1e-16, 0.0)]),
+)
+
+
+class TestPowerTableBits:
+    """`_power_table` takes exp-log from n = 100 up; each entry must still
+    have the bits of numpy's own ``z ** n``, signed zeros included."""
+
+    @given(st.lists(disc_points, min_size=1, max_size=5), st.sampled_from([1, 3, 99, 100, 101, 512, 1025]))
+    @example(points=[0j, 0.5 + 0.5j], width=100)  # the cut, and a zero row past it
+    @example(points=[complex(-0.0, -0.0), 0.9j, 1e-300 + 0j], width=1025)
+    @settings(deadline=None, max_examples=200)
+    def test_equals_numpy_power(self, points, width):
+        z = np.array(points, dtype=complex)
+        live = np.zeros((len(z), 2 * width + 1, 1), dtype=complex)
+        live[:, -1] = 1.0  # mode K is live, so the table has width K
+        got = _power_table(z, live).view(float)
+        want = (z[:, None] ** np.arange(width, 0, -1)).view(float)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -150,6 +150,26 @@ class TestRowBits:
         assert taken[0] == 0 and (taken[1:] != 0).all()  # the zero row too, at exponent -2**20
 
 
+class TestModePowerBits:
+    """`_mode_power` adds its columns one by one below 8 terms; it must have
+    the bits and the strides of ``np.sum(np.abs(c) ** 2, axis=-1)``."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_equals_numpy_sum(self, m):
+        from hardyglue.loops import _mode_power
+        rng = np.random.default_rng(m)
+        stack = rng.standard_normal((5, 2 * 16 + 1, m)) + 1j * rng.standard_normal((5, 2 * 16 + 1, m))
+        stack *= np.exp(rng.uniform(-5, 5, stack.shape))
+        # rows near 1e300, whose squares are inf, and near 1e-300, whose squares underflow
+        stack *= np.array([1.0, 1e300, 1e-300, 1e-160, 1e150])[:, None, None]
+        for layout, rows in _layouts(stack).items():
+            with np.errstate(over="ignore"):
+                got, want = _mode_power(rows), np.sum(np.abs(rows) ** 2, axis=-1)
+            assert got.tobytes() == want.tobytes(), layout
+            assert got.strides == want.strides, layout
+            assert layout == "broadcast" or np.isinf(got[1]).all()
+
+
 class TestHardyProjection:
     def setup_method(self):
         self.loop = scalar({-1: 1.0, 0: 2.0, 1: 3.0})
