@@ -1,7 +1,7 @@
 """Hardy-space loop toolkit: standard-node gluing, holomorphic extension
 tests, Fredholm subspace intersections, and moduli dimension formulas."""
 
-from .loops import Loop, hardy_project, laurent_eval, sobolev_norm, winding_number
+from .loops import Loop, hardy_project, sobolev_norm
 from .node_model import (
     NodeBoundary,
     NodeChart,
@@ -13,13 +13,12 @@ from .node_model import (
     node_membership,
     transfer_Tz,
 )
-from .extension import annulus_extension_test, disk_extension_test, disk_pair_node_test, vprime_membership
+from .extension import annulus_extension_test, disk_pair_node_test, vprime_membership
 from .fredholm import (
     GraphPairLocal,
     SubspaceTriple,
     index_stability_check,
     intersect_newton,
-    normal_coordinates,
     triple_index,
 )
 from .moduli import (

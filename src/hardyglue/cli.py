@@ -342,6 +342,8 @@ def handle_intersect(params: dict, opts: RunOptions) -> list:
 
 def handle_energy(params: dict, opts: RunOptions) -> list:
     p = _record(params, FIELDS["energy"], "params")
+    if p["laurents"] is not None and p["laurent"] is not None:
+        raise ScenarioError("params: give one of 'laurents' and 'laurent', not both")
     if p["laurents"] is not None:
         polys = p["laurents"]
     elif p["laurent"] is not None:

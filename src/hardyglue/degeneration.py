@@ -114,32 +114,31 @@ _RADII_PER_BLOCK = 64  # keeps the (P, block * m) derivative grid near 256 KB at
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def annulus_energy_quadrature(loop: Loop, r: float, R: float,
-                              n_theta: int | None = None, n_rad: int | None = None) -> float:
+def annulus_energy_quadrature(loop: Loop, r: float, R: float) -> float:
     """Dirichlet energy by 2D quadrature of ``|f'|^2`` (independent check).
 
-    The grid is ``n_rad`` Gauss-Legendre radii in log-radius times
-    ``n_theta`` equispaced angles.  On each circle ``|x| = rho`` the
-    derivative ``f'(x) = sum_n n a_n x^(n-1)`` is sampled pointwise as
+    The grid is ``n_rad`` Gauss-Legendre radii in log-radius times ``P``
+    equispaced angles.  On each circle ``|x| = rho`` the derivative
+    ``f'(x) = sum_n n a_n x^(n-1)`` is sampled pointwise as
     ``exp(i(n-1)theta_j) @ (rho^(n-1) n a_n)``, one matrix product for a
     block of radii at a time; modes with ``n = 0`` or a zero coefficient
     row are dropped first, so ``rho^(n-1)`` is formed only for live modes.
     The Gauss-Legendre nodes are cached per ``n_rad`` as read-only arrays.
 
-    By default both orders are the ones `_orders` proves from the live
-    modes' ``|a_n|^2`` (never from `annulus_energy`): ``n_theta`` one above
-    the span ``max n - min n`` of the live modes, where the angular mean is
-    exact, and ``n_rad`` the smallest count whose Bernstein-ellipse bound on
-    the radial error is within ``QUADRATURE_TOL / 100`` of the energy,
-    rounded up to a multiple of 8 so that few node sets are built.  Past
-    1024 radii (or with no provable count) the energy reads NaN, and a
-    check of it is inconclusive.
+    Both orders are the ones `_orders` proves from the live modes'
+    ``|a_n|^2`` (never from `annulus_energy`): ``P`` one above the span
+    ``max n - min n`` of the live modes, where the angular mean is exact,
+    and ``n_rad`` the smallest count whose Bernstein-ellipse bound on the
+    radial error is within ``QUADRATURE_TOL / 100`` of the energy, rounded
+    up to a multiple of 8 so that few node sets are built.  Past 1024 radii
+    (or with no provable count) the energy reads NaN, and a check of it is
+    inconclusive.
 
     The ring integral stays the trapezoid mean of ``|f'|^2`` over the
-    angular samples, which is exact when ``n_theta`` resolves the
-    trigonometric polynomial ``|f'|^2`` and aliases when it does not.  A
-    sum over coefficients (Parseval) would be the closed form
-    `annulus_energy` itself and would no longer check it.  A sample past
+    angular samples, which is exact when ``P`` resolves the trigonometric
+    polynomial ``|f'|^2`` and aliases when it does not.  A sum over
+    coefficients (Parseval) would be the closed form `annulus_energy`
+    itself and would no longer check it.  A sample past
     the float range makes the energy inf or NaN, with no warning.
     """
     if not (0.0 < r < R <= 1.0):
@@ -149,13 +148,10 @@ def annulus_energy_quadrature(loop: Loop, r: float, R: float,
     n = n[live]
     if not n.size:
         return 0.0
-    if n_theta is None or n_rad is None:
-        angles, k = _orders(n, _mode_power(loop.coeffs[live]), r, R)
-        if n_rad is None and k > _MAX_RADII:
-            return math.nan
-        n_theta = angles if n_theta is None else n_theta
-        n_rad = -(-k // 8) * 8 if n_rad is None else n_rad
-    P = n_theta
+    P, k = _orders(n, _mode_power(loop.coeffs[live]), r, R)
+    if k > _MAX_RADII:
+        return math.nan
+    n_rad = -(-k // 8) * 8
     thetas = 2.0 * np.pi * np.arange(P) / P
     slope = n[:, None] * loop.coeffs[live]  # n a_n, (modes, m)
     # exp(i(n-1)theta_j), shape (P, modes); built in place, so no second

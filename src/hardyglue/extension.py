@@ -1,8 +1,8 @@
 """Holomorphic-extension tests for boundary loops.
 
-In the truncated model a loop extends to the unit disk iff its negative
-modes vanish, and a pair extends through a node iff additionally the
-constants agree: node membership at ``z = 0``.  A pair bounds a holomorphic
+In the truncated model a pair extends through a node iff both loops
+extend to the unit disk (their negative modes vanish) and the constants
+agree: node membership at ``z = 0`` (`disk_pair_node_test`).  A pair bounds a holomorphic
 map on the annulus ``A(delta, 1)`` iff it satisfies the node relation at
 ``z = delta`` (``eta_{-n} = delta^n xi_n``, ``xi_{-n} = delta^n eta_n``,
 equal constants): the annulus is the node fiber ``{xy = delta}``.  The
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import node_model
-from .loops import Loop, _at_scale, _ldexp, _mode_power, _relative, _samples, default_grid_size, hardy_project
+from .loops import Loop, _at_scale, _ldexp, _mode_power, _samples, default_grid_size
 from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, node_membership
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "NodeData",
     "NodeVerdict",
     "VPrimeReport",
-    "disk_extension_test",
     "disk_pair_node_test",
     "annulus_extension_test",
     "vprime_membership",
@@ -53,13 +52,6 @@ __all__ = [
 class ExtensionResult:
     extends: bool
     defect: float
-
-
-def disk_extension_test(xi: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:
-    """Extension to the unit disk: the relative Sobolev norm of the n<0 part."""
-    minus = hardy_project(xi, "minus")
-    defect = float(_relative((minus.coeffs[None],), (xi.coeffs[None],), s)[0])
-    return ExtensionResult(defect <= tol, defect)
 
 
 def disk_pair_node_test(xi: Loop, eta: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:

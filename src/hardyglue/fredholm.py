@@ -44,8 +44,6 @@ __all__ = [
     "triple_index",
     "StabilityResult",
     "index_stability_check",
-    "NormalSplitting",
-    "normal_coordinates",
     "GraphPairLocal",
     "PolynomialMap",
     "FiniteDimReduction",
@@ -320,69 +318,8 @@ def _weyl_margin(s: np.ndarray, d: float) -> float:
     return float(slack / (RANK_TOL * s0))
 
 
-@dataclass(frozen=True)
-class NormalSplitting:
-    """Orthonormal blocks splitting the ambient space along a triple.
-
-    ``cap`` spans ``E' ∩ E''``, ``prime_comp`` its orthogonal complement
-    inside E', ``dprime_comp`` the analogue in E'', and ``outer`` the
-    orthogonal complement of ``E' + E''``.  The middle two blocks are each
-    orthogonal to ``cap`` but in general not to each other; all four
-    together form a basis of the ambient space.
-    """
-
-    cap: np.ndarray
-    prime_comp: np.ndarray
-    dprime_comp: np.ndarray
-    outer: np.ndarray
-
-    @property
-    def dims(self) -> tuple:
-        return (self.cap.shape[1], self.prime_comp.shape[1],
-                self.dprime_comp.shape[1], self.outer.shape[1])
-
-    def basis(self) -> np.ndarray:
-        return np.hstack([self.cap, self.prime_comp, self.dprime_comp, self.outer])
-
-    def projections(self) -> list:
-        """Projections onto the four blocks along the direct sum; they add
-        up to the identity."""
-        S = self.basis()
-        Sinv = np.linalg.inv(S)
-        out = []
-        start = 0
-        for d in self.dims:
-            block = S[:, start:start + d]
-            out.append(block @ Sinv[start:start + d])
-            start += d
-        return out
-
-
-def normal_coordinates(t: SubspaceTriple) -> NormalSplitting:
-    """Orthonormal splitting of the ambient space adapted to the triple.
-
-    ``cap`` and ``outer`` come from one `_cap_and_outer`; the complement of
-    ``cap`` in a side of width p is the first ``p - dim_cap`` left singular
-    vectors of the side's orthonormal basis with ``cap`` projected out.  The
-    widths sum to N, or a ValueError says the triple is too ill-conditioned."""
-    cap, outer = _cap_and_outer(t.basis_prime, t.basis_dprime)
-    k = cap.shape[1]
-    comps = [orthonormal_range(b) for b in (t.basis_prime, t.basis_dprime)]
-    if k:  # with no cap an SVD would only rotate the bases
-        comps = [np.linalg.svd(c - cap @ (cap.conj().T @ c), full_matrices=False)[0][:, :max(c.shape[1] - k, 0)]
-                 for c in comps]
-    split = NormalSplitting(cap, *comps, outer)
-    if sum(split.dims) != t.ambient_dim:
-        raise ValueError(f"normal splitting dims {split.dims} do not sum to N={t.ambient_dim}; "
-                         "the triple is too ill-conditioned for RANK_TOL")
-    return split
-
-
 # ---------------------------------------------------------------------------
 # graph-form local quadruples
-
-# relative step of the central differences behind `GraphPairLocal.jacobian`
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -390,19 +327,20 @@ class GraphPairLocal:
     """Local graph data for a pair of submanifolds through the origin.
 
     ``dims = (d_u, d_xprime, d_xdprime, d_xi)`` fixes the coordinate
-    blocks; ``f(u, xprime) -> xi`` is the graph map with ``f(0,0) = 0``.
-    Jacobians come from central finite differences unless an exact ``jac``
-    callable (returning the pair of block Jacobians) is supplied.  The
+    blocks; ``f(u, xprime) -> xi`` is the graph map with ``f(0,0) = 0``,
+    and ``jac(u, xprime)`` returns its pair of block Jacobians.  The
     model requires ``df(0,0) = 0``; pass ``allow_nonflat=True`` to skip
     that check for maps that are not in straightened form.
     """
 
     dims: tuple
     f: Callable
-    jac: Callable | None = None
+    jac: Callable
     allow_nonflat: bool = False
 
     def __post_init__(self):
+        if not callable(self.jac):
+            raise TypeError(f"jac must be a callable returning the block Jacobians, got {self.jac!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 4 or any(d < 0 for d in dims):
             raise ValueError(f"dims must be four nonnegative integers, got {self.dims}")
@@ -428,22 +366,9 @@ class GraphPairLocal:
 
     def jacobian(self, u, xprime) -> tuple:
         """Block Jacobians (df/du, df/dxprime) at (u, xprime)."""
-        u = np.asarray(u, dtype=complex)
-        xprime = np.asarray(xprime, dtype=complex)
-        if self.jac is not None:
-            ju, jxp = self.jac(u, xprime)
-            return (np.asarray(ju, dtype=complex).reshape(self.dims[3], self.dims[0]),
-                    np.asarray(jxp, dtype=complex).reshape(self.dims[3], self.dims[1]))
-        point = np.concatenate([u, xprime])
-        h = FD_STEP * (1.0 + np.linalg.norm(point))
-        du = self.dims[0]
-        full = np.zeros((self.dims[3], point.size), dtype=complex)
-        for j in range(point.size):
-            e = np.zeros(point.size, dtype=complex)
-            e[j] = h
-            up, down = point + e, point - e
-            full[:, j] = (self.evaluate(up[:du], up[du:]) - self.evaluate(down[:du], down[du:])) / (2.0 * h)
-        return full[:, :du], full[:, du:]
+        ju, jxp = self.jac(np.asarray(u, dtype=complex), np.asarray(xprime, dtype=complex))
+        return (np.asarray(ju, dtype=complex).reshape(self.dims[3], self.dims[0]),
+                np.asarray(jxp, dtype=complex).reshape(self.dims[3], self.dims[1]))
 
 
 def _power(v: complex, p: int) -> complex:

@@ -2,15 +2,12 @@
 
 A `Loop` holds the Fourier coefficients of a map S^1 -> C^m truncated to
 modes |n| <= n_max.  It is the finite-dimensional stand-in for a Sobolev
-space of boundary loops: the norm is a weighted coefficient sum, the Hardy
-projections split strictly positive and strictly negative modes, evaluation
-off the unit circle is a truncated Laurent sum, and a winding number is
-the count of zeros of ``x^N f(x)`` inside the unit disk minus N, checked
-against the argument increments on an adaptively refined sample grid.
+space of boundary loops: the norm is a weighted coefficient sum, and the
+Hardy projections split strictly positive and strictly negative modes.
 
-Pointwise reads (the winding number's argument count, the extension
-tests' sup norm) sample on ``8*(n_max+1)`` points, `default_grid_size`,
-by plain FFT synthesis (`_samples`); each caller keeps it in range.
+The one pointwise read, the sup norm of `extension.vprime_membership`,
+samples on ``8*(n_max+1)`` points, `default_grid_size`, by plain FFT
+synthesis (`_samples`), and keeps it in range through `_at_scale`.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ __all__ = [
     "Loop",
     "sobolev_norm",
     "hardy_project",
-    "laurent_eval",
-    "winding_number",
     "default_grid_size",
 ]
 
@@ -251,89 +246,13 @@ def hardy_project(loop: Loop, side: str):
     return loop.with_coeffs(c)
 
 
-def laurent_eval(loop: Loop, point: complex, r_in: float = 0.0, r_out: float = 1.0) -> np.ndarray:
-    """Evaluate the truncated Laurent sum ``sum_n c_n x^n`` at ``x = point``.
-
-    The point must lie in the closed annulus ``r_in <= |x| <= r_out`` with
-    ``0 <= r_in < r_out <= 1``.  Evaluation at 0 requires all negative
-    modes to vanish.
-    """
-    if not (0.0 <= r_in < r_out <= 1.0):
-        raise ValueError(f"annulus radii must satisfy 0 <= r_in < r_out <= 1, got ({r_in}, {r_out})")
-    x = complex(point)
-    r = abs(x)
-    if r < r_in or r > r_out:
-        raise ValueError(f"point with |x|={r:.6g} outside annulus [{r_in}, {r_out}]")
-    if x == 0:
-        if np.any(loop.coeffs[: loop.n_max] != 0):
-            raise ValueError("cannot evaluate negative modes at x=0")
-        return loop.coeffs[loop.n_max].copy()
-    powers = np.power(x, loop.modes)
-    return powers @ loop.coeffs
-
-
 def _samples(stack: np.ndarray, P: int) -> np.ndarray:
     """Each row of a stack (T, 2N+1, m) sampled at ``P >= 2N+1`` uniform
     angles ``theta_j = 2*pi*j/P`` (FFT synthesis), shape (T, P, m).
 
-    A sample past the float range reads inf or NaN; the callers scale
-    (`winding_number` by its top power of two, the sup in
-    `extension.vprime_membership` through `_at_scale`)."""
+    A sample past the float range reads inf or NaN; the caller, the sup
+    in `extension.vprime_membership`, scales through `_at_scale`."""
     spread = np.zeros((len(stack), P, stack.shape[2]), dtype=complex)
     spread[:, np.arange(-(stack.shape[1] // 2), stack.shape[1] // 2 + 1) % P] = stack
     return np.fft.ifft(spread, axis=1) * P
 
-
-def winding_number(loop: Loop, tol: float = 1e-9) -> int:
-    """Winding number of a scalar loop about the origin: the number of
-    roots of the polynomial ``x^N f(x)`` inside the unit disk (companion
-    matrix eigenvalues, `np.roots`) minus N.  A root within ``tol`` of the
-    circle, where it is not defined, a sample within ``tol`` of 0 and a
-    count the argument principle (`_argument_count`) does not confirm are
-    ValueErrors.  A loop with a part of modulus 1 or more is counted
-    divided, exactly, by the power of two at its largest part: the roots
-    and the argument are the same, and no sample, ratio or Horner sum
-    passes the float range."""
-    if loop.m != 1:
-        raise ValueError("winding number requires a scalar loop (m=1)")
-    top = max(int(_top_exponents(loop.coeffs[None])[0]), 0)
-    f = _ldexp(loop.coeffs[:, 0], -top)
-    roots = np.roots(f[::-1])
-    if np.any(np.abs(np.abs(roots) - 1.0) <= tol):
-        raise ValueError(f"loop has a zero within {tol} of the circle; winding number undefined")
-    count = int(np.sum(np.abs(roots) < 1.0)) - loop.n_max
-    vals = _samples(f[None, :, None], default_grid_size(loop.n_max))[0, :, 0]
-    if np.min(np.abs(vals)) <= math.ldexp(tol, -top):
-        raise ValueError(f"loop passes within {tol} of the origin; winding number undefined")
-    by_argument = _argument_count(f, vals, roots)
-    if count != by_argument:
-        raise ValueError(f"zero count {count} disagrees with the argument principle ({by_argument})")
-    return count
-
-
-def _argument_count(f: np.ndarray, vals: np.ndarray, roots: np.ndarray) -> int:
-    """The argument principle: the argument increments of the scalar loop
-    with coefficients ``f`` (modes -N..N) between samples, summed and
-    divided by 2*pi.  The samples start as ``vals`` on the uniform grid.
-    On the circle ``|d arg f / d theta| <= N + sum_j 1/|x - r_j|`` over the
-    ``roots`` of ``x^N f(x)``; an interval where that bound times its width
-    is pi/2 or more is bisected (at most 64 times, past float resolution)
-    until it is below, so each principal increment is the true one."""
-    n_max = len(f) // 2
-    edges = 2.0 * np.pi * np.arange(len(vals) + 1) / len(vals)
-    left, right, f_left, f_right = edges[:-1], edges[1:], vals, np.roll(vals, -1)
-    off_circle = np.abs(1.0 - np.abs(roots))
-    total = 0.0
-    for _ in range(64):
-        mid = 0.5 * (left + right)
-        x = np.exp(1j * mid)
-        near = np.maximum(np.abs(x[:, None] - roots) - 0.5 * (right - left)[:, None], off_circle)
-        sure = (right - left) * (n_max + np.sum(1.0 / near, axis=1)) < np.pi / 2
-        total += float(np.sum(np.angle(f_right[sure] / f_left[sure])))
-        if sure.all():
-            return int(round(total / (2.0 * np.pi)))
-        left, right, f_left, f_right, mid, x = (v[~sure] for v in (left, right, f_left, f_right, mid, x))
-        f_mid = np.polyval(f[::-1], x) * x ** -n_max
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-        f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
-    raise ValueError("argument increments not resolved after 64 bisections")

@@ -451,8 +451,9 @@ def evaluate_H(family, x: complex, y: complex, t=None) -> np.ndarray:
     """Glued evaluation ``H(x, y, t) = xi_+(x) + eta_+(y) + lam`` at ``z = x*y``.
 
     ``family`` is a callable ``(z, t) -> NodeChart`` describing a chart-valued
-    family over the gluing parameter; exceptions it raises propagate as
-    "family undefined at (z, t)".  At ``x = y = 0`` the value is ``lam(0, t)``.
+    family over the gluing parameter; an exception it raises propagates
+    unchanged, and a value that is not a `NodeChart` is a ValueError.  At
+    ``x = y = 0`` the value is ``lam(0, t)``.
     """
     x = complex(x)
     y = complex(y)

@@ -15,7 +15,8 @@ draws per call, which the CLI's batteries must reproduce bit for bit;
 ``np.dot`` per row, which the stacked kernels must reproduce bit for bit;
 `polynomial_by_terms` is the reference definition of a `PolynomialMap`'s
 values and Jacobians, numpy-scalar monomials term by term, which the
-compiled map must reproduce bit for bit; `point_walk` is the reference
+compiled map must reproduce bit for bit; `central_differences` gives a
+graph map without exact Jacobians its ``jac``, and checks the exact ones; `point_walk` is the reference
 definition of a `NodalConfig`'s point ids per component, the walk over its
 nodes and marks that `NodalConfig.points` replaced, and
 `random_nodal_config` draws the configurations it is checked on.
@@ -180,6 +181,33 @@ def polynomial_by_terms():
     """`_polynomial_by_terms`, the independent reference of a polynomial
     map's values and Jacobians."""
     return _polynomial_by_terms
+
+
+FD_STEP = 1e-6  # relative step of `central_differences`
+
+
+def central_differences(dims, f):
+    """The block Jacobians ``(df/du, df/dxprime)`` of a graph map ``f`` with
+    ``dims = (d_u, d_xprime, d_xdprime, d_xi)``, by central differences of
+    step ``FD_STEP * (1 + |(u, xprime)|)`` in each coordinate: the ``jac``
+    of a `GraphPairLocal` whose map has no exact Jacobian, and an oracle
+    for the exact ones."""
+    d_u, d_xi = dims[0], dims[3]
+
+    def value(point):
+        return np.asarray(f(point[:d_u], point[d_u:]), dtype=complex).reshape(-1)
+
+    def jac(u, xprime):
+        point = np.concatenate([u, xprime])
+        h = FD_STEP * (1.0 + np.linalg.norm(point))
+        full = np.zeros((d_xi, point.size), dtype=complex)
+        for j in range(point.size):
+            e = np.zeros(point.size, dtype=complex)
+            e[j] = h
+            full[:, j] = (value(point + e) - value(point - e)) / (2.0 * h)
+        return full[:, :d_u], full[:, d_u:]
+
+    return jac
 
 
 def _point_walk(cfg) -> list:

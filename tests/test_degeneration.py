@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_nodal_config
+from hardyglue import degeneration
 from hardyglue.cli import check_residual
 from hardyglue.degeneration import (
     _LOG_RHO,
@@ -26,6 +27,19 @@ from hardyglue.node_model import NodePolynomial
 
 def scalar(entries, n_max=6):
     return Loop.from_modes(1, n_max, {n: [v] for n, v in entries.items()})
+
+
+def plant_orders(monkeypatch, angles=None, radii=None):
+    """Make `annulus_energy_quadrature` take ``angles`` angles and ``radii``
+    radial nodes (before its rounding up to a multiple of 8) in place of
+    the orders `_orders` proves; None keeps the proven one."""
+    proven = degeneration._orders
+
+    def planted(*args):
+        P, k = proven(*args)
+        return (P if angles is None else angles, k if radii is None else radii)
+
+    monkeypatch.setattr(degeneration, "_orders", planted)
 
 
 def coordinate_poly():
@@ -68,15 +82,15 @@ class TestAnnulusEnergy:
             quad = annulus_energy_quadrature(loop, 1e-6, 0.5)
         assert quad == pytest.approx(annulus_energy(loop, 1e-6, 0.5), rel=1e-8)
 
-    def test_quadrature_samples_pointwise(self):
+    def test_quadrature_samples_pointwise(self, monkeypatch):
         # two angular samples alias |f'|^2 for f = x + x^3; a sum over
         # coefficients would return the closed form instead
         loop = scalar({1: 1.0, 3: 1.0}, n_max=3)
         closed = annulus_energy(loop, 0.3, 0.8)
         assert closed == pytest.approx(4.191654290088907, rel=1e-12)
-        assert annulus_energy_quadrature(loop, 0.3, 0.8, n_theta=2) == pytest.approx(
-            7.975702641337808, rel=1e-12)
         assert annulus_energy_quadrature(loop, 0.3, 0.8) == pytest.approx(closed, rel=1e-10)
+        plant_orders(monkeypatch, angles=2)
+        assert annulus_energy_quadrature(loop, 0.3, 0.8) == pytest.approx(7.975702641337808, rel=1e-12)
 
     def test_quadrature_agreement_on_necks(self):
         # the radii energy_axiom_check picks at n_max = 32, m = 2, down to
@@ -129,8 +143,8 @@ class TestQuadratureOrders:
     Bernstein-ellipse bound."""
 
     @staticmethod
-    def gap(loop, r, R, **orders):
-        quad = annulus_energy_quadrature(loop, r, R, **orders)
+    def gap(loop, r, R):
+        quad = annulus_energy_quadrature(loop, r, R)
         return abs(annulus_energy(loop, r, R) - quad) / (1.0 + abs(quad))
 
     @pytest.mark.parametrize("a", [0.5, 3.2, 20.0, 70.0])
@@ -153,21 +167,24 @@ class TestQuadratureOrders:
         err = abs(weights @ np.exp(3.22 * nodes) - 2.0 * math.sinh(3.22) / 3.22)
         assert math.exp(gl_log_bound(3.22, 9)) < err <= math.exp(gl_log_bound(3.22, 8))
 
-    def test_planted_short_orders_fail(self):
+    def test_planted_short_orders_fail(self, monkeypatch):
         # x - 0.5 x^-2: |f'|^2 has degree 3 on a circle
         loop = Loop.from_modes(1, 2, {1: [1.0], -2: [-0.5]})
         r, R = 0.01, 0.5
         assert _orders(np.array([-2, 1]), np.array([0.25, 1.0]), r, R) == (4, 14)
-        assert self.gap(loop, r, R) <= 1e-12
-        assert self.gap(loop, r, R, n_rad=14) <= 1e-12 and self.gap(loop, r, R, n_theta=4) <= 1e-12
-        short_radii = self.gap(loop, r, R, n_rad=14 // 3)
-        short_angles = self.gap(loop, r, R, n_theta=3)
-        assert short_radii == pytest.approx(5.5e-2, rel=0.01)
+        assert self.gap(loop, r, R) <= 1e-12  # 4 angles, 14 radii rounded up to 16
+        with monkeypatch.context() as patch:
+            plant_orders(patch, radii=14 // 3)  # rounded up to 8 radii
+            short_radii = self.gap(loop, r, R)
+        with monkeypatch.context() as patch:
+            plant_orders(patch, angles=3)
+            short_angles = self.gap(loop, r, R)
+        assert short_radii == pytest.approx(3.15e-6, rel=0.01)
         assert short_angles == pytest.approx(7.8e-6, rel=0.01)
         for gap in (short_radii, short_angles):
             assert check_residual("quadrature_agreement", gap, QUADRATURE_TOL).status == "fail"
 
-    def test_order_past_the_cap_is_inconclusive(self):
+    def test_order_past_the_cap_is_inconclusive(self, monkeypatch):
         # x^60 on (1e-6, 0.9) needs 632 radii; x^100 on (1e-8, 0.9) needs 1395,
         # past the cap of 1024
         wide = Loop.from_modes(1, 60, {60: [1.0]})
@@ -179,11 +196,9 @@ class TestQuadratureOrders:
         assert math.isnan(annulus_energy_quadrature(wider, 1e-8, 0.9))
         check = check_residual("quadrature_agreement", self.gap(wider, 1e-8, 0.9), QUADRATURE_TOL)
         assert check.status == "inconclusive" and check.residual is None
-
-    def test_explicit_orders_are_kept(self):
-        # past the cap, an explicit radial count is still used
-        wider = Loop.from_modes(1, 100, {100: [1.0]})
-        assert self.gap(wider, 1e-8, 0.9, n_rad=1400) <= 1e-12
+        # the cap alone makes it NaN: past a raised cap the proven count resolves it
+        monkeypatch.setattr(degeneration, "_MAX_RADII", 1400)
+        assert self.gap(wider, 1e-8, 0.9) <= 1e-12
 
 
 class TestNeckLaurent:

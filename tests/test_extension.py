@@ -4,7 +4,6 @@ import pytest
 from hardyglue.extension import (
     NodeData,
     annulus_extension_test,
-    disk_extension_test,
     disk_pair_node_test,
     vprime_membership,
 )
@@ -23,29 +22,6 @@ def annulus_pair(laurent_entries, delta, n_max=8):
     for n, v in laurent_entries.items():
         eta_entries[-n] = v * delta ** float(n)
     return xi, scalar(eta_entries, n_max)
-
-
-class TestDiskExtension:
-    def test_polynomial_extends(self):
-        res = disk_extension_test(scalar({0: 1.0, 1: 1.0}))
-        assert res.extends and res.defect == 0.0
-
-    def test_pole_fails(self):
-        res = disk_extension_test(scalar({-1: 1.0}))
-        assert not res.extends and res.defect > 0
-
-    def test_defect_past_float_range(self):
-        # |xi|_s overflows, |minus part|_s does not; compare with the same
-        # loop scaled down
-        xi = scalar({-1: 1e307, 2: 1e308})
-        res = disk_extension_test(xi)
-        small = disk_extension_test(xi.with_coeffs(1e-296 * xi.coeffs))
-        assert not res.extends
-        assert res.defect == pytest.approx(small.defect, rel=1e-9)
-
-    def test_below_tolerance_extends(self):
-        res = disk_extension_test(scalar({-3: 1e-14}), tol=1e-10)
-        assert res.extends
 
 
 class TestDiskPair:

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import central_differences
 from hardyglue import fredholm
 from hardyglue.fredholm import (
     RANK_TOL,
@@ -18,7 +19,6 @@ from hardyglue.fredholm import (
     SubspaceTriple,
     index_stability_check,
     intersect_newton,
-    normal_coordinates,
     orthonormal_range,
     polynomial_test_set,
     triple_index,
@@ -28,6 +28,16 @@ from hardyglue.moduli import hardy_sphere_triple, hardy_triple_for_line_bundle
 
 def eye_cols(n, cols):
     return np.eye(n, dtype=complex)[:, list(cols)]
+
+
+def cap_and_outer_widths(t):
+    """The widths of the cap and outer bases `_cap_and_outer` gives a triple."""
+    return tuple(b.shape[1] for b in fredholm._cap_and_outer(t.basis_prime, t.basis_dprime))
+
+
+def fd_graph(dims, f, **kwargs):
+    """A `GraphPairLocal` of ``f`` with central-difference Jacobians."""
+    return GraphPairLocal(dims, f, central_differences(dims, f), **kwargs)
 
 
 def random_triple(rng, n, p, q):
@@ -277,7 +287,7 @@ class TestRealBases:
             assert np.max(np.abs(s - s_twin), initial=0.0) <= 1e-13 * s[0]
         assert (index_stability_check(t, 1e-6).verdict
                 == index_stability_check(twin, 1e-6).verdict)
-        assert normal_coordinates(t).dims == normal_coordinates(twin).dims
+        assert cap_and_outer_widths(t) == cap_and_outer_widths(twin)
 
     @pytest.mark.parametrize("basis, dtype", [
         (np.array([[1.0], [0.0]]), np.float64),
@@ -404,87 +414,57 @@ class TestRankRule:
         t = SubspaceTriple(3, b1, b2)
 
         def counts():
-            return (triple_index(t).dim_cap, normal_coordinates(t).cap.shape[1],
-                    normal_coordinates(t).dims)
+            return triple_index(t).dim_cap, cap_and_outer_widths(t)
 
-        assert counts() == (0, 0, (0, 1, 1, 1))
+        assert counts() == (0, (0, 1))
         monkeypatch.setattr(fredholm, "RANK_TOL", 1e-3)
-        assert counts() == (1, 1, (1, 0, 0, 2))
+        assert counts() == (1, (1, 2))
 
     @pytest.mark.parametrize("small", [[1], [1, 2]])
-    def test_bases_of_scales_past_the_tolerance_rejected(self, small):
-        # a side 1e-10 times the other reads as kernel of [B' | -B''], but
-        # its image is no intersection: the widths cannot sum to N
+    def test_bases_of_scales_past_the_tolerance_read_as_meeting(self, small):
+        # a side 1e-10 times the other reads as kernel of [B' | -B'']:
+        # orthogonal lines (and a line and an orthogonal plane) are counted
+        # as meeting, a known defect of rank decisions on raw bases; the
+        # kernel's image is no intersection, so `_cap_and_outer` finds an
+        # empty cap and the two widths do not sum to N
         n = 1 + len(small)
         t = SubspaceTriple(n, eye_cols(n, [0]), 1e-10 * eye_cols(n, small))
-        with pytest.raises(ValueError, match="do not sum to N"):
-            normal_coordinates(t)
-
-
-class TestNormalCoordinates:
-    def test_plane_example_dims(self):
-        t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
-        assert normal_coordinates(t).dims == (1, 1, 1, 0)
-
-    def test_equal_subspaces(self):
-        t = SubspaceTriple(6, eye_cols(6, [0, 1, 2]), eye_cols(6, [0, 1, 2]))
-        assert normal_coordinates(t).dims == (3, 0, 0, 3)
-
-    def test_random_reassembly(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            n = int(rng.integers(2, 10))
-            t = random_triple(rng, n, int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
-            split = normal_coordinates(t)
-            assert sum(split.dims) == n
-            total = sum(split.projections())
-            assert np.max(np.abs(total - np.eye(n))) <= 1e-12
-
-    def test_zero_width_basis(self):
-        t = SubspaceTriple(4, np.zeros((4, 0), dtype=complex), eye_cols(4, [0, 1]))
-        split = normal_coordinates(t)
-        assert split.dims == (0, 0, 2, 2)
-        assert triple_index(t) == (0, 2, -2)
-
-    def test_blocks_orthogonal_where_required(self):
-        rng = np.random.default_rng(13)
-        t = random_triple(rng, 7, 4, 4)
-        split = normal_coordinates(t)
-        for other in (split.prime_comp, split.dprime_comp, split.outer):
-            if other.shape[1] and split.cap.shape[1]:
-                assert np.max(np.abs(split.cap.conj().T @ other)) <= 1e-12
-        if split.outer.shape[1]:
-            assert np.max(np.abs(split.outer.conj().T @ split.prime_comp)) <= 1e-12
-            assert np.max(np.abs(split.outer.conj().T @ split.dprime_comp)) <= 1e-12
+        assert triple_index(t) == (len(small), len(small), 1 - n + len(small))
+        assert cap_and_outer_widths(t) == (0, len(small))
 
 
 class TestGraphPairLocal:
     def test_nonzero_origin_rejected(self):
         with pytest.raises(ValueError, match="f\\(0,0\\)=0"):
-            GraphPairLocal((1, 1, 1, 1), lambda u, xp: u + 1.0)
+            fd_graph((1, 1, 1, 1), lambda u, xp: u + 1.0)
 
     def test_nonflat_rejected_by_default(self):
         with pytest.raises(ValueError, match="df\\(0,0\\)=0"):
-            GraphPairLocal((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u))
+            fd_graph((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u))
 
     def test_nonflat_escape_hatch(self):
-        g = GraphPairLocal((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u), allow_nonflat=True)
+        g = fd_graph((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u), allow_nonflat=True)
         assert g.dims == (1, 0, 0, 1)
 
     def test_fd_jacobian_matches_exact(self):
         pm = PolynomialMap((2, 1, 0, 2),
                            [[(1.0, (1, 1), (0,))], [(2.0, (0, 2), (1,))]])
-        fd = GraphPairLocal(pm.dims, pm)
         u = np.array([0.3 + 0.1j, -0.2 + 0.4j])
         xp = np.array([0.5 - 0.3j])
-        ju_fd, jxp_fd = fd.jacobian(u, xp)
+        ju_fd, jxp_fd = fd_graph(pm.dims, pm).jacobian(u, xp)
         ju_ex, jxp_ex = pm.jacobian(u, xp)
         assert np.max(np.abs(ju_fd - ju_ex)) <= 1e-8
         assert np.max(np.abs(jxp_fd - jxp_ex)) <= 1e-8
 
     def test_nan_origin_rejected(self):
         with pytest.raises(ValueError, match="f\\(0,0\\)=0, got \\|f\\(0,0\\)\\|=nan"):
-            GraphPairLocal((1, 0, 0, 1), lambda u, xp: u + math.nan)
+            fd_graph((1, 0, 0, 1), lambda u, xp: u + math.nan)
+
+    @pytest.mark.parametrize("jac", [(), (None,)])
+    def test_missing_jacobian_rejected(self, jac):
+        # the Jacobians are the caller's: no finite-difference fallback
+        with pytest.raises(TypeError, match="jac"):
+            GraphPairLocal((1, 0, 0, 1), lambda u, xp: u * u, *jac, allow_nonflat=True)
 
     @pytest.mark.parametrize("jac", [lambda u, xp: ([[math.nan]], [[0.0]]), lambda u, xp: ([[0.0]], [[math.nan]])])
     def test_nan_slope_at_origin_rejected(self, jac):
@@ -557,7 +537,7 @@ class TestFiniteDimReduction:
         assert abs(res.u[0]) <= 1e-6
 
     def test_zero_map_full_intersection(self):
-        g = GraphPairLocal((2, 1, 1, 1), lambda u, xp: np.zeros(1, dtype=complex))
+        g = fd_graph((2, 1, 1, 1), lambda u, xp: np.zeros(1, dtype=complex))
         red = FiniteDimReduction(g)
         seed = np.array([0.3 + 0j, -0.1 + 0j])
         res = red.solve(seed)
@@ -604,14 +584,14 @@ class TestNewton:
         assert res.iterations > 5  # linear, not quadratic
 
     def test_sine_equation_quadratic(self):
-        g = GraphPairLocal((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u), allow_nonflat=True)
+        g = fd_graph((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u), allow_nonflat=True)
         res = intersect_newton(g, np.array([1.0 + 0j]), tol=1e-12)
         assert res.converged
         assert abs(res.u[0]) <= 1e-12
         assert res.iterations <= 10  # quadratic once damping unwinds
 
     def test_zero_map_returns_seed(self):
-        g = GraphPairLocal((2, 0, 0, 1), lambda u, xp: np.zeros(1, dtype=complex))
+        g = fd_graph((2, 0, 0, 1), lambda u, xp: np.zeros(1, dtype=complex))
         seed = np.array([0.2 + 0.1j, -0.4 + 0j])
         res = intersect_newton(g, seed)
         assert res.converged and res.iterations == 0
@@ -741,7 +721,7 @@ class TestCompiledPolynomialMap:
 
 class TestSubspaceHelpers:
     def test_intersection_of_disjoint_is_empty(self):
-        got = normal_coordinates(SubspaceTriple(4, eye_cols(4, [0, 1]), eye_cols(4, [2, 3]))).cap
+        got, _ = fredholm._cap_and_outer(eye_cols(4, [0, 1]), eye_cols(4, [2, 3]))
         assert got.shape == (4, 0)
 
     def test_intersection_recovers_shared_span(self):
@@ -749,7 +729,7 @@ class TestSubspaceHelpers:
         shared = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         b1 = np.hstack([shared, rng.standard_normal((6, 1))])
         b2 = np.hstack([shared @ rng.standard_normal((2, 2)), rng.standard_normal((6, 1))])
-        cap = normal_coordinates(SubspaceTriple(6, b1, b2)).cap
+        cap, _ = fredholm._cap_and_outer(b1, b2)
         assert cap.shape[1] == 2
         # cap lies inside span(shared)
         proj = shared @ np.linalg.lstsq(shared, cap, rcond=None)[0]
@@ -766,10 +746,34 @@ class TestSubspaceHelpers:
             assert got.dtype == complex and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
         t = random_triple(np.random.default_rng(p + q), 5, p, q)
-        split = normal_coordinates(t)
-        assert split.cap.shape == (5, 0)
-        assert split.dims == (0, p, q, 5 - p - q)
-        np.testing.assert_array_equal(split.prime_comp, orthonormal_range(t.basis_prime))
-        np.testing.assert_array_equal(split.dprime_comp, orthonormal_range(t.basis_dprime))
+        cap, outer = fredholm._cap_and_outer(t.basis_prime, t.basis_dprime)
+        assert cap.shape == (5, 0) and outer.shape == (5, 5 - p - q)
         if p + q == 0:
-            np.testing.assert_array_equal(split.outer, np.eye(5))
+            np.testing.assert_array_equal(outer, np.eye(5))
+
+    def test_plane_example_dims(self):
+        t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
+        assert cap_and_outer_widths(t) == (1, 0)
+
+    def test_equal_subspaces(self):
+        t = SubspaceTriple(6, eye_cols(6, [0, 1, 2]), eye_cols(6, [0, 1, 2]))
+        assert cap_and_outer_widths(t) == (3, 3)
+
+    def test_zero_width_basis(self):
+        t = SubspaceTriple(4, np.zeros((4, 0), dtype=complex), eye_cols(4, [0, 1]))
+        assert cap_and_outer_widths(t) == (0, 2)
+        assert triple_index(t) == (0, 2, -2)
+
+    def test_blocks_orthogonal_where_required(self):
+        # orthonormal blocks; the outer block is orthogonal to the cap and to both sides
+        rng = np.random.default_rng(13)
+        t = random_triple(rng, 7, 4, 4)
+        cap, outer = fredholm._cap_and_outer(t.basis_prime, t.basis_dprime)
+        assert cap.shape[1] == 1 and outer.shape[1] == 0
+        for block in (cap, outer):
+            assert np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1])), initial=0.0) <= 1e-12
+        t = random_triple(rng, 7, 2, 3)
+        cap, outer = fredholm._cap_and_outer(t.basis_prime, t.basis_dprime)
+        assert cap.shape[1] == 0 and outer.shape[1] == 2
+        for side in (t.basis_prime, t.basis_dprime):
+            assert np.max(np.abs(outer.conj().T @ side)) <= 1e-12 * np.max(np.abs(side))

@@ -10,36 +10,13 @@ from hardyglue.loops import (
     _samples,
     default_grid_size,
     hardy_project,
-    laurent_eval,
     _sobolev_norms,
     sobolev_norm,
-    winding_number,
 )
 
 
 def scalar(entries, n_max=8):
     return Loop.from_modes(1, n_max, {n: [v] for n, v in entries.items()})
-
-
-def horner_oracle(coeffs_low_to_high, x):
-    """Polynomial evaluation oracle, independent of the vectorized path."""
-    acc = 0j
-    for c in reversed(coeffs_low_to_high):
-        acc = acc * x + c
-    return acc
-
-
-def winding_integral_oracle(loop, n_points=4096):
-    """Contour-integral oracle: (1/2*pi*i) * integral of zeta'/zeta."""
-    theta = 2 * np.pi * np.arange(n_points) / n_points
-    vals = np.zeros(n_points, dtype=complex)
-    deriv = np.zeros(n_points, dtype=complex)
-    for n in range(-loop.n_max, loop.n_max + 1):
-        c = loop.mode(n)[0]
-        vals += c * np.exp(1j * n * theta)
-        deriv += c * 1j * n * np.exp(1j * n * theta)
-    integrand = deriv / vals
-    return int(round(np.real(np.mean(integrand) / 1j)))
 
 
 class TestSobolevNorm:
@@ -205,98 +182,6 @@ class TestHardyProjection:
         total = np.array(plus.coeffs + minus.coeffs)
         total[loop.n_max] += const
         assert np.array_equal(total, loop.coeffs)
-
-
-class TestLaurentEval:
-    def test_single_positive_mode(self):
-        assert laurent_eval(scalar({1: 1.0}), 0.5)[0] == pytest.approx(0.5)
-
-    def test_single_negative_mode(self):
-        got = laurent_eval(scalar({-1: 1.0}), 0.5, r_in=0.25)
-        assert got[0] == pytest.approx(2.0)
-
-    def test_polynomial_against_horner(self):
-        loop = scalar({0: 1.0, 1: 1.0, 2: 1.0})
-        x = 0.3 + 0.4j
-        expected = horner_oracle([1.0, 1.0, 1.0], x)
-        assert expected == pytest.approx(1.23 + 0.64j, abs=1e-15)
-        assert laurent_eval(loop, x)[0] == pytest.approx(expected, rel=1e-14)
-
-    def test_point_outside_annulus(self):
-        with pytest.raises(ValueError):
-            laurent_eval(scalar({1: 1.0}), 0.1, r_in=0.25, r_out=0.75)
-
-    def test_bad_radii(self):
-        with pytest.raises(ValueError):
-            laurent_eval(scalar({1: 1.0}), 0.5, r_in=0.75, r_out=0.25)
-
-    def test_zero_point_needs_no_negative_modes(self):
-        with pytest.raises(ValueError):
-            laurent_eval(scalar({-2: 1.0}), 0.0)
-        assert laurent_eval(scalar({0: 4.0, 3: 1.0}), 0.0)[0] == pytest.approx(4.0)
-
-
-class TestWinding:
-    def test_basic_circle(self):
-        assert winding_number(scalar({1: 1.0})) == 1
-
-    def test_double_circle(self):
-        assert winding_number(scalar({2: 3.0})) == 2
-
-    def test_offset_circle(self):
-        loop = scalar({0: 2.0, 1: 1.0})
-        assert winding_number(loop) == 0
-        assert winding_integral_oracle(loop) == 0
-
-    def test_against_integral_oracle(self):
-        rng = np.random.default_rng(11)
-        for k in (-2, -1, 0, 1, 3):
-            # dominant k-th mode keeps the loop away from the origin
-            entries = {k: 1.0}
-            for n in range(-3, 4):
-                if n != k:
-                    entries[n] = 0.05 * (rng.standard_normal() + 1j * rng.standard_normal())
-            loop = scalar(entries)
-            assert winding_number(loop) == winding_integral_oracle(loop) == k
-
-    def test_vector_loop_rejected(self):
-        with pytest.raises(ValueError):
-            winding_number(Loop.zeros(2, 3))
-
-    def test_loop_through_origin_rejected(self):
-        with pytest.raises(ValueError):
-            winding_number(scalar({0: 1.0, 1: 1.0}))
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_zeros_between_grid_samples(self, k):
-        # k zeros just inside the circle, all between two adjacent samples
-        # of the 8*(n_max+1) grid, where sampled increments alone miss them
-        gap = 2 * np.pi / default_grid_size(8)
-        zeros = (1 - 1e-6) * np.exp(1j * gap * (3 + np.arange(1, k + 1) / (k + 1)))
-        loop = scalar(dict(enumerate(np.poly(zeros)[::-1])))
-        assert winding_number(loop) == k
-
-    def test_zero_on_circle_rejected(self):
-        with pytest.raises(ValueError, match="circle"):
-            winding_number(scalar({0: 1.0, 1: -np.exp(0.3j)}))
-
-    def test_counted_at_scale_near_the_float_maximum(self):
-        # 1.7e308 e^{-i theta}: the plain synthesis overflows in 4 of the 16
-        # samples, so the loop is sampled divided by its top power of two
-        loop = Loop(1, 1, [[1.7e308], [0], [0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite(_samples(loop.coeffs[None], 16)).sum() == 12
-        assert winding_number(loop) == -1
-        assert winding_number(loop.with_coeffs(2.0 ** -600 * loop.coeffs)) == -1
-
-    def test_additive_under_products(self):
-        a = scalar({0: 2.0, 1: 1.0})      # winding 0
-        b = scalar({1: 1.0, 2: 0.25})     # winding 1
-        c = scalar({-2: 1.5})             # winding -2
-        for lhs, rhs in ((a, b), (b, c), (a, c)):
-            # the product's modes -(N1+N2)..N1+N2 are the convolution of the coefficients
-            prod = Loop(1, lhs.n_max + rhs.n_max, np.convolve(lhs.coeffs[:, 0], rhs.coeffs[:, 0])[:, None])
-            assert winding_number(prod) == winding_number(lhs) + winding_number(rhs)
 
 
 def samples(loop: Loop) -> np.ndarray:
