@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .jsonio import (_REQUIRED, ScenarioError, _any, _boolean, _built, _integer,
 from .node_model import NodePolynomial
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
-
-SUITES = ("node", "extension", "fredholm", "index", "energy", "all")
 
 # classical dimension counts frozen against the closed formulas
 CLASSICAL_TABLE = (
@@ -69,9 +67,11 @@ class ScenarioReport:
 
 @dataclass(frozen=True)
 class RunOptions:
+    """The four run options; each flag of the parser defaults to its field."""
+
     truncation: int = 32
-    sobolev_s: float = 1.5
-    tol: float = 1e-10
+    sobolev_s: float = node_model.DEFAULT_SOBOLEV_S
+    tol: float = node_model.DEFAULT_TOL
     seed: int = 7
 
 
@@ -345,12 +345,11 @@ def handle_energy(params: dict, opts: RunOptions) -> list:
     if p["laurents"] is not None and p["laurent"] is not None:
         raise ScenarioError("params: give one of 'laurents' and 'laurent', not both")
     if p["laurents"] is not None:
-        polys = p["laurents"]
+        fam = _built(degeneration.NeckFamily, "params", p["z_seq"], p["laurents"])
     elif p["laurent"] is not None:
-        polys = (p["laurent"],) * len(p["z_seq"])
+        fam = _built(degeneration.NeckFamily.from_constant, "params", p["laurent"], p["z_seq"])
     else:
         raise ScenarioError("params: missing field 'laurent'")
-    fam = _built(degeneration.NeckFamily, "params", p["z_seq"], polys)
     n_max = opts.truncation if p["n_max"] is None else p["n_max"]
     report = _built(degeneration.energy_axiom_check, "params", fam, p["eps_schedule"],
                     tol=p["energy_tol"], n_max=n_max)
@@ -471,7 +470,7 @@ def suite_fredholm(opts: RunOptions) -> list:
 def suite_index(opts: RunOptions) -> list:
     checks = handle_index({"line_bundle": {"d_max": 10, "n_max": 64}}, opts)
     for m in (1, 2, 3):
-        idx = fredholm.triple_index(moduli.hardy_sphere_triple(m, 32))
+        idx = fredholm.triple_index(moduli.hardy_triple_for_line_bundle(0, 32, m))
         checks.append(check_int(f"hardy_sphere_m{m}_dim_cap", idx.dim_cap, m))
         checks.append(check_int(f"hardy_sphere_m{m}_codim", idx.codim_sum, 0))
         checks.append(check_int(f"hardy_sphere_m{m}_index", idx.index, m))
@@ -541,9 +540,9 @@ def _suite_genus_invariance(opts: RunOptions, max_components: int = 3, max_nodes
             check_bool("genus_invariance_cases_nonempty", cases > 0)]
 
 
-def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
-    """The validated configuration of each connected dual graph: all genus
-    assignments and node multigraphs."""
+def _small_dual_graphs(max_components: int, max_nodes: int):
+    """The validated configuration of each connected dual graph: all
+    assignments of genera 0..2 and node multigraphs."""
     from itertools import combinations_with_replacement, product
 
     for c in range(1, max_components + 1):
@@ -558,7 +557,7 @@ def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
                     pid_j = counters[j]
                     counters[j] += 1
                     nodes.append(((i, pid_i), (j, pid_j)))
-                for genus_vec in product(genera, repeat=c):
+                for genus_vec in product((0, 1, 2), repeat=c):
                     try:
                         cfg = moduli.NodalConfig(tuple(moduli.Component(g) for g in genus_vec), nodes)
                     except ValueError:  # disconnected, whatever the genera
@@ -566,26 +565,22 @@ def _small_dual_graphs(max_components: int, max_nodes: int, genera=(0, 1, 2)):
                     yield cfg
 
 
+_SUITE_RUNNERS = {"node": suite_node, "extension": suite_extension, "fredholm": suite_fredholm,
+                  "index": suite_index, "energy": suite_energy}
+SUITES = (*_SUITE_RUNNERS, "all")
+
+
 def verify_suite(suite: str, opts: RunOptions | None = None) -> list:
-    """Run one named verification suite (or 'all'); returns check records."""
+    """Run one named verification suite (or 'all'); returns check records.
+    'all' runs the suites of `_SUITE_RUNNERS` in order, each check's name
+    prefixed with its suite's, then the genus invariance checks."""
     opts = opts or RunOptions()
     if suite not in SUITES:
         raise ScenarioError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runners = {
-        "node": suite_node,
-        "extension": suite_extension,
-        "fredholm": suite_fredholm,
-        "index": suite_index,
-        "energy": suite_energy,
-    }
     if suite != "all":
-        return runners[suite](opts)
-    out = []
-    for name, runner in runners.items():
-        out.extend(CheckRecord(f"{name}.{c.name}", c.status, c.tol, c.residual, c.value, c.expected)
-                   for c in runner(opts))
-    out.extend(_suite_genus_invariance(opts))
-    return out
+        return _SUITE_RUNNERS[suite](opts)
+    out = [replace(c, name=f"{name}.{c.name}") for name, runner in _SUITE_RUNNERS.items() for c in runner(opts)]
+    return out + _suite_genus_invariance(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -647,20 +642,21 @@ _ROOT = {"id": (_string, None), "command": (_any, None), "params": (_any, _REQUI
 
 def _load_scenario(path: str) -> tuple:
     """``(text, root)`` of the scenario file at ``path`` ('-' for stdin)."""
-    if path == "-":
-        text = sys.stdin.read()
-        label = "<stdin>"
-    else:
-        try:
+    label = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-        label = path
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{label}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{label}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ScenarioError(f"{label}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{label}: scenario root must be a JSON object")
     return text, _record(data, _ROOT, "scenario")
@@ -722,11 +718,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     count = _within(int, 0, "an integer >= 0")  # flags are strings
     size = _within(float, 0.0, "a number in [0, inf)")
-    common.add_argument("--truncation", type=count, default=32, help="Fourier truncation order N")
-    common.add_argument("--sobolev-s", type=size, default=1.5, dest="sobolev_s",
-                        help="Sobolev exponent for residual norms")
-    common.add_argument("--tol", type=size, default=1e-10, help="relative residual tolerance")
-    common.add_argument("--seed", type=count, default=7, help="seed for randomized batteries")
+    common.add_argument("--truncation", type=count, help="Fourier truncation order N")
+    common.add_argument("--sobolev-s", type=size, dest="sobolev_s", help="Sobolev exponent for residual norms")
+    common.add_argument("--tol", type=size, help="relative residual tolerance")
+    common.add_argument("--seed", type=count, help="seed for randomized batteries")
+    common.set_defaults(**vars(RunOptions()))
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common], help=f"run a {name} scenario file")
@@ -739,8 +735,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    opts = RunOptions(truncation=args.truncation, sobolev_s=args.sobolev_s,
-                      tol=args.tol, seed=args.seed)
+    opts = RunOptions(**{f.name: getattr(args, f.name) for f in fields(RunOptions)})
     try:
         if args.subcommand == "verify":
             start = time.perf_counter()

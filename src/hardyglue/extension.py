@@ -11,6 +11,8 @@ which weights mode ``n`` of the defect by ``delta^(-|n|/2)``; the disk-pair
 and node tests keep the unweighted defect of ``node_membership``.  Every
 finite Laurent series is holomorphic on the open annulus, so the matching
 relation is the whole content of the test; no growth condition is applied.
+Both tests give their verdict as `node_model.MembershipResult` ``(member,
+residual)``: the disk-pair test returns `node_membership`'s result as it is.
 
 The annulus test is a stack of one over `_annulus_defects`, which takes a
 stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
@@ -33,10 +35,9 @@ import numpy as np
 
 from . import node_model
 from .loops import Loop, _at_scale, _ldexp, _mode_power, _samples, default_grid_size
-from .node_model import DEFAULT_SOBOLEV_S, NodeBoundary, node_membership
+from .node_model import DEFAULT_SOBOLEV_S, DEFAULT_TOL, MembershipResult, NodeBoundary, node_membership
 
 __all__ = [
-    "ExtensionResult",
     "NodeData",
     "NodeVerdict",
     "VPrimeReport",
@@ -48,27 +49,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    extends: bool
-    defect: float
-
-
-def disk_pair_node_test(xi: Loop, eta: Loop, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> ExtensionResult:
+def disk_pair_node_test(xi: Loop, eta: Loop, tol: float = DEFAULT_TOL,
+                        s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:
     """Extension through a node: both loops extend to disks and the
-    zeroth coefficients agree.
-
-    The defect aggregates the negative-mode parts of both loops and the
-    constant mismatch exactly as node membership at ``z = 0`` does, so the
-    verdicts coincide at equal tolerance.
-    """
-    result = node_membership(NodeBoundary(0j, xi, eta), tol=tol, s=s)
-    return ExtensionResult(result.member, result.residual)
+    zeroth coefficients agree, which is node membership at ``z = 0``; the
+    result is `node_membership`'s, as it is."""
+    return node_membership(NodeBoundary(0j, xi, eta), tol=tol, s=s)
 
 
 def annulus_extension_test(
-    xi: Loop, eta: Loop, delta: float, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S
-) -> ExtensionResult:
+    xi: Loop, eta: Loop, delta: float, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S
+) -> MembershipResult:
     """Extension to the annulus ``A(delta, 1)``: ``eta(y) = xi(delta/y)``.
 
     This is the node relation at ``z = delta`` (see `membership_defect`),
@@ -88,7 +79,7 @@ def annulus_extension_test(
         raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
     NodeBoundary(delta, xi, eta)  # the boundary checks the loop shapes
     defect = float(_annulus_defects(np.array([float(delta)]), xi.coeffs[None], eta.coeffs[None], s)[0])
-    return ExtensionResult(defect <= tol, defect)
+    return MembershipResult(defect <= tol, defect)
 
 
 def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: float) -> np.ndarray:
@@ -195,7 +186,7 @@ class VPrimeReport:
 
 
 def vprime_membership(
-    nodes, ball_check: bool = True, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S
+    nodes, ball_check: bool = True, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S
 ) -> VPrimeReport:
     """Nodewise extension report for loops written in unit-ball charts.
 
@@ -216,8 +207,7 @@ def vprime_membership(
             ball_ok = None
         if node.kind == "disk_pair":
             res = node_membership(NodeBoundary(node.z, node.xi, node.eta), tol=tol, s=s)
-            verdicts.append(NodeVerdict(i, node.kind, ball_ok, sup, res.member, res.residual))
         else:
             res = annulus_extension_test(node.xi, node.eta, node.delta, tol=tol, s=s)
-            verdicts.append(NodeVerdict(i, node.kind, ball_ok, sup, res.extends, res.defect))
+        verdicts.append(NodeVerdict(i, node.kind, ball_ok, sup, res.member, res.residual))
     return VPrimeReport(tuple(verdicts), all(v.passed for v in verdicts))

@@ -596,7 +596,10 @@ class FiniteDimReduction:
     ``U = {(u,0,0,xi)}``, ``U' = {(u,0,0,f(u,0))}``, ``U'' = {(u,0,0,0)}``;
     the intersection of the original pair is cut out by ``f(u, 0) = 0``,
     and at every solution the tangent intersections and sum-quotients of
-    the reduced pair match those of the full pair.
+    the reduced pair match those of the full pair (`tangent_check`).  The
+    four tangent bases are columns of one identity: X' is the ``(u, x')``
+    axes with ``(ju, jxp)`` in its xi rows, U' its first ``d_u`` columns,
+    and U'' and X'' are axis columns.
     """
 
     graph: GraphPairLocal
@@ -611,30 +614,12 @@ class FiniteDimReduction:
     def tangent_bases(self, u) -> dict:
         """Ambient-coordinate tangent bases of U', U'', X', X'' at (u,0,0,0)."""
         du, dxp, dxd, dxi = self.dims
-        D = du + dxp + dxd + dxi
         ju, jxp = self.graph.jacobian(u, np.zeros(dxp, dtype=complex))
-
-        def rows(u_block, xp_block, xd_block, xi_block, width):
-            mat = np.zeros((D, width), dtype=complex)
-            mat[:du] = u_block
-            mat[du:du + dxp] = xp_block
-            mat[du + dxp:du + dxp + dxd] = xd_block
-            mat[du + dxp + dxd:] = xi_block
-            return mat
-
-        eye_u = np.eye(du, dtype=complex)
-        z = np.zeros
-        t_uprime = rows(eye_u, z((dxp, du)), z((dxd, du)), ju, du)
-        t_udprime = rows(eye_u, z((dxp, du)), z((dxd, du)), z((dxi, du)), du)
-        t_xprime = rows(np.hstack([eye_u, z((du, dxp))]),
-                        np.hstack([z((dxp, du)), np.eye(dxp, dtype=complex)]),
-                        z((dxd, du + dxp)),
-                        np.hstack([ju, jxp]), du + dxp)
-        t_xdprime = rows(np.hstack([eye_u, z((du, dxd))]),
-                         z((dxp, du + dxd)),
-                         np.hstack([z((dxd, du)), np.eye(dxd, dtype=complex)]),
-                         z((dxi, du + dxd)), du + dxd)
-        return {"U'": t_uprime, "U''": t_udprime, "X'": t_xprime, "X''": t_xdprime}
+        eye = np.eye(du + dxp + dxd + dxi, dtype=complex)
+        t_xprime = eye[:, :du + dxp].copy()
+        t_xprime[du + dxp + dxd:] = np.hstack([ju, jxp])
+        return {"U'": t_xprime[:, :du].copy(), "U''": eye[:, :du].copy(), "X'": t_xprime,
+                "X''": eye[:, np.r_[:du, du + dxp:du + dxp + dxd]].copy()}
 
     def tangent_check(self, u) -> TangentCheck:
         """Verify the reduction identities at a solution of f(u,0)=0:

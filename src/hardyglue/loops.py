@@ -201,19 +201,16 @@ def _mode_power(coeffs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _relative(parts, refs, s: float | None = None) -> np.ndarray:
-    """``|parts|_s / (1 + max |refs|_s)`` for each row of coefficient stacks,
-    or, with ``s`` None, of the `_norm_pairs` pairs already taken of them.
+def _relative(parts, refs) -> np.ndarray:
+    """``|parts|_s / (1 + max |refs|_s)`` for each row, from the `_norm_pairs`
+    pairs taken of the parts and the references.
 
     ``|parts|_s`` is the root sum of squares of the norms of the parts.
-    Where a norm was
-    taken at scale, the ratio is formed from the pairs: the parts at their
-    largest exponent, the references at theirs (at least 0, where the 1
-    counts), the quotient scaled back.  A ratio past the float range reads
-    as the largest float, a lower bound failing every tolerance.
+    Where a norm was taken at scale, the ratio is formed from the pairs: the
+    parts at their largest exponent, the references at theirs (at least 0,
+    where the 1 counts), the quotient scaled back.  A ratio past the float
+    range reads as the largest float, a lower bound failing every tolerance.
     """
-    if s is not None:
-        parts, refs = ([_norm_pairs(c, s) for c in group] for group in (parts, refs))
     norms, exps = zip(*parts, *refs)
     k = len(parts)
     if all(e is None for e in exps):

@@ -4,8 +4,8 @@ A `NodalConfig` is the combinatorial shadow of a marked nodal surface:
 component genera with ghost flags, node pairs, and marked points.  The
 numeric side collects the closed-form dimension counts (moduli dimension,
 Riemann-Roch indices, Teichmuller dimension, isotropy groups, core slice
-dimensions) and the Hardy-triple construction that realizes the
-sphere/line-bundle indices as concrete subspace triples.
+dimensions) and the one Hardy-triple builder, which realizes the indices
+of sums of equal line bundles on the sphere as concrete subspace triples.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "teichmuller_dim",
     "core_slice_dims",
     "hardy_triple_for_line_bundle",
-    "hardy_sphere_triple",
 ]
 
 
@@ -187,33 +186,31 @@ def core_slice_dims(g: int, n: int, k: int, target: TargetData) -> tuple:
     return dim_core, dim_x0
 
 
-def _mode_columns(n_max: int, lo: int, hi: int, m: int = 1) -> np.ndarray:
+def _mode_columns(n_max: int, lo: int, hi: int, m: int) -> np.ndarray:
     """The float64 0/1 columns of the Laurent modes lo..hi among
     -n_max..n_max, each mode a copy of C^m: a shifted identity, the
     ``np.kron`` of the m = 1 columns with ``np.eye(m)``."""
     return np.eye((2 * n_max + 1) * m, (hi - lo + 1) * m, -(lo + n_max) * m)
 
 
-def hardy_triple_for_line_bundle(deg2d: int, n_max: int) -> SubspaceTriple:
-    """Hardy triple of a degree-``deg2d`` twisted bundle on the sphere.
+def hardy_triple_for_line_bundle(deg2d: int, n_max: int, m: int = 1) -> SubspaceTriple:
+    """Hardy triple of ``m`` copies of a degree-``deg2d`` twisted bundle on
+    the sphere.
 
-    Ambient space: Laurent modes -n_max..n_max.  One side spans the modes
-    extending over the inner disk (n >= 0); the other spans the modes of a
-    twisted section extending over the outer disk (n <= deg2d).  They meet
-    in the polynomials of degree <= deg2d, so the index is deg2d + 1, the
-    Riemann-Roch count ``riemann_roch_index(TargetData(1, deg2d), 0)``,
-    independent of the truncation as long as n_max > deg2d.
+    Ambient space: Laurent modes -n_max..n_max, each a copy of C^m.  One
+    side spans the modes extending over the inner disk (n >= 0); the other
+    spans the modes of a twisted section extending over the outer disk (n <=
+    deg2d).  They meet in the polynomials of degree <= deg2d, so the index
+    is m (deg2d + 1), the Riemann-Roch count ``riemann_roch_index(
+    TargetData(m, m * deg2d), 0)``, independent of the truncation as long as
+    n_max > deg2d.  At ``deg2d = 0`` this is the Hardy split of sphere loops
+    in C^m, nonnegative against nonpositive modes, meeting in the constants.
     """
+    if m < 1:
+        raise ValueError(f"target dimension must be positive, got {m}")
     if deg2d < 0:
         raise ValueError(f"twist degree must be nonnegative, got {deg2d}")
     if n_max <= deg2d:
         raise ValueError(f"truncation {n_max} must exceed the twist degree {deg2d}")
-    return SubspaceTriple(2 * n_max + 1, _mode_columns(n_max, 0, n_max), _mode_columns(n_max, -n_max, deg2d))
-
-
-def hardy_sphere_triple(m: int, n_max: int) -> SubspaceTriple:
-    """Hardy split of sphere loops in C^m: nonnegative modes against
-    nonpositive modes; they meet exactly in the constants."""
-    if m < 1:
-        raise ValueError(f"target dimension must be positive, got {m}")
-    return SubspaceTriple((2 * n_max + 1) * m, _mode_columns(n_max, 0, n_max, m), _mode_columns(n_max, -n_max, 0, m))
+    return SubspaceTriple((2 * n_max + 1) * m, _mode_columns(n_max, 0, n_max, m),
+                          _mode_columns(n_max, -n_max, deg2d, m))

@@ -57,6 +57,7 @@ from .loops import Loop, _l2_rows, _ldexp, _norm_pairs, _relative, hardy_project
 
 __all__ = [
     "DEFAULT_SOBOLEV_S",
+    "DEFAULT_TOL",
     "NodeBoundary",
     "NodeChart",
     "NodePolynomial",
@@ -74,8 +75,10 @@ __all__ = [
     "h_reproduction_gaps",
 ]
 
-# Standing smoothness exponent: the model requires s + 1/2 > 1.
+# Standing smoothness exponent (the model requires s + 1/2 > 1), and the
+# tolerance on a relative residual that decides membership.
 DEFAULT_SOBOLEV_S = 1.5
+DEFAULT_TOL = 1e-10
 
 # Below this norm of both loops, each part of a defect entry, at most 1 + sqrt(2)
 # times the largest part of the pair as |z| < 1, is in the float range.
@@ -399,7 +402,7 @@ def membership_defect(b: NodeBoundary) -> tuple[Loop, Loop]:
                          "node_membership tests such a pair at scale") from None
 
 
-def node_membership(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:
+def node_membership(b: NodeBoundary, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S) -> MembershipResult:
     """Test whether ``(z, xi, eta)`` are the boundary values of a holomorphic
     map on ``N_z``.
 
@@ -429,7 +432,7 @@ def node_chart(c: NodeChart) -> NodeBoundary:
     return NodeBoundary(c.z, Loop(m, N, xi[0]), Loop(m, N, eta[0]))
 
 
-def node_chart_inverse(b: NodeBoundary, tol: float = 1e-10, s: float = DEFAULT_SOBOLEV_S) -> NodeChart:
+def node_chart_inverse(b: NodeBoundary, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S) -> NodeChart:
     """Chart coordinates of a boundary pair: ``lam = xi_0``, ``xi_+ = P_+ xi``,
     ``eta_+ = P_+ eta``.  Rejects non-members (the negative modes and the
     constant matching are exactly the membership relations)."""

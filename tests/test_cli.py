@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyglue.cli import RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
+from hardyglue.cli import HANDLERS, RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -332,6 +333,19 @@ class TestErrorPaths:
 
     def test_missing_file(self, capsys):
         assert main(["node-check", "/nonexistent/path.json"]) == 2
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        # nested past the recursion limit, whatever the limit and the stack depth
+        ('{"params": ' + "[" * (sys.getrecursionlimit() + 10) + "]" * (sys.getrecursionlimit() + 10)
+         + "}").encode(),
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, content):
+        f = tmp_path / "scenario.json"
+        f.write_bytes(content)
+        assert main(["index", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {f}: ") and err.count("\n") == 1
 
     def test_failing_check_exits_1(self, tmp_path, capsys):
         f = tmp_path / "scenario.json"
@@ -760,7 +774,7 @@ class TestStackedExtensionSuite:
             pair = extension.disk_pair_node_test(xi, eta, tol=opts.tol, s=s)
             exact = (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
                      and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
-            if pair.extends == exact:
+            if pair.member == exact:
                 agreements += 1
         checks = [check_int("disk_pair_vs_membership_agreement", agreements, trials)]
         sym_max = 0.0
@@ -772,8 +786,8 @@ class TestStackedExtensionSuite:
                                              for n in range(-n_max, n_max + 1)})
             fwd = extension.annulus_extension_test(laurent, eta, delta, tol=opts.tol, s=s)
             rev = extension.annulus_extension_test(eta, laurent, delta, tol=opts.tol, s=s)
-            sym_max = max(sym_max, abs(fwd.defect - rev.defect) / (1.0 + fwd.defect))
-            restriction_max = max(restriction_max, fwd.defect)
+            sym_max = max(sym_max, abs(fwd.residual - rev.residual) / (1.0 + fwd.residual))
+            restriction_max = max(restriction_max, fwd.residual)
         checks.append(check_residual("annulus_swap_symmetry_max", sym_max, 1e-12))
         checks.append(check_residual("laurent_restriction_defect_max", restriction_max, 1e-12))
         return checks
@@ -817,7 +831,7 @@ class TestStackedExtensionSuite:
                 xi, eta = boundary.xi, boundary.eta
             else:
                 xi, eta = (Loop(1, n_max, c) for c in next(loops))
-            assert residuals[t] == extension.disk_pair_node_test(xi, eta).defect
+            assert residuals[t] == extension.disk_pair_node_test(xi, eta).residual
             assert exact[t] == (not xi.coeffs[:n_max].any() and not eta.coeffs[:n_max].any()
                                 and np.array_equal(xi.coeffs[n_max], eta.coeffs[n_max]))
         assert 0 < charted.sum() < 40 and exact.any() and not exact.all()
@@ -826,7 +840,7 @@ class TestStackedExtensionSuite:
         for t, d in enumerate(delta.tolist()):
             xi = Loop(1, n_max, laurent[t])
             eta = Loop.from_modes(1, n_max, {n: xi.mode(-n) * d ** float(-n) for n in range(-n_max, n_max + 1)})
-            fwd, rev = (extension.annulus_extension_test(p, q, d).defect for p, q in ((xi, eta), (eta, xi)))
+            fwd, rev = (extension.annulus_extension_test(p, q, d).residual for p, q in ((xi, eta), (eta, xi)))
             assert defects[t] == fwd and asymmetry[t] == abs(fwd - rev) / (1.0 + fwd)
 
     def test_annulus_kernel_rows_equal_scalar_test(self):
@@ -859,7 +873,7 @@ class TestStackedExtensionSuite:
         oracle = [annulus_defect_oracle(*row) for row in rows[12:15]]
         assert oracle[0] > np.finfo(float).max and stacked[12] == np.finfo(float).max
         assert stacked[13:15] == pytest.approx([float(x) for x in oracle[1:]], rel=1e-12)
-        scalar = [extension.annulus_extension_test(Loop(m, n_max, x), Loop(m, n_max, y), d).defect
+        scalar = [extension.annulus_extension_test(Loop(m, n_max, x), Loop(m, n_max, y), d).residual
                   for d, x, y in rows]
         assert stacked == scalar
         assert max(stacked[1:12:2]) < 1e-12 < min(stacked[0:12:2])  # restrictions extend
@@ -1385,6 +1399,12 @@ class TestDeterminism:
         assert run_all() == first
         assert len(first) == 10
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("argv", [["verify", "all"], *([name, "scenario.json"] for name in HANDLERS)],
+                             ids=lambda argv: argv[0])
+    def test_flag_defaults_are_the_run_options(self, argv):
+        args = vars(_build_parser().parse_args(argv))
+        assert {key: args[key] for key in vars(RunOptions())} == vars(RunOptions())
 
     def test_digest_tracks_inputs(self, tmp_path):
         a = tmp_path / "a.json"

@@ -27,11 +27,11 @@ def annulus_pair(laurent_entries, delta, n_max=8):
 class TestDiskPair:
     def test_matching_constants(self):
         c = scalar({0: 0.5})
-        assert disk_pair_node_test(c, c).extends
+        assert disk_pair_node_test(c, c).member
 
     def test_mismatched_constants_fail(self):
         res = disk_pair_node_test(scalar({0: 1.0, 1: 1.0}), scalar({0: 2.0, 1: 1.0}))
-        assert not res.extends
+        assert not res.member
 
     def test_agrees_with_membership_verdicts(self):
         rng = np.random.default_rng(12)
@@ -54,7 +54,7 @@ class TestDiskPair:
                            + 1j * rng.standard_normal((2 * n_max + 1, 1)))
             pair = disk_pair_node_test(xi, eta, tol=1e-10)
             mem = node_membership(NodeBoundary(0j, xi, eta), tol=1e-10)
-            if pair.extends == mem.member and pair.defect == mem.residual:
+            if pair.member == mem.member and pair.residual == mem.residual:
                 agree += 1
         assert agree == trials
 
@@ -63,24 +63,24 @@ class TestAnnulusExtension:
     def test_monomial_pair(self):
         xi, eta = scalar({1: 1.0}), scalar({-1: 0.25})
         res = annulus_extension_test(xi, eta, 0.25)
-        assert res.extends and res.defect <= 1e-15
+        assert res.member and res.residual <= 1e-15
 
     def test_pole_pair(self):
         # coefficient-relation oracle: eta_n = xi_{-n} delta^{-n}
         # xi = x^{-1}  =>  eta_1 = xi_{-1} * delta^{-1} = 4
         xi, eta = scalar({-1: 1.0}), scalar({1: 4.0})
-        assert annulus_extension_test(xi, eta, 0.25).extends
+        assert annulus_extension_test(xi, eta, 0.25).member
 
     def test_mismatched_pair_fails(self):
         res = annulus_extension_test(scalar({1: 1.0}), scalar({1: 1.0}), 0.25)
-        assert not res.extends and res.defect > 1e-3
+        assert not res.member and res.residual > 1e-3
 
     def test_defect_past_float_range(self):
         xi, eta = scalar({2: 1e308}), Loop.zeros(1, 8)
         res = annulus_extension_test(xi, eta, 0.25)
         small = annulus_extension_test(xi.with_coeffs(1e-296 * xi.coeffs), eta, 0.25)
-        assert not res.extends
-        assert res.defect == pytest.approx(small.defect, rel=1e-9)
+        assert not res.member
+        assert res.residual == pytest.approx(small.residual, rel=1e-9)
 
     def test_bad_delta_rejected(self):
         for delta in (0.0, 1.0, -0.5, 2.0):
@@ -95,8 +95,8 @@ class TestAnnulusExtension:
             eta = Loop(1, 6, rng.standard_normal((13, 1)) + 1j * rng.standard_normal((13, 1)))
             fwd = annulus_extension_test(xi, eta, delta)
             rev = annulus_extension_test(eta, xi, delta)
-            assert fwd.extends == rev.extends
-            assert fwd.defect == pytest.approx(rev.defect, rel=1e-12, abs=1e-15)
+            assert fwd.member == rev.member
+            assert fwd.residual == pytest.approx(rev.residual, rel=1e-12, abs=1e-15)
 
     def test_vector_valued_pair(self):
         # componentwise matching for loops into C^2
@@ -104,9 +104,9 @@ class TestAnnulusExtension:
         xi = Loop.from_modes(2, 4, {1: [1.0, 0.0], -2: [0.0, 0.5]})
         eta = Loop.from_modes(2, 4, {-1: [delta, 0.0], 2: [0.0, 0.5 * delta**-2]})
         res = annulus_extension_test(xi, eta, delta)
-        assert res.extends and res.defect <= 1e-12
+        assert res.member and res.residual <= 1e-12
         rev = annulus_extension_test(eta, xi, delta)
-        assert rev.defect == pytest.approx(res.defect, abs=1e-15)
+        assert rev.residual == pytest.approx(res.residual, abs=1e-15)
 
     def test_laurent_restriction_passes(self):
         rng = np.random.default_rng(40)
@@ -116,7 +116,7 @@ class TestAnnulusExtension:
                        for n in range(-5, 6)}
             xi, eta = annulus_pair(entries, delta)
             res = annulus_extension_test(xi, eta, delta)
-            assert res.extends and res.defect <= 1e-12
+            assert res.member and res.residual <= 1e-12
 
 
 class TestVPrime:

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from hardyglue.fredholm import (
     polynomial_test_set,
     triple_index,
 )
-from hardyglue.moduli import hardy_sphere_triple, hardy_triple_for_line_bundle
+from hardyglue.moduli import hardy_triple_for_line_bundle
 
 
 def eye_cols(n, cols):
@@ -268,7 +269,7 @@ def phase_twin(t, rng):
 
 REAL_TRIPLES = ([(f"line bundle d={d}", lambda d=d: hardy_triple_for_line_bundle(2 * d, 64))
                  for d in range(11)]
-                + [(f"sphere m={m}", lambda m=m: hardy_sphere_triple(m, 32)) for m in (1, 2, 3)])
+                + [(f"sphere m={m}", lambda m=m: hardy_triple_for_line_bundle(0, 32, m)) for m in (1, 2, 3)])
 
 
 class TestRealBases:
@@ -528,7 +529,57 @@ def assert_tangent_identities(tc):
     assert tc.subspace_gap <= 1e-6, tc
 
 
+def block_tangent_bases(red, u) -> dict:
+    """The four tangent bases of `FiniteDimReduction.tangent_bases` built
+    block by block: the reference its one-identity construction is held to."""
+    du, dxp, dxd, dxi = red.dims
+    D = du + dxp + dxd + dxi
+    ju, jxp = red.graph.jacobian(u, np.zeros(dxp, dtype=complex))
+
+    def rows(u_block, xp_block, xd_block, xi_block, width):
+        mat = np.zeros((D, width), dtype=complex)
+        mat[:du] = u_block
+        mat[du:du + dxp] = xp_block
+        mat[du + dxp:du + dxp + dxd] = xd_block
+        mat[du + dxp + dxd:] = xi_block
+        return mat
+
+    eye_u = np.eye(du, dtype=complex)
+    z = np.zeros
+    t_uprime = rows(eye_u, z((dxp, du)), z((dxd, du)), ju, du)
+    t_udprime = rows(eye_u, z((dxp, du)), z((dxd, du)), z((dxi, du)), du)
+    t_xprime = rows(np.hstack([eye_u, z((du, dxp))]),
+                    np.hstack([z((dxp, du)), np.eye(dxp, dtype=complex)]),
+                    z((dxd, du + dxp)),
+                    np.hstack([ju, jxp]), du + dxp)
+    t_xdprime = rows(np.hstack([eye_u, z((du, dxd))]),
+                     z((dxp, du + dxd)),
+                     np.hstack([z((dxd, du)), np.eye(dxd, dtype=complex)]),
+                     z((dxi, du + dxd)), du + dxd)
+    return {"U'": t_uprime, "U''": t_udprime, "X'": t_xprime, "X''": t_xdprime}
+
+
 class TestFiniteDimReduction:
+    def test_tangent_bases_equal_block_construction(self, monkeypatch):
+        # every dims in {0, 1, 2}^4 with a random Jacobian: the same bases bit
+        # for bit, and the same tangent check as on the block-built bases
+        rng = np.random.default_rng(29)
+        for dims in itertools.product(range(3), repeat=4):
+            du, dxp, _, dxi = dims
+            ju, jxp = (rng.standard_normal((dxi, w)) + 1j * rng.standard_normal((dxi, w)) for w in (du, dxp))
+            red = FiniteDimReduction(GraphPairLocal(dims, lambda u, xp, n=dxi: np.zeros(n),
+                                                    lambda u, xp, j=(ju, jxp): j, allow_nonflat=True))
+            u = rng.standard_normal(du) + 0j
+            got, want = red.tangent_bases(u), block_tangent_bases(red, u)
+            assert list(got) == list(want), dims
+            for key in want:
+                assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), (dims, key)
+                assert got[key].tobytes() == want[key].tobytes(), (dims, key)
+            check = red.tangent_check(u)
+            with monkeypatch.context() as patch:
+                patch.setattr(FiniteDimReduction, "tangent_bases", block_tangent_bases)
+                assert check == red.tangent_check(u), dims
+
     def test_double_root_solution(self):
         pm = PolynomialMap((1, 1, 1, 1), [[(1.0, (2,), (0,))]])
         red = FiniteDimReduction(pm.as_graph())

@@ -91,8 +91,8 @@ class TestSwapSymmetry:
     def test_annulus_extension(self, seed, n_max, m, delta):
         rng = np.random.default_rng(seed)
         xi, eta = random_loop(rng, m, n_max), random_loop(rng, m, n_max)
-        fwd = annulus_extension_test(xi, eta, delta).defect
-        rev = annulus_extension_test(eta, xi, delta).defect
+        fwd = annulus_extension_test(xi, eta, delta).residual
+        rev = annulus_extension_test(eta, xi, delta).residual
         assert rev == pytest.approx(fwd, rel=1e-13, abs=1e-300)
 
 

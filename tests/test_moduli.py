@@ -13,7 +13,6 @@ from hardyglue.moduli import (
     TargetData,
     arithmetic_genus,
     core_slice_dims,
-    hardy_sphere_triple,
     hardy_triple_for_line_bundle,
     is_stable_map,
     isotropy_group,
@@ -280,15 +279,27 @@ class TestHardyTriples:
 
     def test_sphere_split_indices(self):
         for m in (1, 2, 3):
-            idx = triple_index(hardy_sphere_triple(m, 16))
+            idx = triple_index(hardy_triple_for_line_bundle(0, 16, m))
             assert idx == (m, 0, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_m_copies_index(self, m, d):
+        # m copies of O(d): h0 = m (d + 1), h1 = 0, the Riemann-Roch count
+        idx = triple_index(hardy_triple_for_line_bundle(d, 16, m))
+        assert idx == (m * (d + 1), 0, m * (d + 1))
+        assert idx.index == riemann_roch_index(TargetData(m, m * d), 0)
+
+    def test_no_copies_rejected(self):
+        with pytest.raises(ValueError, match="target dimension must be positive"):
+            hardy_triple_for_line_bundle(0, 8, 0)
 
     def test_sphere_bases_are_mode_columns_per_component(self):
         # column (j, comp) is the unit vector of mode n_j in component comp,
         # row (n + n_max) * m + comp
         n_max = 3
         for m in (1, 2, 3):
-            t = hardy_sphere_triple(m, n_max)
+            t = hardy_triple_for_line_bundle(0, n_max, m)
             for basis, modes in ((t.basis_prime, range(0, n_max + 1)),
                                  (t.basis_dprime, range(-n_max, 1))):
                 ref = np.zeros(((2 * n_max + 1) * m, len(modes) * m), dtype=complex)
