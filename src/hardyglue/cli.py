@@ -30,7 +30,7 @@ import numpy as np
 
 from . import degeneration, extension, fredholm, jsonio, moduli, node_model
 from .jsonio import (_REQUIRED, ScenarioError, _any, _boolean, _built, _integer, _list_of, _loop, _matrix, _model,
-                     _number, _pair, _record, _string, _vector)
+                     _number, _pair, _quoted, _record, _string, _vector)
 from .node_model import NodePolynomial
 
 __all__ = ["main", "run_scenario", "verify_suite", "ScenarioError", "ScenarioReport", "CheckRecord"]
@@ -142,10 +142,10 @@ def _cycle(data, where: str):
     """A vanishing cycle: field ``kind`` picks the table that reads the
     record, ``kind`` among its fields, and the model built from the rest."""
     if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected an object, got {data!r}")
+        raise ScenarioError(f"{where}: expected an object, got {_quoted(data)}")
     kind = data.get("kind")
     if kind not in ("nonseparating", "separating"):
-        raise ScenarioError(f"{where}.kind: expected 'nonseparating' or 'separating', got {kind!r}")
+        raise ScenarioError(f"{where}.kind: expected 'nonseparating' or 'separating', got {_quoted(kind)}")
     record = _record(data, _CYCLES[kind], where)
     del record["kind"]
     return _built(_CYCLE_MODELS[kind], where, **record)
@@ -431,25 +431,28 @@ def _annulus_block(rng, pairs: int, n_max: int) -> tuple:
 def suite_fredholm(opts: RunOptions) -> list:
     rng = np.random.default_rng(opts.seed)
     violations = 0
-    for _ in range(1000):
-        N = int(rng.integers(1, 12))
-        p = int(rng.integers(0, N + 1))
-        q = int(rng.integers(0, N + 1))
-        bp = _random_disc(rng, (N, p)) if p else np.zeros((N, 0), complex)
-        bq = _random_disc(rng, (N, q)) if q else np.zeros((N, 0), complex)
-        try:
-            t = fredholm.SubspaceTriple(N, bp, bq)
-        except ValueError:
-            violations += 1
-            continue
-        if fredholm.triple_index(t).index != p + q - N:
-            violations += 1
+    # the Euler battery draws N, p and q as arrays, then each (N, p + q)
+    # group's [B' | B''] in one array, split at p; it builds one N at a time,
+    # which keeps the peak small
+    dims = rng.integers(1, 12, 1000)
+    p, q = rng.integers(0, dims + 1), rng.integers(0, dims + 1)
+    groups = {}  # N -> p + q -> its trials, in order
+    for i, (N, width) in enumerate(zip(dims.tolist(), (p + q).tolist())):
+        groups.setdefault(N, {}).setdefault(width, []).append(i)
+    p = p.tolist()
+    for N, widths in sorted(groups.items()):
+        triples = []
+        for width, at in sorted(widths.items()):
+            for i, b in zip(at, _disc(rng.random((len(at), 2 * N * width)), (N, width))):
+                triples.append((N, b[:, :p[i]], b[:, p[i]:]))
+        for (_, bp, bq), t in zip(triples, fredholm.subspace_triples(triples)):
+            if isinstance(t, ValueError) or fredholm.triple_index(t).index != bp.shape[1] + bq.shape[1] - N:
+                violations += 1
     checks = [check_int("euler_identity_violations", violations, 0)]
 
     stable = 0
     bases = _disc(rng.random((100, 2, 48)), (8, 3))
-    for trial in range(100):
-        t = fredholm.SubspaceTriple(8, *bases[trial])
+    for trial, t in enumerate(fredholm.subspace_triples((8, bp, bq) for bp, bq in bases)):
         if fredholm.index_stability_check(t, 1e-6, trials=20, seed=opts.seed + trial):
             stable += 1
     checks.append(check_int("generic_stability_count", stable, 100))
@@ -657,6 +660,8 @@ def _load_scenario(path: str) -> tuple:
         raise ScenarioError(f"{label}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise ScenarioError(f"{label}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ScenarioError(f"{label}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{label}: scenario root must be a JSON object")
     return text, _record(data, _ROOT, "scenario")
@@ -675,7 +680,7 @@ def run_scenario(path: str, command: str, opts: RunOptions,
     """Load a scenario file, dispatch to its handler, and assemble a report."""
     text, root = _load_scenario(path)
     if root["command"] is not None and root["command"] != command:
-        raise ScenarioError(f"scenario declares command {root['command']!r} but was invoked as {command!r}")
+        raise ScenarioError(f"scenario declares command {_quoted(root['command'])} but was invoked as {command!r}")
     sid = scenario_id or root["id"] or (path if path != "-" else "stdin")
     start = time.perf_counter()
     results = HANDLERS[command](root["params"], opts)

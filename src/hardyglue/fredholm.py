@@ -17,11 +17,13 @@ largest of one spectrum (`_rank_of`), relative to the largest singular
 value of ``[B' | B'']``, so results do not depend on the bases while their
 scales differ by less than ``1/RANK_TOL``.  A `SubspaceTriple` takes its
 three spectra once; `triple_index` and `index_stability_check` read them.
+`subspace_triples` builds many triples at once, with one stacked SVD per
+matrix shape and dtype, and a `SubspaceTriple` is its batch of one.
 A basis whose columns have at most one nonzero entry each (a coordinate
 basis, such as the 0/1 mode columns of the Hardy triples of `moduli`) has
 them in closed form: ``B B^H`` is then diagonal, so its singular values are
 its row norms, padded with zeros, and ``[B' | B'']`` is a coordinate basis
-when both sides are.  Every other spectrum is LAPACK's (`_spectrum`).  Each pair of
+when both sides are (`_spectrum`).  Every other spectrum is LAPACK's.  Each pair of
 subspaces is decided by one SVD (`_cap_and_outer`).
 `index_stability_check` proves a triple stable from its three spectra
 (Weyl's inequality) and draws perturbed triples only where that fails.
@@ -40,6 +42,7 @@ from .loops import _at_scale, _l2_rows, _ldexp, _top_exponents
 
 __all__ = [
     "SubspaceTriple",
+    "subspace_triples",
     "TripleIndex",
     "triple_index",
     "StabilityResult",
@@ -64,7 +67,7 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
         m = np.array(mat, order="C")
     else:
         m = np.array(mat, dtype=complex)
-        if not m.imag.any():
+        if not np.count_nonzero(m.imag):
             m = m.real.copy()
     if m.ndim not in (1, 2):
         raise ValueError(f"{name}: expected a 1-D or 2-D array, got {m.ndim}-D shape {m.shape}")
@@ -82,7 +85,7 @@ def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
 def _rank_of(s: np.ndarray) -> int:
     """Number of singular values ``s`` (descending) above `RANK_TOL` times
     the largest; 0 for an empty or zero matrix."""
-    return int(np.count_nonzero(s > RANK_TOL * s[:1]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
 
 
 def _coordinate_rows(b: np.ndarray):
@@ -104,19 +107,22 @@ def _coordinate_rows(b: np.ndarray):
     return norms
 
 
-def _spectrum(bases: tuple, rows) -> np.ndarray:
-    """The singular values, descending, of ``M = [bases[0] | ...]``, N x k,
-    given each basis's `_coordinate_rows` in ``rows``.
+def _spectrum(bases: tuple, rows):
+    """The singular values, descending and read-only, of ``M = [bases[0] |
+    ...]``, N x k, in closed form, given each basis's `_coordinate_rows` in
+    ``rows``; None when one of them is None, for ``M`` then takes LAPACK's
+    SVD.
 
     When none is None every column of ``M`` has at most one nonzero entry,
     so ``M M^H`` is diagonal and holds the squared row norms, summed over
     the bases (Golub & Van Loan, *Matrix Computations*, 2.4): the singular
-    values are the row norms, the largest ``min(N, k)`` of them, in closed
-    form.  Any other ``M`` takes LAPACK's SVD."""
-    if any(r is None for r in rows):
-        return np.linalg.svd(bases[0] if len(bases) == 1 else np.hstack(bases), compute_uv=False)
+    values are the row norms, the largest ``min(N, k)`` of them."""
+    if rows[0] is None or rows[-1] is None:  # rows holds one array or two
+        return None
     norms = rows[0] if len(rows) == 1 else np.hypot(*rows)
-    return -np.sort(-norms)[:sum(b.shape[1] for b in bases)]  # descending
+    s = -np.sort(-norms)[:sum(b.shape[1] for b in bases)]  # descending
+    s.flags.writeable = False
+    return s
 
 
 def orthonormal_range(M: np.ndarray) -> np.ndarray:
@@ -144,7 +150,9 @@ class SubspaceTriple:
     once.  A coordinate basis (at most one nonzero entry a column; a side
     without columns is one) takes no SVD: its singular values are its row
     norms, taken at scale, and ``[B' | B'']`` takes none when both sides
-    are coordinate bases.  The other spectra are LAPACK's bytes."""
+    are coordinate bases.  The other spectra are LAPACK's bytes.  The
+    triple is the batch of one of `subspace_triples`, which builds many
+    triples at one SVD call per matrix shape and dtype."""
 
     ambient_dim: int
     basis_prime: np.ndarray
@@ -152,25 +160,10 @@ class SubspaceTriple:
     spectra: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise ValueError(f"ambient dimension must be positive, got {self.ambient_dim}")
-        bp = _as_basis(self.basis_prime, self.ambient_dim, "basis_prime")
-        bq = _as_basis(self.basis_dprime, self.ambient_dim, "basis_dprime")
-        sides, rows = [], []
-        for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
-            rows.append(_coordinate_rows(b))
-            s = _spectrum((b,), (rows[-1],))
-            rank = _rank_of(s)
-            if rank < b.shape[1]:
-                raise ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
-                                 f"at RANK_TOL {RANK_TOL:g}")
-            sides.append(s)
-        spectra = (_spectrum((bp, bq), rows), *sides)
-        for a in (bp, bq, *spectra):
-            a.flags.writeable = False
-        object.__setattr__(self, "basis_prime", bp)
-        object.__setattr__(self, "basis_dprime", bq)
-        object.__setattr__(self, "spectra", spectra)
+        part, = _triple_parts([(self.ambient_dim, self.basis_prime, self.basis_dprime)])
+        if isinstance(part, ValueError):
+            raise part
+        _settle(self, self.ambient_dim, *part)
 
     @property
     def p(self) -> int:
@@ -179,6 +172,80 @@ class SubspaceTriple:
     @property
     def q(self) -> int:
         return self.basis_dprime.shape[1]
+
+
+def subspace_triples(triples) -> list:
+    """``SubspaceTriple(N, B', B'')`` for each ``(N, B', B'')`` of
+    ``triples``, in order, or the ValueError that call raises in its place:
+    the same bases, spectra and rejections, bit for bit.  Each basis is
+    checked on its own; the spectra that are not in closed form are taken
+    by one stacked SVD per matrix shape and dtype (`_triple_parts`)."""
+    triples = list(triples)
+    out = []
+    for (n, _, _), part in zip(triples, _triple_parts(triples)):
+        if isinstance(part, tuple):
+            t = object.__new__(SubspaceTriple)
+            _settle(t, n, *part)
+            part = t
+        out.append(part)
+    return out
+
+
+def _settle(t: SubspaceTriple, n, bp: np.ndarray, bq: np.ndarray, spectra: tuple) -> None:
+    """Set the fields of the frozen triple ``t``."""
+    for name, value in (("ambient_dim", n), ("basis_prime", bp), ("basis_dprime", bq), ("spectra", spectra)):
+        object.__setattr__(t, name, value)
+
+
+def _triple_parts(triples: list) -> list:
+    """Per ``(N, B', B'')`` of ``triples``, the read-only ``(B', B'',
+    spectra)`` of its `SubspaceTriple`, or the ValueError that rejects it:
+    an ambient dimension below 1, a basis `_as_basis` rejects (``B'``
+    first), or a basis whose `_rank_of` is below its column count (``B'``
+    first).
+
+    A spectrum without closed form (`_spectrum`) is LAPACK's: the matrices
+    of one shape and dtype, sides and ``[B' | B'']`` alike, go to one
+    stacked ``np.linalg.svd``, whose gufunc runs the LAPACK call of a single
+    matrix on each and so gives each the bytes of its own call."""
+    parts, stacks = [], {}
+    for n, bp, bq in triples:
+        try:
+            if n < 1:
+                raise ValueError(f"ambient dimension must be positive, got {n}")
+            bp, bq = _as_basis(bp, n, "basis_prime"), _as_basis(bq, n, "basis_dprime")
+        except ValueError as exc:
+            parts.append(exc)
+            continue
+        rows = (_coordinate_rows(bp), _coordinate_rows(bq))
+        spectra = [_spectrum((bp, bq), rows), _spectrum((bp,), rows[:1]), _spectrum((bq,), rows[1:])]
+        for k, bases in enumerate(((bp, bq), (bp,), (bq,))):
+            if spectra[k] is None:
+                key = (bp.shape[0], sum(b.shape[1] for b in bases), np.result_type(*bases))
+                stacks.setdefault(key, []).append((bases, spectra, k))
+        parts.append((bp, bq, spectra))
+    for key, stack in stacks.items():
+        a = np.empty((len(stack), *key[:2]), key[2])
+        for into, (bases, _, _) in zip(a, stack):
+            np.concatenate(bases, axis=1, out=into)
+        s = np.linalg.svd(a, compute_uv=False)
+        s.flags.writeable = False
+        for row, (_, spectra, k) in zip(s, stack):
+            spectra[k] = row
+    for i, part in enumerate(parts):
+        if isinstance(part, ValueError):
+            continue
+        bp, bq, spectra = part
+        for name, b, s in (("basis_prime", bp, spectra[1]), ("basis_dprime", bq, spectra[2])):
+            rank = _rank_of(s)
+            if rank < b.shape[1]:
+                parts[i] = ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
+                                      f"at RANK_TOL {RANK_TOL:g}")
+                break
+        else:  # the spectra are read-only already
+            bp.flags.writeable = bq.flags.writeable = False
+            parts[i] = (bp, bq, tuple(spectra))
+    return parts
 
 
 class TripleIndex(NamedTuple):

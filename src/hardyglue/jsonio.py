@@ -10,8 +10,10 @@ key to ``(reader, default)``: the tables are the schema.  A key outside the
 table, a missing required key, a non-object and a value a reader rejects
 raise `ScenarioError`, a ValueError naming the path of the first bad field
 or element; `_built` gives a model constructor's ValueError, or a
-MemoryError, the path of the record it was built from.  Booleans, integers,
-numbers and strings are read strictly (`_boolean`, `_integer`, `_number`,
+MemoryError, the path of the record it was built from.  An error quotes
+the value it rejects by `_quoted`, at most `QUOTE_LIMIT` characters of
+its repr, however long or deep the value.  Booleans, integers, numbers
+and strings are read strictly (`_boolean`, `_integer`, `_number`,
 `_string`): ``null`` or a value of the wrong kind is an error, never a
 truth value, a truncation, a float or a text.
 """
@@ -42,6 +44,42 @@ class ScenarioError(ValueError):
 
 
 _REQUIRED = object()
+QUOTE_LIMIT = 200  # the most characters of a value that a ScenarioError quotes
+_BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` when it is at most `QUOTE_LIMIT` characters long,
+    else its first ``QUOTE_LIMIT - 3`` characters and ``...``.  The lists,
+    tuples and dicts of a JSON value are spelled out only as far as the
+    quote reaches, a level per character at most, so a value nested past
+    the recursion limit is quoted without reaching it."""
+    text = ""
+    for piece in _repr_pieces(value):
+        text += piece
+        if len(text) > QUOTE_LIMIT:
+            return text[:QUOTE_LIMIT - 3] + "..."
+    return text
+
+
+def _repr_pieces(value):
+    """The text of ``repr(value)`` in pieces, a list, tuple or dict one
+    bracket, separator and item at a time."""
+    brackets = _BRACKETS.get(type(value))
+    if brackets is None:
+        yield repr(value)
+        return
+    yield brackets[0]
+    is_dict = type(value) is dict
+    for i, item in enumerate(value.items() if is_dict else value):
+        if i:
+            yield ", "
+        if is_dict:
+            yield from _repr_pieces(item[0])
+            yield ": "
+            item = item[1]
+        yield from _repr_pieces(item)
+    yield ",)" if type(value) is tuple and len(value) == 1 else brackets[1]
 
 
 def _record(data, fields: dict, where: str) -> dict:
@@ -51,10 +89,10 @@ def _record(data, fields: dict, where: str) -> dict:
     `_REQUIRED`).  A non-object, a key outside the table and a missing
     required key are ScenarioErrors naming the path."""
     if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected an object, got {data!r}")
+        raise ScenarioError(f"{where}: expected an object, got {_quoted(data)}")
     for key in data:
         if key not in fields:
-            raise ScenarioError(f"{where}: unknown field {key!r}; known fields: {', '.join(fields)}")
+            raise ScenarioError(f"{where}: unknown field {_quoted(key)}; known fields: {', '.join(fields)}")
     out = {}
     for key, (reader, default) in fields.items():
         if key in data:
@@ -78,7 +116,7 @@ def _read(reader, value, where: str):
     except ScenarioError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}: invalid value {value!r} ({exc})") from exc
+        raise ScenarioError(f"{where}: invalid value {_quoted(value)} ({exc})") from exc
 
 
 def _list_of(reader, length: int | None = None):
@@ -87,7 +125,7 @@ def _list_of(reader, length: int | None = None):
     def read(data, where):
         if not isinstance(data, list) or length not in (None, len(data)):
             count = "" if length is None else f"{length} "
-            raise ScenarioError(f"{where}: expected a list of {count}items, got {data!r}")
+            raise ScenarioError(f"{where}: expected a list of {count}items, got {_quoted(data)}")
         return tuple(_read(reader, item, f"{where}[{i}]") for i, item in enumerate(data))
     return read
 
@@ -159,11 +197,11 @@ def _built(fn, where: str, *args, **kwargs):
 
 def complex_from_pair(pair, where: str = "value") -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ScenarioError(f"{where}: expected [re, im] pair, got {pair!r}")
+        raise ScenarioError(f"{where}: expected [re, im] pair, got {_quoted(pair)}")
     try:
         return complex(float(pair[0]), float(pair[1]))
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{where}: expected [re, im] pair of numbers, got {pair!r}") from None
+        raise ScenarioError(f"{where}: expected [re, im] pair of numbers, got {_quoted(pair)}") from None
 
 
 def _complex_array(data, ndim: int, where: str) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -339,13 +340,49 @@ class TestErrorPaths:
         # nested past the recursion limit, whatever the limit and the stack depth
         ('{"params": ' + "[" * (sys.getrecursionlimit() + 10) + "]" * (sys.getrecursionlimit() + 10)
          + "}").encode(),
-    ], ids=["not-utf8", "nested-too-deep"])
+        # an integer of more digits than the interpreter converts
+        ('{"params": {"line_bundle": {"d_max": ' + "1" * 5000 + "}}}").encode(),
+    ], ids=["not-utf8", "nested-too-deep", "integer-past-digit-limit"])
     def test_unreadable_file_exits_2(self, tmp_path, capsys, content):
         f = tmp_path / "scenario.json"
         f.write_bytes(content)
         assert main(["index", str(f)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {f}: ") and err.count("\n") == 1
+
+    # a value nested just short of the recursion limit, where each command
+    # reads it: a [re, im] pair, a record, a scalar, a list or a matrix
+    DEEP_PARAMS = {
+        "energy": [{"z_seq": [0.5, 0], "laurent": {"a": "DEEP"}}, {"z_seq": "DEEP"},
+                   {"z_seq": [[0.5, 0]], "eps_schedule": "DEEP"}],
+        "node-check": [{"trials": "DEEP"}, {"boundary": {"z": "DEEP"}}, {"boundary": "DEEP"}],
+        "index": [{"line_bundle": "DEEP"}, {"triples": [{"ambient_dim": 2, "basis_prime": "DEEP"}]},
+                  {"triples": [{"ambient_dim": "DEEP"}]}],
+    }
+
+    @pytest.mark.parametrize("command", DEEP_PARAMS)
+    def test_deep_values_exit_2_with_bounded_quotes(self, tmp_path, capsys, command):
+        # each run on a new thread, whose stack starts as short as the CLI's
+        from hardyglue.jsonio import QUOTE_LIMIT
+
+        f = tmp_path / "scenario.json"
+        quoted = 0
+        for depth in range(960, 1000, 3):
+            for params in self.DEEP_PARAMS[command]:
+                text = json.dumps({"command": command, "params": params})
+                f.write_text(text.replace('"DEEP"', "[" * depth + "0" + "]" * depth), encoding="utf-8")
+                codes = []
+                thread = threading.Thread(target=lambda: codes.append(main([command, str(f)])))
+                thread.start()
+                thread.join()
+                assert codes == [2]
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                if "[[[" in err:  # quoted, not too deep to parse: a prefix of the bound's length
+                    quote = re.search(r" (?:got|invalid value) (\[+)\.\.\.(?: \(.*\))?$", err)
+                    assert quote and len(quote[1]) + 3 == QUOTE_LIMIT
+                    quoted += 1
+        assert quoted > 0
 
     def test_failing_check_exits_1(self, tmp_path, capsys):
         f = tmp_path / "scenario.json"
@@ -916,29 +953,37 @@ class TestStackedFredholmSuite:
         return fredholm.StabilityResult("stable", gap, trials)
 
     @classmethod
-    def reference_suite(cls, opts, disc):
+    def reference_suite(cls, opts, disc, built):
+        """The suite's records, trial by trial; each triple's ``(N, B', B'')``
+        is appended to ``built`` in the order of the draws."""
         from hardyglue import fredholm
         from hardyglue.cli import check_int, check_residual
 
+        # the Euler battery draws N, p and q as three arrays, then each [B' | B'']
+        # by N, by width p + q and by trial, and splits it at p
         rng = np.random.default_rng(opts.seed)
+        dims = rng.integers(1, 12, 1000)
+        dims, ps, qs = (a.tolist() for a in (dims, rng.integers(0, dims + 1), rng.integers(0, dims + 1)))
         violations = 0
-        for _ in range(1000):
-            N = int(rng.integers(1, 12))
-            p = int(rng.integers(0, N + 1))
-            q = int(rng.integers(0, N + 1))
-            bp = disc(rng, (N, p)) if p else np.zeros((N, 0), complex)
-            bq = disc(rng, (N, q)) if q else np.zeros((N, 0), complex)
-            try:
-                t = fredholm.SubspaceTriple(N, bp, bq)
-            except ValueError:
-                violations += 1
-                continue
-            if fredholm.triple_index(t).index != p + q - N:
-                violations += 1
+        for N in range(1, 12):
+            for width in sorted({p + q for n, p, q in zip(dims, ps, qs) if n == N}):
+                for n, p, q in zip(dims, ps, qs):
+                    if n != N or p + q != width:
+                        continue
+                    b = disc(rng, (N, width))
+                    built.append((N, b[:, :p], b[:, p:]))
+                    try:
+                        t = fredholm.SubspaceTriple(N, b[:, :p], b[:, p:])
+                    except ValueError:
+                        violations += 1
+                        continue
+                    if fredholm.triple_index(t).index != p + q - N:
+                        violations += 1
         checks = [check_int("euler_identity_violations", violations, 0)]
         stable = 0
         for trial in range(100):
-            t = fredholm.SubspaceTriple(8, disc(rng, (8, 3)), disc(rng, (8, 3)))
+            built.append((8, disc(rng, (8, 3)), disc(rng, (8, 3))))
+            t = fredholm.SubspaceTriple(*built[-1])
             if cls.reference_stability(t, 1e-6, 20, opts.seed + trial):
                 stable += 1
         checks.append(check_int("generic_stability_count", stable, 100))
@@ -956,12 +1001,27 @@ class TestStackedFredholmSuite:
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_records_equal_to_trial_loop(self, seed, uniform_disc, monkeypatch):
+        # and the suite's stacked builds take the reference's triples, bit for bit
+        from hardyglue import fredholm
+
         opts = RunOptions(seed=seed)
-        got, want = [], []
+        got, want, stacked, built = [], [], [], []
+        build = fredholm.subspace_triples
+
+        def recording(triples):
+            stacked.extend(triples := list(triples))
+            return build(triples)
+
+        monkeypatch.setattr(fredholm, "subspace_triples", recording)
         made = first_generator(monkeypatch, lambda: got.extend(verify_suite("fredholm", opts)))
-        rng = first_generator(monkeypatch, lambda: want.extend(self.reference_suite(opts, uniform_disc)))
+        monkeypatch.setattr(fredholm, "subspace_triples", build)
+        rng = first_generator(monkeypatch, lambda: want.extend(self.reference_suite(opts, uniform_disc, built)))
         assert got == want
         assert made.random() == rng.random()
+        assert len(stacked) == len(built) == 1100
+        for (n, bp, bq), (n_ref, bp_ref, bq_ref) in zip(stacked, built):
+            assert n == n_ref and bp.shape == bp_ref.shape and bq.shape == bq_ref.shape
+            assert bp.tobytes() == bp_ref.tobytes() and bq.tobytes() == bq_ref.tobytes()
 
     @staticmethod
     def triples():
@@ -1083,25 +1143,30 @@ class TestStackedFredholmSuite:
         assert fredholm.index_stability_check(next(self.triples())[0], 1e-6, trials=0).trials == 0
 
     def test_svd_calls_pinned(self, monkeypatch):
-        # verify fredholm at the default seed: the Euler triples as before
-        # (the spectrum of each side with columns and of [B' | B''], taken
-        # once when the triple is built), then per stability triple its
-        # three spectra, which the certificate reads to decide all 100 (3 a
-        # triple, so 100 * 3).
-        # Each of the five tangent checks makes 5: per pair one SVD of the
-        # stacked bases and one of the cap, plus the gap.  The two ranks of
-        # the sums (7 a check before) went: the SVD that finds the kernel
-        # also gives them.
-        # A basis whose columns have at most one nonzero entry each takes
-        # its spectrum in closed form, and [B' | B''] does when both sides
-        # do.  At seed 7 that drops 192 of the Euler triples' SVDs: the 84
-        # triples with N = 1, whose sides are 1 x 1 or empty (163), and the
-        # 29 with no column on either side (their [B' | B''], 29)
+        # verify fredholm at the default seed builds its triples in stacks, one
+        # SVD per matrix shape N x width (and dtype, complex here) in each
+        # build: the Euler battery builds one N at a time, and its sides and
+        # [B' | B''] of one shape share a call.  A basis with N = 1 (1 x 1 or
+        # empty) or without columns is a coordinate basis and takes its
+        # spectrum in closed form, so each N >= 2 adds one call per width w >= 1
+        # that it draws as p, q or p + q: 125 shapes at seed 7, of the 130
+        # with w <= 2N.  The 100 stability triples are one build, 8 x 3 sides
+        # and 8 x 6 [B' | B''], so 2 more; the certificate decides all 100
+        # from the spectra kept.  The five tangent checks make 22: per pair one
+        # SVD of the stacked bases and one of the cap, 4 a check, plus the gap
+        # in the two checks whose caps have columns.  One SVD per spectrum of
+        # each triple made 2,752.
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         verify_suite("fredholm")
-        assert len(calls) == 2644 - (163 + 29) + 100 * 3
+        rng = np.random.default_rng(RunOptions().seed)
+        dims = rng.integers(1, 12, 1000)
+        p, q = rng.integers(0, dims + 1), rng.integers(0, dims + 1)
+        shapes = {(n, w) for n, *widths in zip(dims.tolist(), p.tolist(), q.tolist(), (p + q).tolist())
+                  for w in widths if n > 1 and w}
+        assert len(shapes) == 125
+        assert len(calls) == 125 + 2 + 22 == 149
 
 
 def private_reads(source: str) -> list:

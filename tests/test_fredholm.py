@@ -391,6 +391,85 @@ class TestCoordinateSpectra:
         assert fredholm._coordinate_rows(basis) is None
 
 
+def mixed_triples(seed, count=150):
+    """``(N, B', B'')`` over N from 1 to 11, each side dense real, dense
+    complex, a coordinate basis, rank deficient (its last column a copy of
+    its first) or 1-D, and p or q 0 for sides without columns.  Each triple
+    comes with its twin, whose dense sides flip between real and complex, so
+    that matrices of one shape and two dtypes share a batch.  Every 25th
+    input is rejected before its spectra: N = 0, a NaN entry, a 3-D side or
+    a side with too many rows."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(1, 12))
+        sides, twins = [], []
+        for k in (int(v) for v in rng.integers(0, n + 1, 2)):
+            kind = int(rng.integers(5))
+            b = rng.standard_normal((n, k))
+            if kind == 1:
+                b = b + 1j * rng.standard_normal((n, k))
+            elif kind == 2:
+                b = np.zeros((n, k))
+                b[rng.integers(0, n, k), np.arange(k)] = rng.standard_normal(k)
+            elif kind == 3 and k > 1:
+                b[:, -1] = b[:, 0]
+            elif kind == 4 and k:
+                b = b[:, 0]
+            sides.append(b)
+            twins.append(b.real.copy() if np.iscomplexobj(b) else b if kind == 2 else b + 1j * rng.standard_normal(b.shape))
+        if i % 25 == 24:
+            bad = [(0, *sides), (n, np.full((n, 1), np.nan), sides[1]), (n, sides[0], np.ones((n, 1, 1))),
+                   (n, np.ones((n + 1, 1)), sides[1])][i // 25 % 4]
+            out.append(bad)
+        out += [(n, *sides), (n, *twins)]
+    return out
+
+
+class TestTripleBatch:
+    # `subspace_triples` against `SubspaceTriple` one triple at a time: the
+    # same bases, spectra and rejections, bit for bit
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_one_at_a_time(self, seed, monkeypatch):
+        triples = mixed_triples(seed)
+        stacks = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: stacks.append((a.shape, a.dtype)) or svd(a, **kw))
+        batch = fredholm.subspace_triples(iter(triples))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert len(batch) == len(triples)
+        rejected, lapack = set(), 0
+        for (n, bp, bq), got in zip(triples, batch):
+            try:
+                want = SubspaceTriple(n, bp, bq)
+            except ValueError as exc:
+                assert type(got) is ValueError and str(got) == str(exc)
+                rejected.add(str(exc).split(" ")[1])
+                continue
+            assert type(got) is SubspaceTriple and got.ambient_dim == n
+            for a, b in zip((got.basis_prime, got.basis_dprime, *got.spectra),
+                            (want.basis_prime, want.basis_dprime, *want.spectra)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable
+            assert triple_index(got) == triple_index(want)
+            rows = [fredholm._coordinate_rows(b) for b in (got.basis_prime, got.basis_dprime)]
+            lapack += sum(r is None for r in rows) + any(r is None for r in rows)
+        # one stacked call per shape and dtype, which holds every spectrum
+        # without closed form
+        assert all(len(shape) == 3 for shape, _ in stacks)
+        assert len({(shape[1:], dtype) for shape, dtype in stacks}) == len(stacks)
+        assert sum(shape[0] for shape, _ in stacks) >= lapack
+        assert {dtype for _, dtype in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
+        assert any(shape[0] > 1 for shape, _ in stacks)
+        assert rejected >= {"dimension", "is", "entries", "expected"}
+
+    def test_batch_of_one_is_the_constructor(self):
+        t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
+        got, = fredholm.subspace_triples([(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))])
+        assert (got.ambient_dim, got.p, got.q, triple_index(got)) == (3, 2, 2, triple_index(t))
+        assert fredholm.subspace_triples([]) == []
+
+
 class TestBasisRank:
     def test_more_columns_than_rows_is_rank_deficient(self):
         # rank <= N < p: the basis cannot have full column rank

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import boundary_to_json, matrix_to_json, nodal_config_to_json
 from hardyglue.jsonio import (
+    QUOTE_LIMIT,
     _complex_array,
+    _quoted,
     boundary_from_json,
     loop_from_json,
     matrix_from_json,
@@ -150,3 +153,33 @@ def test_empty_lists_keep_their_shapes():
     assert vector_from_json([]).shape == (0,)
     assert matrix_from_json([]).shape == (0, 0)
     assert matrix_from_json([[], []]).shape == (2, 0)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),
+    lambda inner: (st.lists(inner, max_size=6) | st.tuples(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=60)
+
+
+class TestQuoted:
+    # a ScenarioError quotes a value through `_quoted`: repr while it fits
+    # the bound, else a prefix of repr and '...'
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_repr_or_its_prefix(self, value):
+        text = repr(value)
+        assert _quoted(value) == (text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT - 3] + "...")
+
+    @pytest.mark.parametrize("value, text", [
+        ((1,), "(1,)"), ((), "()"), ({"a": [1, (2,)]}, "{'a': [1, (2,)]}"), ("x" * 200, repr("x" * 200)[:197] + "..."),
+        (list(range(60)), repr(list(range(60)))[:197] + "..."),
+    ])
+    def test_examples(self, value, text):
+        assert _quoted(value) == text and len(_quoted(value)) <= QUOTE_LIMIT
+
+    def test_past_the_recursion_limit(self):
+        deep = 0
+        for _ in range(10 * sys.getrecursionlimit()):
+            deep = [deep]
+        assert _quoted(deep) == "[" * (QUOTE_LIMIT - 3) + "..."
