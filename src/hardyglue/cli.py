@@ -151,6 +151,13 @@ def _cycle(data, where: str):
     return _built(_CYCLE_MODELS[kind], where, **record)
 
 
+def _node_kind(data, where: str) -> str:
+    """The ``kind`` of an `extension.NodeData` record."""
+    if data not in ("disk_pair", "annulus"):
+        raise ScenarioError(f"{where}: expected 'disk_pair' or 'annulus', got {_quoted(data)}")
+    return data
+
+
 def _z_seq(data, where: str) -> tuple:
     """Gluing parameters: a list of [re,im] pairs, or a geometric sequence."""
     if not isinstance(data, dict):
@@ -470,6 +477,11 @@ def suite_fredholm(opts: RunOptions) -> list:
     return checks
 
 
+# the rows of the dimension identities: g, n in 0..6, m in 0..5, <c1, d> in
+# -12..12 and k in 0..4, 36,750 in all
+_IDENTITY_BOX = (range(7), range(7), range(6), range(-12, 13), range(5))
+
+
 def suite_index(opts: RunOptions) -> list:
     checks = handle_index({"line_bundle": {"d_max": 10, "n_max": 64}}, opts)
     for m in (1, 2, 3):
@@ -478,19 +490,17 @@ def suite_index(opts: RunOptions) -> list:
         checks.append(check_int(f"hardy_sphere_m{m}_codim", idx.codim_sum, 0))
         checks.append(check_int(f"hardy_sphere_m{m}_index", idx.index, m))
     checks.extend(handle_moduli_dim({"builtin_table": True}, opts))
-    rng = np.random.default_rng(opts.seed)
+    # every row (g, n, m, <c1, d>, k) of the box is checked twice, by broadcasting
+    # through the moduli formulas: one target per m, its <c1, d> an array
+    g, n, c1d, k = np.ix_(*_IDENTITY_BOX[:2], *_IDENTITY_BOX[3:])
     identity_violations = 0
-    for _ in range(1000):
-        g = int(rng.integers(0, 7))
-        n = int(rng.integers(0, 7))
-        target = moduli.TargetData(int(rng.integers(0, 6)), int(rng.integers(-12, 13)))
+    for m in _IDENTITY_BOX[2]:
+        target = moduli.TargetData(m, c1d)
         lhs = moduli.moduli_dimension(g, n, target)
         rhs = moduli.riemann_roch_index(target, g) + moduli.teichmuller_dim(g, n)
-        if lhs != rhs:
-            identity_violations += 1
-        k = int(rng.integers(0, 5))
-        if moduli.core_slice_dims(g, n, k, target)[1] + k != lhs:
-            identity_violations += 1
+        x0 = moduli.core_slice_dims(g, n, k, target)[1]
+        identity_violations += (np.count_nonzero(np.broadcast_to(lhs != rhs, x0.shape))
+                                + np.count_nonzero(x0 + k != lhs))
     checks.append(check_int("dimension_identity_violations", identity_violations, 0))
     for (g, n), (name, dim) in {(0, 0): ("PSL(2,C)", 3), (0, 1): ("C* x| C", 2),
                                 (0, 2): ("C*", 1), (1, 0): ("T^2", 1), (2, 0): ("trivial", 0),
@@ -608,7 +618,7 @@ _POSITIVE = _within(_integer, 1, "an integer >= 1")
 _TERM = {"c": (_pair, _REQUIRED), "u": (_list_of(_integer), _REQUIRED), "xp": (_list_of(_integer), _REQUIRED)}
 _MAP = {"dims": (_list_of(_integer, 4), _REQUIRED), "components": (_list_of(_list_of(_TERM)), _REQUIRED),
         "allow_nonflat": (_boolean, False)}
-_NODE = _model(extension.NodeData, kind=(_any, _REQUIRED), xi=(_loop, _REQUIRED), eta=(_loop, _REQUIRED),
+_NODE = _model(extension.NodeData, kind=(_node_kind, _REQUIRED), xi=(_loop, _REQUIRED), eta=(_loop, _REQUIRED),
                z=(_pair, 0j), delta=(_number, None))
 _TRIPLE = {"ambient_dim": (_integer, _REQUIRED), "basis_prime": (_matrix, _REQUIRED),
            "basis_dprime": (_matrix, _REQUIRED),

@@ -374,14 +374,11 @@ def _contract_separating(cfg: NodalConfig, cyc: SeparatingCycle) -> NodalConfig:
     components = list(cfg.components)
     components[i] = Component(cyc.genus_first, comp.ghost)
     components.append(Component(comp.genus - cyc.genus_first, comp.ghost))
-
-    def relocate(ci: int, pid: int) -> tuple:
-        if ci != i or pid in cyc.points_first:
-            return (ci, pid)
-        return (new_index, pid)
-
-    nodes = [tuple(relocate(ci, pid) for ci, pid in pair) for pair in cfg.nodes]
-    marks = [relocate(ci, pid) for ci, pid in cfg.marks]
+    # the points of component i outside points_first move to the new half
+    keep = cyc.points_first
+    nodes = [tuple([(new_index, pid) if ci == i and pid not in keep else (ci, pid) for ci, pid in pair])
+             for pair in cfg.nodes]
+    marks = [(new_index, pid) if ci == i and pid not in keep else (ci, pid) for ci, pid in cfg.marks]
     joint_first, joint_second = _fresh_ids(cfg, i, 2)
     nodes.append(((i, joint_first), (new_index, joint_second)))
     return NodalConfig(tuple(components), tuple(nodes), tuple(marks))

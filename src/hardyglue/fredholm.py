@@ -23,8 +23,10 @@ A basis whose columns have at most one nonzero entry each (a coordinate
 basis, such as the 0/1 mode columns of the Hardy triples of `moduli`) has
 them in closed form: ``B B^H`` is then diagonal, so its singular values are
 its row norms, padded with zeros, and ``[B' | B'']`` is a coordinate basis
-when both sides are (`_spectrum`).  Every other spectrum is LAPACK's.  Each pair of
-subspaces is decided by one SVD (`_cap_and_outer`).
+when both sides are (`_closed_spectra`).  Every other spectrum is LAPACK's.
+The bases are checked a block of one shape and dtype at a time (`_Block`),
+each check one array reduction over the block.  Each pair of subspaces is
+decided by one SVD (`_cap_and_outer`).
 `index_stability_check` proves a triple stable from its three spectra
 (Weyl's inequality) and draws perturbed triples only where that fails.
 """
@@ -61,25 +63,25 @@ RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular valu
 
 
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
-    """A copy of ``mat`` with ``n_rows`` rows and finite entries, float64
-    when every imaginary part is zero and complex128 otherwise."""
-    if isinstance(mat, np.ndarray) and mat.dtype == np.float64:
-        m = np.array(mat, order="C")
-    else:
-        m = np.array(mat, dtype=complex)
-        if not np.count_nonzero(m.imag):
-            m = m.real.copy()
-    if m.ndim not in (1, 2):
-        raise ValueError(f"{name}: expected a 1-D or 2-D array, got {m.ndim}-D shape {m.shape}")
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.size == 0:
-        m = m.reshape(n_rows, 0)
-    if m.shape[0] != n_rows:
-        raise ValueError(f"{name}: expected {n_rows} rows, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
-    return m
+    """``mat`` as a 2-D array of ``n_rows`` rows (a 1-D ``mat`` is one
+    column), not copied: float64 when it is a float64 array, complex128
+    otherwise.  Whether its entries are finite and whether a complex one is
+    real are decided for its whole block (`_Block`)."""
+    if not (isinstance(mat, np.ndarray) and mat.dtype == np.float64):
+        mat = np.asarray(mat, dtype=complex)
+    if mat.ndim not in (1, 2):
+        raise ValueError(f"{name}: expected a 1-D or 2-D array, got {mat.ndim}-D shape {mat.shape}")
+    if mat.ndim == 1:
+        mat = mat[:, None]
+    if mat.size == 0:
+        mat = mat.reshape(n_rows, 0)
+    if mat.shape[0] != n_rows:
+        raise ValueError(f"{name}: expected {n_rows} rows, got shape {mat.shape}")
+    return mat
+
+
+def _not_finite(name: str) -> ValueError:
+    return ValueError(f"{name}: entries must be finite (no NaN/Inf)")
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -88,41 +90,58 @@ def _rank_of(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
 
 
-def _coordinate_rows(b: np.ndarray):
-    """The norms of the rows of ``b``, taken at scale (`loops._at_scale`),
-    when each column of ``b`` has at most one nonzero entry; None for any
-    other ``b``.  The total count rules most dense bases out first."""
-    nnz = np.count_nonzero(b)
-    if nnz > b.shape[1]:
-        return None
-    norms = np.zeros(b.shape[0])
-    if nnz:
-        mask = b != 0
-        at = mask.argmax(axis=0)  # the row of each column's first nonzero entry
-        hit = mask[at, np.arange(b.shape[1])]  # the nonzero columns
-        if np.count_nonzero(hit) < nnz:
-            return None
-        at = at[hit]  # rows with an entry only: a zero row would take the rescue
-        norms[at] = _ldexp(*_at_scale(_l2_rows, b[at]))
-    return norms
+def _nonzero_counts(stack: np.ndarray) -> list:
+    """The number of nonzero entries of each basis of a stack (T, ...); one
+    count settles a stack of one basis, and one that is all zero or all
+    nonzero."""
+    n, total = len(stack), np.count_nonzero(stack)
+    if n == 1 or total == 0 or total == stack.size:
+        return [total // n] * n
+    return np.add.reduce(stack.reshape(n, -1) != 0, axis=1).tolist()
 
 
-def _spectrum(bases: tuple, rows):
-    """The singular values, descending and read-only, of ``M = [bases[0] |
-    ...]``, N x k, in closed form, given each basis's `_coordinate_rows` in
-    ``rows``; None when one of them is None, for ``M`` then takes LAPACK's
-    SVD.
+def _coordinate_rows(stack: np.ndarray, finite=None) -> tuple:
+    """``(coordinate, norms)`` for a stack of bases (T, N, k): per basis,
+    whether it is finite (``finite``, a flag per basis, all when None) and
+    has at most one nonzero entry in each column, and, for those, the norms
+    of their rows, taken at scale (`loops._at_scale`); the other bases'
+    rows read 0.
 
-    When none is None every column of ``M`` has at most one nonzero entry,
-    so ``M M^H`` is diagonal and holds the squared row norms, summed over
-    the bases (Golub & Van Loan, *Matrix Computations*, 2.4): the singular
-    values are the row norms, the largest ``min(N, k)`` of them."""
-    if rows[0] is None or rows[-1] is None:  # rows holds one array or two
-        return None
-    norms = rows[0] if len(rows) == 1 else np.hypot(*rows)
-    s = -np.sort(-norms)[:sum(b.shape[1] for b in bases)]  # descending
-    s.flags.writeable = False
-    return s
+    A stack of more than one row without a zero entry holds none, which one
+    count settles.  Otherwise a basis is a coordinate basis when the first
+    nonzero entry of each column (``argmax`` of ``stack != 0``) accounts
+    for all its nonzero entries, and the norms are those of the rows of
+    those first entries (a zero row would take the rescue)."""
+    n_bases, n_rows, width = stack.shape
+    mask = stack != 0
+    if n_rows > 1 and 0 < np.count_nonzero(mask) == mask.size:
+        return [False] * n_bases, np.zeros((n_bases, n_rows))
+    at = mask.argmax(axis=1)  # (T, k), the row of each column's first nonzero entry
+    hit = mask[np.arange(n_bases)[:, None], at, np.arange(width)]  # (T, k), the nonzero columns
+    coordinate = [nnz == hits for nnz, hits in zip(_nonzero_counts(mask), _nonzero_counts(hit))]
+    if finite is not None:
+        coordinate = [ok and closed for ok, closed in zip(finite, coordinate)]
+    if not all(coordinate):
+        hit &= np.array(coordinate)[:, None]
+    norms = np.zeros((n_bases, n_rows))
+    t, col = hit.nonzero()
+    if t.size:
+        rows = at[t, col]
+        norms[t, rows] = _ldexp(*_at_scale(_l2_rows, stack[t, rows]))
+    return coordinate, norms
+
+
+def _closed_spectra(norms: np.ndarray, width: int) -> np.ndarray:
+    """The singular values, descending, of coordinate bases ``M`` (N x
+    ``width``) from the norms of their rows, the last axis of ``norms``:
+    every column of ``M`` has at most one nonzero entry, so ``M M^H`` is
+    diagonal and holds the squared row norms (Golub & Van Loan, *Matrix
+    Computations*, 2.4), and the singular values are the largest ``min(N,
+    width)`` row norms.  ``[B' | B'']`` of two coordinate bases is one, with
+    the row norms ``hypot`` of theirs."""
+    s = -norms
+    s.sort(axis=-1)
+    return -s[..., :width]
 
 
 def orthonormal_range(M: np.ndarray) -> np.ndarray:
@@ -177,9 +196,10 @@ class SubspaceTriple:
 def subspace_triples(triples) -> list:
     """``SubspaceTriple(N, B', B'')`` for each ``(N, B', B'')`` of
     ``triples``, in order, or the ValueError that call raises in its place:
-    the same bases, spectra and rejections, bit for bit.  Each basis is
-    checked on its own; the spectra that are not in closed form are taken
-    by one stacked SVD per matrix shape and dtype (`_triple_parts`)."""
+    the same bases, spectra and rejections, bit for bit.  The bases are
+    checked a block of one shape and dtype at a time, and the spectra that
+    are not in closed form are taken by one stacked SVD per matrix shape and
+    dtype (`_triple_parts`)."""
     triples = list(triples)
     out = []
     for (n, _, _), part in zip(triples, _triple_parts(triples)):
@@ -199,53 +219,152 @@ def _settle(t: SubspaceTriple, n, bp: np.ndarray, bq: np.ndarray, spectra: tuple
 
 def _triple_parts(triples: list) -> list:
     """Per ``(N, B', B'')`` of ``triples``, the read-only ``(B', B'',
-    spectra)`` of its `SubspaceTriple`, or the ValueError that rejects it:
-    an ambient dimension below 1, a basis `_as_basis` rejects (``B'``
-    first), or a basis whose `_rank_of` is below its column count (``B'``
-    first).
+    spectra)`` of its `SubspaceTriple`, or the ValueError that rejects it.
+    The first fault rejects, in this order: an ambient dimension below 1;
+    then for ``B'`` and after it for ``B''`` a basis that is not 1-D or
+    2-D, has another row count than N, or has an entry that is not finite;
+    then ``B'`` and after it ``B''`` whose `_rank_of` is below its column
+    count.
 
-    A spectrum without closed form (`_spectrum`) is LAPACK's: the matrices
-    of one shape and dtype, sides and ``[B' | B'']`` alike, go to one
-    stacked ``np.linalg.svd``, whose gufunc runs the LAPACK call of a single
-    matrix on each and so gives each the bytes of its own call."""
-    parts, stacks = [], {}
+    Each triple takes the shape checks of `_as_basis` and bookkeeping; the
+    rest runs on blocks.  The bases of one shape and input dtype form a
+    group, which the real-or-complex test splits into a float64 and a
+    complex128 `_Block`; in a block the finiteness, coordinate-pattern and
+    side-rank decisions are one array reduction each.  A spectrum without closed form (`_closed_spectra`) is
+    LAPACK's: the matrices of one shape and dtype, the dense bases of the
+    blocks and the ``[B' | B'']`` alike, go to one stacked
+    ``np.linalg.svd``, whose gufunc runs the LAPACK call of a single matrix
+    on each and so gives each the bytes of its own call."""
+    parts, groups = [], {}
     for n, bp, bq in triples:
         try:
             if n < 1:
                 raise ValueError(f"ambient dimension must be positive, got {n}")
-            bp, bq = _as_basis(bp, n, "basis_prime"), _as_basis(bq, n, "basis_dprime")
+            bp = _as_basis(bp, n, "basis_prime")
+            try:
+                bq = _as_basis(bq, n, "basis_dprime")
+            except (TypeError, ValueError):
+                if not np.isfinite(bp).all():  # B' is rejected first
+                    raise _not_finite("basis_prime") from None
+                raise
         except ValueError as exc:
             parts.append(exc)
             continue
-        rows = (_coordinate_rows(bp), _coordinate_rows(bq))
-        spectra = [_spectrum((bp, bq), rows), _spectrum((bp,), rows[:1]), _spectrum((bq,), rows[1:])]
-        for k, bases in enumerate(((bp, bq), (bp,), (bq,))):
-            if spectra[k] is None:
-                key = (bp.shape[0], sum(b.shape[1] for b in bases), np.result_type(*bases))
-                stacks.setdefault(key, []).append((bases, spectra, k))
-        parts.append((bp, bq, spectra))
-    for key, stack in stacks.items():
-        a = np.empty((len(stack), *key[:2]), key[2])
-        for into, (bases, _, _) in zip(a, stack):
-            np.concatenate(bases, axis=1, out=into)
-        s = np.linalg.svd(a, compute_uv=False)
-        s.flags.writeable = False
-        for row, (_, spectra, k) in zip(s, stack):
-            spectra[k] = row
+        part = [bp, bq]
+        parts.append(part)
+        groups.setdefault((bp.shape, bp.dtype), []).append((part, 0))
+        groups.setdefault((bq.shape, bq.dtype), []).append((part, 1))
+    svd = {}  # (rows, columns, dtype) -> the blocks and the triples whose matrices LAPACK takes
+    blocks = [block for (_, dtype), refs in groups.items() for block in _Block.split(refs, dtype.kind == "c")]
+    for block in blocks:
+        if block.dense is not None:
+            svd.setdefault((*block.stack.shape[1:], block.stack.dtype), ([], []))[0].append(block)
     for i, part in enumerate(parts):
-        if isinstance(part, ValueError):
+        if type(part) is not list:
             continue
-        bp, bq, spectra = part
-        for name, b, s in (("basis_prime", bp, spectra[1]), ("basis_dprime", bq, spectra[2])):
-            rank = _rank_of(s)
+        (bp, ok_p, rows_p, _, _), (bq, ok_q, rows_q, _, _) = part
+        width = bp.shape[1] + bq.shape[1]
+        if not (ok_p and ok_q):
+            parts[i] = _not_finite("basis_dprime" if ok_p else "basis_prime")
+        elif rows_p is None or rows_q is None:
+            key = (bp.shape[0], width, bp.dtype if bq.dtype.kind == "f" else bq.dtype)
+            svd.setdefault(key, ([], []))[1].append(part)
+        else:
+            s = _closed_spectra(np.hypot(rows_p, rows_q), width)
+            s.flags.writeable = False
+            part.append(s)
+    for (n, width, dtype), (dense, pairs) in svd.items():
+        sides = [block.stack[block.dense] for block in dense]
+        if pairs:
+            a = np.empty((len(pairs), n, width), dtype)
+            for into, ((bp, *_), (bq, *_)) in zip(a, pairs):
+                np.concatenate((bp, bq), axis=1, out=into)
+            sides.append(a)
+        s = np.linalg.svd(sides[0] if len(sides) == 1 else np.concatenate(sides), compute_uv=False)
+        s.flags.writeable = False
+        at = 0
+        for block, side in zip(dense, sides):
+            block.take(s[at:at + len(side)])
+            at += len(side)
+        for row, part in zip(s[at:], pairs):
+            part.append(row)
+    for i, part in enumerate(parts):
+        if type(part) is not list:
+            continue
+        (bp, _, _, block_p, tp), (bq, _, _, block_q, tq), s = part
+        for name, b, rank in (("basis_prime", bp, block_p.ranks[tp]), ("basis_dprime", bq, block_q.ranks[tq])):
             if rank < b.shape[1]:
                 parts[i] = ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
                                       f"at RANK_TOL {RANK_TOL:g}")
                 break
-        else:  # the spectra are read-only already
-            bp.flags.writeable = bq.flags.writeable = False
-            parts[i] = (bp, bq, tuple(spectra))
+        else:
+            parts[i] = (bp, bq, (s, block_p.spectra[tp], block_q.spectra[tq]))
     return parts
+
+
+class _Block:
+    """Bases of one shape and dtype in `_triple_parts`: ``stack`` (T, N, k)
+    holds copies of them, read-only, and ``spectra`` (T, min(N, k)) their
+    singular values, read-only, with ``ranks`` their `_rank_of`s.  A
+    coordinate basis has its spectrum in closed form; ``dense`` selects the
+    other finite bases, whose spectra LAPACK takes (`take`), and is None
+    where there are none."""
+
+    __slots__ = ("stack", "dense", "spectra", "ranks")
+
+    @classmethod
+    def split(cls, refs: list, complex_input: bool) -> list:
+        """The blocks of the bases ``part[side]`` of ``refs``, all of one
+        shape and dtype: for complex input, a float64 block of the bases
+        whose imaginary parts are all zero (``-0.0`` included) and a
+        complex one of the rest."""
+        stack = np.array([part[side] for part, side in refs])
+        if not complex_input:
+            return [cls(stack, refs)]
+        real = [not count for count in _nonzero_counts(stack.imag)]
+        if all(real):
+            return [cls(stack.real.copy(), refs)]
+        if not any(real):
+            return [cls(stack, refs)]
+        keep = np.array(real)
+        return [cls(stack.real[keep], [ref for ref, r in zip(refs, real) if r]),
+                cls(stack[~keep], [ref for ref, r in zip(refs, real) if not r])]
+
+    def __init__(self, stack: np.ndarray, refs: list):
+        """Decide finiteness and coordinate pattern; each ``part[side]`` of
+        ``refs`` becomes ``(basis, finite, rows, block, position)``, the
+        basis a view of the stack and ``rows`` its row norms when it is a
+        coordinate basis, None otherwise."""
+        stack.flags.writeable = False
+        finite = np.isfinite(stack)
+        if np.count_nonzero(finite) == finite.size:  # one count settles the common block
+            finite = [True] * len(stack)
+        else:
+            finite = np.logical_and.reduce(finite.reshape(len(stack), -1), axis=1).tolist()
+        coordinate, norms = _coordinate_rows(stack, finite)
+        dense = [ok and not closed for ok, closed in zip(finite, coordinate)]
+        self.stack, self.dense, self.spectra = stack, slice(None), None
+        if not all(dense):
+            self.dense = np.array(dense) if any(dense) else None
+            self.spectra = _closed_spectra(norms, stack.shape[2])
+            if self.dense is None:
+                self.take(None)
+        for t, (part, side), ok, closed in zip(range(len(refs)), refs, finite, coordinate):
+            part[side] = (stack[t], ok, norms[t] if closed else None, self, t)
+
+    def take(self, s) -> None:
+        """Set the spectra of the dense bases to LAPACK's ``s``, in order,
+        and decide the ranks of all the bases at once."""
+        if self.spectra is None:
+            self.spectra = s  # read-only already
+        else:
+            if s is not None:
+                self.spectra[self.dense] = s
+            self.spectra.flags.writeable = False
+        spectra, width = self.spectra, self.stack.shape[2]
+        above = spectra > RANK_TOL * spectra[:, :1]
+        full = np.count_nonzero(above) == len(spectra) * width  # every basis has rank = columns
+        self.ranks = [width] * len(spectra) if full else np.add.reduce(above, axis=1).tolist()
 
 
 class TripleIndex(NamedTuple):

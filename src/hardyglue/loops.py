@@ -170,8 +170,11 @@ def _ldexp(x: np.ndarray, e) -> np.ndarray:
 
 def _l2_rows(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a stack, with its rounding: the dot
-    products of the flattened real and imaginary parts, row by row."""
+    products of the flattened real and imaginary parts, row by row; a real
+    stack has no imaginary part to add."""
     flat = stack.reshape(len(stack), -1)
+    if flat.dtype == np.float64:
+        return np.sqrt(np.vecdot(flat, flat))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 

@@ -50,9 +50,17 @@ class NodalConfig:
     ``nodes`` are unordered pairs of (component index, point id); ``marks``
     are single (component index, point id) entries.  Point ids must be
     distinct per component across nodes and marks, and the dual graph
-    (components as vertices, nodes as edges) must be connected; one pass
-    checks both (union-find).  ``points[i]``, derived and not settable, is
-    the frozenset of point ids on component i, node endpoints and marks.
+    (components as vertices, nodes as edges) must be connected.
+    ``points[i]``, derived and not settable, is the frozenset of point ids
+    on component i, node endpoints and marks.
+
+    Validation is one flat pass, and its first error is the one raised:
+    the components (at least one), then every index and id as an int; then
+    the nodes in order, each checked for two points before its first and
+    then its second point is checked for a component index in range and
+    for an id not yet used on that component; then the marks in order, the
+    same two checks each; a disconnected dual graph last.  The union-find
+    that joins each node's two components counts the roots as it merges.
     """
 
     components: tuple
@@ -61,38 +69,43 @@ class NodalConfig:
     points: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        comps = tuple(c if isinstance(c, Component) else Component(*c) for c in self.components)
+        comps = tuple([c if isinstance(c, Component) else Component(*c) for c in self.components])
         if not comps:
             raise ValueError("configuration needs at least one component")
+        nodes = tuple([tuple([(int(ci), int(pid)) for ci, pid in pair]) for pair in self.nodes])
+        marks = tuple([(int(ci), int(pid)) for ci, pid in self.marks])
         object.__setattr__(self, "components", comps)
-        nodes = tuple(tuple((int(ci), int(pid)) for ci, pid in pair) for pair in self.nodes)
-        marks = tuple((int(ci), int(pid)) for ci, pid in self.marks)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "marks", marks)
+        size = roots = len(comps)
         points = [set() for _ in comps]
-        parent = list(range(len(comps)))  # union-find: a root is its own parent
-
-        def place(ci: int, pid: int):
-            if not (0 <= ci < len(comps)):
-                raise ValueError(f"component index {ci} out of range")
-            if pid in points[ci]:
-                raise ValueError(f"point id {pid} on component {ci} used twice")
-            points[ci].add(pid)
-
+        parent = list(range(size))  # union-find: a root is its own parent
         for pair in nodes:
             if len(pair) != 2:
                 raise ValueError(f"node must pair two points, got {pair}")
-            (ci, pid_i), (cj, pid_j) = pair
-            place(ci, pid_i)
-            place(cj, pid_j)
+            (ci, _), (cj, _) = pair
+            for c, p in pair:
+                if not 0 <= c < size:
+                    raise ValueError(f"component index {c} out of range")
+                on = points[c]
+                if p in on:
+                    raise ValueError(f"point id {p} on component {c} used twice")
+                on.add(p)
             while parent[ci] != ci:
                 ci = parent[ci]
             while parent[cj] != cj:
                 cj = parent[cj]
-            parent[ci] = cj  # a no-op where the two roots agree
-        for ci, pid in marks:
-            place(ci, pid)
-        if sum(ci == root for ci, root in enumerate(parent)) != 1:
+            if ci != cj:
+                parent[ci] = cj
+                roots -= 1
+        for c, p in marks:
+            if not 0 <= c < size:
+                raise ValueError(f"component index {c} out of range")
+            on = points[c]
+            if p in on:
+                raise ValueError(f"point id {p} on component {c} used twice")
+            on.add(p)
+        if roots != 1:
             raise ValueError("dual graph of the configuration is not connected")
         object.__setattr__(self, "points", tuple(map(frozenset, points)))
 
@@ -104,7 +117,9 @@ class NodalConfig:
 @dataclass(frozen=True)
 class TargetData:
     """Target dimension m and the pairing of c1 of the tangent bundle with
-    the map's homology class."""
+    the map's homology class.  The dimension formulas below are integer
+    arithmetic, so they broadcast: a ``c1d`` (or g, n, k) given as an
+    integer array gives an array of values."""
 
     m: int
     c1d: int
@@ -122,7 +137,7 @@ def special_point_count(cfg: NodalConfig, component: int) -> int:
 
 def arithmetic_genus(cfg: NodalConfig) -> int:
     """Genus of the nodal quotient: sum of genera + #nodes - #components + 1."""
-    total = sum(c.genus for c in cfg.components)
+    total = sum([c.genus for c in cfg.components])
     return total + cfg.n_nodes - len(cfg.components) + 1
 
 

@@ -384,6 +384,33 @@ class TestErrorPaths:
                     quoted += 1
         assert quoted > 0
 
+    def test_deep_node_kind_exits_2_with_bounded_quote(self, tmp_path, capsys):
+        # a node record's kind nested just short of the recursion limit is
+        # quoted to the bound, or is too deep to parse; never a traceback
+        from hardyglue.jsonio import QUOTE_LIMIT
+
+        loop = {"m": 1, "n_max": 0, "coeffs": [[[0.0, 0.0]]]}
+        f = tmp_path / "scenario.json"
+        head = "error: params.nodes[0].kind: expected 'disk_pair' or 'annulus', got "
+        quoted = 0
+        for depth in range(900, 1000, 3):
+            node = {"kind": "DEEP", "xi": loop, "eta": loop}
+            text = json.dumps({"command": "extend-check", "params": {"nodes": [node]}})
+            f.write_text(text.replace('"DEEP"', "[" * depth + "0" + "]" * depth), encoding="utf-8")
+            codes = []
+            thread = threading.Thread(target=lambda: codes.append(main(["extend-check", str(f)])))
+            thread.start()
+            thread.join()
+            assert codes == [2], depth
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            if err.startswith(head):
+                assert len(err) - len(head) - 1 <= QUOTE_LIMIT and err.endswith("...\n")
+                quoted += 1
+            else:
+                assert err == f"error: {f}: JSON nested too deeply to parse\n"
+        assert quoted > 0
+
     def test_failing_check_exits_1(self, tmp_path, capsys):
         f = tmp_path / "scenario.json"
         f.write_text(json.dumps({
@@ -1522,6 +1549,38 @@ class TestVerify:
         assert any(n.startswith("line_bundle_d10") for n in names)
         assert "hardy_sphere_m3_index" in names
 
+    def test_identity_box_is_every_row(self, monkeypatch):
+        # the dimension identities are checked on the whole box the random
+        # draws sampled: every (g, n, m, <c1, d>, k), 7 * 7 * 6 * 25 * 5 rows
+        from hardyglue import moduli
+
+        rows, real = [], moduli.core_slice_dims
+
+        def counting(g, n, k, target):
+            rows.append((target.m, np.broadcast(g, n, k, target.c1d).size))
+            return real(g, n, k, target)
+
+        monkeypatch.setattr(moduli, "core_slice_dims", counting)
+        checks = {c.name: c for c in verify_suite("index")}
+        assert checks["dimension_identity_violations"].value == 0
+        assert [m for m, _ in rows] == list(range(6)) and sum(size for _, size in rows) == 36750
+
+    def test_identity_box_catches_a_fault_at_its_corner(self, monkeypatch, capsys):
+        # a +1 fault at the single row (6, 6, 5, 12, 4), which 1,000 uniform
+        # draws from the box miss with probability (1 - 1/36750)^1000, 97%
+        from hardyglue import moduli
+
+        real = moduli.core_slice_dims
+
+        def planted(g, n, k, target):
+            core, x0 = real(g, n, k, target)
+            return core, x0 + ((g == 6) & (n == 6) & (k == 4) & (target.m == 5) & (target.c1d == 12))
+
+        monkeypatch.setattr(moduli, "core_slice_dims", planted)
+        code, checks, _ = run_cli(capsys, "verify", "index")
+        failed = [c for c in checks if c["status"] != "pass"]
+        assert code == 1 and [(c["check"], c["value"]) for c in failed] == [("dimension_identity_violations", 1)]
+
     def test_energy_suite_passes(self, capsys):
         code, _, summary = run_cli(capsys, "verify", "energy")
         assert code == 0 and summary["failures"] == 0
@@ -2013,7 +2072,7 @@ class TestFieldTables:
             if "length" in cells:
                 return known(cells["reader"])
             return strict(reader) is not None or reader in (jsonio._any, cli._parse_coeff_rows, cli._constant,
-                                                               cli._cycle, cli._z_seq)
+                                                               cli._cycle, cli._node_kind, cli._z_seq)
 
         assert sorted(key for key, reader in fields.values() if not known(reader)) == []
 

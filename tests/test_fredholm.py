@@ -360,10 +360,11 @@ class TestCoordinateSpectra:
     @given(coordinate_bases())
     def test_closed_form_matches_lapack(self, drawn):
         n, bp, bq = drawn
-        rows = [fredholm._coordinate_rows(b) for b in (bp, bq)]
-        assert all(r is not None for r in rows)
-        for got, b in ((fredholm._spectrum((bp, bq), rows), np.hstack([bp, bq])),
-                       (fredholm._spectrum((bp,), rows[:1]), bp), (fredholm._spectrum((bq,), rows[1:]), bq)):
+        (coordinate_p, (rows_p,)), (coordinate_q, (rows_q,)) = (fredholm._coordinate_rows(b[None]) for b in (bp, bq))
+        assert coordinate_p[0] and coordinate_q[0]
+        closed = fredholm._closed_spectra
+        for got, b in ((closed(np.hypot(rows_p, rows_q), bp.shape[1] + bq.shape[1]), np.hstack([bp, bq])),
+                       (closed(rows_p, bp.shape[1]), bp), (closed(rows_q, bq.shape[1]), bq)):
             want = np.linalg.svd(b, compute_uv=False)
             assert got.shape == want.shape and np.all(got[:-1] >= got[1:])
             assert np.max(np.abs(got - want), initial=0.0) <= 8 * np.finfo(float).eps * want[:1].max(initial=0.0)
@@ -388,7 +389,8 @@ class TestCoordinateSpectra:
                                        np.array([[1j, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])],
                              ids=["more entries than columns", "beside a zero column", "complex"])
     def test_two_entries_in_a_column_take_lapack(self, basis):
-        assert fredholm._coordinate_rows(basis) is None
+        coordinate, rows = fredholm._coordinate_rows(basis[None])
+        assert not coordinate[0] and not rows.any()
 
 
 def mixed_triples(seed, count=150):
@@ -426,6 +428,39 @@ def mixed_triples(seed, count=150):
     return out
 
 
+def with_imag(re, im):
+    b = re.astype(complex)
+    b.imag = im
+    return b
+
+
+def same_shape_triples(seed):
+    """Triples in C^5 whose sides are 5 x 2 but for some 1-D ones: dense
+    real, dense complex, complex with zero (or -0.0) imaginary parts,
+    coordinate (real or complex), nested lists of Python numbers, NaN or
+    inf entries, a rank-deficient side and a side of 6 rows, drawn into
+    pairs and shuffled."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((5, 2))
+    kinds = [
+        lambda: rng.standard_normal((5, 2)),
+        lambda: rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)),
+        lambda: rng.standard_normal((5, 2)) + 0j,
+        lambda: with_imag(rng.standard_normal((5, 2)), -0.0),
+        lambda: np.eye(5)[:, rng.choice(5, 2, replace=False)] * rng.standard_normal(2),
+        lambda: np.eye(5, dtype=complex)[:, rng.choice(5, 2, replace=False)] * (1 + 1j),
+        lambda: (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))).tolist(),
+        lambda: rng.standard_normal((5, 2)).tolist(),
+        lambda: rng.standard_normal(5),
+        lambda: np.where(rng.random((5, 2)) < 0.2, np.nan, dense),
+        lambda: np.where(rng.random((5, 2)) < 0.5, np.inf, dense) + 0j,
+        lambda: np.repeat(rng.standard_normal((5, 1)), 2, axis=1),
+        lambda: rng.standard_normal((6, 2)),
+    ]
+    triples = [(5, kinds[i](), kinds[j]()) for i, j in rng.integers(0, len(kinds), (60, 2))]
+    return [triples[i] for i in rng.permutation(len(triples))]
+
+
 class TestTripleBatch:
     # `subspace_triples` against `SubspaceTriple` one triple at a time: the
     # same bases, spectra and rejections, bit for bit
@@ -452,8 +487,8 @@ class TestTripleBatch:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
                 assert not a.flags.writeable
             assert triple_index(got) == triple_index(want)
-            rows = [fredholm._coordinate_rows(b) for b in (got.basis_prime, got.basis_dprime)]
-            lapack += sum(r is None for r in rows) + any(r is None for r in rows)
+            dense = [not fredholm._coordinate_rows(b[None])[0][0] for b in (got.basis_prime, got.basis_dprime)]
+            lapack += sum(dense) + any(dense)
         # one stacked call per shape and dtype, which holds every spectrum
         # without closed form
         assert all(len(shape) == 3 for shape, _ in stacks)
@@ -462,6 +497,54 @@ class TestTripleBatch:
         assert {dtype for _, dtype in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
         assert any(shape[0] > 1 for shape, _ in stacks)
         assert rejected >= {"dimension", "is", "entries", "expected"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_of_one_shape_equal_one_at_a_time(self, seed, monkeypatch):
+        # one shape, 5 x 2, so every basis but the 1-D ones shares a group,
+        # dense and coordinate, real and complex, list and array, among
+        # NaN, rank-deficient and mis-shaped sides, in a drawn order
+        triples = same_shape_triples(seed)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a.shape, a.dtype)) or svd(a, **kw))
+        batch = fredholm.subspace_triples(triples)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert len(calls) == len(set(calls))  # one call per matrix shape and dtype
+        got_rejections, want_rejections = [], []
+        for (n, bp, bq), got in zip(triples, batch):
+            try:
+                want = SubspaceTriple(n, bp, bq)
+            except ValueError as exc:
+                want_rejections.append(str(exc))
+                got_rejections.append(str(got))
+                continue
+            assert type(got) is SubspaceTriple
+            for a, b in zip((got.basis_prime, got.basis_dprime, *got.spectra),
+                            (want.basis_prime, want.basis_dprime, *want.spectra)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable
+        assert got_rejections == want_rejections
+        assert {m.split(" ", 2)[1] for m in got_rejections} == {"is", "entries", "expected"}
+
+    @pytest.mark.parametrize("bp, bq, message", [
+        # B', its shape and then its entries, before B''
+        (np.full((5, 2), np.nan), np.ones((6, 2)), "basis_prime: entries must be finite (no NaN/Inf)"),
+        (np.ones((6, 2)), np.full((5, 2), np.nan), "basis_prime: expected 5 rows, got shape (6, 2)"),
+        (np.eye(5)[:, :2], np.full((5, 2), np.inf), "basis_dprime: entries must be finite (no NaN/Inf)"),
+        (np.full((5, 2), np.inf), np.full((5, 2), np.nan), "basis_prime: entries must be finite (no NaN/Inf)"),
+        (np.full((5, 2), np.nan), "x", "basis_prime: entries must be finite (no NaN/Inf)"),
+        # every entry is checked before any rank is decided
+        (np.ones((5, 2)), np.full((5, 2), np.nan), "basis_dprime: entries must be finite (no NaN/Inf)"),
+        (np.ones((5, 2)), np.ones((5, 2)), "basis_prime is rank deficient: rank 1 < 2 columns at RANK_TOL 1e-09"),
+        (np.eye(5)[:, :2], np.zeros((5, 1)), "basis_dprime is rank deficient: rank 0 < 1 columns at RANK_TOL 1e-09"),
+    ])
+    def test_first_fault_rejects(self, bp, bq, message):
+        with pytest.raises(ValueError) as alone:
+            SubspaceTriple(5, bp, bq)
+        good = (5, np.eye(5)[:, :2] + 0.5j, np.eye(5)[:, 2:4])
+        got = fredholm.subspace_triples([good, (5, bp, bq), good])
+        assert str(alone.value) == str(got[1]) == message
+        assert [type(t) for t in got] == [SubspaceTriple, ValueError, SubspaceTriple]
 
     def test_batch_of_one_is_the_constructor(self):
         t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))

@@ -29,6 +29,69 @@ def two_spheres_one_node():
     return NodalConfig((Component(0), Component(0)), nodes=(((0, 0), (1, 0)),))
 
 
+FAULTS = ("index out of range", "reused id", "node of three points", "disconnected graph")
+
+
+@st.composite
+def planted_faults(draw):
+    """``(component count, nodes, marks)``: a connected configuration (a
+    spanning tree of nodes, up to two more nodes and up to three marks,
+    every id fresh) with two faults of `FAULTS` planted in it, in order."""
+    n_comp = draw(st.integers(1, 4))
+    fresh = iter(range(100))
+    pairs = [(draw(st.integers(0, j - 1)), j) for j in range(1, n_comp)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n_comp - 1), st.integers(0, n_comp - 1)), max_size=2))
+    nodes = [[[i, next(fresh)], [j, next(fresh)]] for i, j in draw(st.permutations(pairs))]
+    marks = [[c, next(fresh)] for c in draw(st.lists(st.integers(0, n_comp - 1), max_size=3))]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=2, max_size=2)):
+        if not nodes and not marks:
+            marks.append([0, next(fresh)])
+        points = [point for pair in nodes for point in pair] + marks
+        if fault == "index out of range":
+            draw(st.sampled_from(points))[0] = draw(st.sampled_from([-1, n_comp, n_comp + 2]))
+        elif fault == "reused id":
+            marks.insert(draw(st.integers(0, len(marks))), list(draw(st.sampled_from(points))))
+        elif fault == "node of three points" and nodes:
+            draw(st.sampled_from(nodes)).append([draw(st.integers(0, n_comp - 1)), next(fresh)])
+        else:  # a component no node reaches
+            n_comp += 1
+    return n_comp, tuple(tuple(map(tuple, pair)) for pair in nodes), tuple(map(tuple, marks))
+
+
+def reference_first_error(n_comp: int, nodes, marks):
+    """The first error `NodalConfig` should raise, by a walk written out
+    apart from it: nodes in order (the point count, then each point), then
+    the marks, then connectivity by depth-first search; None if none."""
+    seen = [set() for _ in range(n_comp)]
+
+    def place(c, p):
+        if not 0 <= c < n_comp:
+            return f"component index {c} out of range"
+        if p in seen[c]:
+            return f"point id {p} on component {c} used twice"
+        seen[c].add(p)
+
+    for pair in nodes:
+        if len(pair) != 2:
+            return f"node must pair two points, got {pair}"
+        for c, p in pair:
+            if (msg := place(c, p)) is not None:
+                return msg
+    for c, p in marks:
+        if (msg := place(c, p)) is not None:
+            return msg
+    neighbours = [set() for _ in range(n_comp)]
+    for (a, _), (b, _) in nodes:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    reached, stack = {0}, [0]
+    while stack:
+        for nxt in neighbours[stack.pop()] - reached:
+            reached.add(nxt)
+            stack.append(nxt)
+    return None if len(reached) == n_comp else "dual graph of the configuration is not connected"
+
+
 class TestNodalConfig:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
@@ -65,6 +128,19 @@ class TestNodalConfig:
         with pytest.raises(ValueError) as err:
             NodalConfig(tuple(Component(0) for _ in range(n_comp)), nodes, marks)
         assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_faults())
+    def test_first_error_matches_the_reference_walk(self, drawn):
+        n_comp, nodes, marks = drawn
+        want = reference_first_error(n_comp, nodes, marks)
+        comps = tuple(Component(0) for _ in range(n_comp))
+        if want is None:  # the second fault undid the first
+            NodalConfig(comps, nodes, marks)
+            return
+        with pytest.raises(ValueError) as err:
+            NodalConfig(comps, nodes, marks)
+        assert str(err.value) == want
 
     def test_points_match_the_walk(self, point_walk):
         rng = np.random.default_rng(25)
