@@ -29,6 +29,7 @@ one Laurent series, both ways); each row has the bits of the scalar tests.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,8 @@ def annulus_pair_residuals(delta: np.ndarray, laurent: np.ndarray,
 @dataclass(frozen=True)
 class NodeData:
     """Per-node boundary record: a disk pair at gluing parameter z, or an
-    annulus of modulus delta."""
+    annulus of modulus delta.  A bad ``kind`` is quoted by `reprlib`, a few
+    levels and characters of it at most."""
 
     kind: str
     xi: Loop
@@ -156,7 +158,7 @@ class NodeData:
 
     def __post_init__(self):
         if self.kind not in ("disk_pair", "annulus"):
-            raise ValueError(f"kind must be 'disk_pair' or 'annulus', got {self.kind!r}")
+            raise ValueError(f"kind must be 'disk_pair' or 'annulus', got {reprlib.repr(self.kind)}")
         if self.kind == "annulus":
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError("annulus record requires delta in (0, 1)")

@@ -705,13 +705,22 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
     entry is a ValueError.
 
     Uses Levenberg damping on the normal equations so the generic
-    degeneracy ``df(0,0) = 0`` at the root does not break the step; double
-    roots converge linearly, simple roots quadratically once the damping
-    has wound down.  A Jacobian or residual past ``2**500`` is divided by
-    its top power of two (`_top_power`) and the damping by the square of
-    the Jacobian's, so the normal equations stay in range.  An iterate,
-    residual or step past the float range rejects the step or leaves the
-    result unconverged, without a warning.
+    degeneracy ``df(0,0) = 0`` at the root does not break the step.  The
+    damping is ``mu`` times the smaller of 1 and ``|J|_F^2 / d_u``, and at
+    least ``2**-52`` times that mean, so it stays relative to ``J^H J`` as
+    ``J`` vanishes at a singular root and does not underflow for a
+    rank-deficient one.  At a root of multiplicity ``m`` the steps shrink
+    by the ratio ``(m - 1) / m``; when the ratio of a step to the last
+    accepted one is within ``0.2 / m`` of that for an ``m >= 2``, the step
+    scaled by ``m`` (Schröder's) is tried first.  Either step is accepted
+    only if it lowers the residual norm, so singular roots converge in a few
+    iterations and simple roots quadratically once the damping has wound
+    down.  Norms are `_hypot`'s, which do not overflow for a finite vector.
+    A Jacobian or residual past ``2**500`` is divided by its top power of
+    two (`_top_power`) and the damping by the square of the Jacobian's, so
+    the normal equations stay in range.  An iterate, residual or step past
+    the float range rejects the step or leaves the result unconverged,
+    without a warning.
     """
     u = np.asarray(seed, dtype=complex).reshape(-1)
     if u.shape != (g.dims[0],):
@@ -722,8 +731,8 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
     eye = np.eye(g.dims[0])
     with np.errstate(over="ignore", invalid="ignore"):
         r = g.evaluate(u, xp0)
-        rnorm = float(np.linalg.norm(r))
-        mu = 1e-3
+        rnorm = _hypot(r)
+        mu, last = 1e-3, math.inf
         for it in range(max_iter):
             if rnorm <= tol:
                 return NewtonResult(True, u, rnorm, it)
@@ -732,20 +741,30 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
             ju = _ldexp(np.ascontiguousarray(ju), -a) if a else ju
             gram = ju.conj().T @ ju
             rhs = -(ju.conj().T @ (_ldexp(np.ascontiguousarray(r), -b) if b else r))
+            scale = gram.trace().real / max(g.dims[0], 1)
             accepted = False
             for _ in range(40):
+                damping = mu * max(min(scale, math.ldexp(1.0, -2 * a)), math.ldexp(scale, -52))
                 try:
-                    step = np.linalg.solve(gram + math.ldexp(mu, -2 * a) * eye, rhs)
+                    step = np.linalg.solve(gram + damping * eye, rhs)
                 except np.linalg.LinAlgError:
                     mu *= 10.0
                     continue
-                cand = u + (_ldexp(step, b - a) if a != b else step)
-                rc = g.evaluate(cand, xp0)
-                rcnorm = float(np.linalg.norm(rc))
-                if rcnorm < rnorm:
-                    u, r, rnorm = cand, rc, rcnorm
+                step = _ldexp(step, b - a) if a != b else step
+                size = _hypot(step)
+                ratio = size / last  # (m - 1)/m at a root of multiplicity m
+                m = round(1.0 / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 1
+                multiples = (m, 1) if m >= 2 and abs(ratio - (m - 1) / m) <= 0.2 / m else (1,)
+                for k in multiples:
+                    cand = u + k * step
+                    rc = g.evaluate(cand, xp0)
+                    rcnorm = _hypot(rc)
+                    if rcnorm < rnorm:
+                        u, r, rnorm, last = cand, rc, rcnorm, k * size
+                        accepted = True
+                        break
+                if accepted:
                     mu = max(mu / 3.0, 1e-14)
-                    accepted = True
                     break
                 mu *= 10.0
                 if mu > 1e14:
@@ -753,6 +772,12 @@ def intersect_newton(g: GraphPairLocal, seed, max_iter: int = 100, tol: float = 
             if not accepted:
                 return NewtonResult(rnorm <= tol, u, rnorm, it + 1)
     return NewtonResult(rnorm <= tol, u, rnorm, max_iter)
+
+
+def _hypot(x: np.ndarray) -> float:
+    """The 2-norm of a complex vector by `math.hypot` over its real and
+    imaginary parts: finite for every finite vector."""
+    return math.hypot(*x.real.tolist(), *x.imag.tolist())
 
 
 def _top_power(x: np.ndarray) -> int:

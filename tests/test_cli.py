@@ -267,30 +267,42 @@ class TestScenarioFiles:
         assert any(c["check"] == "newton_converged" and c["value"] == 1 for c in checks)
 
     @pytest.mark.parametrize("command, params, checks", [
-        # f = 2e306 at the seed: its norm, a root sum of squares, reads inf; and
-        # J = 1e308 (u2, u1) is rank 1, so the scaled normal equations, whose
-        # damping is divided by 4^1023, are singular
+        # f = 2e306 at the seed has a finite norm, and the damping of the
+        # rank-1 J = 1e308 (u2, u1), relative to its scaled Gram matrix, does
+        # not underflow: both seeds land on a root, where the tangent checks
+        # compare a graph of slope 1e308 with unit axes, scales more than
+        # 1/RANK_TOL apart, so their rank decisions differ
         ("reduce", {"dims": [2, 1, 1, 1], "components": [[{"c": [1e308, 0], "u": [1, 1], "xp": [0]},
                                                           {"c": [1, 0], "u": [0, 0], "xp": [2]}]],
                     "seeds": [[[0.4, 0], [0.05, 0]], [[0.03, 0], [-0.5, 0.1]]]},
-         [{"check": f"seed{i}_newton_residual", "status": "inconclusive", "tol": 1e-12} for i in range(2)]),
+         [{"check": "seed0_newton_residual", "residual": 0.0, "status": "pass", "tol": 1e-12},
+          {"check": "seed0_tangent_cap_dims", "expected": 1, "status": "pass", "tol": 0.0, "value": 1},
+          {"check": "seed0_tangent_cap_gap", "residual": 0.0, "status": "pass", "tol": 1e-06},
+          {"check": "seed0_quotient_dims", "expected": 4, "status": "fail", "tol": 0.0, "value": 2},
+          {"check": "seed1_newton_residual", "residual": 0.0, "status": "pass", "tol": 1e-12},
+          {"check": "seed1_tangent_cap_dims", "expected": 2, "status": "fail", "tol": 0.0, "value": 1},
+          {"check": "seed1_tangent_cap_gap", "residual": 1.0, "status": "fail", "tol": 1e-06},
+          {"check": "seed1_quotient_dims", "expected": 4, "status": "fail", "tol": 0.0, "value": 2}]),
         # the seed's square, 1e400, is past the float range
         ("intersect", {**QUADRATIC_MAP, "seed": [[1e200, 0]]},
          [{"check": "newton_converged", "expected": 1, "status": "fail", "tol": 0.0, "value": 0},
           {"check": "newton_residual", "status": "inconclusive", "tol": 1e-12}]),
         # f = 1e308 u^2 is flat although its partial 2e308 u reads inf * 0 at
-        # the origin; scenarios/reduce_quadratic.json with "c": [1e308, 0]
+        # the origin; scenarios/reduce_quadratic.json with "c": [1e308, 0].
+        # The infinite Jacobian gives no step, and the residual at each seed
+        # is finite: 1e308 |seed|^2
         ("reduce", {"dims": [1, 1, 1, 1], "components": [[{"c": [1e308, 0], "u": [2], "xp": [0]}]],
                     "seeds": [[[0.5, 0]], [[-0.35, 0.2]]], "newton": {"max_iter": 300, "tol": 1e-12}},
-         [{"check": f"seed{i}_newton_residual", "status": "inconclusive", "tol": 1e-12} for i in range(2)]),
+         [{"check": "seed0_newton_residual", "residual": 2.5e307, "status": "fail", "tol": 1e-12},
+          {"check": "seed1_newton_residual", "residual": 1.6249999999999996e307, "status": "fail", "tol": 1e-12}]),
     ])
     def test_newton_past_float_range_warns_nothing(self, tmp_path, capsys, command, params, checks):
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
         assert caught == [] and err == ""
         assert code == 1
         assert [{k: v for k, v in c.items() if k != "scenario"} for c in lines[:-1]] == checks
-        failures = sum(c["status"] == "fail" for c in checks)
-        assert (lines[-1]["failures"], lines[-1]["inconclusive"]) == (failures, len(checks) - failures)
+        counts = [sum(c["status"] == status for c in checks) for status in ("fail", "inconclusive")]
+        assert [lines[-1]["failures"], lines[-1]["inconclusive"]] == counts
 
 
     @pytest.mark.parametrize("command", ["intersect", "reduce"])

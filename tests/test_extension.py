@@ -189,3 +189,13 @@ class TestVPrime:
             NodeData("torus", scalar({0: 1.0}), scalar({0: 1.0}))
         with pytest.raises(ValueError):
             NodeData("annulus", scalar({0: 1.0}), scalar({0: 1.0}))
+
+    @pytest.mark.parametrize("depth", [100, 5000])
+    def test_deep_kind_quoted_bounded(self, depth):
+        # a kind nested past the recursion limit is quoted a few levels deep
+        kind = "torus"
+        for _ in range(depth):
+            kind = [kind]
+        with pytest.raises(ValueError) as caught:
+            NodeData(kind, scalar({0: 1.0}), scalar({0: 1.0}))
+        assert str(caught.value) == "kind must be 'disk_pair' or 'annulus', got [[[[[[[...]]]]]]]"

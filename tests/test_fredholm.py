@@ -790,11 +790,15 @@ class TestFiniteDimReduction:
 
 
 class TestNewton:
-    def test_double_root_linear_rate(self):
-        pm = PolynomialMap((1, 1, 1, 1), [[(1.0, (2,), (0,))]])
-        res = intersect_newton(pm.as_graph(), np.array([0.5 + 0j]), tol=1e-12)
-        assert res.converged and abs(res.u[0]) <= 1e-6
-        assert res.iterations > 5  # linear, not quadratic
+    def test_singular_roots_take_few_iterations(self):
+        # plain Newton shrinks its steps by (m - 1)/m at a root of multiplicity
+        # m (u^2 took 20 iterations, u^3 32); the step scaled by m does not
+        cases = [([(1.0, (k,), (0,))], 0.5) for k in range(2, 6)]
+        cases.append(([(1.0, (3,), (0,)), (0.5, (4,), (0,))], 0.3))
+        for terms, start in cases:
+            pm = PolynomialMap((1, 1, 1, 1), [terms])
+            res = intersect_newton(pm.as_graph(), np.array([start + 0j]), tol=1e-12)
+            assert res.converged and res.iterations <= 6, (terms, res)
 
     def test_sine_equation_quadratic(self):
         g = fd_graph((1, 0, 0, 1), lambda u, xp: u - 0.3 * np.sin(u), allow_nonflat=True)
@@ -830,6 +834,29 @@ class TestNewton:
         res = intersect_newton(pm.as_graph(allow_nonflat=True), np.array([1e-300 + 0j]))
         assert res.converged and (res.residual, res.iterations) == (0.0, 2)
         assert res.u.tolist() == [0j]
+
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e160, 1e308])
+    def test_rank_deficient_jacobian_past_the_float_range(self, s):
+        # J = (s, s) has rank 1: the damping, relative to the scaled Gram
+        # matrix, keeps the normal equations solvable where 2^-2a underflows
+        pm = PolynomialMap((2, 1, 1, 1), [[(s, (1, 0), (0,)), (s, (0, 1), (0,))]])
+        res = intersect_newton(pm.as_graph(allow_nonflat=True), np.array([0.5 / s, 0j]))
+        assert res.converged and res.iterations <= 4, res
+
+    def test_perfbench_families_converge_fast(self):
+        # every family, from the benchmark's seeds: within 15 iterations, the
+        # double roots included, and each root's reduced and full tangent
+        # dims agree although it lands where |J| nears RANK_TOL
+        maps = perfbench_maps(500, seed=32)
+        assert len({(pm.dims, len(pm.terms[0])) for pm, _ in maps}) == 5  # every family drawn
+        for pm, seeds in maps:
+            reduction = FiniteDimReduction(pm.as_graph(allow_nonflat=True))
+            for seed in seeds:
+                res = reduction.solve(seed, max_iter=300, tol=1e-12)
+                assert res.converged and res.iterations <= 15, (pm.terms, seed, res)
+                tc = reduction.tangent_check(res.u)
+                assert (tc.dim_cap_reduced, tc.quotient_reduced) == (tc.dim_cap_full, tc.quotient_full), (pm.terms, seed)
+                assert tc.subspace_gap <= 1e-6, (pm.terms, seed, tc)
 
     @pytest.mark.parametrize("seed", [[math.inf], [complex(0.5, math.nan)], [-math.inf * 1j]])
     def test_non_finite_seed_rejected(self, seed):
