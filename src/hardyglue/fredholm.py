@@ -1,8 +1,8 @@
 """Fredholm triples and quadruples in finite dimensions.
 
 A triple is an ambient space ``C^N`` with two subspaces given by full-rank
-basis matrices, kept in float64 when every entry is real and in complex128
-otherwise.  In finite dimensions every triple is Fredholm; its index
+basis matrices, kept in float64 when given as float64 arrays and in
+complex128 otherwise.  In finite dimensions every triple is Fredholm; its index
 ``dim(E' ∩ E'') - dim(E/(E'+E''))`` always equals ``p + q - N``, which the
 test suite asserts as the Euler identity.  On top of the
 triples sit the graph-form local quadruples ``X'' = {x'=0, xi=0}``,
@@ -17,16 +17,15 @@ largest of one spectrum (`_rank_of`), relative to the largest singular
 value of ``[B' | B'']``, so results do not depend on the bases while their
 scales differ by less than ``1/RANK_TOL``.  A `SubspaceTriple` takes its
 three spectra once; `triple_index` and `index_stability_check` read them.
-`subspace_triples` builds many triples at once, with one stacked SVD per
-matrix shape and dtype, and a `SubspaceTriple` is its batch of one.
-A basis whose columns have at most one nonzero entry each (a coordinate
-basis, such as the 0/1 mode columns of the Hardy triples of `moduli`) has
-them in closed form: ``B B^H`` is then diagonal, so its singular values are
-its row norms, padded with zeros, and ``[B' | B'']`` is a coordinate basis
-when both sides are (`_closed_spectra`).  Every other spectrum is LAPACK's.
-The bases are checked a block of one shape and dtype at a time (`_Block`),
-each check one array reduction over the block.  Each pair of subspaces is
-decided by one SVD (`_cap_and_outer`).
+`subspace_triples` builds many triples at once, and a `SubspaceTriple` is
+its batch of one: `_spectra` takes the spectra of the sides and then of the
+``[B' | B'']``, a group of one matrix shape and dtype at a time.  A basis
+whose columns have at most one nonzero entry each (a coordinate basis, such
+as the 0/1 mode columns of the Hardy triples of `moduli`) has them in
+closed form: ``B B^H`` is then diagonal, so its singular values are its row
+norms, padded with zeros, and ``[B' | B'']`` is a coordinate basis when
+both sides are.  Every other spectrum is LAPACK's.  Each pair of subspaces
+is decided by one SVD (`_cap_and_outer`).
 `index_stability_check` proves a triple stable from its three spectra
 (Weyl's inequality) and draws perturbed triples only where that fails.
 """
@@ -63,18 +62,18 @@ RANK_TOL = 1e-9  # the one rank tolerance, relative to the largest singular valu
 
 
 def _as_basis(mat, n_rows: int, name: str) -> np.ndarray:
-    """``mat`` as a 2-D array of ``n_rows`` rows (a 1-D ``mat`` is one
-    column), not copied: float64 when it is a float64 array, complex128
-    otherwise.  Whether its entries are finite and whether a complex one is
-    real are decided for its whole block (`_Block`)."""
+    """``mat`` as a 2-D array of ``n_rows`` rows, not copied: the empty
+    list, of shape (0,) or (0, 0), is the ``n_rows`` x 0 basis, any other
+    1-D ``mat`` one column; float64 when it is a float64 array, complex128
+    otherwise.  Its finiteness is decided for its group (`_spectra`)."""
     if not (isinstance(mat, np.ndarray) and mat.dtype == np.float64):
         mat = np.asarray(mat, dtype=complex)
     if mat.ndim not in (1, 2):
         raise ValueError(f"{name}: expected a 1-D or 2-D array, got {mat.ndim}-D shape {mat.shape}")
-    if mat.ndim == 1:
-        mat = mat[:, None]
-    if mat.size == 0:
+    if mat.shape in ((0,), (0, 0)):
         mat = mat.reshape(n_rows, 0)
+    elif mat.ndim == 1:
+        mat = mat[:, None]
     if mat.shape[0] != n_rows:
         raise ValueError(f"{name}: expected {n_rows} rows, got shape {mat.shape}")
     return mat
@@ -100,12 +99,11 @@ def _nonzero_counts(stack: np.ndarray) -> list:
     return np.add.reduce(stack.reshape(n, -1) != 0, axis=1).tolist()
 
 
-def _coordinate_rows(stack: np.ndarray, finite=None) -> tuple:
+def _coordinate_rows(stack: np.ndarray, finite: list) -> tuple:
     """``(coordinate, norms)`` for a stack of bases (T, N, k): per basis,
-    whether it is finite (``finite``, a flag per basis, all when None) and
-    has at most one nonzero entry in each column, and, for those, the norms
-    of their rows, taken at scale (`loops._at_scale`); the other bases'
-    rows read 0.
+    whether it is finite (``finite``, a flag per basis) and has at most one
+    nonzero entry in each column, and, for those, the norms of their rows,
+    taken at scale (`loops._at_scale`); the other bases' rows read 0.
 
     A stack of more than one row without a zero entry holds none, which one
     count settles.  Otherwise a basis is a coordinate basis when the first
@@ -118,9 +116,7 @@ def _coordinate_rows(stack: np.ndarray, finite=None) -> tuple:
         return [False] * n_bases, np.zeros((n_bases, n_rows))
     at = mask.argmax(axis=1)  # (T, k), the row of each column's first nonzero entry
     hit = mask[np.arange(n_bases)[:, None], at, np.arange(width)]  # (T, k), the nonzero columns
-    coordinate = [nnz == hits for nnz, hits in zip(_nonzero_counts(mask), _nonzero_counts(hit))]
-    if finite is not None:
-        coordinate = [ok and closed for ok, closed in zip(finite, coordinate)]
+    coordinate = [ok and nnz == hits for ok, nnz, hits in zip(finite, _nonzero_counts(mask), _nonzero_counts(hit))]
     if not all(coordinate):
         hit &= np.array(coordinate)[:, None]
     norms = np.zeros((n_bases, n_rows))
@@ -129,19 +125,6 @@ def _coordinate_rows(stack: np.ndarray, finite=None) -> tuple:
         rows = at[t, col]
         norms[t, rows] = _ldexp(*_at_scale(_l2_rows, stack[t, rows]))
     return coordinate, norms
-
-
-def _closed_spectra(norms: np.ndarray, width: int) -> np.ndarray:
-    """The singular values, descending, of coordinate bases ``M`` (N x
-    ``width``) from the norms of their rows, the last axis of ``norms``:
-    every column of ``M`` has at most one nonzero entry, so ``M M^H`` is
-    diagonal and holds the squared row norms (Golub & Van Loan, *Matrix
-    Computations*, 2.4), and the singular values are the largest ``min(N,
-    width)`` row norms.  ``[B' | B'']`` of two coordinate bases is one, with
-    the row norms ``hypot`` of theirs."""
-    s = -norms
-    s.sort(axis=-1)
-    return -s[..., :width]
 
 
 def orthonormal_range(M: np.ndarray) -> np.ndarray:
@@ -163,15 +146,14 @@ def _cap_and_outer(B1: np.ndarray, B2: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class SubspaceTriple:
     """Ambient dimension plus two full-column-rank subspace bases, 1-D or
-    2-D, each copied as float64 when all its imaginary parts are zero and
-    as complex128 otherwise, and ``spectra``: the singular values
-    (descending, read-only) of ``[B' | B'']``, ``B'`` and ``B''``, taken
-    once.  A coordinate basis (at most one nonzero entry a column; a side
-    without columns is one) takes no SVD: its singular values are its row
-    norms, taken at scale, and ``[B' | B'']`` takes none when both sides
-    are coordinate bases.  The other spectra are LAPACK's bytes.  The
-    triple is the batch of one of `subspace_triples`, which builds many
-    triples at one SVD call per matrix shape and dtype."""
+    2-D, each copied read-only, as float64 when it is a float64 array and as
+    complex128 otherwise, and ``spectra``: the singular values (descending,
+    read-only) of ``[B' | B'']``, ``B'`` and ``B''``, taken once.  A
+    coordinate basis (at most one nonzero entry a column; a side without
+    columns is one) takes no SVD: its singular values are its row norms,
+    taken at scale, and ``[B' | B'']`` takes none when both sides are
+    coordinate bases.  The other spectra are LAPACK's bytes.  The triple is
+    the batch of one of `subspace_triples`."""
 
     ambient_dim: int
     basis_prime: np.ndarray
@@ -179,10 +161,10 @@ class SubspaceTriple:
     spectra: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        part, = _triple_parts([(self.ambient_dim, self.basis_prime, self.basis_dprime)])
-        if isinstance(part, ValueError):
-            raise part
-        _settle(self, self.ambient_dim, *part)
+        built, = _triples([(self.ambient_dim, self.basis_prime, self.basis_dprime)])
+        if isinstance(built, ValueError):
+            raise built
+        vars(self).update(vars(built))
 
     @property
     def p(self) -> int:
@@ -196,45 +178,23 @@ class SubspaceTriple:
 def subspace_triples(triples) -> list:
     """``SubspaceTriple(N, B', B'')`` for each ``(N, B', B'')`` of
     ``triples``, in order, or the ValueError that call raises in its place:
-    the same bases, spectra and rejections, bit for bit.  The bases are
-    checked a block of one shape and dtype at a time, and the spectra that
-    are not in closed form are taken by one stacked SVD per matrix shape and
-    dtype (`_triple_parts`)."""
-    triples = list(triples)
-    out = []
-    for (n, _, _), part in zip(triples, _triple_parts(triples)):
-        if isinstance(part, tuple):
-            t = object.__new__(SubspaceTriple)
-            _settle(t, n, *part)
-            part = t
-        out.append(part)
-    return out
+    the same bases, spectra and rejections, bit for bit (`_triples`)."""
+    return _triples(triples)
 
 
-def _settle(t: SubspaceTriple, n, bp: np.ndarray, bq: np.ndarray, spectra: tuple) -> None:
-    """Set the fields of the frozen triple ``t``."""
-    for name, value in (("ambient_dim", n), ("basis_prime", bp), ("basis_dprime", bq), ("spectra", spectra)):
-        object.__setattr__(t, name, value)
+def _triples(triples) -> list:
+    """Per ``(N, B', B'')`` of ``triples``, its `SubspaceTriple` or the
+    ValueError that rejects it.  The first fault rejects, in this order: an
+    ambient dimension below 1; then for ``B'`` and after it for ``B''`` a
+    basis that is not 1-D or 2-D, has another row count than N, or has an
+    entry that is not finite; then ``B'`` and after it ``B''`` whose
+    `_rank_of` is below its column count.
 
-
-def _triple_parts(triples: list) -> list:
-    """Per ``(N, B', B'')`` of ``triples``, the read-only ``(B', B'',
-    spectra)`` of its `SubspaceTriple`, or the ValueError that rejects it.
-    The first fault rejects, in this order: an ambient dimension below 1;
-    then for ``B'`` and after it for ``B''`` a basis that is not 1-D or
-    2-D, has another row count than N, or has an entry that is not finite;
-    then ``B'`` and after it ``B''`` whose `_rank_of` is below its column
-    count.
-
-    Each triple takes the shape checks of `_as_basis` and bookkeeping; the
-    rest runs on blocks.  The bases of one shape and input dtype form a
-    group, which the real-or-complex test splits into a float64 and a
-    complex128 `_Block`; in a block the finiteness, coordinate-pattern and
-    side-rank decisions are one array reduction each.  A spectrum without closed form (`_closed_spectra`) is
-    LAPACK's: the matrices of one shape and dtype, the dense bases of the
-    blocks and the ``[B' | B'']`` alike, go to one stacked
-    ``np.linalg.svd``, whose gufunc runs the LAPACK call of a single matrix
-    on each and so gives each the bytes of its own call."""
+    Two rounds of `_spectra`, one call per group of matrices of one shape
+    and dtype: first the sides of every triple, then the ``[B' | B'']`` of
+    the triples that pass, but for those whose sides are both coordinate
+    bases: that is one too, with the row norms ``hypot`` of theirs, so its
+    spectrum is those sorted (`_spectra`)."""
     parts, groups = [], {}
     for n, bp, bq in triples:
         try:
@@ -250,121 +210,83 @@ def _triple_parts(triples: list) -> list:
         except ValueError as exc:
             parts.append(exc)
             continue
-        part = [bp, bq]
+        part = [n]
+        for b in (bp, bq):
+            group = groups.setdefault((b.shape, b.dtype), [])
+            part.append(((b.shape, b.dtype), len(group)))
+            group.append(b)
         parts.append(part)
-        groups.setdefault((bp.shape, bp.dtype), []).append((part, 0))
-        groups.setdefault((bq.shape, bq.dtype), []).append((part, 1))
-    svd = {}  # (rows, columns, dtype) -> the blocks and the triples whose matrices LAPACK takes
-    blocks = [block for (_, dtype), refs in groups.items() for block in _Block.split(refs, dtype.kind == "c")]
-    for block in blocks:
-        if block.dense is not None:
-            svd.setdefault((*block.stack.shape[1:], block.stack.dtype), ([], []))[0].append(block)
-    for i, part in enumerate(parts):
-        if type(part) is not list:
+    sides = {key: list(zip(*_spectra(group))) for key, group in groups.items()}
+    out, pairs = [], {}
+    for part in parts:
+        if isinstance(part, ValueError):
+            out.append(part)
             continue
-        (bp, ok_p, rows_p, _, _), (bq, ok_q, rows_q, _, _) = part
-        width = bp.shape[1] + bq.shape[1]
+        n, (key_p, i), (key_q, j) = part
+        (bp, ok_p, rows_p, sp, rank_p), (bq, ok_q, rows_q, sq, rank_q) = sides[key_p][i], sides[key_q][j]
         if not (ok_p and ok_q):
-            parts[i] = _not_finite("basis_dprime" if ok_p else "basis_prime")
-        elif rows_p is None or rows_q is None:
-            key = (bp.shape[0], width, bp.dtype if bq.dtype.kind == "f" else bq.dtype)
-            svd.setdefault(key, ([], []))[1].append(part)
-        else:
-            s = _closed_spectra(np.hypot(rows_p, rows_q), width)
-            s.flags.writeable = False
-            part.append(s)
-    for (n, width, dtype), (dense, pairs) in svd.items():
-        sides = [block.stack[block.dense] for block in dense]
-        if pairs:
-            a = np.empty((len(pairs), n, width), dtype)
-            for into, ((bp, *_), (bq, *_)) in zip(a, pairs):
-                np.concatenate((bp, bq), axis=1, out=into)
-            sides.append(a)
-        s = np.linalg.svd(sides[0] if len(sides) == 1 else np.concatenate(sides), compute_uv=False)
-        s.flags.writeable = False
-        at = 0
-        for block, side in zip(dense, sides):
-            block.take(s[at:at + len(side)])
-            at += len(side)
-        for row, part in zip(s[at:], pairs):
-            part.append(row)
-    for i, part in enumerate(parts):
-        if type(part) is not list:
+            out.append(_not_finite("basis_dprime" if ok_p else "basis_prime"))
             continue
-        (bp, _, _, block_p, tp), (bq, _, _, block_q, tq), s = part
-        for name, b, rank in (("basis_prime", bp, block_p.ranks[tp]), ("basis_dprime", bq, block_q.ranks[tq])):
-            if rank < b.shape[1]:
-                parts[i] = ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
-                                      f"at RANK_TOL {RANK_TOL:g}")
-                break
+        if rank_p < bp.shape[1] or rank_q < bq.shape[1]:
+            name, rank, b = ("basis_prime", rank_p, bp) if rank_p < bp.shape[1] else ("basis_dprime", rank_q, bq)
+            out.append(ValueError(f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns "
+                                  f"at RANK_TOL {RANK_TOL:g}"))
+            continue
+        t = object.__new__(SubspaceTriple)
+        vars(t).update(ambient_dim=n, basis_prime=bp, basis_dprime=bq)
+        out.append(t)
+        if rows_p is None or rows_q is None:
+            pair = np.concatenate((bp, bq), axis=1)
+            pairs.setdefault((pair.shape, pair.dtype), []).append((t, pair, sp, sq))
         else:
-            parts[i] = (bp, bq, (s, block_p.spectra[tp], block_q.spectra[tq]))
-    return parts
+            s = -np.hypot(rows_p, rows_q)
+            s.sort()
+            s = -s[:bp.shape[1] + bq.shape[1]]
+            s.flags.writeable = False
+            vars(t)["spectra"] = (s, sp, sq)
+    for waiting in pairs.values():
+        for (t, _, sp, sq), s in zip(waiting, _spectra([pair for _, pair, _, _ in waiting])[3]):
+            vars(t)["spectra"] = (s, sp, sq)
+    return out
 
 
-class _Block:
-    """Bases of one shape and dtype in `_triple_parts`: ``stack`` (T, N, k)
-    holds copies of them, read-only, and ``spectra`` (T, min(N, k)) their
-    singular values, read-only, with ``ranks`` their `_rank_of`s.  A
-    coordinate basis has its spectrum in closed form; ``dense`` selects the
-    other finite bases, whose spectra LAPACK takes (`take`), and is None
-    where there are none."""
+def _spectra(mats: list) -> tuple:
+    """``(copies, finite, rows, s, ranks)`` of matrices ``mats`` of one shape
+    (N, k) and dtype, each with an entry per matrix: a read-only copy;
+    whether its entries are finite; the norms of its rows when it is a
+    finite coordinate basis (`_coordinate_rows`), else None; its singular
+    values, descending and read-only (zeros where it is not finite); and
+    their `_rank_of`.  Each of these is one array reduction over the stack.
 
-    __slots__ = ("stack", "dense", "spectra", "ranks")
-
-    @classmethod
-    def split(cls, refs: list, complex_input: bool) -> list:
-        """The blocks of the bases ``part[side]`` of ``refs``, all of one
-        shape and dtype: for complex input, a float64 block of the bases
-        whose imaginary parts are all zero (``-0.0`` included) and a
-        complex one of the rest."""
-        stack = np.array([part[side] for part, side in refs])
-        if not complex_input:
-            return [cls(stack, refs)]
-        real = [not count for count in _nonzero_counts(stack.imag)]
-        if all(real):
-            return [cls(stack.real.copy(), refs)]
-        if not any(real):
-            return [cls(stack, refs)]
-        keep = np.array(real)
-        return [cls(stack.real[keep], [ref for ref, r in zip(refs, real) if r]),
-                cls(stack[~keep], [ref for ref, r in zip(refs, real) if not r])]
-
-    def __init__(self, stack: np.ndarray, refs: list):
-        """Decide finiteness and coordinate pattern; each ``part[side]`` of
-        ``refs`` becomes ``(basis, finite, rows, block, position)``, the
-        basis a view of the stack and ``rows`` its row norms when it is a
-        coordinate basis, None otherwise."""
-        stack.flags.writeable = False
-        finite = np.isfinite(stack)
-        if np.count_nonzero(finite) == finite.size:  # one count settles the common block
-            finite = [True] * len(stack)
-        else:
-            finite = np.logical_and.reduce(finite.reshape(len(stack), -1), axis=1).tolist()
-        coordinate, norms = _coordinate_rows(stack, finite)
-        dense = [ok and not closed for ok, closed in zip(finite, coordinate)]
-        self.stack, self.dense, self.spectra = stack, slice(None), None
-        if not all(dense):
-            self.dense = np.array(dense) if any(dense) else None
-            self.spectra = _closed_spectra(norms, stack.shape[2])
-            if self.dense is None:
-                self.take(None)
-        for t, (part, side), ok, closed in zip(range(len(refs)), refs, finite, coordinate):
-            part[side] = (stack[t], ok, norms[t] if closed else None, self, t)
-
-    def take(self, s) -> None:
-        """Set the spectra of the dense bases to LAPACK's ``s``, in order,
-        and decide the ranks of all the bases at once."""
-        if self.spectra is None:
-            self.spectra = s  # read-only already
-        else:
-            if s is not None:
-                self.spectra[self.dense] = s
-            self.spectra.flags.writeable = False
-        spectra, width = self.spectra, self.stack.shape[2]
-        above = spectra > RANK_TOL * spectra[:, :1]
-        full = np.count_nonzero(above) == len(spectra) * width  # every basis has rank = columns
-        self.ranks = [width] * len(spectra) if full else np.add.reduce(above, axis=1).tolist()
+    A coordinate basis ``M`` has its spectrum in closed form: ``M M^H`` is
+    diagonal and holds the squared row norms (Golub & Van Loan, *Matrix
+    Computations*, 2.4), so the singular values are the largest ``min(N,
+    k)`` row norms.  The other finite matrices go to one stacked
+    ``np.linalg.svd``, whose gufunc runs the LAPACK call of a single matrix
+    on each and so gives each the bytes of its own call."""
+    stack = np.array(mats)
+    stack.flags.writeable = False
+    count, width = len(stack), stack.shape[2]
+    finite = np.isfinite(stack)
+    if np.count_nonzero(finite) == finite.size:  # one count settles the common stack
+        finite = [True] * count
+    else:
+        finite = np.logical_and.reduce(finite.reshape(count, -1), axis=1).tolist()
+    coordinate, norms = _coordinate_rows(stack, finite)
+    dense = [ok and not closed for ok, closed in zip(finite, coordinate)]
+    if all(dense):
+        s = np.linalg.svd(stack, compute_uv=False)
+    else:
+        s = -norms
+        s.sort(axis=1)
+        s = -s[:, :width]
+        if any(dense):
+            dense = np.array(dense)
+            s[dense] = np.linalg.svd(stack[dense], compute_uv=False)
+    s.flags.writeable = False
+    above = s > RANK_TOL * s[:, :1]
+    ranks = [s.shape[1]] * count if np.count_nonzero(above) == above.size else np.add.reduce(above, axis=1).tolist()
+    return stack, finite, [norms[t] if closed else None for t, closed in enumerate(coordinate)], s, ranks
 
 
 class TripleIndex(NamedTuple):

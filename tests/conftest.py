@@ -20,6 +20,8 @@ graph map without exact Jacobians its ``jac``, and checks the exact ones; `point
 definition of a `NodalConfig`'s point ids per component, the walk over its
 nodes and marks that `NodalConfig.points` replaced, and
 `random_nodal_config` draws the configurations it is checked on.
+`reference_triple` is the reference definition of a `SubspaceTriple`, one
+matrix at a time, which `fredholm.subspace_triples` must reproduce.
 `cli_output` runs one CLI command once per session, for the tests that
 read the same output.  The JSON writers (`loop_to_json` and the others,
 imported as ``from conftest import ...``) build scenario data in the schema
@@ -244,6 +246,59 @@ def random_nodal_config(rng):
     nodes = tuple((point(i), point(j)) for i, j in edges)
     marks = tuple(point(int(rng.integers(0, n_comp))) for _ in range(int(rng.integers(0, 4))))
     return NodalConfig(comps, nodes, marks)
+
+
+def _reference_basis(b, n, name):
+    """``b`` as an n-row basis, by definition: a float64 array as it is,
+    anything else as complex128; an empty list, of shape (0,) or (0, 0), is
+    the n x 0 basis and any other 1-D array one column."""
+    b = b if isinstance(b, np.ndarray) and b.dtype == np.float64 else np.asarray(b, dtype=complex)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"{name}: expected a 1-D or 2-D array, got {b.ndim}-D shape {b.shape}")
+    if b.shape in ((0,), (0, 0)):
+        b = np.zeros((n, 0), b.dtype)
+    elif b.ndim == 1:
+        b = b[:, None]
+    if b.shape[0] != n:
+        raise ValueError(f"{name}: expected {n} rows, got shape {b.shape}")
+    return b
+
+
+def reference_triple(n, bp, bq):
+    """`fredholm.SubspaceTriple(n, bp, bq)` by definition, one matrix at a
+    time: the text of the first fault, or ``(bp, bq, spectra, coordinate)``.
+    The faults, in order: n below 1; ``B'`` not 1-D or 2-D or of another
+    row count; the same for ``B''``, but a non-finite ``B'`` first; a
+    non-finite ``B'``, then ``B''`` (`np.isfinite`); then ``B'`` and
+    ``B''`` with fewer singular values above ``RANK_TOL`` times the largest
+    than columns.  ``spectra`` are one ``np.linalg.svd`` each of ``[B' |
+    B'']``, ``B'`` and ``B''``, and ``coordinate`` says, for each, whether
+    every column has at most one nonzero entry: then the package may take
+    the spectrum in closed form."""
+    from hardyglue.fredholm import RANK_TOL
+
+    if n < 1:
+        return f"ambient dimension must be positive, got {n}"
+    try:
+        bp = _reference_basis(bp, n, "basis_prime")
+        try:
+            bq = _reference_basis(bq, n, "basis_dprime")
+        except (TypeError, ValueError):
+            if not np.isfinite(bp).all():
+                return "basis_prime: entries must be finite (no NaN/Inf)"
+            raise
+    except ValueError as exc:
+        return str(exc)
+    for name, b in (("basis_prime", bp), ("basis_dprime", bq)):
+        if not np.isfinite(b).all():
+            return f"{name}: entries must be finite (no NaN/Inf)"
+    mats = (np.hstack([bp, bq]), bp, bq)
+    spectra = [np.linalg.svd(m, compute_uv=False) for m in mats]
+    for name, b, s in (("basis_prime", bp, spectra[1]), ("basis_dprime", bq, spectra[2])):
+        rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
+        if rank < b.shape[1]:
+            return f"{name} is rank deficient: rank {rank} < {b.shape[1]} columns at RANK_TOL {RANK_TOL:g}"
+    return bp, bq, spectra, [bool(np.all(np.count_nonzero(m, axis=0) <= 1)) for m in mats]
 
 
 _spec = importlib.util.spec_from_file_location("golden", Path(__file__).parent / "golden" / "regen.py")

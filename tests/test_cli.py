@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -10,9 +11,12 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyglue.cli import HANDLERS, RunOptions, ScenarioError, _build_parser, main, run_scenario, verify_suite
 
@@ -47,6 +51,42 @@ def run_params(tmp_path, capsys, command, params):
         code = main([command, str(f)])
     captured = capsys.readouterr()
     return code, strict_json_lines(captured.out), captured.err, caught
+
+
+def json_paths(node, at=()):
+    """The path of ``node`` and of every value inside its dicts and lists."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, at + (key,))
+
+
+# what the index fuzzer puts in: null, booleans, strings, extreme and
+# subnormal floats, integers, and empty, ragged and 3-D lists
+ODD_VALUES = (None, True, False, "", "2", 1e308, -1e308, 1e-320, 0, 2, -1, [], [[]], [[], [[1, 0]]],
+              [[[[1, 0]]]], [[[1e308, 1e308]], [[1e-320, 0]], [[0, 0]]])
+
+
+@st.composite
+def fuzzed_index_params(draw):
+    """The params of ``scenarios/hardy_index.json`` after one to three
+    edits, each at a path drawn inside the triple record or the
+    ``line_bundle`` record: a field deleted, a value wrapped in one more
+    list, or a value replaced by one of `ODD_VALUES`."""
+    params = json.loads((SCENARIOS / "hardy_index.json").read_text(encoding="utf-8"))["params"]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([at for at in json_paths(params)
+                                     if at[:1] == ("line_bundle",) or len(at) > 2 and at[:2] == ("triples", 0)]))
+        parent = params
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = draw(st.sampled_from(["delete", "wrap", "replace"] if isinstance(parent, dict) else ["wrap", "replace"]))
+        if edit == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = [parent[path[-1]]] if edit == "wrap" else json.loads(json.dumps(draw(
+                st.sampled_from(ODD_VALUES))))
+    return params
 
 
 def annulus_defect_oracle(delta, xi, eta, s=1.5):
@@ -565,6 +605,41 @@ class TestErrorPaths:
         code, lines, err, caught = run_params(tmp_path, capsys, command, params)
         assert code == 2 and lines == [] and caught == []
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows, code, message", [
+        ([[], [], [], [], []], 2, "params.triples[0]: basis_prime: expected 2 rows, got shape (5, 0)"),
+        ([[]], 2, "params.triples[0]: basis_prime: expected 2 rows, got shape (1, 0)"),
+        ([[], []], 0, ""),
+        ([], 0, ""),
+    ], ids=["5 empty rows", "1 empty row", "2 empty rows", "no rows"])
+    def test_basis_without_columns_keeps_its_row_count(self, tmp_path, capsys, rows, code, message):
+        # only the empty list of rows stands for the N x 0 basis
+        params = {"triples": [{"ambient_dim": 2, "basis_prime": rows, "basis_dprime": [[[1, 0]], [[0, 0]]]}]}
+        got, lines, err, caught = run_params(tmp_path, capsys, "index", params)
+        assert (got, err, caught) == (code, f"error: {message}\n" if message else "", [])
+        assert (lines == []) == bool(message)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fuzzed_index_params())
+    def test_fuzzed_index_records_exit_cleanly(self, params):
+        # exit 0, 1 or 2, no exception or warning, strict JSON lines, and a
+        # quote in an error at most QUOTE_LIMIT characters long
+        from hardyglue.jsonio import QUOTE_LIMIT
+
+        text = json.dumps({"command": "index", "params": params})
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["index", "-"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            quote = re.search(r"(?:got|invalid value) (.*?)(?: \(expected [^()]*\))?$", err.rstrip("\n"))
+            assert quote is None or len(quote[1]) <= QUOTE_LIMIT
+        else:
+            assert err == "" and strict_json_lines(out)[-1]["command"] == "index"
 
     @pytest.mark.parametrize("exc, text", [
         (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
@@ -1183,29 +1258,37 @@ class TestStackedFredholmSuite:
 
     def test_svd_calls_pinned(self, monkeypatch):
         # verify fredholm at the default seed builds its triples in stacks, one
-        # SVD per matrix shape N x width (and dtype, complex here) in each
-        # build: the Euler battery builds one N at a time, and its sides and
-        # [B' | B''] of one shape share a call.  A basis with N = 1 (1 x 1 or
-        # empty) or without columns is a coordinate basis and takes its
-        # spectrum in closed form, so each N >= 2 adds one call per width w >= 1
-        # that it draws as p, q or p + q: 125 shapes at seed 7, of the 130
-        # with w <= 2N.  The 100 stability triples are one build, 8 x 3 sides
-        # and 8 x 6 [B' | B''], so 2 more; the certificate decides all 100
-        # from the spectra kept.  The five tangent checks make 22: per pair one
-        # SVD of the stacked bases and one of the cap, 4 a check, plus the gap
-        # in the two checks whose caps have columns.  One SVD per spectrum of
-        # each triple made 2,752.
+        # SVD per matrix shape N x width (and dtype, complex here) in each of a
+        # build's two rounds, the sides and then [B' | B'']: the Euler battery
+        # builds one N at a time.  A basis with N = 1 (1 x 1 or empty) or
+        # without columns is a coordinate basis and takes its spectrum in
+        # closed form, and so does [B' | B''] when both sides are.  So each
+        # N >= 2 adds one call per width w >= 1 that it draws as p or q, 65
+        # side shapes at seed 7, and one per p + q >= 1, 124 pair shapes.  The
+        # 100 stability triples are one build, 8 x 3 sides and 8 x 6
+        # [B' | B''], so 2 more; the certificate decides all 100 from the
+        # spectra kept.  The five tangent checks make 22 calls of one matrix
+        # each: per pair one SVD of the stacked bases and one of the cap, 4 a
+        # check, plus the gap in the two checks whose caps have columns.  The
+        # stacks hold one matrix per side with columns of each N >= 2 triple
+        # and one per such triple's [B' | B''], 2,438, plus 300 from the
+        # stability triples; no Euler triple is rejected.  One SVD per
+        # spectrum of each triple made 2,752 calls.
         calls = []
         real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(a.shape[:-2]) or real(a, *r, **k))
         verify_suite("fredholm")
         rng = np.random.default_rng(RunOptions().seed)
         dims = rng.integers(1, 12, 1000)
         p, q = rng.integers(0, dims + 1), rng.integers(0, dims + 1)
-        shapes = {(n, w) for n, *widths in zip(dims.tolist(), p.tolist(), q.tolist(), (p + q).tolist())
-                  for w in widths if n > 1 and w}
-        assert len(shapes) == 125
-        assert len(calls) == 125 + 2 + 22 == 149
+        drawn = [(n, p_i, q_i) for n, p_i, q_i in zip(dims.tolist(), p.tolist(), q.tolist()) if n > 1]
+        sides = {(n, w) for n, *widths in drawn for w in widths if w}
+        pairs = {(n, p_i + q_i) for n, p_i, q_i in drawn if p_i + q_i}
+        assert (len(sides), len(pairs)) == (65, 124)
+        assert len(calls) == 65 + 124 + 2 + 22 == 213
+        stacked = sum((p_i > 0) + (q_i > 0) + (p_i + q_i > 0) for _, p_i, q_i in drawn)
+        assert calls.count(()) == 22
+        assert sum(shape[0] for shape in calls if shape) == stacked + 300 == 2738
 
 
 def private_reads(source: str) -> list:

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_differences
+from conftest import central_differences, reference_triple
 from hardyglue import fredholm
 from hardyglue.fredholm import (
     RANK_TOL,
@@ -250,6 +251,24 @@ class TestBasisInput:
         with pytest.raises(ValueError, match=rf"^{side}: expected a 1-D or 2-D array, got \d-D"):
             SubspaceTriple(n, bp, bq)
 
+    @pytest.mark.parametrize("bp, bq, message", [
+        (np.zeros((0, 3)), np.eye(2), "basis_prime: expected 2 rows, got shape (0, 3)"),
+        (np.zeros((5, 0)), np.eye(2), "basis_prime: expected 2 rows, got shape (5, 0)"),
+        (np.eye(2), np.zeros(0), None),
+        (np.eye(2), np.zeros((1, 0), complex), "basis_dprime: expected 2 rows, got shape (1, 0)"),
+        ([], [[], []], None),
+    ], ids=["0 x 3", "5 x 0", "flat empty", "1 x 0", "empty lists"])
+    def test_an_empty_array_keeps_its_row_count(self, bp, bq, message):
+        # an empty list, (0,) or (0, 0), is the N x 0 basis; every other
+        # empty array keeps its row count
+        if message is None:
+            t = SubspaceTriple(2, bp, bq)
+            assert (t.basis_prime.shape[0], t.basis_dprime.shape, triple_index(t)) == (2, (2, 0), (0, 2 - t.p, t.p - 2))
+            return
+        with pytest.raises(ValueError) as alone:
+            SubspaceTriple(2, bp, bq)
+        assert str(alone.value) == message
+
     @pytest.mark.parametrize("bad, message", [
         ([[None], [0]], r"^basis_prime: entries must be finite \(no NaN/Inf\)$"),
         ([["a"], [0]], r"^complex\(\) arg is a malformed string$"),
@@ -273,9 +292,9 @@ REAL_TRIPLES = ([(f"line bundle d={d}", lambda d=d: hardy_triple_for_line_bundle
 
 
 class TestRealBases:
-    # a basis is stored real when every imaginary part is zero; a complex
-    # twin with unitary column phases spans the same subspaces, so every
-    # decision must match it
+    # a basis given as a float64 array is stored real; a complex twin with
+    # unitary column phases spans the same subspaces, so every decision
+    # must match it
     @pytest.mark.parametrize("build", [b for _, b in REAL_TRIPLES], ids=[n for n, _ in REAL_TRIPLES])
     def test_real_triple_decides_as_its_complex_twin(self, build):
         t = build()
@@ -292,14 +311,16 @@ class TestRealBases:
 
     @pytest.mark.parametrize("basis, dtype", [
         (np.array([[1.0], [0.0]]), np.float64),
-        (np.array([[1], [0]]), np.float64),
-        (np.array([[1 + 0j], [0j]]), np.float64),
-        (np.array([[complex(1.0, -0.0)], [complex(0.0, -0.0)]]), np.float64),
-        ([[1 + 0j], [2]], np.float64),
+        (np.array([[1], [0]]), np.complex128),
+        (np.array([[1 + 0j], [0j]]), np.complex128),
+        (np.array([[complex(1.0, -0.0)], [complex(0.0, -0.0)]]), np.complex128),
+        ([[1 + 0j], [2]], np.complex128),
         (np.array([[1.0], [1e-300j]]), np.complex128),
         ([[1], [-1j]], np.complex128),
     ], ids=["float", "int", "zero imag", "-0.0 imag", "list", "tiny imag", "list imag"])
     def test_dtype_follows_the_imaginary_parts(self, basis, dtype):
+        # the dtype follows the input, not its imaginary parts: a float64
+        # array stays float64, and anything else is complex128
         t = SubspaceTriple(2, basis, np.zeros((2, 0)))
         assert t.basis_prime.dtype == dtype and t.basis_prime.flags.c_contiguous
         np.testing.assert_array_equal(t.basis_prime, np.array(basis, dtype=complex))
@@ -359,15 +380,17 @@ class TestCoordinateSpectra:
     @settings(max_examples=200, deadline=None)
     @given(coordinate_bases())
     def test_closed_form_matches_lapack(self, drawn):
+        # `_spectra` takes the three, [B' | B''] a coordinate basis too, in
+        # closed form, without an SVD
         n, bp, bq = drawn
-        (coordinate_p, (rows_p,)), (coordinate_q, (rows_q,)) = (fredholm._coordinate_rows(b[None]) for b in (bp, bq))
-        assert coordinate_p[0] and coordinate_q[0]
-        closed = fredholm._closed_spectra
-        for got, b in ((closed(np.hypot(rows_p, rows_q), bp.shape[1] + bq.shape[1]), np.hstack([bp, bq])),
-                       (closed(rows_p, bp.shape[1]), bp), (closed(rows_q, bq.shape[1]), bq)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("an SVD was taken"))
+            got = [[c[0] for c in fredholm._spectra([b])] for b in (np.hstack([bp, bq]), bp, bq)]
+        for (_, finite, rows, s, _), b in zip(got, (np.hstack([bp, bq]), bp, bq)):
             want = np.linalg.svd(b, compute_uv=False)
-            assert got.shape == want.shape and np.all(got[:-1] >= got[1:])
-            assert np.max(np.abs(got - want), initial=0.0) <= 8 * np.finfo(float).eps * want[:1].max(initial=0.0)
+            assert finite and rows is not None and not s.flags.writeable
+            assert s.shape == want.shape and np.all(s[:-1] >= s[1:])
+            assert np.max(np.abs(s - want), initial=0.0) <= 8 * np.finfo(float).eps * want[:1].max(initial=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(coordinate_bases(), coordinate_bases(spread=20)))
@@ -389,8 +412,9 @@ class TestCoordinateSpectra:
                                        np.array([[1j, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])],
                              ids=["more entries than columns", "beside a zero column", "complex"])
     def test_two_entries_in_a_column_take_lapack(self, basis):
-        coordinate, rows = fredholm._coordinate_rows(basis[None])
-        assert not coordinate[0] and not rows.any()
+        _, (finite,), (rows,), (s,), (rank,) = fredholm._spectra([basis])
+        assert finite and rows is None and rank == lapack_rank(s)
+        assert s.tobytes() == np.linalg.svd(basis, compute_uv=False).tobytes()
 
 
 def mixed_triples(seed, count=150):
@@ -461,9 +485,42 @@ def same_shape_triples(seed):
     return [triples[i] for i in rng.permutation(len(triples))]
 
 
+def assert_as_reference(triples, batch) -> list:
+    """``batch``, the `subspace_triples` of ``triples``, against
+    `reference_triple` one triple at a time: the same rejection texts and
+    bases, LAPACK's spectra byte for byte, the closed-form ones within 8 ulps
+    of ``s_0``, and the `triple_index` of the reference's spectra.  Returns
+    the rejections' texts."""
+    assert len(batch) == len(triples)
+    rejected = []
+    for (n, bp, bq), got in zip(triples, batch):
+        want = reference_triple(n, bp, bq)
+        if isinstance(want, str):
+            assert type(got) is ValueError and str(got) == want
+            rejected.append(want)
+            continue
+        bp_want, bq_want, spectra, coordinate = want
+        assert type(got) is SubspaceTriple and got.ambient_dim == n
+        for a, b in zip((got.basis_prime, got.basis_dprime), (bp_want, bq_want)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()) and not a.flags.writeable
+        for s, want_s, closed in zip(got.spectra, spectra, coordinate):
+            assert (s.dtype, s.shape, s.flags.writeable) == (np.float64, want_s.shape, False)
+            if closed:
+                assert np.max(np.abs(s - want_s), initial=0.0) <= 8 * np.finfo(float).eps * want_s[:1].max(initial=0.0)
+            else:
+                assert s.tobytes() == want_s.tobytes()
+        rank = lapack_rank(spectra[0])
+        assert triple_index(got) == (got.p + got.q - rank, n - rank, got.p + got.q - n)
+    return rejected
+
+
+DENSE = np.random.default_rng(33).standard_normal((5, 4))
+
+
 class TestTripleBatch:
-    # `subspace_triples` against `SubspaceTriple` one triple at a time: the
-    # same bases, spectra and rejections, bit for bit
+    # `subspace_triples` against `reference_triple`, and against
+    # `SubspaceTriple` one triple at a time: the same bases, spectra and
+    # rejections, bit for bit
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_equals_one_at_a_time(self, seed, monkeypatch):
         triples = mixed_triples(seed)
@@ -472,31 +529,46 @@ class TestTripleBatch:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: stacks.append((a.shape, a.dtype)) or svd(a, **kw))
         batch = fredholm.subspace_triples(iter(triples))
         monkeypatch.setattr(np.linalg, "svd", svd)
-        assert len(batch) == len(triples)
-        rejected, lapack = set(), 0
+        rejected = assert_as_reference(triples, batch)
+        lapack = 0
         for (n, bp, bq), got in zip(triples, batch):
-            try:
-                want = SubspaceTriple(n, bp, bq)
-            except ValueError as exc:
-                assert type(got) is ValueError and str(got) == str(exc)
-                rejected.add(str(exc).split(" ")[1])
+            if type(got) is ValueError:
                 continue
-            assert type(got) is SubspaceTriple and got.ambient_dim == n
+            want = SubspaceTriple(n, bp, bq)
             for a, b in zip((got.basis_prime, got.basis_dprime, *got.spectra),
                             (want.basis_prime, want.basis_dprime, *want.spectra)):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                assert not a.flags.writeable
-            assert triple_index(got) == triple_index(want)
-            dense = [not fredholm._coordinate_rows(b[None])[0][0] for b in (got.basis_prime, got.basis_dprime)]
-            lapack += sum(dense) + any(dense)
-        # one stacked call per shape and dtype, which holds every spectrum
-        # without closed form
+            lapack += sum(not closed for closed in reference_triple(n, bp, bq)[3])
+        # one stacked call per shape and dtype in each of the two rounds, the
+        # sides and then the [B' | B''], which hold every spectrum without
+        # closed form
         assert all(len(shape) == 3 for shape, _ in stacks)
-        assert len({(shape[1:], dtype) for shape, dtype in stacks}) == len(stacks)
+        assert max(Counter((shape[1:], dtype) for shape, dtype in stacks).values()) == 2
         assert sum(shape[0] for shape, _ in stacks) >= lapack
         assert {dtype for _, dtype in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
         assert any(shape[0] > 1 for shape, _ in stacks)
-        assert rejected >= {"dimension", "is", "entries", "expected"}
+        assert {m.split(" ")[1] for m in rejected} >= {"dimension", "is", "entries", "expected"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(coordinate_bases(), coordinate_bases(spread=20)), min_size=1, max_size=5))
+    def test_coordinate_triples_as_reference(self, drawn):
+        assert_as_reference(drawn, fredholm.subspace_triples(drawn))
+
+    @pytest.mark.parametrize("bp, bq, fault", [
+        (np.ones((5, 2)), DENSE[:, :3], "basis_prime is rank deficient"),
+        (DENSE[:, :2], DENSE[:, [0, 1, 0]], "basis_dprime is rank deficient"),
+        (np.where(DENSE[:, :2] > 1.0, np.nan, DENSE[:, :2]), DENSE[:, 1:], "basis_prime: entries must be finite"),
+        (DENSE[:, :2], np.where(DENSE[:, 1:] > 1.0, np.inf, DENSE[:, 1:]) + 0j, "basis_dprime: entries must be"),
+    ], ids=["rank prime", "rank dprime", "nan prime", "inf dprime"])
+    def test_rejected_triple_takes_no_pair_svd(self, bp, bq, fault, monkeypatch):
+        # a triple rejected for rank or for an entry does not decide its
+        # [B' | B'']: LAPACK sees the finite sides alone, 5 x 2 and 5 x 3
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape[1:]) or svd(a, **kw))
+        got, = fredholm.subspace_triples([(5, bp, bq)])
+        assert type(got) is ValueError and str(got).startswith(fault)
+        assert set(calls) == {(5, b.shape[1]) for b in (bp, bq) if np.isfinite(b).all()}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_groups_of_one_shape_equal_one_at_a_time(self, seed, monkeypatch):
@@ -510,6 +582,7 @@ class TestTripleBatch:
         batch = fredholm.subspace_triples(triples)
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert len(calls) == len(set(calls))  # one call per matrix shape and dtype
+        assert_as_reference(triples, batch)
         got_rejections, want_rejections = [], []
         for (n, bp, bq), got in zip(triples, batch):
             try:
