@@ -13,7 +13,7 @@ from .node_model import (
     node_membership,
     transfer_Tz,
 )
-from .extension import annulus_extension_test, disk_pair_node_test, vprime_membership
+from .extension import disk_pair_node_test, vprime_membership
 from .fredholm import (
     GraphPairLocal,
     SubspaceTriple,

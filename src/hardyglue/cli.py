@@ -453,7 +453,7 @@ def suite_fredholm(opts: RunOptions) -> list:
             for i, b in zip(at, _disc(rng.random((len(at), 2 * N * width)), (N, width))):
                 triples.append((N, b[:, :p[i]], b[:, p[i]:]))
         for (_, bp, bq), t in zip(triples, fredholm.subspace_triples(triples)):
-            if isinstance(t, ValueError) or fredholm.triple_index(t).index != bp.shape[1] + bq.shape[1] - N:
+            if isinstance(t, Exception) or fredholm.triple_index(t).index != bp.shape[1] + bq.shape[1] - N:
                 violations += 1
     checks = [check_int("euler_identity_violations", violations, 0)]
 

@@ -5,26 +5,20 @@ extend to the unit disk (their negative modes vanish) and the constants
 agree: node membership at ``z = 0`` (`disk_pair_node_test`).  A pair bounds a holomorphic
 map on the annulus ``A(delta, 1)`` iff it satisfies the node relation at
 ``z = delta`` (``eta_{-n} = delta^n xi_n``, ``xi_{-n} = delta^n eta_n``,
-equal constants): the annulus is the node fiber ``{xy = delta}``.  The
-annulus test reads that relation on the core circle ``|x| = sqrt(delta)``,
-which weights mode ``n`` of the defect by ``delta^(-|n|/2)``; the disk-pair
-and node tests keep the unweighted defect of ``node_membership``.  Every
+equal constants): the annulus is the node fiber ``{xy = delta}``.  Every
 finite Laurent series is holomorphic on the open annulus, so the matching
 relation is the whole content of the test; no growth condition is applied.
-Both tests give their verdict as `node_model.MembershipResult` ``(member,
-residual)``: the disk-pair test returns `node_membership`'s result as it is.
 
-The annulus test is a stack of one over `_annulus_defects`, which takes a
-stack of pairs (T, 2N+1, m) with one ``delta`` per row: one power table
-forms the node defects (`node_model._membership_residuals`), and the core
-weights enter as mantissas and binary exponents, under the one scale rule
-of `loops._at_scale`.  The node kernels are read through the `node_model`
+One kernel, `_node_defects`, decides both kinds on a stack of pairs, one
+power table and one `node_model._membership_residuals` for the whole
+stack; an annulus reads the relation on its core circle.  Its callers are
+`vprime_membership` (``extend-check``, one call per shape of its nodes)
+and the stacked trials of ``verify extension``: `disk_pair_residuals`
+(charts at ``z = 0`` and random pairs against the exact extension
+conditions) and `annulus_pair_residuals` (restrictions of one Laurent
+series, both ways).  A disk-pair row has the bits of `node_membership` on
+that pair alone.  The node kernels are read through the `node_model`
 namespace, so a patch of one there reaches this module too.
-
-The random trials of ``verify extension`` are checked on stacks by
-`disk_pair_residuals` (charts at ``z = 0`` and random pairs against the
-exact extension conditions) and `annulus_pair_residuals` (restrictions of
-one Laurent series, both ways); each row has the bits of the scalar tests.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ __all__ = [
     "NodeVerdict",
     "VPrimeReport",
     "disk_pair_node_test",
-    "annulus_extension_test",
     "vprime_membership",
     "disk_pair_residuals",
     "annulus_pair_residuals",
@@ -58,44 +51,24 @@ def disk_pair_node_test(xi: Loop, eta: Loop, tol: float = DEFAULT_TOL,
     return node_membership(NodeBoundary(0j, xi, eta), tol=tol, s=s)
 
 
-def annulus_extension_test(
-    xi: Loop, eta: Loop, delta: float, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S
-) -> MembershipResult:
-    """Extension to the annulus ``A(delta, 1)``: ``eta(y) = xi(delta/y)``.
-
-    This is the node relation at ``z = delta`` (see `membership_defect`),
-    read on the core circle ``|x| = |y| = sqrt(delta)``: mode ``n`` of each
-    defect is divided by ``delta^(|n|/2)``.  The core circle is the fixed
-    circle of the swap ``x <-> y = delta/x``, so this weighting treats the
-    two boundary circles alike and the defect is symmetric under swapping
-    ``(xi, eta)``.  Entry by entry it is, up to sign, the balanced form
-    ``delta^(n/2) eta_n - delta^(-n/2) xi_{-n}``.  `node_membership`
-    and `disk_pair_node_test` stay unweighted.  Zero defect entries stay
-    zero, so a clean pair passes even where ``delta^(-n_max/2)`` overflows;
-    a weight past the float range enters as a binary exponent, and a
-    defect past it reads as the largest float.  The test is a stack of one
-    over `_annulus_defects`.
+def _node_defects(w: np.ndarray, annulus: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: float) -> np.ndarray:
+    """Extension defects, shape (T,), of the pairs ``xi``, ``eta`` (T, 2N+1,
+    m): row t is an annulus of modulus ``w[t]`` in (0, 1) where
+    ``annulus[t]``, else a disk pair glued at ``w[t]``, whose defect is the
+    unweighted node defect.  An annulus takes the node defect at ``z =
+    delta`` on the core circle ``|x| = |y| = sqrt(delta)``, the fixed circle
+    of the swap ``x <-> delta/x``: mode ``n`` is divided by
+    ``delta^(|n|/2)``, so the defect is symmetric in ``(xi, eta)``.  The
+    weights enter split by `np.frexp` (from ``log2`` below the normal float
+    range), the mantissas dividing and the exponents as a shift, so a zero
+    defect entry stays zero where ``delta^(-N/2)`` overflows, and a defect
+    past the float range reads as the largest float.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"annulus parameter must lie in (0, 1), got {delta}")
-    NodeBoundary(delta, xi, eta)  # the boundary checks the loop shapes
-    defect = float(_annulus_defects(np.array([float(delta)]), xi.coeffs[None], eta.coeffs[None], s)[0])
-    return MembershipResult(defect <= tol, defect)
-
-
-def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: float) -> np.ndarray:
-    """Stacked `annulus_extension_test` defects, shape (T,): one annulus
-    parameter per row of ``delta`` (T,), in (0, 1), and coefficient stacks
-    ``xi``, ``eta`` (T, 2N+1, m).
-
-    The node defect at ``z = delta`` (`_membership_residuals` over one
-    power table) is read on each row's core circle, over the weights
-    ``delta ** (|n|/2)`` split by `np.frexp` (from ``log2`` where the power
-    is below the normal float range): the defect over the mantissas, which
-    are in [1, 2), stays finite, and the exponents enter as a shift.
-    """
-    n_max = xi.shape[1] // 2
-    half = np.abs(np.arange(-n_max, n_max + 1)) / 2.0
+    table = node_model._power_table(w, xi, eta)
+    if not annulus.any():
+        return node_model._membership_residuals(table, xi, eta, s)[0]
+    half = np.abs(np.arange(xi.shape[1]) - xi.shape[1] // 2) / 2.0
+    delta = np.asarray(w)[annulus].real
     core = delta[:, None] ** half
     mant, exp = np.frexp(core)
     low = core < np.finfo(float).tiny
@@ -103,8 +76,9 @@ def _annulus_defects(delta: np.ndarray, xi: np.ndarray, eta: np.ndarray, s: floa
         log_core = (half * np.log2(delta)[:, None])[low]
         exp[low] = np.floor(log_core) + 1
         mant[low] = np.exp2(log_core - exp[low])
-    return node_model._membership_residuals(node_model._power_table(delta, xi, eta), xi, eta, s,
-                                            2.0 * mant[:, :, None], 1 - exp[:, :, None])[0]
+    weight, shift = np.ones(xi.shape[:2]), np.zeros(xi.shape[:2], dtype=exp.dtype)
+    weight[annulus], shift[annulus] = 2.0 * mant, 1 - exp
+    return node_model._membership_residuals(table, xi, eta, s, weight[:, :, None], shift[:, :, None])[0]
 
 
 def disk_pair_residuals(charted: np.ndarray, charts: tuple, pairs: np.ndarray,
@@ -124,23 +98,22 @@ def disk_pair_residuals(charted: np.ndarray, charts: tuple, pairs: np.ndarray,
         xi[charted], eta[charted] = node_model._chart_stack(np.zeros(len(charts[2])), *plus, charts[2])[1:]
     exact = (~xi[:, :n_max].any(axis=(1, 2)) & ~eta[:, :n_max].any(axis=(1, 2))
              & (xi[:, n_max] == eta[:, n_max]).all(axis=1))
-    table = node_model._power_table(np.zeros(len(charted)), xi, eta)
-    return node_model._membership_residuals(table, xi, eta, s)[0], exact
+    return _node_defects(np.zeros(len(charted)), np.zeros(len(charted), dtype=bool), xi, eta, s), exact
 
 
 def annulus_pair_residuals(delta: np.ndarray, laurent: np.ndarray,
                            s: float = DEFAULT_SOBOLEV_S) -> tuple:
     """Swap asymmetries ``|d(xi, eta) - d(eta, xi)| / (1 + d(xi, eta))`` and
-    defects ``d(xi, eta)`` of `annulus_extension_test`, shape (T,) each, of
-    the Laurent loops ``xi`` of ``laurent`` (T, 2N+1, m) paired with their
-    restrictions ``eta_n = delta^(-n) xi_{-n}`` (Python float powers) to the
-    other circle of ``A(delta, 1)``.  The swap check is exact by design: the
-    loops share their constant, so the asymmetry reads 0.0."""
+    annulus defects ``d(xi, eta)``, shape (T,) each, of the Laurent loops
+    ``xi`` of ``laurent`` (T, 2N+1, m) paired with their restrictions
+    ``eta_n = delta^(-n) xi_{-n}`` (Python float powers) to the other circle
+    of ``A(delta, 1)``.  The swap check is exact by design: the loops share
+    their constant, so the asymmetry reads 0.0."""
     n_max = laurent.shape[1] // 2
     weights = np.array([[d ** float(-n) for n in range(-n_max, n_max + 1)] for d in delta.tolist()])
     restricted = laurent[:, ::-1] * weights[:, :, None]
-    fwd = _annulus_defects(delta, laurent, restricted, s)
-    rev = _annulus_defects(delta, restricted, laurent, s)
+    annulus = np.ones(len(delta), dtype=bool)
+    fwd, rev = (_node_defects(delta, annulus, *pair, s) for pair in ((laurent, restricted), (restricted, laurent)))
     return np.abs(fwd - rev) / (1.0 + fwd), fwd
 
 
@@ -159,9 +132,8 @@ class NodeData:
     def __post_init__(self):
         if self.kind not in ("disk_pair", "annulus"):
             raise ValueError(f"kind must be 'disk_pair' or 'annulus', got {reprlib.repr(self.kind)}")
-        if self.kind == "annulus":
-            if self.delta is None or not (0.0 < self.delta < 1.0):
-                raise ValueError("annulus record requires delta in (0, 1)")
+        if self.kind == "annulus" and (self.delta is None or not (0.0 < self.delta < 1.0)):
+            raise ValueError("annulus record requires delta in (0, 1)")
         object.__setattr__(self, "z", complex(self.z))
         # the boundary the record stands for checks its gluing parameter and loop shapes
         NodeBoundary(self.z if self.kind == "disk_pair" else self.delta, self.xi, self.eta)
@@ -187,29 +159,30 @@ class VPrimeReport:
     member: bool
 
 
-def vprime_membership(
-    nodes, ball_check: bool = True, tol: float = DEFAULT_TOL, s: float = DEFAULT_SOBOLEV_S
-) -> VPrimeReport:
+def vprime_membership(nodes, ball_check: bool = True, tol: float = DEFAULT_TOL,
+                      s: float = DEFAULT_SOBOLEV_S) -> VPrimeReport:
     """Nodewise extension report for loops written in unit-ball charts.
 
     For each record checks (a) the sampled sup-norm stays inside the open
     unit ball, and (b) disk-pair matching or (c) annulus matching as the
     kind dictates.  The configuration is a member iff every node passes.
-    """
-    verdicts = []
+    Each shape ``(n_max, m)`` of nodes is one `_node_defects` call and one
+    sampled sup of their loops (an overflowing row sampled at scale)."""
+    nodes, groups, verdicts = list(nodes), {}, {}
     for i, node in enumerate(nodes):
+        groups.setdefault((node.xi.n_max, node.xi.m), []).append(i)
+    for (n_max, _), index in groups.items():
+        group = [nodes[i] for i in index]
+        xi, eta = (np.stack([getattr(node, side).coeffs for node in group]) for side in ("xi", "eta"))
+        w = np.array([node.delta if node.kind == "annulus" else node.z for node in group], dtype=complex)
+        defects = _node_defects(w, np.array([node.kind == "annulus" for node in group]), xi, eta, s).tolist()
+        sups = [None] * len(group)
         if ball_check:
-            # the sampled sups of both loops; a row whose samples overflow is sampled again at scale
-            grid = default_grid_size(node.xi.n_max)
-            sup = float(_ldexp(*_at_scale(lambda rows: np.sqrt(_mode_power(_samples(rows, grid))).max(axis=1),
-                                          np.stack([node.xi.coeffs, node.eta.coeffs]))).max())
-            ball_ok = sup < 1.0
-        else:
-            sup = None
-            ball_ok = None
-        if node.kind == "disk_pair":
-            res = node_membership(NodeBoundary(node.z, node.xi, node.eta), tol=tol, s=s)
-        else:
-            res = annulus_extension_test(node.xi, node.eta, node.delta, tol=tol, s=s)
-        verdicts.append(NodeVerdict(i, node.kind, ball_ok, sup, res.member, res.residual))
-    return VPrimeReport(tuple(verdicts), all(v.passed for v in verdicts))
+            grid = default_grid_size(n_max)
+            sups = _ldexp(*_at_scale(lambda rows: np.sqrt(_mode_power(_samples(rows, grid))).max(axis=1),
+                                     np.concatenate((xi, eta)))).reshape(2, -1).max(axis=0).tolist()
+        for i, defect, sup in zip(index, defects, sups):
+            ball_ok = None if sup is None else sup < 1.0
+            verdicts[i] = NodeVerdict(i, nodes[i].kind, ball_ok, sup, defect <= tol, defect)
+    verdicts = tuple(verdicts[i] for i in range(len(nodes)))
+    return VPrimeReport(verdicts, all(v.passed for v in verdicts))

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -103,7 +105,8 @@ def _coordinate_rows(stack: np.ndarray, finite: list) -> tuple:
     """``(coordinate, norms)`` for a stack of bases (T, N, k): per basis,
     whether it is finite (``finite``, a flag per basis) and has at most one
     nonzero entry in each column, and, for those, the norms of their rows,
-    taken at scale (`loops._at_scale`); the other bases' rows read 0.
+    taken at scale (`loops._at_scale`), none where k = 0; the other bases'
+    rows read 0.
 
     A stack of more than one row without a zero entry holds none, which one
     count settles.  Otherwise a basis is a coordinate basis when the first
@@ -119,7 +122,7 @@ def _coordinate_rows(stack: np.ndarray, finite: list) -> tuple:
     coordinate = [ok and nnz == hits for ok, nnz, hits in zip(finite, _nonzero_counts(mask), _nonzero_counts(hit))]
     if not all(coordinate):
         hit &= np.array(coordinate)[:, None]
-    norms = np.zeros((n_bases, n_rows))
+    norms = np.zeros((n_bases, n_rows if width else 0))
     t, col = hit.nonzero()
     if t.size:
         rows = at[t, col]
@@ -162,7 +165,7 @@ class SubspaceTriple:
 
     def __post_init__(self):
         built, = _triples([(self.ambient_dim, self.basis_prime, self.basis_dprime)])
-        if isinstance(built, ValueError):
+        if isinstance(built, Exception):
             raise built
         vars(self).update(vars(built))
 
@@ -177,18 +180,19 @@ class SubspaceTriple:
 
 def subspace_triples(triples) -> list:
     """``SubspaceTriple(N, B', B'')`` for each ``(N, B', B'')`` of
-    ``triples``, in order, or the ValueError that call raises in its place:
-    the same bases, spectra and rejections, bit for bit (`_triples`)."""
+    ``triples``, in order, or the ValueError or TypeError that call raises
+    in its place; the same bases, spectra and rejections, bit for bit."""
     return _triples(triples)
 
 
 def _triples(triples) -> list:
     """Per ``(N, B', B'')`` of ``triples``, its `SubspaceTriple` or the
-    ValueError that rejects it.  The first fault rejects, in this order: an
-    ambient dimension below 1; then for ``B'`` and after it for ``B''`` a
-    basis that is not 1-D or 2-D, has another row count than N, or has an
-    entry that is not finite; then ``B'`` and after it ``B''`` whose
-    `_rank_of` is below its column count.
+    ValueError or TypeError that rejects it.  The first fault rejects, in
+    this order: an ambient dimension that is not a number, below 1 or past
+    numpy's largest; then for ``B'`` and after it for ``B''`` a basis that
+    is not 1-D or 2-D, has another row count than N, or has an entry that
+    is not finite; then ``B'`` and after it ``B''`` whose `_rank_of` is
+    below its column count.
 
     Two rounds of `_spectra`, one call per group of matrices of one shape
     and dtype: first the sides of every triple, then the ``[B' | B'']`` of
@@ -199,7 +203,9 @@ def _triples(triples) -> list:
     for n, bp, bq in triples:
         try:
             if n < 1:
-                raise ValueError(f"ambient dimension must be positive, got {n}")
+                raise ValueError(f"ambient dimension must be positive, got {reprlib.repr(n)}")
+            if n > sys.maxsize:  # numpy's largest array dimension
+                raise ValueError(f"ambient_dim: {reprlib.repr(n)} is past numpy's largest array dimension")
             bp = _as_basis(bp, n, "basis_prime")
             try:
                 bq = _as_basis(bq, n, "basis_dprime")
@@ -207,7 +213,7 @@ def _triples(triples) -> list:
                 if not np.isfinite(bp).all():  # B' is rejected first
                     raise _not_finite("basis_prime") from None
                 raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             parts.append(exc)
             continue
         part = [n]
@@ -219,7 +225,7 @@ def _triples(triples) -> list:
     sides = {key: list(zip(*_spectra(group))) for key, group in groups.items()}
     out, pairs = [], {}
     for part in parts:
-        if isinstance(part, ValueError):
+        if isinstance(part, Exception):
             out.append(part)
             continue
         n, (key_p, i), (key_q, j) = part
@@ -238,8 +244,8 @@ def _triples(triples) -> list:
         if rows_p is None or rows_q is None:
             pair = np.concatenate((bp, bq), axis=1)
             pairs.setdefault((pair.shape, pair.dtype), []).append((t, pair, sp, sq))
-        else:
-            s = -np.hypot(rows_p, rows_q)
+        else:  # a side without columns has no row norms: the pair has the other side's
+            s = -(np.hypot(rows_p, rows_q) if bp.shape[1] and bq.shape[1] else rows_q if bq.shape[1] else rows_p)
             s.sort()
             s = -s[:bp.shape[1] + bq.shape[1]]
             s.flags.writeable = False

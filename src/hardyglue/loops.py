@@ -208,21 +208,30 @@ def _relative(parts, refs) -> np.ndarray:
     """``|parts|_s / (1 + max |refs|_s)`` for each row, from the `_norm_pairs`
     pairs taken of the parts and the references.
 
-    ``|parts|_s`` is the root sum of squares of the norms of the parts.
-    Where a norm was taken at scale, the ratio is formed from the pairs: the
-    parts at their largest exponent, the references at theirs (at least 0,
-    where the 1 counts), the quotient scaled back.  A ratio past the float
-    range reads as the largest float, a lower bound failing every tolerance.
+    ``|parts|_s`` is the root sum of squares of the norms of the parts.  The
+    ratio is formed from the norms as floats, as `sobolev_norm` rounds them,
+    so a row has the bits of the ratio of `sobolev_norm` values.  Where a
+    norm or the ratio is past the float range, it is formed from the pairs:
+    the parts at their largest exponent, the references at theirs (at least
+    0, where the 1 counts), the quotient scaled back, and read as the
+    largest float past the range, a lower bound failing every tolerance.
     """
     norms, exps = zip(*parts, *refs)
     k = len(parts)
     if all(e is None for e in exps):
         return functools.reduce(np.hypot, norms[:k]) / (1.0 + functools.reduce(np.maximum, norms[k:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        floats = [v if e is None else np.ldexp(v, e) for v, e in zip(norms, exps)]
+        top = functools.reduce(np.maximum, floats[k:])
+        ratio = functools.reduce(np.hypot, floats[:k]) / (1.0 + top)
+    if np.isfinite(ratio).all() and np.isfinite(top).all():
+        return ratio
     exps = [0 if e is None else e for e in exps]
     num_e, top_e = functools.reduce(np.maximum, exps[:k]), functools.reduce(np.maximum, exps[k:], 0)
     num = functools.reduce(np.hypot, [np.ldexp(v, e - num_e) for v, e in zip(norms[:k], exps[:k])])
-    top = functools.reduce(np.maximum, [np.ldexp(v, e - top_e) for v, e in zip(norms[k:], exps[k:])])
-    return np.minimum(_ldexp(num / (np.ldexp(1.0, -top_e) + top), num_e - top_e), np.finfo(float).max)
+    top_at = functools.reduce(np.maximum, [np.ldexp(v, e - top_e) for v, e in zip(norms[k:], exps[k:])])
+    scaled = np.minimum(_ldexp(num / (np.ldexp(1.0, -top_e) + top_at), num_e - top_e), np.finfo(float).max)
+    return np.where(np.isfinite(ratio) & np.isfinite(top), ratio, scaled)
 
 
 def hardy_project(loop: Loop, side: str):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -67,26 +68,82 @@ ODD_VALUES = (None, True, False, "", "2", 1e308, -1e308, 1e-320, 0, 2, -1, [], [
               [[[[1, 0]]]], [[[1e308, 1e308]], [[1e-320, 0]], [[0, 0]]])
 
 
+def fuzz_edit(draw, params, path, values):
+    """One edit of ``params`` at ``path``: the field deleted, its value
+    wrapped in one more list, or replaced by one of ``values``."""
+    parent = params
+    for key in path[:-1]:
+        parent = parent[key]
+    edit = draw(st.sampled_from(["delete", "wrap", "replace"] if isinstance(parent, dict) else ["wrap", "replace"]))
+    if edit == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if edit == "wrap" else json.loads(json.dumps(draw(
+            st.sampled_from(values))))
+
+
 @st.composite
 def fuzzed_index_params(draw):
     """The params of ``scenarios/hardy_index.json`` after one to three
-    edits, each at a path drawn inside the triple record or the
-    ``line_bundle`` record: a field deleted, a value wrapped in one more
-    list, or a value replaced by one of `ODD_VALUES`."""
+    `fuzz_edit` edits with `ODD_VALUES`, each at a path drawn inside the
+    triple record or the ``line_bundle`` record."""
     params = json.loads((SCENARIOS / "hardy_index.json").read_text(encoding="utf-8"))["params"]
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from([at for at in json_paths(params)
                                      if at[:1] == ("line_bundle",) or len(at) > 2 and at[:2] == ("triples", 0)]))
-        parent = params
-        for key in path[:-1]:
-            parent = parent[key]
-        edit = draw(st.sampled_from(["delete", "wrap", "replace"] if isinstance(parent, dict) else ["wrap", "replace"]))
-        if edit == "delete":
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = [parent[path[-1]]] if edit == "wrap" else json.loads(json.dumps(draw(
-                st.sampled_from(ODD_VALUES))))
+        fuzz_edit(draw, params, path, ODD_VALUES)
     return params
+
+
+# what the extend-check fuzzer adds: a node of another shape (m = 2, N = 1),
+# the other kind, and lists nested past any reader's depth
+OTHER_SHAPE_NODE = {"kind": "disk_pair", "z": [0.5, 0],
+                    "xi": {"m": 2, "n_max": 1, "coeffs": [[[0, 0], [0, 0]], [[0.5, 0], [0, 0.5]], [[0.2, 0], [0, 0]]]},
+                    "eta": {"m": 2, "n_max": 1, "coeffs": [[[0.1, 0], [0, 0]], [[0.5, 0], [0, 0.5]], [[0, 0], [0, 0]]]}}
+DEEP_LIST = functools.reduce(lambda inner, _: [inner], range(200), [])
+EXTEND_VALUES = ODD_VALUES + ("annulus", "disk_pair", 0.5, [0.3, 0.2], [[0.3, 0.2]], DEEP_LIST)
+
+
+@st.composite
+def fuzzed_extend_params(draw):
+    """The params of ``scenarios/annulus_pair.json``, perhaps with a node of
+    another shape put among its nodes, after one to three `fuzz_edit` edits
+    with `EXTEND_VALUES`, at paths drawn anywhere in the params or at the
+    named fields of a node or loop."""
+    params = json.loads((SCENARIOS / "annulus_pair.json").read_text(encoding="utf-8"))["params"]
+    if draw(st.booleans()):
+        params["nodes"].insert(draw(st.integers(0, len(params["nodes"]))), json.loads(json.dumps(OTHER_SHAPE_NODE)))
+    named = ("ball_check", "kind", "delta", "z", "m", "n_max", "coeffs", "xi", "eta")
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [at for at in json_paths(params) if at]
+        if not paths:
+            break
+        path = draw(st.one_of(st.sampled_from(paths),
+                              st.sampled_from([at for at in paths if at[-1] in named] or paths)))
+        fuzz_edit(draw, params, path, EXTEND_VALUES)
+    return params
+
+
+def assert_exits_cleanly(command, params):
+    """Run ``params`` through `main` from stdin: exit 0, 1 or 2, no
+    exception or warning, strict JSON lines, and a quote in an error at
+    most `jsonio.QUOTE_LIMIT` characters long."""
+    from hardyglue.jsonio import QUOTE_LIMIT
+
+    text = json.dumps({"command": command, "params": params})
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "-"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        quote = re.search(r"(?:got|invalid value) (.*?)(?: \(expected [^()]*\))?$", err.rstrip("\n"))
+        assert quote is None or len(quote[1]) <= QUOTE_LIMIT
+    else:
+        assert err == "" and strict_json_lines(out)[-1]["command"] == command
 
 
 def annulus_defect_oracle(delta, xi, eta, s=1.5):
@@ -619,27 +676,21 @@ class TestErrorPaths:
         assert (got, err, caught) == (code, f"error: {message}\n" if message else "", [])
         assert (lines == []) == bool(message)
 
+    def test_ambient_dim_past_numpy_names_its_field(self, tmp_path, capsys):
+        params = {"triples": [{"ambient_dim": 1e308, "basis_prime": [], "basis_dprime": []}]}
+        code, lines, err, caught = run_params(tmp_path, capsys, "index", params)
+        assert (code, lines, caught) == (2, [], [])
+        assert err.startswith("error: params.triples[0]: ambient_dim: 1000") and "largest array dimension" in err
+
     @settings(max_examples=150, deadline=None)
     @given(fuzzed_index_params())
     def test_fuzzed_index_records_exit_cleanly(self, params):
-        # exit 0, 1 or 2, no exception or warning, strict JSON lines, and a
-        # quote in an error at most QUOTE_LIMIT characters long
-        from hardyglue.jsonio import QUOTE_LIMIT
+        assert_exits_cleanly("index", params)
 
-        text = json.dumps({"command": "index", "params": params})
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(text)), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(["index", "-"])
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-            quote = re.search(r"(?:got|invalid value) (.*?)(?: \(expected [^()]*\))?$", err.rstrip("\n"))
-            assert quote is None or len(quote[1]) <= QUOTE_LIMIT
-        else:
-            assert err == "" and strict_json_lines(out)[-1]["command"] == "index"
+    @settings(max_examples=150, deadline=None)
+    @given(fuzzed_extend_params())
+    def test_fuzzed_extend_records_exit_cleanly(self, params):
+        assert_exits_cleanly("extend-check", params)
 
     @pytest.mark.parametrize("exc, text", [
         (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
@@ -935,10 +986,11 @@ class TestStackedExtensionSuite:
             laurent = Loop(1, n_max, disc(rng, (2 * n_max + 1, 1)))
             eta = Loop.from_modes(1, n_max, {n: laurent.mode(-n) * delta ** float(-n)
                                              for n in range(-n_max, n_max + 1)})
-            fwd = extension.annulus_extension_test(laurent, eta, delta, tol=opts.tol, s=s)
-            rev = extension.annulus_extension_test(eta, laurent, delta, tol=opts.tol, s=s)
-            sym_max = max(sym_max, abs(fwd.residual - rev.residual) / (1.0 + fwd.residual))
-            restriction_max = max(restriction_max, fwd.residual)
+            fwd, rev = (extension.vprime_membership([extension.NodeData("annulus", p, q, delta=delta)],
+                                                    ball_check=False, tol=opts.tol, s=s).nodes[0].defect
+                        for p, q in ((laurent, eta), (eta, laurent)))
+            sym_max = max(sym_max, abs(fwd - rev) / (1.0 + fwd))
+            restriction_max = max(restriction_max, fwd)
         checks.append(check_residual("annulus_swap_symmetry_max", sym_max, 1e-12))
         checks.append(check_residual("laurent_restriction_defect_max", restriction_max, 1e-12))
         return checks
@@ -991,7 +1043,9 @@ class TestStackedExtensionSuite:
         for t, d in enumerate(delta.tolist()):
             xi = Loop(1, n_max, laurent[t])
             eta = Loop.from_modes(1, n_max, {n: xi.mode(-n) * d ** float(-n) for n in range(-n_max, n_max + 1)})
-            fwd, rev = (extension.annulus_extension_test(p, q, d).residual for p, q in ((xi, eta), (eta, xi)))
+            fwd, rev = (extension.vprime_membership([extension.NodeData("annulus", p, q, delta=d)],
+                                                    ball_check=False).nodes[0].defect
+                        for p, q in ((xi, eta), (eta, xi)))
             assert defects[t] == fwd and asymmetry[t] == abs(fwd - rev) / (1.0 + fwd)
 
     def test_annulus_kernel_rows_equal_scalar_test(self):
@@ -1018,13 +1072,14 @@ class TestStackedExtensionSuite:
                  (10.0 ** -15.35, spike, zero),  # a weighted norm past the float range
                  (1e-16, zero, zero)]           # a zero defect needs no weight
         delta, xi, eta = (np.array(col) for col in zip(*rows))
-        stacked = extension._annulus_defects(delta, xi, eta, 1.5).tolist()
+        stacked = extension._node_defects(delta, np.ones(len(rows), dtype=bool), xi, eta, 1.5).tolist()
         # the overflow rows against mpmath: 41^1.5 * 1e321 / (1 + 41^1.5 * 10)
         # is past the float range and reads as the largest float
         oracle = [annulus_defect_oracle(*row) for row in rows[12:15]]
         assert oracle[0] > np.finfo(float).max and stacked[12] == np.finfo(float).max
         assert stacked[13:15] == pytest.approx([float(x) for x in oracle[1:]], rel=1e-12)
-        scalar = [extension.annulus_extension_test(Loop(m, n_max, x), Loop(m, n_max, y), d).residual
+        scalar = [extension.vprime_membership([extension.NodeData("annulus", Loop(m, n_max, x), Loop(m, n_max, y),
+                                                                  delta=d)], ball_check=False).nodes[0].defect
                   for d, x, y in rows]
         assert stacked == scalar
         assert max(stacked[1:12:2]) < 1e-12 < min(stacked[0:12:2])  # restrictions extend
@@ -1537,8 +1592,8 @@ class TestLayout:
                   "from .loops import _l2_rows, sobolev_norm\n"
                   "from .jsonio import _record\n"
                   "import hardyglue.extension as ext\n"
-                  "node_model._chart(node_model.node_chart, fh._rank, ext._annulus_defects)\n")
-        assert sorted(private_reads(source)) == ["ext._annulus_defects", "fh._rank",
+                  "node_model._chart(node_model.node_chart, fh._rank, ext._node_defects)\n")
+        assert sorted(private_reads(source)) == ["ext._node_defects", "fh._rank",
                                                  "loops._l2_rows", "node_model._chart"]
 
     def test_planted_power_table_fault_reaches_every_caller(self, monkeypatch, capsys):

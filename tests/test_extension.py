@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hardyglue.extension import (
-    NodeData,
-    annulus_extension_test,
-    disk_pair_node_test,
-    vprime_membership,
-)
+from hardyglue.extension import NodeData, disk_pair_node_test, vprime_membership
 from hardyglue.loops import Loop, default_grid_size
 from hardyglue.node_model import NodeBoundary, node_membership
 
@@ -22,6 +17,11 @@ def annulus_pair(laurent_entries, delta, n_max=8):
     for n, v in laurent_entries.items():
         eta_entries[-n] = v * delta ** float(n)
     return xi, scalar(eta_entries, n_max)
+
+
+def annulus_test(xi, eta, delta):
+    """The annulus verdict of one node, through the public report."""
+    return vprime_membership([NodeData("annulus", xi, eta, delta=delta)], ball_check=False).nodes[0]
 
 
 class TestDiskPair:
@@ -62,30 +62,30 @@ class TestDiskPair:
 class TestAnnulusExtension:
     def test_monomial_pair(self):
         xi, eta = scalar({1: 1.0}), scalar({-1: 0.25})
-        res = annulus_extension_test(xi, eta, 0.25)
-        assert res.member and res.residual <= 1e-15
+        res = annulus_test(xi, eta, 0.25)
+        assert res.extends and res.defect <= 1e-15
 
     def test_pole_pair(self):
         # coefficient-relation oracle: eta_n = xi_{-n} delta^{-n}
         # xi = x^{-1}  =>  eta_1 = xi_{-1} * delta^{-1} = 4
         xi, eta = scalar({-1: 1.0}), scalar({1: 4.0})
-        assert annulus_extension_test(xi, eta, 0.25).member
+        assert annulus_test(xi, eta, 0.25).extends
 
     def test_mismatched_pair_fails(self):
-        res = annulus_extension_test(scalar({1: 1.0}), scalar({1: 1.0}), 0.25)
-        assert not res.member and res.residual > 1e-3
+        res = annulus_test(scalar({1: 1.0}), scalar({1: 1.0}), 0.25)
+        assert not res.extends and res.defect > 1e-3
 
     def test_defect_past_float_range(self):
         xi, eta = scalar({2: 1e308}), Loop.zeros(1, 8)
-        res = annulus_extension_test(xi, eta, 0.25)
-        small = annulus_extension_test(xi.with_coeffs(1e-296 * xi.coeffs), eta, 0.25)
-        assert not res.member
-        assert res.residual == pytest.approx(small.residual, rel=1e-9)
+        res = annulus_test(xi, eta, 0.25)
+        small = annulus_test(xi.with_coeffs(1e-296 * xi.coeffs), eta, 0.25)
+        assert not res.extends
+        assert res.defect == pytest.approx(small.defect, rel=1e-9)
 
     def test_bad_delta_rejected(self):
         for delta in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                annulus_extension_test(scalar({1: 1.0}), scalar({-1: 1.0}), delta)
+            with pytest.raises(ValueError, match="annulus record requires delta in"):
+                annulus_test(scalar({1: 1.0}), scalar({-1: 1.0}), delta)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(3)
@@ -93,20 +93,20 @@ class TestAnnulusExtension:
             delta = float(rng.uniform(0.1, 0.9))
             xi = Loop(1, 6, rng.standard_normal((13, 1)) + 1j * rng.standard_normal((13, 1)))
             eta = Loop(1, 6, rng.standard_normal((13, 1)) + 1j * rng.standard_normal((13, 1)))
-            fwd = annulus_extension_test(xi, eta, delta)
-            rev = annulus_extension_test(eta, xi, delta)
-            assert fwd.member == rev.member
-            assert fwd.residual == pytest.approx(rev.residual, rel=1e-12, abs=1e-15)
+            fwd = annulus_test(xi, eta, delta)
+            rev = annulus_test(eta, xi, delta)
+            assert fwd.extends == rev.extends
+            assert fwd.defect == pytest.approx(rev.defect, rel=1e-12, abs=1e-15)
 
     def test_vector_valued_pair(self):
         # componentwise matching for loops into C^2
         delta = 0.3
         xi = Loop.from_modes(2, 4, {1: [1.0, 0.0], -2: [0.0, 0.5]})
         eta = Loop.from_modes(2, 4, {-1: [delta, 0.0], 2: [0.0, 0.5 * delta**-2]})
-        res = annulus_extension_test(xi, eta, delta)
-        assert res.member and res.residual <= 1e-12
-        rev = annulus_extension_test(eta, xi, delta)
-        assert rev.residual == pytest.approx(res.residual, abs=1e-15)
+        res = annulus_test(xi, eta, delta)
+        assert res.extends and res.defect <= 1e-12
+        rev = annulus_test(eta, xi, delta)
+        assert rev.defect == pytest.approx(res.defect, abs=1e-15)
 
     def test_laurent_restriction_passes(self):
         rng = np.random.default_rng(40)
@@ -115,8 +115,8 @@ class TestAnnulusExtension:
             entries = {n: complex(rng.standard_normal(), rng.standard_normal())
                        for n in range(-5, 6)}
             xi, eta = annulus_pair(entries, delta)
-            res = annulus_extension_test(xi, eta, delta)
-            assert res.member and res.residual <= 1e-12
+            res = annulus_test(xi, eta, delta)
+            assert res.extends and res.defect <= 1e-12
 
 
 class TestVPrime:
@@ -199,3 +199,85 @@ class TestVPrime:
         with pytest.raises(ValueError) as caught:
             NodeData(kind, scalar({0: 1.0}), scalar({0: 1.0}))
         assert str(caught.value) == "kind must be 'disk_pair' or 'annulus', got [[[[[[[...]]]]]]]"
+
+
+def random_loop(rng, m, n_max, scale=1.0):
+    return Loop(m, n_max, scale * (rng.standard_normal((2 * n_max + 1, m))
+                                   + 1j * rng.standard_normal((2 * n_max + 1, m))) / 4)
+
+
+SCALES = [1.0, 2.0 ** -600, 1e-300, 1e-310, 1e300, 2.0 ** 1020]
+
+
+class TestOneKernel:
+    """`vprime_membership` decides each shape of its nodes as one stack of
+    the node relation, `_node_defects`; the stack must give each node the
+    bits of that node alone, and a disk pair the bits of `node_membership`."""
+
+    @pytest.mark.parametrize("ball_check", [True, False])
+    def test_mixed_nodes_equal_each_node_alone(self, ball_check):
+        rng = np.random.default_rng(34)
+        nodes = []
+        for k in range(12):
+            m, n_max = ((1, 4), (2, 7))[k % 2]  # two shapes, interleaved
+            if k % 3 == 2:  # an annulus restriction, a member
+                xi = random_loop(rng, m, n_max)
+                delta = float(rng.uniform(0.1, 0.9))
+                weights = np.array([delta ** float(-n) for n in range(-n_max, n_max + 1)])[:, None]
+                nodes.append(NodeData("annulus", xi, xi.with_coeffs(xi.coeffs[::-1] * weights), delta=delta))
+            else:
+                z = 0j if k % 3 == 0 else complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+                nodes.append(NodeData("disk_pair", random_loop(rng, m, n_max), random_loop(rng, m, n_max), z=z))
+        report = vprime_membership(nodes, ball_check=ball_check)
+        alone = [vprime_membership([node], ball_check=ball_check).nodes[0] for node in nodes]
+        assert [v.index for v in report.nodes] == list(range(len(nodes)))
+        for got, want, node in zip(report.nodes, alone, nodes):
+            assert (got.kind, got.ball_ok, got.extends) == (node.kind, want.ball_ok, want.extends)
+            assert got.defect.hex() == want.defect.hex()
+            assert got.ball_sup is None if not ball_check else got.ball_sup.hex() == want.ball_sup.hex()
+        assert report.member == all(v.passed for v in alone)
+        assert {v.kind for v in report.nodes if v.extends} == {"annulus"}
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_disk_pair_defect_is_node_membership(self, scale):
+        rng = np.random.default_rng(35)
+        nodes = [NodeData("disk_pair", random_loop(rng, m, n_max, scale), random_loop(rng, m, n_max, scale), z=z)
+                 for _ in range(10) for z in (0j, 0.3 + 0.2j) for m, n_max in ((1, 3), (2, 8))]
+        report = vprime_membership(nodes, ball_check=False)
+        for v, node in zip(report.nodes, nodes):
+            assert v.defect.hex() == node_membership(NodeBoundary(node.z, node.xi, node.eta)).residual.hex()
+
+    def test_one_power_table_per_shape(self, monkeypatch):
+        # 4 nodes of one shape, both kinds: one table; neither the scalar
+        # membership test nor a per-loop norm is reached
+        from hardyglue import extension, loops, node_model
+
+        calls = []
+        real = node_model._power_table
+        monkeypatch.setattr(node_model, "_power_table", lambda *args: calls.append(len(args[0])) or real(*args))
+        for module, name in ((node_model, "node_membership"), (extension, "node_membership"),
+                             (node_model, "sobolev_norm"), (loops, "sobolev_norm")):
+            monkeypatch.setattr(module, name, None)
+        c = scalar({0: 0.5}, 4)
+        xi, eta = annulus_pair({1: 0.3, -2: 0.1}, 0.5, 4)
+        nodes = [NodeData("disk_pair", c, c), NodeData("annulus", xi, eta, delta=0.5),
+                 NodeData("disk_pair", c, c, z=0.5j), NodeData("annulus", eta, xi, delta=0.5)]
+        report = vprime_membership(nodes)
+        assert calls == [4] and report.member
+        vprime_membership(nodes + [NodeData("disk_pair", scalar({0: 0.5}), scalar({0: 0.5}))])
+        assert calls == [4, 4, 1]  # a second shape, a second table
+
+    def test_every_caller_goes_through_the_kernel(self, monkeypatch):
+        from hardyglue import extension
+        from hardyglue.cli import _annulus_block, _disk_pair_block
+
+        calls = []
+        real = extension._node_defects
+        monkeypatch.setattr(extension, "_node_defects",
+                            lambda w, annulus, *args: calls.append(annulus.tolist()) or real(w, annulus, *args))
+        rng = np.random.default_rng(3)
+        extension.disk_pair_residuals(*_disk_pair_block(rng, 3, 4))
+        extension.annulus_pair_residuals(*_annulus_block(rng, 2, 4))
+        c = scalar({0: 0.5})
+        vprime_membership([NodeData("disk_pair", c, c), NodeData("annulus", c, c, delta=0.5)])
+        assert calls == [[False] * 3, [True] * 2, [True] * 2, [False, True]]

@@ -619,6 +619,46 @@ class TestTripleBatch:
         assert str(alone.value) == str(got[1]) == message
         assert [type(t) for t in got] == [SubspaceTriple, ValueError, SubspaceTriple]
 
+    @pytest.mark.parametrize("bad, message", [
+        ((2, np.eye(2), {}), "must be real number, not dict"),
+        (("2", np.eye(2), np.eye(2)), "'<' not supported"),
+        ((None, np.eye(2), np.eye(2)), "'<' not supported"),
+    ], ids=["dict basis", "string dimension", "null dimension"])
+    def test_type_error_rejects_its_triple_only(self, bad, message):
+        # the TypeError stands in the bad triple's place; the batch goes on
+        good = (2, np.eye(2), np.eye(2))
+        got = fredholm.subspace_triples([good, bad, good])
+        assert [type(t) for t in got] == [SubspaceTriple, TypeError, SubspaceTriple]
+        assert message in str(got[1]) and triple_index(got[0]) == triple_index(got[2]) == (2, 0, 2)
+        with pytest.raises(TypeError, match=message):
+            SubspaceTriple(*bad)
+
+    def test_sides_without_columns_take_no_row_norms(self):
+        # an N x 0 side has an empty spectrum: no N-length row norms, and a
+        # pair of two such sides takes no hypot
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            t = SubspaceTriple(5_000_000, [], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert [s.shape for s in t.spectra] == [(0,)] * 3 and triple_index(t) == (0, 5_000_000, -5_000_000)
+
+    def test_one_side_without_columns_keeps_the_other_spectrum(self):
+        # [B' | B''] is then the other side: its closed form, bit for bit
+        b = np.diag([3.0, 0.0, 0.0, 4.0])[:, [0, 3]]
+        for bp, bq in (([], b), (b, [])):
+            t = SubspaceTriple(4, bp, bq)
+            assert t.spectra[0].tobytes() == np.array([4.0, 3.0]).tobytes()
+            assert triple_index(t) == (0, 2, -2)
+
+    def test_ambient_dim_past_numpy_is_named(self):
+        with pytest.raises(ValueError, match=r"^ambient_dim: \d+\.\.\.\d+ is past numpy's largest array dimension$"):
+            SubspaceTriple(int(1e308), [], [])
+
     def test_batch_of_one_is_the_constructor(self):
         t = SubspaceTriple(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))
         got, = fredholm.subspace_triples([(3, eye_cols(3, [0, 1]), eye_cols(3, [1, 2]))])

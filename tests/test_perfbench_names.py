@@ -22,6 +22,7 @@ GONE = {
     "fredholm.matrix_rank": "deleted with the public functions no command reached",
     "fredholm.nullspace": "deleted with the public functions no command reached",
     "fredholm.subspace_intersection": "deleted with the public functions no command reached",
+    "extension.annulus_extension_test": "folded into the one node-relation kernel of vprime_membership",
 }
 
 
